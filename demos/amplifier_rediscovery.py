@@ -4,10 +4,13 @@ Rediscovering the amplifier
 
 The core of every machine here is a two-mode amplifier whose gain has a
 closed form in the input amplitudes (alpha, beta, gamma).  This demo
-does not assume that form: it hands a generic constrained minimizer the
-output-noise objective and the commutation constraint, and shows that
-the numerical minimum lands on the formula every time, with all the
-couplings a two-mode amplifier would not have collapsing to zero.
+does not assume that form: it minimizes the output noise over a general
+row of couplings under the commutation constraint, by solving for the
+constraint's multiplier lambda, and shows that the minimum lands on the
+formula every time, with all the couplings a two-mode amplifier would
+not have collapsing to zero.  Each solution comes with its certificate:
+lambda, and the smallest curvature of the Lagrangian, which is never
+negative, so the point is the global minimum.
 """
 
 import numpy as np
@@ -22,12 +25,13 @@ triples = [
 ]
 
 print(f"{'alpha':>6} {'beta':>6} {'gamma':>6} {'searched G':>12} "
-      f"{'closed form':>12} {'aux norm':>10}")
+      f"{'closed form':>12} {'aux norm':>10} {'lambda':>8} {'min curv':>9}")
 for alpha, beta, gamma in triples:
     res = solve_amplifier(alpha, beta, gamma)
     exact = gain_from_amplitudes(alpha, beta, gamma)
     print(f"{alpha:>6.3f} {beta:>6.3f} {gamma:>6.3f} {res.gain:>12.8f} "
-          f"{exact:>12.8f} {res.aux_norm:>10.2e}")
+          f"{exact:>12.8f} {res.aux_norm:>10.2e} {res.multiplier:>8.4f} "
+          f"{res.min_curvature:>9.4f}")
 
 # A random batch, same comparison in bulk.
 rng = np.random.default_rng(7)

@@ -69,12 +69,18 @@ def _fmt(value) -> str:
 
 
 def _resolve_tol(args, fallback: float) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("PCICLONE_TOL")
-    if env:
-        return float(env)
-    return fallback
+    tol = args.tol
+    if tol is None:
+        env = os.environ.get("PCICLONE_TOL")
+        if not env:
+            return fallback
+        try:
+            tol = float(env)
+        except ValueError:
+            raise DomainError(f"PCICLONE_TOL={env!r} is not a number") from None
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tolerance must be finite and >= 0, got {tol}")
+    return tol
 
 
 def _emit(text: str, out_path: str | None):
@@ -89,6 +95,13 @@ def _flat_csv(doc: dict) -> str:
     header = ",".join(doc.keys())
     row = ",".join(_fmt(v) for v in doc.values())
     return f"{header}\n{row}"
+
+
+def _emit_doc(doc: dict, fmt: str, out_path: str | None):
+    if fmt == "csv":
+        _emit(_flat_csv(doc), out_path)
+    else:
+        _emit(json.dumps(doc, indent=2, allow_nan=False), out_path)
 
 
 def _as_count(value: float, label: str, tol: float) -> int:
@@ -115,10 +128,7 @@ def _config_from_args(args, tol: float) -> CloningConfig:
 def cmd_report(args) -> int:
     tol = _resolve_tol(args, 1e-9)
     doc = noise_report(_config_from_args(args, tol)).to_dict()
-    if args.format == "csv":
-        _emit(_flat_csv(doc), args.out)
-    else:
-        _emit(json.dumps(doc, indent=2), args.out)
+    _emit_doc(doc, args.format, args.out)
     return 0
 
 
@@ -154,12 +164,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    result = minimize_asymmetry(args.n, args.m, refine_tol=_resolve_tol(args, 1e-9))
-    doc = result.to_dict()
-    if args.format == "csv":
-        _emit(_flat_csv(doc), args.out)
-    else:
-        _emit(json.dumps(doc, indent=2), args.out)
+    _emit_doc(minimize_asymmetry(args.n, args.m).to_dict(), args.format, args.out)
     return 0
 
 
@@ -170,13 +175,8 @@ def cmd_solve(args) -> int:
         args.gamma,
         tol=_resolve_tol(args, 1e-10),
         seed=args.seed,
-        restarts=args.restarts,
     )
-    doc = result.to_dict()
-    if args.format == "csv":
-        _emit(_flat_csv(doc), args.out)
-    else:
-        _emit(json.dumps(doc, indent=2), args.out)
+    _emit_doc(result.to_dict(), args.format, args.out)
     return 0
 
 
@@ -220,7 +220,7 @@ def cmd_verify(args) -> int:
             lines.append(",".join(_fmt(d[k]) for k in header.split(",")))
         _emit("\n".join(lines), args.out)
     else:
-        _emit(json.dumps(doc, indent=2), args.out)
+        _emit_doc(doc, "json", args.out)
     return 0 if passed else 1
 
 
@@ -269,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("alpha", type=float)
     p.add_argument("beta", type=float)
     p.add_argument("gamma", type=float)
-    p.add_argument("--restarts", type=int, default=8)
     _add_common(p, "json")
     p.set_defaults(func=cmd_solve)
 

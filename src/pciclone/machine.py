@@ -21,7 +21,7 @@ explicit transform is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .canonical import (
     identity_transform,
     pcia_transform,
 )
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .gaussian import GaussianState, coherent_state
 
 
@@ -144,19 +144,7 @@ class NoiseReport:
     measurement_limit_noise: float
 
     def to_dict(self) -> dict:
-        return {
-            "gain": self.gain,
-            "n_th_clone": self.n_th_clone,
-            "n_th_anticlone": self.n_th_anticlone,
-            "var_clone": self.var_clone,
-            "var_anticlone": self.var_anticlone,
-            "f_clone": self.f_clone,
-            "f_anticlone": self.f_anticlone,
-            "baseline_var": self.baseline_var,
-            "baseline_f": self.baseline_f,
-            "baseline_f_anticlone": self.baseline_f_anticlone,
-            "measurement_limit_noise": self.measurement_limit_noise,
-        }
+        return asdict(self)
 
 
 def gain_from_amplitudes(alpha: float, beta: float, gamma: float) -> float:
@@ -173,8 +161,9 @@ def gain_from_amplitudes(alpha: float, beta: float, gamma: float) -> float:
     equals the limit (gamma^2 + alpha^2) / (2*alpha*gamma) directly.
     Signs are immaterial (they can be absorbed into mode phases), so
     magnitudes are used.  |gamma| < |alpha| would require attenuation
-    rather than amplification and is rejected.
+    rather than amplification and is rejected, as are non-finite values.
     """
+    require_finite(alpha=alpha, beta=beta, gamma=gamma)
     a, b, c = abs(alpha), abs(beta), abs(gamma)
     if a == 0.0 and b == 0.0:
         raise DomainError("alpha and beta cannot both vanish")
@@ -206,6 +195,7 @@ def asymmetry_gain(n: float, m: float, a: float) -> float:
     N' = a*n, M' = M + (2a-1)n; non-integer replica counts are allowed.
     Feasibility requires M >= N, i.e. a >= 1 - M/n.
     """
+    require_finite(n=n, m=m, a=a)
     if n <= 0:
         raise DomainError(f"total input count must be > 0, got {n}")
     if m <= 0:

@@ -1,33 +1,41 @@
-"""Numerical searches: rediscover the optimal amplifier, locate best asymmetry.
+"""Exact searches: rediscover the optimal amplifier, locate best asymmetry.
 
 The amplifier search minimizes the output noise of a single mode coupled
 to three input modes (signal port, conjugate port, auxiliary) subject to
-the canonical-commutation constraint on that row, using only generic
-constrained optimization.  Its purpose is to confirm, without assuming
-the answer, that the minimum is the two-mode amplifier: the auxiliary
-couplings vanish and the implied gain matches the closed form of
-:func:`pciclone.machine.gain_from_amplitudes`.
+the canonical-commutation constraint on that row.  Its purpose is to
+confirm, without assuming the answer, that the minimum is the two-mode
+amplifier: the auxiliary couplings vanish and the implied gain matches
+the closed form of :func:`pciclone.machine.gain_from_amplitudes`.
 
-The asymmetry search scans the conjugate fraction a of a fixed input
-budget n for the value minimizing the clone noise at given M.
+Objective and constraint are both quadratic with diagonal Hessians A and
+C, so the search is a generalized trust-region subproblem (Moré, 1993):
+the global minimum is the Karush-Kuhn-Tucker point whose multiplier
+lambda keeps A + lambda*C positive semidefinite.  On that window of
+lambda the stationary point x(lambda) = -(a + lambda*c) / (A + lambda*C)
+is taken per coordinate, and the constraint along it, the secular
+function phi(lambda), does not increase; its root is the solution.
+When phi has no root in the window (the hard case) lambda sits at the
+window's end and the missing constraint mass goes onto the first
+coordinate whose curvature vanishes there.  Each result carries its
+certificate: the constraint residual, the multiplier, which must make
+the point stationary, and the smallest curvature of A + lambda*C, which
+must not be negative.
+
+The best conjugate fraction a of a fixed input budget n at given M has
+a closed form, the stationary point of the gain or the edge of the
+amplification regime.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .canonical import CanonicalTransform, commutation_residual
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require_finite
 from .machine import asymmetry_gain
-
-# Constraint violation below which a start counts as feasible.
-FEASIBILITY_TOL = 1e-10
-# Objective ties within this margin are broken by auxiliary-coupling norm.
-TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -113,7 +121,15 @@ class AmplifierSearchProblem:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Converged amplifier-search solution in the original scaling."""
+    """Amplifier-search solution with its optimality certificate.
+
+    alpha, beta, gamma are the input magnitudes; the couplings, objective
+    and residuals are in the beta = 1 gauge, where the gain m11**2 is
+    read off unchanged.  ``multiplier`` is the constraint's lambda and
+    ``min_curvature`` the smallest eigenvalue of A + lambda*C; a
+    non-negative value certifies the point as the global minimum.
+    ``iterations`` counts evaluations of the secular function.
+    """
 
     alpha: float
     beta: float
@@ -128,6 +144,8 @@ class SearchResult:
     constraint_residual: float
     full_residual: float
     gain: float
+    multiplier: float
+    min_curvature: float
     iterations: int
     converged: bool
 
@@ -137,42 +155,18 @@ class SearchResult:
         return max(abs(self.m13), abs(self.l13), abs(self.l11), abs(self.m12))
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "m11": self.m11,
-            "m12": self.m12,
-            "m13": self.m13,
-            "l11": self.l11,
-            "l12": self.l12,
-            "l13": self.l13,
-            "objective": self.objective,
-            "constraint_residual": self.constraint_residual,
-            "full_residual": self.full_residual,
-            "gain": self.gain,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class AsymmetryResult:
-    """Outcome of the conjugate-fraction scan for fixed n and M."""
+    """Best conjugate fraction a* for fixed n and M."""
 
     n: float
     m: float
     a_star: float
     gain: float
     n_th: float
-    grid_a: np.ndarray
-    grid_n_th: np.ndarray
-
-    def __post_init__(self):
-        for name in ("grid_a", "grid_n_th"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     def to_dict(self) -> dict:
         return {
@@ -194,87 +188,6 @@ def _full_completion_residual(coeffs: tuple[float, ...]) -> float:
     return commutation_residual(CanonicalTransform(m, l))
 
 
-def _augmented_minimize(
-    problem: AmplifierSearchProblem, x0: np.ndarray, tol: float
-) -> tuple[np.ndarray, float, int]:
-    """Penalty continuation with multiplier correction; returns
-    (solution, |constraint|, inner iterations)."""
-    x = np.asarray(x0, dtype=float)
-    lam = 0.0
-    mu = 10.0
-    iterations = 0
-    c_prev = abs(problem.constraint(x))
-    # gtol ladder: loose first rounds, tight once the multiplier settles.
-    for outer in range(14):
-        gtol = max(1e-4 * 10.0 ** (-outer), tol)
-
-        def aug(z):
-            c = problem.constraint(z)
-            return problem.objective(z) + lam * c + mu * c * c
-
-        def aug_grad(z):
-            c = problem.constraint(z)
-            return problem.objective_grad(z) + (lam + 2.0 * mu * c) * (
-                problem.constraint_grad(z)
-            )
-
-        res = minimize(
-            aug, x, jac=aug_grad, method="BFGS",
-            options={"gtol": gtol, "maxiter": 500},
-        )
-        x = res.x
-        iterations += int(res.nit)
-        c = problem.constraint(x)
-        if abs(c) < 1e-12 and gtol <= tol:
-            break
-        lam += 2.0 * mu * c
-        if abs(c) > 0.25 * c_prev:
-            mu = min(mu * 10.0, 1e10)
-        c_prev = abs(c)
-    return x, abs(problem.constraint(x)), iterations
-
-
-def _kkt_polish(problem: AmplifierSearchProblem, x0: np.ndarray) -> np.ndarray:
-    """Newton refinement of the stationarity system near a solution.
-
-    Objective and constraint are both quadratic, so the Karush-Kuhn-Tucker
-    equations have a constant-curvature Jacobian and Newton converges
-    quadratically from the penalty-method iterate.  BFGS alone can stall
-    with residual components around 1e-9 when alpha/beta is large; this
-    step removes them without assuming anything about the answer's shape.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    g = problem.objective_grad(x)
-    a = problem.constraint_grad(x)
-    denom = float(a @ a)
-    if denom == 0.0:
-        return x
-    lam = -float(g @ a) / denom
-    best_norm, best_x = math.inf, x.copy()
-    for _ in range(25):
-        g = problem.objective_grad(x)
-        a = problem.constraint_grad(x)
-        residual = np.concatenate([g + lam * a, [problem.constraint(x)]])
-        norm = float(np.max(np.abs(residual)))
-        if norm < best_norm:
-            best_norm, best_x = norm, x.copy()
-        if norm < 1e-14:
-            break
-        system = np.zeros((5, 5))
-        system[:4, :4] = problem.objective_hess() + lam * problem.constraint_hess()
-        system[:4, 4] = a
-        system[4, :4] = a
-        try:
-            step = np.linalg.solve(system, -residual)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        x += step[:4]
-        lam += float(step[4])
-    return best_x
-
-
 def solve_amplifier(
     alpha: float,
     beta: float,
@@ -282,20 +195,28 @@ def solve_amplifier(
     *,
     tol: float = 1e-10,
     seed: int = 0,
-    restarts: int = 8,
 ) -> SearchResult:
-    """Constrained minimization of the output noise over row couplings.
+    """Global minimum of the output noise over the row couplings.
 
-    Runs the penalty/multiplier scheme from two deterministic starts and
-    ``restarts - 2`` seeded random starts, keeps the feasible candidate
-    of lowest noise (ties broken toward the smallest auxiliary coupling,
-    then smallest a-position), and reports it together with the
-    constraint residuals and the gain m11**2 it implies.
+    Takes the quadratic data of :class:`AmplifierSearchProblem` (Hessians
+    A and C, linear terms a and c, constant of the constraint) and solves
+    the secular equation phi(lambda) = 0 by Brent's method on the window
+    where A + lambda*C is positive semidefinite.  There phi does not
+    increase; for alpha > 0 it changes sign between the window's ends.
+    At alpha = 0 it is negative throughout (the hard case): lambda is the
+    lower end and the first coordinate whose curvature vanishes there,
+    m11, takes the constraint mass.  One exact step along the constraint
+    gradient then closes the gap that rounding leaves in x(lambda), and
+    lambda is refitted to the final point.  The search is deterministic,
+    so ``seed`` has no effect.
 
-    Raises :class:`ConvergenceError` when no start reaches a feasible
-    point, and :class:`DomainError` outside |gamma| >= |alpha| or when
-    beta = 0 (the scaling gauge needs a conjugate-port coupling).
+    Raises :class:`ConvergenceError` when the certificate fails, i.e.
+    the constraint residual, -min_curvature or the stationarity residual
+    relative to the objective gradient exceeds ``tol``, and
+    :class:`DomainError` for non-finite input, outside |gamma| >= |alpha|
+    or when beta = 0 (the scaling gauge needs a conjugate-port coupling).
     """
+    require_finite(alpha=alpha, beta=beta, gamma=gamma, tol=tol)
     a, b, c = abs(alpha), abs(beta), abs(gamma)
     if b == 0.0:
         raise DomainError("beta = 0 cannot be scaled to the beta = 1 gauge")
@@ -303,35 +224,79 @@ def solve_amplifier(
         raise DomainError(
             f"|gamma|={c} < |alpha|={a} is the attenuation regime, not supported"
         )
+    # Imported here: scipy.optimize would quadruple the package's import time.
+    from scipy.optimize import brentq
+
     problem = AmplifierSearchProblem(alpha=a / b, gamma=c / b)
+    zero = np.zeros(4)
+    hess_f = np.diag(problem.objective_hess())
+    hess_g = np.diag(problem.constraint_hess())
+    grad_f = problem.objective_grad(zero)
+    grad_g = problem.constraint_grad(zero)
+    # Lower and upper bounds on lambda keeping every curvature >= 0.
+    up, down = hess_g > 0, hess_g < 0
+    lam_lo = float(np.max(-hess_f[up] / hess_g[up]))
+    lam_hi = float(np.min(-hess_f[down] / hess_g[down]))
 
-    starts = [np.array([1.0, 0.0, 0.0, 0.0]), np.array([2.0, 0.5, 0.5, 0.5])]
-    rng = np.random.default_rng(seed)
-    for _ in range(max(restarts - len(starts), 0)):
-        starts.append(np.array([1.0, 0.0, 0.0, 0.0]) + rng.normal(0.0, 2.0, 4))
+    def curvature(lam: float) -> np.ndarray:
+        return hess_f + lam * hess_g
 
-    best = None
-    for x0 in starts:
-        x, c_abs, iters = _augmented_minimize(problem, x0, tol)
-        x = _kkt_polish(problem, x)
-        c_abs = abs(problem.constraint(x))
-        if c_abs > FEASIBILITY_TOL:
-            continue
-        f_val = problem.objective(x)
-        coeffs = problem.coefficients(x)
-        aux = max(abs(coeffs[1]), abs(coeffs[2]), abs(coeffs[3]), abs(coeffs[5]))
-        key = (f_val, aux)
-        if best is None or key[0] < best[0][0] - TIE_TOL or (
-            abs(key[0] - best[0][0]) <= TIE_TOL and key[1] < best[0][1]
-        ):
-            best = (key, x, iters)
-    if best is None:
-        raise ConvergenceError(
-            f"no feasible amplifier found for (alpha, beta, gamma)="
-            f"({alpha}, {beta}, {gamma}) after {len(starts)} starts"
+    def stationary(lam: float) -> np.ndarray:
+        curv = curvature(lam)
+        # A coordinate with no curvature left is the hard case's free
+        # direction; it starts at 0.
+        return np.divide(
+            -(grad_f + lam * grad_g), curv, out=np.zeros(4), where=curv > 0
         )
 
-    _, x, iters = best
+    evaluations = 0
+
+    def phi(lam: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return problem.constraint(stationary(lam))
+
+    phi_lo, phi_hi = phi(lam_lo), phi(lam_hi)
+    if phi_lo >= 0.0 >= phi_hi:
+        # Near-zero xtol: bracket the root down to brentq's 4-ulp rtol.
+        lam = brentq(phi, lam_lo, lam_hi, xtol=1e-300)
+    else:
+        lam = lam_lo if phi_lo < 0.0 else lam_hi
+    x = stationary(lam)
+
+    # Close the constraint gap along one line: the constraint gradient, or
+    # in the hard case, where it vanishes, the first coordinate without
+    # curvature.  The constraint is quadratic along the line; take the
+    # root nearest x, in the form that does not cancel.
+    grad = problem.constraint_grad(x)
+    if grad.any():
+        d = grad / np.max(np.abs(grad))
+    else:
+        d = np.eye(4)[np.argmin(curvature(lam))]
+    gap, slope, bend = problem.constraint(x), grad @ d, d @ (hess_g * d)
+    root = math.sqrt(max(slope * slope - 2.0 * bend * gap, 0.0))
+    denom = slope + math.copysign(root, slope)
+    if denom:
+        x = x - 2.0 * gap / denom * d
+    # The multiplier that best fits stationarity at the final point.
+    grad, obj_grad = problem.constraint_grad(x), problem.objective_grad(x)
+    lam = -float(obj_grad @ grad) / float(grad @ grad)
+
+    constraint_residual = abs(problem.constraint(x))
+    min_curvature = float(np.min(curvature(lam)))
+    stationarity = np.max(np.abs(obj_grad + lam * grad))
+    if not (
+        constraint_residual <= tol
+        and min_curvature >= -tol
+        and stationarity <= tol * max(1.0, np.max(np.abs(obj_grad)))
+    ):
+        raise ConvergenceError(
+            f"no certified amplifier for (alpha, beta, gamma)="
+            f"({alpha}, {beta}, {gamma}): constraint residual "
+            f"{constraint_residual:.3g}, min curvature {min_curvature:.3g}, "
+            f"stationarity residual {stationarity:.3g}"
+        )
+
     m11, m12, m13, l11, l12, l13 = problem.coefficients(x)
     return SearchResult(
         alpha=a,
@@ -345,12 +310,14 @@ def solve_amplifier(
         l13=l13,
         objective=0.5
         * (m11**2 + m12**2 + m13**2 + l11**2 + l12**2 + l13**2),
-        constraint_residual=abs(problem.constraint(x)),
+        constraint_residual=constraint_residual,
         full_residual=_full_completion_residual(
             (m11, m12, m13, l11, l12, l13)
         ),
         gain=m11 * m11,
-        iterations=iters,
+        multiplier=float(lam),
+        min_curvature=min_curvature,
+        iterations=evaluations,
         converged=True,
     )
 
@@ -364,49 +331,32 @@ def minimize_asymmetry(
 ) -> AsymmetryResult:
     """Conjugate fraction a in [0, 1) minimizing the clone noise.
 
-    Scans the feasible interval [max(0, 1 - M/n), 1] on a uniform grid,
-    then sharpens an interior minimum by golden-section search.  Grid
-    ties are broken toward the smallest a; a minimum sitting on the
-    feasibility boundary is reported as-is (for M = n that is a = 0 with
-    zero added noise, the machine being a relabelling).
+    The gain of :func:`pciclone.machine.asymmetry_gain` is stationary in
+    a at (M - n)/(2M), and a must stay at or above 1 - M/n for the
+    amplification regime, so
+
+        a* = max((M - n) / (2M), 1 - M/n).
+
+    For M = n that is a = 0 with zero added noise (the machine is a
+    relabelling); for M < n the optimum pins the regime's edge, where
+    the noise vanishes; as M grows a* tends to 1/2.  ``grid_step`` and
+    ``refine_tol`` are accepted for compatibility and have no effect.
     """
+    require_finite(n=n, m=m)
     if n <= 0 or m <= 0:
         raise DomainError(f"need n > 0 and M > 0, got n={n}, M={m}")
-    a_lo = max(0.0, 1.0 - m / n)
-    count = max(int(math.ceil((1.0 - a_lo) / grid_step)) + 1, 2)
-    grid = np.linspace(a_lo, 1.0, count)
-    gains = np.array([asymmetry_gain(n, m, a) for a in grid])
-    n_th = (gains - 1.0) / m
-
-    near_min = np.flatnonzero(gains <= gains.min() + 1e-12)
-    idx = int(near_min[0])
-
-    a_star = float(grid[idx])
-    if 0 < idx < len(grid) - 1 and gains[idx] < gains[idx - 1] and (
-        gains[idx] < gains[idx + 1]
-    ):
-        res = minimize_scalar(
-            lambda a: asymmetry_gain(n, m, a),
-            bracket=(grid[idx - 1], grid[idx], grid[idx + 1]),
-            method="golden",
-            options={"xtol": refine_tol},
-        )
-        a_star = float(min(max(res.x, grid[idx - 1]), grid[idx + 1]))
-
+    a_star = max((m - n) / (2.0 * m), 1.0 - m / n)
     gain = asymmetry_gain(n, m, a_star)
     return AsymmetryResult(
         n=float(n),
         m=float(m),
-        a_star=a_star,
+        a_star=float(a_star),
         gain=gain,
         n_th=(gain - 1.0) / m,
-        grid_a=grid,
-        grid_n_th=n_th,
     )
 
 
 __all__ = [
-    "FEASIBILITY_TOL",
     "AmplifierSearchProblem",
     "AsymmetryResult",
     "SearchResult",

@@ -13,10 +13,19 @@ with amplitudes psi_j:
 
 The fidelity oracle integrates the thermal Glauber P density against the
 coherent-state overlap kernel exp(-|xi - psi|^2) radially.
+
+The asymmetry oracle finds the best conjugate fraction by brute force, a
+grid scan sharpened by golden-section search, where the library uses a
+closed form.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
+
+from pciclone.machine import asymmetry_gain
 
 
 def operator_means(m, l, psi):
@@ -50,3 +59,24 @@ def thermal_overlap_fidelity(n_th):
     integrand = lambda r: (2.0 * r / n_th) * np.exp(-r * r / n_th - r * r)
     value, _ = quad(integrand, 0.0, np.inf)
     return value
+
+
+def scan_asymmetry(n, m, grid_step=1e-3, refine_tol=1e-9):
+    """(a, gain) minimizing asymmetry_gain(n, m, a) over the feasible
+    a in [max(0, 1 - M/n), 1]: a uniform grid, ties toward the smallest
+    a, then golden-section search around an interior grid minimum."""
+    a_lo = max(0.0, 1.0 - m / n)
+    count = max(int(math.ceil((1.0 - a_lo) / grid_step)) + 1, 2)
+    grid = np.linspace(a_lo, 1.0, count)
+    gains = np.array([asymmetry_gain(n, m, a) for a in grid])
+    idx = int(np.flatnonzero(gains <= gains.min() + 1e-12)[0])
+    a = float(grid[idx])
+    if 0 < idx < len(grid) - 1 and gains[idx - 1] > gains[idx] < gains[idx + 1]:
+        res = minimize_scalar(
+            lambda x: asymmetry_gain(n, m, x),
+            bracket=(grid[idx - 1], grid[idx], grid[idx + 1]),
+            method="golden",
+            options={"xtol": refine_tol},
+        )
+        a = float(min(max(res.x, grid[idx - 1]), grid[idx + 1]))
+    return a, asymmetry_gain(n, m, a)

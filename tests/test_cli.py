@@ -2,9 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pciclone
 import pciclone.cli
 from pciclone.cli import SWEEP_HEADER, main
 from pciclone.errors import ConvergenceError
@@ -144,6 +149,11 @@ class TestOptimize:
         code, _ = run_cli(capsys, "optimize", 8, 16)
         assert code == 3
 
+    def test_non_finite_exit_code(self, capsys):
+        code, out = run_cli(capsys, "optimize", "inf", 4)
+        assert code == 2
+        assert out == ""
+
 
 class TestSolve:
     def test_conjugate_only_amplifier(self, capsys):
@@ -163,6 +173,21 @@ class TestSolve:
         row = dict(zip(header.split(","), values.split(",")))
         assert float(row["gain"]) == pytest.approx(2.0, rel=1e-8)
         assert row["converged"] == "true"
+
+    def test_certificate_fields(self, capsys):
+        _, out = run_cli(capsys, "solve", 0.5, 1, 1.5)
+        doc = json.loads(out)
+        assert -0.5 < doc["multiplier"] < 0.5
+        assert doc["min_curvature"] >= 0.0
+
+    def test_non_finite_exit_code(self, capsys):
+        code, out = run_cli(capsys, "solve", 0, 1, "nan")
+        assert code == 2
+        assert out == ""
+
+    def test_restarts_flag_removed(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["solve", "0", "1", "1", "--restarts", "3"])
 
 
 class TestVerify:
@@ -197,11 +222,32 @@ class TestVerify:
         code, _ = run_cli(capsys, "verify", 1, 1, 2, 1000, 1, "--tol", "1e-10")
         assert code == 0
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+    def test_bad_tol_flag_exit_code(self, capsys, tol):
+        code, out = run_cli(capsys, "verify", 1, 1, 2, 1000, 1, f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+
     def test_csv_z_table(self, capsys):
         _, out = run_cli(capsys, "verify", 1, 1, 2, 1000, 1, "--format", "csv")
         lines = out.strip().splitlines()
         assert lines[0] == "mode,role,z_mean_x,z_mean_p,z_var_x,z_var_p,z_fidelity"
         assert len(lines) == 5  # four modes
+
+
+@pytest.mark.parametrize("env", ["abc", "nan", "inf", "-1"])
+def test_bad_tol_env_exit_code(capsys, monkeypatch, env):
+    monkeypatch.setenv("PCICLONE_TOL", env)
+    code, out = run_cli(capsys, "report", 1, 1, 2)
+    assert code == 2
+    assert out == ""
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(pciclone.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, pciclone.cli; assert 'scipy.optimize' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestOutputFile:

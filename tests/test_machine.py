@@ -94,6 +94,13 @@ class TestGainFromAmplitudes:
         with pytest.raises(DomainError):
             gain_from_amplitudes(0, 0, 1)
 
+    @pytest.mark.parametrize(
+        "args", [(math.nan, 1, 2), (0, math.inf, 1), (1, 1, math.nan)]
+    )
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(DomainError, match="finite"):
+            gain_from_amplitudes(*args)
+
 
 class TestGainFromCounts:
     def test_balanced_pair(self):
@@ -181,6 +188,13 @@ class TestAsymmetryGain:
             asymmetry_gain(8, 0, 0.5)
         with pytest.raises(DomainError):
             asymmetry_gain(8, 8, 1.5)
+
+    @pytest.mark.parametrize(
+        "args", [(math.nan, 8, 0.5), (8, math.inf, 0.5), (8, 8, math.nan)]
+    )
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(DomainError, match="finite"):
+            asymmetry_gain(*args)
 
 
 class TestMeasurementNoise:

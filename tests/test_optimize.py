@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import pciclone.optimize
+import oracles
 from pciclone.errors import ConvergenceError, DomainError
 from pciclone.machine import asymmetry_gain, gain_from_amplitudes
 from pciclone.optimize import (
@@ -107,18 +109,66 @@ class TestSolveAmplifier:
         with pytest.raises(DomainError):
             solve_amplifier(2.0, 1.0, 1.0)
 
-    def test_convergence_failure_raises(self, monkeypatch):
-        def hopeless(problem, x0, tol):
-            return np.asarray(x0, dtype=float), 1.0, 1
+    def test_convergence_failure_raises(self):
+        # At beta/alpha = 1e-6 the constraint's terms reach (gamma/beta)^2
+        # ~ 1e13, whose rounding alone exceeds the default tol: the final
+        # point is infeasible at that tolerance and must be refused.
+        with pytest.raises(ConvergenceError, match="constraint residual"):
+            solve_amplifier(1.0, 1e-6, 3.0)
+        loose = solve_amplifier(1.0, 1e-6, 3.0, tol=1e-6)
+        assert loose.gain == pytest.approx(
+            gain_from_amplitudes(1.0, 1e-6, 3.0), rel=1e-12
+        )
 
-        monkeypatch.setattr(
-            pciclone.optimize, "_augmented_minimize", hopeless
-        )
-        monkeypatch.setattr(
-            pciclone.optimize, "_kkt_polish", lambda problem, x: x
-        )
-        with pytest.raises(ConvergenceError):
-            solve_amplifier(0.0, 1.0, 1.0)
+    def test_certificate_fields(self):
+        res = solve_amplifier(0.5, 1.0, 1.5)
+        assert -0.5 < res.multiplier < 0.5
+        assert res.min_curvature > 0.0
+        assert res.iterations >= 3
+        # Hard case: the multiplier sits at the window's end.
+        hard = solve_amplifier(0.0, 1.0, 1.0)
+        assert hard.multiplier == -0.5
+        assert hard.min_curvature == 0.0
+
+    @pytest.mark.parametrize(
+        "args",
+        [(math.nan, 1.0, 2.0), (0.0, math.inf, 1.0), (0.0, 1.0, math.nan)],
+    )
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(DomainError, match="finite"):
+            solve_amplifier(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(0.0, 2.0),
+    beta=st.floats(0.05, 2.0),
+    excess=st.floats(0.0, 2.0),
+    free=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+)
+def test_solution_is_global_minimum(alpha, beta, excess, free):
+    res = solve_amplifier(alpha, beta, alpha + excess)
+    problem = AmplifierSearchProblem(
+        alpha=res.alpha / res.beta, gamma=res.gamma / res.beta
+    )
+    x = np.array([res.m11, res.l11, res.m13, res.l13])
+    stationarity = problem.objective_grad(x) + res.multiplier * (
+        problem.constraint_grad(x)
+    )
+    assert np.max(np.abs(stationarity)) <= 1e-10
+    assert res.min_curvature >= 0.0
+    assert abs(res.multiplier) <= 0.5
+    # Feasible competitors: pick l11, m13, l13 and solve the constraint,
+    # quadratic in m11, for m11.
+    l11, m13, l13 = free
+    a, g = problem.alpha, problem.gamma
+    t = 1.0 - a * a
+    rest = g * g + 1.0 + t * l11 * l11 - m13 * m13 + l13 * l13
+    for m11 in np.roots([t, 2.0 * a * g, -rest]):
+        if abs(m11.imag) > 0.0:
+            continue
+        y = np.array([m11.real, l11, m13, l13])
+        assert problem.objective(y) >= res.objective * (1.0 - 1e-12)
 
 
 class TestMinimizeAsymmetry:
@@ -154,13 +204,20 @@ class TestMinimizeAsymmetry:
         res = minimize_asymmetry(8, 9)
         assert res.n_th == pytest.approx((res.gain - 1.0) / 9, abs=1e-15)
 
-    def test_grid_is_recorded(self):
-        res = minimize_asymmetry(4, 8, grid_step=1e-2)
-        assert res.grid_a.shape == res.grid_n_th.shape
-        assert res.grid_a[0] == pytest.approx(0.0)
-        assert res.grid_a[-1] == pytest.approx(1.0)
-        k = int(np.argmin(res.grid_n_th))
-        assert res.n_th <= res.grid_n_th[k] + 1e-12
+    @pytest.mark.parametrize(
+        "n, m",
+        [
+            (8, 8), (4, 8), (8, 9), (8, 16),  # M >= n
+            (8, 80000), (1, 1000),  # large M
+            (8, 4), (3, 1), (5.5, 2.25),  # M < n
+            (2.5, 7.3), (13.7, 14.2), (0.6, 1.9),  # non-integral
+        ],
+    )
+    def test_closed_form_matches_oracle_scan(self, n, m):
+        res = minimize_asymmetry(n, m)
+        a_scan, gain_scan = oracles.scan_asymmetry(n, m)
+        assert res.a_star == pytest.approx(a_scan, abs=1e-7)
+        assert res.gain <= gain_scan * (1.0 + 1e-15)  # no worse, to rounding
 
     def test_too_few_clones_pins_boundary(self):
         # With M < n only a >= 1 - M/n is feasible and the noise vanishes
@@ -174,6 +231,11 @@ class TestMinimizeAsymmetry:
             minimize_asymmetry(0, 8)
         with pytest.raises(DomainError):
             minimize_asymmetry(8, 0)
+
+    @pytest.mark.parametrize("n, m", [(8, math.nan), (math.inf, 4), (math.nan, 8)])
+    def test_non_finite_rejected(self, n, m):
+        with pytest.raises(DomainError, match="finite"):
+            minimize_asymmetry(n, m)
 
     def test_serialization(self):
         doc = minimize_asymmetry(8, 16).to_dict()
