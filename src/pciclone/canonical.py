@@ -13,6 +13,7 @@ quadrature moments (see :func:`to_symplectic`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,15 @@ class CanonicalTransform:
     def mode_count(self) -> int:
         return self.m_matrix.shape[0]
 
+    @cached_property
+    def commutation_residual(self) -> float:
+        """Max-norm violation of the two commutation constraints; 0 when
+        exact.  Computed on first use only: the matrices are read-only."""
+        m, l = self.m_matrix, self.l_matrix
+        sym = m @ l.T - l @ m.T
+        unit = m @ m.conj().T - l @ l.conj().T - np.eye(self.mode_count)
+        return float(max(np.max(np.abs(sym)), np.max(np.abs(unit))))
+
 
 def identity_transform(mode_count: int) -> CanonicalTransform:
     """M = identity, L = 0."""
@@ -77,11 +87,12 @@ def compose(
 
 
 def commutation_residual(transform: CanonicalTransform) -> float:
-    """Max-norm violation of the two commutation constraints; 0 when exact."""
-    m, l = transform.m_matrix, transform.l_matrix
-    sym = m @ l.T - l @ m.T
-    unit = m @ m.conj().T - l @ l.conj().T - np.eye(transform.mode_count)
-    return float(max(np.max(np.abs(sym)), np.max(np.abs(unit))))
+    """Max-norm violation of the two commutation constraints; 0 when exact.
+
+    The value is cached on the transform, so repeated checks of the same
+    transform cost nothing after the first.
+    """
+    return transform.commutation_residual
 
 
 def to_symplectic(

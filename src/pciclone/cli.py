@@ -9,8 +9,10 @@ Subcommands:
     verify    build a machine, sample it, compare with the predictions
 
 Exit codes: 0 success, 1 failed verification, 2 domain error,
-3 non-convergence.  The PCICLONE_TOL environment variable overrides the
-default tolerance wherever --tol is not given explicitly.
+3 non-convergence, 4 output could not be written (an unwritable --out
+path, or a closed standard output).  The PCICLONE_TOL environment
+variable overrides the default tolerance wherever --tol is not given
+explicitly.
 """
 
 from __future__ import annotations
@@ -25,12 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import commutation_residual, to_symplectic
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require_finite
 from .machine import CloningConfig, asymmetry_gain, build_machine, noise_report
 from .montecarlo import SampleConfig, compare_to_analytic, simulate
 from .optimize import minimize_asymmetry, solve_amplifier
 
 SWEEP_HEADER = "n,M,a,N,Nc,G,n_th,sqrt_n_th"
+
+
+class OutputError(Exception):
+    """The command's output could not be written (exit code 4)."""
 
 
 @dataclass(frozen=True)
@@ -84,11 +90,14 @@ def _resolve_tol(args, fallback: float) -> float:
 
 
 def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    try:
+        if out_path:
+            with open(out_path, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        else:
+            print(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write output: {exc}") from exc
 
 
 def _flat_csv(doc: dict) -> str:
@@ -105,6 +114,7 @@ def _emit_doc(doc: dict, fmt: str, out_path: str | None):
 
 
 def _as_count(value: float, label: str, tol: float) -> int:
+    require_finite(**{label: value})
     rounded = round(value)
     if abs(value - rounded) > tol:
         raise DomainError(f"{label} must be an integer, got {value}")
@@ -133,6 +143,15 @@ def cmd_report(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    require_finite(n=args.n)
+    if args.n <= 0:
+        raise DomainError(f"total replica count must be > 0, got {args.n}")
+    for m in args.clones:
+        require_finite(M=m)
+        if m <= 0:
+            raise DomainError(f"clone count must be > 0, got {m}")
+    if args.a_steps < 1:
+        raise DomainError(f"--a-steps must be >= 1, got {args.a_steps}")
     rows = []
     a_grid = np.linspace(0.0, 1.0, args.a_steps)
     for m in sorted(args.clones):
@@ -183,17 +202,14 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     tol = _resolve_tol(args, 1e-10)
     config = CloningConfig(args.n_sig, args.n_con, args.m)
+    seed = args.seed_pos if args.seed_pos is not None else args.seed
+    sampling = SampleConfig(sample_count=args.samples, seed=seed, psi=args.psi)
     transform, layout = build_machine(config)
     residual = commutation_residual(transform)
     symplectic = to_symplectic(transform).residual()
     structural_pass = residual <= tol and symplectic <= tol
 
-    seed = args.seed_pos if args.seed_pos is not None else args.seed
-    emp = simulate(
-        transform,
-        layout,
-        SampleConfig(sample_count=args.samples, seed=seed, psi=args.psi),
-    )
+    emp = simulate(transform, layout, sampling)
     summary = compare_to_analytic(emp, noise_report(config), layout)
     passed = structural_pass and summary.passed
 
@@ -296,6 +312,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

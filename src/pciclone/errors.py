@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the finiteness check."""
+"""Exception types shared across the package, and the argument checks."""
 
-import math
+import cmath
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -16,8 +18,17 @@ class ConvergenceError(RuntimeError):
     """A numerical solve ended on a point that fails its certificate."""
 
 
-def require_finite(**values: float) -> None:
-    """Raise :class:`DomainError` naming the first value that is NaN or infinite."""
+def require_finite(**values: complex) -> None:
+    """Raise :class:`DomainError` naming the first value with a NaN or
+    infinite (real or imaginary) part."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not cmath.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
+
+
+def require_integer(**values: int) -> None:
+    """Raise :class:`DomainError` naming the first value that is not an
+    integer; bools and floats, even integral ones, are refused."""
+    for name, value in values.items():
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise DomainError(f"{name} must be an integer, got {value!r}")

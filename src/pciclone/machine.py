@@ -25,15 +25,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .canonical import (
-    CanonicalTransform,
-    compose,
-    dft_transform,
-    embed,
-    identity_transform,
-    pcia_transform,
-)
-from .errors import DomainError, require_finite
+from .canonical import CanonicalTransform, dft_transform, pcia_transform
+from .errors import DomainError, require_finite, require_integer
 from .gaussian import GaussianState, coherent_state
 
 
@@ -52,9 +45,7 @@ class CloningConfig:
 
     def __post_init__(self):
         n, nc, m = self.n_inputs, self.n_conj, self.m_clones
-        for label, value in (("n_inputs", n), ("n_conj", nc), ("m_clones", m)):
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise DomainError(f"{label} must be an integer, got {value!r}")
+        require_integer(n_inputs=n, n_conj=nc, m_clones=m)
         if n < 0 or nc < 0:
             raise DomainError(f"input counts must be >= 0, got N={n}, N'={nc}")
         if n + nc < 1:
@@ -308,35 +299,54 @@ def _machine_layout(config: CloningConfig) -> MachineLayout:
     )
 
 
+def _apply_stage(
+    mm: np.ndarray, ll: np.ndarray, stage: CanonicalTransform, rows: list[int]
+) -> None:
+    """Act with ``stage`` on modes ``rows`` of b = mm a + ll a*, in place.
+
+    This is :func:`~pciclone.canonical.compose` with the stage embedded
+    on ``rows``, restricted to the rows the stage changes; for a passive
+    stage (L = 0) the cross terms vanish and are skipped.
+    """
+    sm, sl = stage.m_matrix, stage.l_matrix
+    m_rows, l_rows = mm[rows], ll[rows]
+    mm[rows] = sm @ m_rows
+    ll[rows] = sm @ l_rows
+    if sl.any():
+        mm[rows] += sl @ l_rows.conj()
+        ll[rows] += sl @ m_rows.conj()
+
+
 def build_machine(config: CloningConfig) -> tuple[CanonicalTransform, MachineLayout]:
     """Explicit K-mode canonical transform of the machine plus its layout.
 
     Concentration DFTs act on the replica blocks, the amplifier couples
     the two concentrated ports, and inverse DFTs distribute each port
-    over its output block.  Feeding the layout's input state yields
-    clones of mean exactly psi and anticlones of mean exactly psi*.
+    over its output block.  Each stage updates only the rows of (M, L)
+    it touches, so assembly costs O((M^2 + M'^2) K) rather than the
+    O(K^3) of composing dense K x K stages.  Feeding the layout's input
+    state yields clones of mean exactly psi and anticlones of mean
+    exactly psi*.
     """
     layout = _machine_layout(config)
     n, nc, mc = config.n_inputs, config.n_conj, config.m_anticlones
     a1, a2 = 0, max(n, 1)
     k = layout.total_modes
-    stages = []
+    mm = np.eye(k, dtype=complex)
+    ll = np.zeros((k, k), dtype=complex)
     if n > 1:
-        stages.append(embed(dft_transform(n), list(range(n)), k))
+        _apply_stage(mm, ll, dft_transform(n), list(range(n)))
     if nc > 1:
-        stages.append(embed(dft_transform(nc), list(range(a2, a2 + nc)), k))
-    stages.append(embed(pcia_transform(gain_from_counts(config)), [a1, a2], k))
-    stages.append(
-        embed(dft_transform(config.m_clones, inverse=True), list(layout.clone_slots), k)
+        _apply_stage(mm, ll, dft_transform(nc), list(range(a2, a2 + nc)))
+    _apply_stage(mm, ll, pcia_transform(gain_from_counts(config)), [a1, a2])
+    _apply_stage(
+        mm, ll, dft_transform(config.m_clones, inverse=True), list(layout.clone_slots)
     )
     if mc > 1:
-        stages.append(
-            embed(dft_transform(mc, inverse=True), list(layout.anticlone_slots), k)
+        _apply_stage(
+            mm, ll, dft_transform(mc, inverse=True), list(layout.anticlone_slots)
         )
-    transform = identity_transform(k)
-    for stage in stages:
-        transform = compose(transform, stage)
-    return transform, layout
+    return CanonicalTransform(mm, ll), layout
 
 
 __all__ = [

@@ -28,7 +28,7 @@ from .canonical import (
     commutation_residual,
     to_symplectic,
 )
-from .errors import DomainError
+from .errors import DomainError, require_finite, require_integer
 from .gaussian import GaussianState, fidelity_with_coherent
 from .machine import MachineLayout, NoiseReport
 
@@ -48,13 +48,16 @@ def block_normals(seed: int, block_index: int, rows: int, cols: int) -> np.ndarr
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Sampling run parameters."""
+    """Sampling run parameters: integral ``sample_count`` >= 2, an
+    integral ``seed`` in [0, 2^64), and a finite amplitude ``psi``."""
 
     sample_count: int
     seed: int
     psi: complex = 0j
 
     def __post_init__(self):
+        require_integer(sample_count=self.sample_count, seed=self.seed)
+        require_finite(psi=self.psi)
         if self.sample_count < 2:
             raise DomainError(
                 f"sample_count must be >= 2 to estimate variances, "
@@ -169,7 +172,9 @@ def simulate(
     for block_index, start in enumerate(range(0, config.sample_count, BLOCK_SIZE)):
         rows = min(BLOCK_SIZE, config.sample_count - start)
         z = block_normals(config.seed, block_index, rows, 2 * k)
-        y = (sigma * z + mu_in) @ s_t
+        z *= sigma
+        z += mu_in
+        y = z @ s_t
         mu = y.mean(axis=0)
         y -= mu
         sq = np.einsum("ij,ij->j", y, y)

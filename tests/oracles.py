@@ -14,6 +14,10 @@ with amplitudes psi_j:
 The fidelity oracle integrates the thermal Glauber P density against the
 coherent-state overlap kernel exp(-|xi - psi|^2) radially.
 
+The assembly oracle builds the machine the dense way, embedding every
+stage in a K x K transform and composing them, where the library
+updates only the rows each stage touches.
+
 The asymmetry oracle finds the best conjugate fraction by brute force, a
 grid scan sharpened by golden-section search, where the library uses a
 closed form.
@@ -25,7 +29,14 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from pciclone.machine import asymmetry_gain
+from pciclone.canonical import (
+    compose,
+    dft_transform,
+    embed,
+    identity_transform,
+    pcia_transform,
+)
+from pciclone.machine import _machine_layout, asymmetry_gain, gain_from_counts
 
 
 def operator_means(m, l, psi):
@@ -80,3 +91,29 @@ def scan_asymmetry(n, m, grid_step=1e-3, refine_tol=1e-9):
         )
         a = float(min(max(res.x, grid[idx - 1]), grid[idx + 1]))
     return a, asymmetry_gain(n, m, a)
+
+
+def dense_build_machine(config):
+    """(transform, layout) of the machine from dense K x K stages composed
+    in order: concentrate, amplify, distribute."""
+    layout = _machine_layout(config)
+    n, nc, mc = config.n_inputs, config.n_conj, config.m_anticlones
+    a1, a2 = 0, max(n, 1)
+    k = layout.total_modes
+    stages = []
+    if n > 1:
+        stages.append(embed(dft_transform(n), list(range(n)), k))
+    if nc > 1:
+        stages.append(embed(dft_transform(nc), list(range(a2, a2 + nc)), k))
+    stages.append(embed(pcia_transform(gain_from_counts(config)), [a1, a2], k))
+    stages.append(
+        embed(dft_transform(config.m_clones, inverse=True), list(layout.clone_slots), k)
+    )
+    if mc > 1:
+        stages.append(
+            embed(dft_transform(mc, inverse=True), list(layout.anticlone_slots), k)
+        )
+    transform = identity_transform(k)
+    for stage in stages:
+        transform = compose(transform, stage)
+    return transform, layout

@@ -113,6 +113,24 @@ class TestCommutationResidual:
         bad = CanonicalTransform(2.0 * np.eye(1), np.zeros((1, 1)))
         assert commutation_residual(bad) == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cached_value_matches_recomputation(self, seed):
+        rng = np.random.default_rng(seed)
+        t = random_transform(rng, 5)
+        t = CanonicalTransform(
+            t.m_matrix + 1e-6 * rng.normal(size=(5, 5)), t.l_matrix
+        )
+        m, l = t.m_matrix, t.l_matrix
+        fresh = max(
+            np.max(np.abs(m @ l.T - l @ m.T)),
+            np.max(np.abs(m @ m.conj().T - l @ l.conj().T - np.eye(5))),
+        )
+        first = commutation_residual(t)
+        assert first > 0
+        assert first == fresh
+        assert commutation_residual(t) == first
+        assert t.commutation_residual == first
+
 
 class TestToSymplectic:
     def test_unit_gain_is_identity(self):
@@ -135,6 +153,9 @@ class TestToSymplectic:
 
     def test_non_canonical_rejected(self):
         bad = CanonicalTransform(2.0 * np.eye(1), np.zeros((1, 1)))
+        with pytest.raises(DomainError):
+            to_symplectic(bad)
+        # Refused again once the residual is cached on the transform.
         with pytest.raises(DomainError):
             to_symplectic(bad)
 

@@ -70,6 +70,14 @@ class TestReport:
         code, _ = run_cli(capsys, "report", 8, 0.3, 16, "--split")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv", [("nan", 1, 2), (1, "inf", 2), (1, 1, "inf"), ("nan", 0.5, 4, "--split")]
+    )
+    def test_non_finite_count_exit_code(self, capsys, argv):
+        code, out = run_cli(capsys, "report", *argv)
+        assert code == 2
+        assert out == ""
+
 
 class TestSweep:
     def test_header_and_feasible_rows(self, capsys):
@@ -119,6 +127,30 @@ class TestSweep:
             assert float(row["n_th"]) == pytest.approx((g - 1) / 16, rel=1e-12)
             assert float(row["N"]) == pytest.approx((1 - a) * 8, abs=1e-12)
             assert float(row["Nc"]) == pytest.approx(a * 8, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("nan", 8),
+            ("inf", 8),
+            (0, 8, "--a-steps", 3),
+            (-2, 8),
+            (4, "nan"),
+            (4, 8, "inf"),
+            (4, 0),
+            (4, 8, -1),
+            (4, 8, "--a-steps", 0),
+        ],
+    )
+    def test_invalid_input_exit_code(self, capsys, argv):
+        code, out = run_cli(capsys, "sweep", *argv)
+        assert code == 2
+        assert out == ""
+
+    def test_single_a_step(self, capsys):
+        code, out = run_cli(capsys, "sweep", 4, 8, "--a-steps", 1)
+        assert code == 0
+        assert [ln.split(",")[2] for ln in out.strip().splitlines()[1:]] == ["0"]
 
     def test_json_format(self, capsys):
         _, out = run_cli(capsys, "sweep", 2, 2, "--a-steps", 3, "--format", "json")
@@ -228,6 +260,16 @@ class TestVerify:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("psi", ["nan+0j", "1+infj"])
+    def test_non_finite_psi_rejected_before_building(self, capsys, monkeypatch, psi):
+        def unreachable(config):
+            raise AssertionError("machine built before the sampling check")
+
+        monkeypatch.setattr(pciclone.cli, "build_machine", unreachable)
+        code, out = run_cli(capsys, "verify", 1, 1, 2, 1000, f"--psi={psi}")
+        assert code == 2
+        assert out == ""
+
     def test_csv_z_table(self, capsys):
         _, out = run_cli(capsys, "verify", 1, 1, 2, 1000, 1, "--format", "csv")
         lines = out.strip().splitlines()
@@ -257,6 +299,15 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["f_clone"] == pytest.approx(16 / 17)
+
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        code = main(["report", "1", "1", "2", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_unknown_command_rejected(capsys):

@@ -447,6 +447,27 @@ class TestBuildMachine:
             assert commutation_residual(transform) < 1e-10
 
 
+def oracle_configs():
+    # Every N, N' <= 4 and N <= M <= 10, including N = 0, N' = 0 and
+    # M' = 0 (N' = 0, M = N), plus one wide machine.
+    for n in range(5):
+        for nc in range(5):
+            if n + nc == 0:
+                continue
+            for m in range(max(n, 1), 11):
+                yield CloningConfig(n, nc, m)
+    yield CloningConfig(4, 4, 64)
+
+
+class TestRowwiseAssembly:
+    def test_matches_dense_oracle(self):
+        for cfg in oracle_configs():
+            transform, _ = build_machine(cfg)
+            dense, _ = oracles.dense_build_machine(cfg)
+            assert np.max(np.abs(transform.m_matrix - dense.m_matrix)) <= 1e-13, cfg
+            assert np.max(np.abs(transform.l_matrix - dense.l_matrix)) <= 1e-13, cfg
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 6),

@@ -3,6 +3,7 @@ import pytest
 
 from pciclone.canonical import (
     CanonicalTransform,
+    commutation_residual,
     identity_transform,
     to_symplectic,
 )
@@ -32,6 +33,21 @@ class TestSampleConfig:
             SampleConfig(100, -1)
         with pytest.raises(DomainError):
             SampleConfig(100, 2**64)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(2.5, 0), (100.0, 0), (True, 0), (100, 1.5), (100, "7"), (100, 0.0)],
+    )
+    def test_non_integral_counts_rejected(self, args):
+        with pytest.raises(DomainError):
+            SampleConfig(*args)
+
+    @pytest.mark.parametrize(
+        "psi", [complex("nan"), complex("inf"), complex(0, float("-inf")), float("nan")]
+    )
+    def test_non_finite_psi_rejected(self, psi):
+        with pytest.raises(DomainError):
+            SampleConfig(100, 0, psi)
 
     def test_defaults(self):
         cfg = SampleConfig(100, 0)
@@ -122,6 +138,28 @@ class TestSimulate:
                 atol=1e-12,
             )
 
+    def test_single_block_equals_reference_expression(self):
+        # One block merged into the empty accumulator is returned as is,
+        # so the in-place affine step must reproduce the moments of
+        # (sigma z + mu) S^T bit for bit.
+        cfg = CloningConfig(2, 1, 3)
+        psi = -0.6 + 1.1j
+        transform, layout, emp = run(cfg, 5000, 13, psi)
+        k = layout.total_modes
+        amps = layout.input_amplitudes(psi)
+        mu_in = np.empty(2 * k)
+        mu_in[0::2] = np.sqrt(2.0) * amps.real
+        mu_in[1::2] = np.sqrt(2.0) * amps.imag
+        z = block_normals(13, 0, 5000, 2 * k)
+        y = (np.sqrt(0.5) * z + mu_in) @ to_symplectic(transform).matrix.T
+        mean = y.mean(axis=0)
+        y -= mean
+        var = np.einsum("ij,ij->j", y, y) / 4999.0
+        np.testing.assert_array_equal(emp.means.ravel(), mean)
+        np.testing.assert_array_equal(
+            np.diagonal(emp.covariances, axis1=1, axis2=2).ravel(), var
+        )
+
     def test_covariances_are_symmetric(self):
         _, _, emp = run(CloningConfig(2, 1, 3), 10**4, 5, 0.2 + 0.1j)
         for mode in range(emp.mode_count):
@@ -141,6 +179,10 @@ class TestSimulate:
             np.array([[2.0 + 0j]]), np.array([[0.0 + 0j]])
         )
         _, layout = build_machine(CloningConfig(1, 0, 1))
+        with pytest.raises(DomainError):
+            simulate(bad, layout, SampleConfig(100, 0))
+        # A residual already computed and cached is still checked.
+        assert commutation_residual(bad) == pytest.approx(3.0)
         with pytest.raises(DomainError):
             simulate(bad, layout, SampleConfig(100, 0))
 
