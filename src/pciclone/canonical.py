@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .gaussian import SymplecticMap
 
 # Residual above which a transform is refused as non-canonical.
@@ -61,6 +61,29 @@ class CanonicalTransform:
         unit = m @ m.conj().T - l @ l.conj().T - np.eye(self.mode_count)
         return float(max(np.max(np.abs(sym)), np.max(np.abs(unit))))
 
+    @cached_property
+    def quadrature_image(self) -> SymplecticMap:
+        """Quadrature-moment image, built once on first use and not checked
+        for canonicity; :func:`to_symplectic` is the checked accessor.
+
+        With a = (x + ip)/sqrt(2), output quadratures follow
+
+            x'_i = sum_j Re(M+L)_ij x_j - Im(M-L)_ij p_j
+            p'_i = sum_j Im(M+L)_ij x_j + Re(M-L)_ij p_j,
+
+        which satisfies S Omega S^T = Omega exactly when the transform is
+        canonical.
+        """
+        plus = self.m_matrix + self.l_matrix
+        minus = self.m_matrix - self.l_matrix
+        k = self.mode_count
+        s = np.empty((2 * k, 2 * k))
+        s[0::2, 0::2] = plus.real
+        s[0::2, 1::2] = -minus.imag
+        s[1::2, 0::2] = plus.imag
+        s[1::2, 1::2] = minus.real
+        return SymplecticMap(s)
+
 
 def identity_transform(mode_count: int) -> CanonicalTransform:
     """M = identity, L = 0."""
@@ -98,30 +121,14 @@ def commutation_residual(transform: CanonicalTransform) -> float:
 def to_symplectic(
     transform: CanonicalTransform, tol: float = CANONICAL_TOL
 ) -> SymplecticMap:
-    """Quadrature-moment image of the operator transform.
-
-    With a = (x + ip)/sqrt(2), output quadratures follow
-
-        x'_i = sum_j Re(M+L)_ij x_j - Im(M-L)_ij p_j
-        p'_i = sum_j Im(M+L)_ij x_j + Re(M-L)_ij p_j,
-
-    which satisfies S Omega S^T = Omega exactly when the transform is
-    canonical.  Non-canonical input (residual above ``tol``) is refused.
-    """
+    """The transform's :attr:`~CanonicalTransform.quadrature_image`,
+    refused when the commutation residual exceeds ``tol`` or is NaN."""
     res = commutation_residual(transform)
-    if res > tol:
+    if not res <= tol:
         raise DomainError(
             f"transform is not canonical (commutation residual {res:.3e})"
         )
-    plus = transform.m_matrix + transform.l_matrix
-    minus = transform.m_matrix - transform.l_matrix
-    k = transform.mode_count
-    s = np.empty((2 * k, 2 * k))
-    s[0::2, 0::2] = plus.real
-    s[0::2, 1::2] = -minus.imag
-    s[1::2, 0::2] = plus.imag
-    s[1::2, 1::2] = minus.real
-    return SymplecticMap(s)
+    return transform.quadrature_image
 
 
 def dft_transform(mode_count: int, inverse: bool = False) -> CanonicalTransform:
@@ -152,6 +159,7 @@ def pcia_transform(gain: float) -> CanonicalTransform:
     which is symmetric under interchanging the two mode labels and is
     canonical for every G >= 1 (G = 1 is the identity).
     """
+    require_finite(gain=gain)
     if gain < 1.0:
         raise DomainError(f"amplifier gain must be >= 1, got {gain}")
     g = np.sqrt(gain)

@@ -1,18 +1,24 @@
 """Command-line surface: reports, sweeps, searches, and verification.
 
-Subcommands:
+Subcommands and the options each one reads:
 
-    report    closed-form noise report for counts (N, N', M)
-    sweep     noise-vs-asymmetry table for fixed n over several M
+    report    closed-form noise report for counts (N, N', M); --split
+              reads (n, a, M) instead; --tol
+    sweep     noise-vs-asymmetry table for fixed n over several M;
+              --a-steps
     optimize  best conjugate fraction a* for (n, M)
-    solve     constrained amplifier search for (alpha, beta, gamma)
-    verify    build a machine, sample it, compare with the predictions
+    solve     constrained amplifier search for (alpha, beta, gamma); --tol
+    verify    build a machine, sample it, compare with the predictions;
+              optional positional samples and seed, --psi, --tol
+
+Every subcommand takes --out (write to a file) and --format (json or
+csv; sweep defaults to csv, the others to json).  The PCICLONE_TOL
+environment variable supplies the tolerance wherever --tol is accepted
+but not given.
 
 Exit codes: 0 success, 1 failed verification, 2 domain error,
 3 non-convergence, 4 output could not be written (an unwritable --out
-path, or a closed standard output).  The PCICLONE_TOL environment
-variable overrides the default tolerance wherever --tol is not given
-explicitly.
+path, or a closed standard output).
 """
 
 from __future__ import annotations
@@ -22,45 +28,27 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .canonical import commutation_residual, to_symplectic
 from .errors import ConvergenceError, DomainError, require_finite
-from .machine import CloningConfig, asymmetry_gain, build_machine, noise_report
+from .machine import (
+    CloningConfig,
+    asymmetry_gain,
+    attenuates,
+    build_machine,
+    noise_report,
+)
 from .montecarlo import SampleConfig, compare_to_analytic, simulate
 from .optimize import minimize_asymmetry, solve_amplifier
 
 SWEEP_HEADER = "n,M,a,N,Nc,G,n_th,sqrt_n_th"
+SWEEP_COLUMNS = SWEEP_HEADER.split(",")
 
 
 class OutputError(Exception):
     """The command's output could not be written (exit code 4)."""
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One (M, a) point of the asymmetry sweep; N and Nc are the implied
-    replica counts (1-a)n and a*n, possibly non-integral."""
-
-    n: float
-    m: float
-    a: float
-    n_sig: float
-    n_con: float
-    gain: float
-    n_th: float
-    sqrt_n_th: float
-
-    def values(self) -> tuple[float, ...]:
-        return (
-            self.n, self.m, self.a, self.n_sig, self.n_con,
-            self.gain, self.n_th, self.sqrt_n_th,
-        )
-
-    def to_dict(self) -> dict:
-        return dict(zip(SWEEP_HEADER.split(","), self.values()))
 
 
 def _fmt(value) -> str:
@@ -89,28 +77,25 @@ def _resolve_tol(args, fallback: float) -> float:
     return tol
 
 
-def _emit(text: str, out_path: str | None):
+def _write(rows, fmt: str, out_path: str | None, columns=None):
+    """Write one row (a dict) or a list of rows as JSON, or as CSV under
+    one header line of ``columns`` (default: the first row's keys)."""
+    if fmt == "json":
+        text = json.dumps(rows, indent=2, allow_nan=False)
+    else:
+        rows = [rows] if isinstance(rows, dict) else rows
+        columns = columns or list(rows[0])
+        lines = [",".join(columns)]
+        lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
+        text = "\n".join(lines)
     try:
         if out_path:
             with open(out_path, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
+                fh.write(text + "\n")
         else:
             print(text)
     except OSError as exc:
         raise OutputError(f"cannot write output: {exc}") from exc
-
-
-def _flat_csv(doc: dict) -> str:
-    header = ",".join(doc.keys())
-    row = ",".join(_fmt(v) for v in doc.values())
-    return f"{header}\n{row}"
-
-
-def _emit_doc(doc: dict, fmt: str, out_path: str | None):
-    if fmt == "csv":
-        _emit(_flat_csv(doc), out_path)
-    else:
-        _emit(json.dumps(doc, indent=2, allow_nan=False), out_path)
 
 
 def _as_count(value: float, label: str, tol: float) -> int:
@@ -137,8 +122,7 @@ def _config_from_args(args, tol: float) -> CloningConfig:
 
 def cmd_report(args) -> int:
     tol = _resolve_tol(args, 1e-9)
-    doc = noise_report(_config_from_args(args, tol)).to_dict()
-    _emit_doc(doc, args.format, args.out)
+    _write(noise_report(_config_from_args(args, tol)).to_dict(), args.format, args.out)
     return 0
 
 
@@ -152,101 +136,78 @@ def cmd_sweep(args) -> int:
             raise DomainError(f"clone count must be > 0, got {m}")
     if args.a_steps < 1:
         raise DomainError(f"--a-steps must be >= 1, got {args.a_steps}")
+    n = args.n
+    a_grid = np.linspace(0.0, 1.0, args.a_steps).tolist()
     rows = []
-    a_grid = np.linspace(0.0, 1.0, args.a_steps)
     for m in sorted(args.clones):
         for a in a_grid:
-            try:
-                gain = asymmetry_gain(args.n, m, float(a))
-            except DomainError:
+            if attenuates(n, m, a):
                 continue  # attenuation corner of the (M, a) plane
+            gain = asymmetry_gain(n, m, a)
             n_th = (gain - 1.0) / m
-            rows.append(
-                SweepRow(
-                    n=float(args.n),
-                    m=float(m),
-                    a=float(a),
-                    n_sig=(1.0 - float(a)) * args.n,
-                    n_con=float(a) * args.n,
-                    gain=gain,
-                    n_th=n_th,
-                    sqrt_n_th=math.sqrt(max(n_th, 0.0)),
-                )
-            )
-    if args.format == "json":
-        _emit(json.dumps([row.to_dict() for row in rows], indent=2), args.out)
-    else:
-        lines = [SWEEP_HEADER]
-        lines += [",".join(_fmt(v) for v in row.values()) for row in rows]
-        _emit("\n".join(lines), args.out)
+            values = (n, m, a, (1.0 - a) * n, a * n, gain, n_th,
+                      math.sqrt(max(n_th, 0.0)))
+            rows.append(dict(zip(SWEEP_COLUMNS, values)))
+    _write(rows, args.format, args.out, SWEEP_COLUMNS)
     return 0
 
 
 def cmd_optimize(args) -> int:
-    _emit_doc(minimize_asymmetry(args.n, args.m).to_dict(), args.format, args.out)
+    _write(minimize_asymmetry(args.n, args.m).to_dict(), args.format, args.out)
     return 0
 
 
 def cmd_solve(args) -> int:
     result = solve_amplifier(
-        args.alpha,
-        args.beta,
-        args.gamma,
-        tol=_resolve_tol(args, 1e-10),
-        seed=args.seed,
+        args.alpha, args.beta, args.gamma, tol=_resolve_tol(args, 1e-10)
     )
-    _emit_doc(result.to_dict(), args.format, args.out)
+    _write(result.to_dict(), args.format, args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
     tol = _resolve_tol(args, 1e-10)
     config = CloningConfig(args.n_sig, args.n_con, args.m)
-    seed = args.seed_pos if args.seed_pos is not None else args.seed
-    sampling = SampleConfig(sample_count=args.samples, seed=seed, psi=args.psi)
+    sampling = SampleConfig(sample_count=args.samples, seed=args.seed, psi=args.psi)
     transform, layout = build_machine(config)
     residual = commutation_residual(transform)
     symplectic = to_symplectic(transform).residual()
     structural_pass = residual <= tol and symplectic <= tol
 
     emp = simulate(transform, layout, sampling)
-    summary = compare_to_analytic(emp, noise_report(config), layout)
-    passed = structural_pass and summary.passed
-
-    doc = {
-        "N": config.n_inputs,
-        "Nc": config.n_conj,
-        "M": config.m_clones,
-        "Mc": config.m_anticlones,
-        "samples": args.samples,
-        "seed": seed,
-        "psi": [args.psi.real, args.psi.imag],
-        "commutation_residual": residual,
-        "symplectic_residual": symplectic,
-        "structural_tol": tol,
-        "structural_pass": structural_pass,
-        "comparison": summary.to_dict(),
-        "passed": passed,
-    }
+    summary = compare_to_analytic(emp, noise_report(config), layout).to_dict()
+    passed = structural_pass and summary["passed"]
     if args.format == "csv":
-        header = "mode,role,z_mean_x,z_mean_p,z_var_x,z_var_p,z_fidelity"
-        lines = [header]
-        for row in summary.rows:
-            d = row.to_dict()
-            lines.append(",".join(_fmt(d[k]) for k in header.split(",")))
-        _emit("\n".join(lines), args.out)
+        _write(summary["rows"], "csv", args.out)
     else:
-        _emit_doc(doc, "json", args.out)
+        doc = {
+            "N": config.n_inputs,
+            "Nc": config.n_conj,
+            "M": config.m_clones,
+            "Mc": config.m_anticlones,
+            "samples": args.samples,
+            "seed": args.seed,
+            "psi": [args.psi.real, args.psi.imag],
+            "commutation_residual": residual,
+            "symplectic_residual": symplectic,
+            "structural_tol": tol,
+            "structural_pass": structural_pass,
+            "comparison": summary,
+            "passed": passed,
+        }
+        _write(doc, "json", args.out)
     return 0 if passed else 1
 
 
-def _add_common(sub, default_format: str):
+def _add_output(sub, default_format: str):
+    sub.add_argument("--out", default=None, help="write output to this path")
+    sub.add_argument("--format", choices=("json", "csv"), default=default_format)
+
+
+def _add_tol(sub):
     sub.add_argument("--tol", type=float, default=None,
                      help="numeric tolerance (default per command; "
                           "PCICLONE_TOL overrides)")
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed")
-    sub.add_argument("--out", default=None, help="write output to this path")
-    sub.add_argument("--format", choices=("json", "csv"), default=default_format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x3", type=float, help="M")
     p.add_argument("--split", action="store_true",
                    help="interpret arguments as (n, a, M) with Nc = a*n")
-    _add_common(p, "json")
+    _add_tol(p)
+    _add_output(p, "json")
     p.set_defaults(func=cmd_report)
 
     p = subs.add_parser("sweep", help="noise vs asymmetry table for fixed n")
@@ -272,20 +234,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("clones", type=float, nargs="+", help="clone counts M")
     p.add_argument("--a-steps", type=int, default=1001,
                    help="grid points on a in [0, 1] (default 1001)")
-    _add_common(p, "csv")
+    _add_output(p, "csv")
     p.set_defaults(func=cmd_sweep)
 
     p = subs.add_parser("optimize", help="best conjugate fraction for (n, M)")
     p.add_argument("n", type=float, help="total replica count")
     p.add_argument("m", type=float, help="clone count M")
-    _add_common(p, "json")
+    _add_output(p, "json")
     p.set_defaults(func=cmd_optimize)
 
     p = subs.add_parser("solve", help="amplifier search for (alpha, beta, gamma)")
     p.add_argument("alpha", type=float)
     p.add_argument("beta", type=float)
     p.add_argument("gamma", type=float)
-    _add_common(p, "json")
+    _add_tol(p)
+    _add_output(p, "json")
     p.set_defaults(func=cmd_solve)
 
     p = subs.add_parser("verify", help="sample a machine against predictions")
@@ -293,11 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n_con", type=int, help="conjugate replica count Nc")
     p.add_argument("m", type=int, help="clone count M")
     p.add_argument("samples", type=int, nargs="?", default=100_000)
-    p.add_argument("seed_pos", type=int, nargs="?", default=None,
-                   metavar="seed", help="overrides --seed when given")
+    p.add_argument("seed", type=int, nargs="?", default=0, help="RNG seed")
     p.add_argument("--psi", type=complex, default=1 + 0.5j,
                    help="input amplitude, e.g. '0.8-0.4j'")
-    _add_common(p, "json")
+    _add_tol(p)
+    _add_output(p, "json")
     p.set_defaults(func=cmd_verify)
     return parser
 

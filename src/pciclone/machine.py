@@ -21,6 +21,7 @@ explicit transform is tested against.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -28,6 +29,10 @@ import numpy as np
 from .canonical import CanonicalTransform, dft_transform, pcia_transform
 from .errors import DomainError, require_finite, require_integer
 from .gaussian import GaussianState, coherent_state
+
+# Smallest sum of square roots in asymmetry_gain whose rounding still
+# absorbs the error of a root of an underflowed product.
+_MIN_ROOTS = 2.0 * math.sqrt(sys.float_info.min) / sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -173,10 +178,27 @@ def gain_from_counts(config: CloningConfig) -> float:
     rationalized quotient that is finite and smooth at N = N' where it
     reduces to the balanced value G = (M + N)^2 / (4 M N).  Written this
     way the duality G(N, N', M) = G(N', N, M') holds bit-exactly.
+    Counts whose products leave the float range raise
+    :class:`DomainError`.
     """
     n, nc, m = config.n_inputs, config.n_conj, config.m_clones
     mc = config.m_anticlones
-    return ((m + nc) / (math.sqrt(n * m) + math.sqrt(nc * mc))) ** 2
+    try:
+        return ((m + nc) / (math.sqrt(n * m) + math.sqrt(nc * mc))) ** 2
+    except OverflowError:
+        raise DomainError(
+            f"counts (N, N', M) = ({n}, {nc}, {m}) exceed the float range"
+        ) from None
+
+
+def attenuates(n: float, m: float, a: float) -> bool:
+    """Whether the split (1-a)*n signals, a*n conjugates onto M clones
+    lies in the attenuation regime M < (1-a)n.
+
+    A slack of a few ulps keeps the boundary a = 1 - M/n itself, which
+    is not exactly representable, in the amplification regime.
+    """
+    return (1.0 - a) * n - m > 1e-9 * max(m, n)
 
 
 def asymmetry_gain(n: float, m: float, a: float) -> float:
@@ -184,7 +206,10 @@ def asymmetry_gain(n: float, m: float, a: float) -> float:
 
     Continuous relaxation of :func:`gain_from_counts` with N = (1-a)n,
     N' = a*n, M' = M + (2a-1)n; non-integer replica counts are allowed.
-    Feasibility requires M >= N, i.e. a >= 1 - M/n.
+    Feasibility requires M >= N, i.e. a >= 1 - M/n (see
+    :func:`attenuates`).  Inputs whose products under- or overflow far
+    enough to change the gain, or whose gain overflows, raise
+    :class:`DomainError` rather than return a wrong gain.
     """
     require_finite(n=n, m=m, a=a)
     if n <= 0:
@@ -193,16 +218,35 @@ def asymmetry_gain(n: float, m: float, a: float) -> float:
         raise DomainError(f"clone count must be > 0, got {m}")
     if not 0.0 <= a <= 1.0:
         raise DomainError(f"conjugate fraction must lie in [0, 1], got {a}")
-    # Slack of a few ulps so the boundary a = 1 - M/n itself, which is not
-    # exactly representable, stays inside the domain.
-    if (1.0 - a) * n - m > 1e-9 * max(m, n):
+    if attenuates(n, m, a):
         raise DomainError(
             f"M={m} < (1-a)n={(1.0 - a) * n} is the attenuation regime"
         )
     n_sig = (1.0 - a) * n
     n_con = a * n
     m_anti = max(m + (2.0 * a - 1.0) * n, 0.0)
-    return ((m + n_con) / (math.sqrt(n_sig * m) + math.sqrt(n_con * m_anti))) ** 2
+    sig, con = n_sig * m, n_con * m_anti
+    roots = math.sqrt(sig) + math.sqrt(con)
+    # An overflowed product makes roots infinite.  A value of nonzero
+    # factors that fell below the normal range lost up to float_info.min;
+    # roots absorbs that error only from _MIN_ROOTS up.
+    tiny = sys.float_info.min
+    underflow = (
+        (a < 1.0 and n_sig < tiny)
+        or (a > 0.0 and n_con < tiny)
+        or (n_sig and sig < tiny)
+        or (n_con and m_anti and con < tiny)
+    )
+    if roots < math.inf and (roots >= _MIN_ROOTS or not underflow):
+        try:
+            gain = ((m + n_con) / roots) ** 2
+        except OverflowError:
+            gain = math.inf
+        if gain < math.inf:
+            return gain
+    raise DomainError(
+        f"(n, M, a) = ({n}, {m}, {a}) leaves the float range of the gain"
+    )
 
 
 def measurement_noise(n_inputs: int, n_conj: int) -> float:
@@ -354,6 +398,7 @@ __all__ = [
     "MachineLayout",
     "NoiseReport",
     "asymmetry_gain",
+    "attenuates",
     "build_machine",
     "gain_from_amplitudes",
     "gain_from_counts",

@@ -18,16 +18,11 @@ over the concatenated samples up to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .canonical import (
-    CANONICAL_TOL,
-    CanonicalTransform,
-    commutation_residual,
-    to_symplectic,
-)
+from .canonical import CanonicalTransform, to_symplectic
 from .errors import DomainError, require_finite, require_integer
 from .gaussian import GaussianState, fidelity_with_coherent
 from .machine import MachineLayout, NoiseReport
@@ -112,16 +107,6 @@ class EmpiricalMoments:
             covariance=self.covariances[mode],
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "sample_count": self.sample_count,
-            "psi": [self.psi.real, self.psi.imag],
-            "means": self.means.tolist(),
-            "covariances": self.covariances.tolist(),
-            "mean_se": self.mean_se.tolist(),
-            "var_se": self.var_se.tolist(),
-        }
-
 
 def _merge_blocks(acc, block):
     # Pooled update for (count, mean, centered square sums, centered
@@ -148,20 +133,18 @@ def simulate(
     Each block is generated, transformed, and reduced in two passes
     (mean first, then moments of the mean-centered samples, which stay
     accurate for large input amplitudes); blocks merge in order.
-    Identical arguments give bit-identical results.
+    Identical arguments give bit-identical results.  A non-canonical
+    transform is refused by :func:`~pciclone.canonical.to_symplectic`,
+    and degenerate sampled variances (an amplitude too large for float
+    spacing to resolve the vacuum noise) by :class:`DomainError`.
     """
-    residual = commutation_residual(transform)
-    if residual > CANONICAL_TOL:
-        raise DomainError(
-            f"machine is not canonical (commutation residual {residual:.3e})"
-        )
+    s_t = to_symplectic(transform).matrix.T
     if transform.mode_count != layout.total_modes:
         raise DomainError(
             f"transform has {transform.mode_count} modes, "
             f"layout expects {layout.total_modes}"
         )
     k = layout.total_modes
-    s_t = to_symplectic(transform).matrix.T
     amps = layout.input_amplitudes(config.psi)
     mu_in = np.empty(2 * k)
     mu_in[0::2] = math.sqrt(2.0) * amps.real
@@ -183,6 +166,14 @@ def simulate(
 
     n, mu, sq, cross = acc
     var = sq / (n - 1.0)
+    # Every output mode carries at least vacuum noise, so a zero,
+    # infinite or NaN sample variance means the samples did not resolve
+    # that noise next to the means (|psi| too large for float spacing).
+    if not np.all((0.0 < var) & (var < math.inf)):
+        raise DomainError(
+            f"sampled variances are degenerate at psi={config.psi}: the "
+            f"amplitude is too large for the samples to resolve the noise"
+        )
     cov_xp = cross / (n - 1.0)
     covariances = np.empty((k, 2, 2))
     covariances[:, 0, 0] = var[0::2]
@@ -221,17 +212,6 @@ class ComparisonRow:
             abs(self.z_fidelity),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "role": self.role,
-            "z_mean_x": self.z_mean_x,
-            "z_mean_p": self.z_mean_p,
-            "z_var_x": self.z_var_x,
-            "z_var_p": self.z_var_p,
-            "z_fidelity": self.z_fidelity,
-        }
-
 
 @dataclass(frozen=True)
 class ComparisonSummary:
@@ -246,12 +226,9 @@ class ComparisonSummary:
         return [row.mode for row in self.rows if row.max_abs_z > self.threshold]
 
     def to_dict(self) -> dict:
-        return {
-            "rows": [row.to_dict() for row in self.rows],
-            "threshold": self.threshold,
-            "max_abs_z": self.max_abs_z,
-            "passed": self.passed,
-        }
+        doc = asdict(self)
+        doc["rows"] = list(doc["rows"])
+        return doc
 
 
 def _z(diff: float, se: float) -> float:

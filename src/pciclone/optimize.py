@@ -207,14 +207,17 @@ def solve_amplifier(
     lower end and the first coordinate whose curvature vanishes there,
     m11, takes the constraint mass.  One exact step along the constraint
     gradient then closes the gap that rounding leaves in x(lambda), and
-    lambda is refitted to the final point.  The search is deterministic,
-    so ``seed`` has no effect.
+    lambda is refitted to the final point.  The search is deterministic:
+    ``seed`` has no effect and is kept only because existing callers,
+    such as the benchmark's design-scan workload, pass it.
 
     Raises :class:`ConvergenceError` when the certificate fails, i.e.
     the constraint residual, -min_curvature or the stationarity residual
     relative to the objective gradient exceeds ``tol``, and
-    :class:`DomainError` for non-finite input, outside |gamma| >= |alpha|
-    or when beta = 0 (the scaling gauge needs a conjugate-port coupling).
+    :class:`DomainError` for non-finite input, outside |gamma| >= |alpha|,
+    when beta = 0 (the scaling gauge needs a conjugate-port coupling) or
+    when |gamma/beta| > 1e150, where the search's quadratic terms would
+    overflow.
     """
     require_finite(alpha=alpha, beta=beta, gamma=gamma, tol=tol)
     a, b, c = abs(alpha), abs(beta), abs(gamma)
@@ -224,6 +227,9 @@ def solve_amplifier(
         raise DomainError(
             f"|gamma|={c} < |alpha|={a} is the attenuation regime, not supported"
         )
+    # The search's terms grow like (gamma/beta)^2 and overflow past this.
+    if c / b > 1e150:
+        raise DomainError(f"|gamma/beta|={c / b} is beyond the float range")
     # Imported here: scipy.optimize would quadruple the package's import time.
     from scipy.optimize import brentq
 
@@ -259,7 +265,7 @@ def solve_amplifier(
     phi_lo, phi_hi = phi(lam_lo), phi(lam_hi)
     if phi_lo >= 0.0 >= phi_hi:
         # Near-zero xtol: bracket the root down to brentq's 4-ulp rtol.
-        lam = brentq(phi, lam_lo, lam_hi, xtol=1e-300)
+        lam = brentq(phi, lam_lo, lam_hi, xtol=1e-300, disp=False)
     else:
         lam = lam_lo if phi_lo < 0.0 else lam_hi
     x = stationary(lam)
@@ -322,13 +328,7 @@ def solve_amplifier(
     )
 
 
-def minimize_asymmetry(
-    n: float,
-    m: float,
-    *,
-    grid_step: float = 1e-3,
-    refine_tol: float = 1e-9,
-) -> AsymmetryResult:
+def minimize_asymmetry(n: float, m: float) -> AsymmetryResult:
     """Conjugate fraction a in [0, 1) minimizing the clone noise.
 
     The gain of :func:`pciclone.machine.asymmetry_gain` is stationary in
@@ -339,13 +339,14 @@ def minimize_asymmetry(
 
     For M = n that is a = 0 with zero added noise (the machine is a
     relabelling); for M < n the optimum pins the regime's edge, where
-    the noise vanishes; as M grows a* tends to 1/2.  ``grid_step`` and
-    ``refine_tol`` are accepted for compatibility and have no effect.
+    the noise vanishes; as M grows a* tends to 1/2.
     """
     require_finite(n=n, m=m)
     if n <= 0 or m <= 0:
         raise DomainError(f"need n > 0 and M > 0, got n={n}, M={m}")
-    a_star = max((m - n) / (2.0 * m), 1.0 - m / n)
+    # Halving after the division gives the same bits as (m - n)/(2m),
+    # without 2m overflowing for m near the float maximum.
+    a_star = max((m - n) / m / 2.0, 1.0 - m / n)
     gain = asymmetry_gain(n, m, a_star)
     return AsymmetryResult(
         n=float(n),

@@ -184,7 +184,7 @@ def test_criterion_5_asymmetry_scan_at_n8():
             assert abs((g - 1.0) / m - 1.0 / n) < 1e-12
 
         best = {
-            m: minimize_asymmetry(n, m, grid_step=1e-3, refine_tol=1e-9)
+            m: minimize_asymmetry(n, m)
             for m in m_all
         }
         assert best[8].a_star == 0.0

@@ -159,6 +159,17 @@ class TestToSymplectic:
         with pytest.raises(DomainError):
             to_symplectic(bad)
 
+    def test_nan_transform_rejected(self):
+        # A NaN residual must not slip past the tolerance comparison.
+        bad = CanonicalTransform(np.full((1, 1), np.nan), np.zeros((1, 1)))
+        with pytest.raises(DomainError):
+            to_symplectic(bad)
+
+    def test_image_built_once(self):
+        t = pcia_transform(1.5)
+        assert to_symplectic(t) is to_symplectic(t)
+        assert not to_symplectic(t).matrix.flags.writeable
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_moments_match_operator_algebra(self, seed):
@@ -255,6 +266,11 @@ class TestPciaTransform:
     def test_subunit_gain_rejected(self):
         with pytest.raises(DomainError):
             pcia_transform(0.99)
+
+    @pytest.mark.parametrize("gain", [float("nan"), float("inf")])
+    def test_non_finite_gain_rejected(self, gain):
+        with pytest.raises(DomainError):
+            pcia_transform(gain)
 
 
 class TestEmbed:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,10 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import pciclone
 import pciclone.cli
-from pciclone.cli import SWEEP_HEADER, main
+from pciclone.cli import SWEEP_HEADER, build_parser, main
 from pciclone.errors import ConvergenceError
 
 
@@ -151,6 +153,12 @@ class TestSweep:
         code, out = run_cli(capsys, "sweep", 4, 8, "--a-steps", 1)
         assert code == 0
         assert [ln.split(",")[2] for ln in out.strip().splitlines()[1:]] == ["0"]
+
+    @pytest.mark.parametrize("fmt,want", [("csv", SWEEP_HEADER), ("json", "[]")])
+    def test_all_points_in_corner_prints_header_alone(self, capsys, fmt, want):
+        code, out = run_cli(capsys, "sweep", 8, 4, "--a-steps", 1, "--format", fmt)
+        assert code == 0
+        assert out == want + "\n"
 
     def test_json_format(self, capsys):
         _, out = run_cli(capsys, "sweep", 2, 2, "--a-steps", 3, "--format", "json")
@@ -313,3 +321,124 @@ class TestOutputFile:
 def test_unknown_command_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("report", 1, 1, 2, "--seed", 3),
+        ("sweep", 8, 16, "--seed", 3),
+        ("optimize", 8, 16, "--seed", 3),
+        ("solve", 0, 1, 1, "--seed", 3),
+        ("verify", 1, 0, 1, 100, "--seed", 3),
+        ("sweep", 8, 16, "--tol", "1e-9"),
+        ("optimize", 8, 16, "--tol", "1e-9"),
+    ],
+)
+def test_unread_flag_rejected(capsys, argv):
+    with pytest.raises(SystemExit):
+        main([str(a) for a in argv])
+
+
+def test_option_count():
+    # argparse destinations summed over the subcommands: the CLI takes
+    # only values that some command reads.
+    subs = next(
+        action for action in build_parser()._actions
+        if action.dest == "command"
+    )
+    dests = {
+        name: [a.dest for a in sub._actions if a.dest != "help"]
+        for name, sub in subs.choices.items()
+    }
+    assert sum(map(len, dests.values())) == 31
+    assert "seed" not in dests["solve"] and "tol" not in dests["sweep"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("optimize", "1e-310", 8),
+        ("sweep", "1e-310", 8),
+        ("optimize", "1e-200", "1e-200"),
+        ("sweep", "1e-200", "1e-200"),
+        ("report", "1e200", 1, "1e200"),
+        ("optimize", "1e300", "1e-300"),
+    ],
+)
+def test_closed_form_out_of_float_range_exit_code(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
+def run_isolated(argv):
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"JSON output contains {name}")
+
+
+def assert_clean_exit(argv, fmt):
+    code, out, err = run_isolated([str(a) for a in argv])
+    assert code in (0, 1, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err
+    if fmt == "json" and code in (0, 1):
+        json.loads(out, parse_constant=_refuse_constant)
+
+
+# Every float: subnormal, huge, NaN, infinite, plus magnitudes that
+# overflow or underflow the closed forms' intermediate products.
+ANY_FLOAT = st.floats() | st.sampled_from(
+    [5e-324, 1e-310, 1e-200, -1e-300, 1e200, 1e300, -1e300, 1e308]
+)
+ARITY = {"report": 3, "sweep": 3, "optimize": 2, "solve": 3}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(sorted(ARITY)),
+    values=st.lists(ANY_FLOAT, min_size=3, max_size=3),
+    fmt=st.sampled_from(["json", "csv"]),
+    split=st.booleans(),
+    a_steps=st.integers(-1, 12),
+    tol=ANY_FLOAT,
+)
+@example("optimize", [1e-310, 8.0, 0.0], "json", False, 3, 1e-9)
+@example("sweep", [1e-200, 1e-200, 1.0], "json", False, 3, 1e-9)
+@example("report", [1e200, 1.0, 1e200], "json", False, 3, 1e-9)
+@example("optimize", [1e300, 1e-300, 0.0], "json", False, 3, 1e-9)
+@example("optimize", [1e-310, 1e308, 0.0], "json", False, 3, 1e-9)
+@example("solve", [1.0, 1.0, 2e13], "json", False, 3, 1e-9)
+def test_fuzz_closed_form_commands(command, values, fmt, split, a_steps, tol):
+    argv = [command, "--format", fmt]
+    if command == "report":
+        argv += ["--split"] * split + [f"--tol={tol!r}"]
+    if command == "sweep":
+        argv += ["--a-steps", a_steps]
+    if command == "solve":
+        argv += [f"--tol={tol!r}"]
+    assert_clean_exit(argv + ["--", *map(repr, values[: ARITY[command]])], fmt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    counts=st.tuples(st.integers(-1, 3), st.integers(-1, 3), st.integers(-1, 4)),
+    samples=st.integers(-1, 64),
+    seed=st.integers(-1, 2**64),
+    psi=st.complex_numbers(),
+    tol=ANY_FLOAT,
+    fmt=st.sampled_from(["json", "csv"]),
+)
+@example((0, 1, 1), 2, 0, 1592262918131445j, 0.0, "json")
+def test_fuzz_verify_tiny(counts, samples, seed, psi, tol, fmt):
+    argv = ["verify", "--format", fmt, f"--psi={psi!r}", f"--tol={tol!r}"]
+    assert_clean_exit(argv + ["--", *counts, samples, seed], fmt)

@@ -142,6 +142,11 @@ class TestGainFromCounts:
         assert gain_from_counts(cfg) == gain_from_counts(dual)
 
 
+def test_counts_beyond_float_range_rejected():
+    with pytest.raises(DomainError, match="float range"):
+        gain_from_counts(CloningConfig(10**200, 1, 10**200))
+
+
 class TestAsymmetryGain:
     def test_standard_cloner_end(self):
         for n, m in [(4, 8), (8, 16), (3, 3)]:
@@ -195,6 +200,39 @@ class TestAsymmetryGain:
     def test_non_finite_rejected(self, args):
         with pytest.raises(DomainError, match="finite"):
             asymmetry_gain(*args)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1e-310, 8.0, 0.5),  # gain overflows
+            (1e-310, 1e308, 0.5),  # sqrt(G) overflows to inf
+            (1e-200, 1e-200, 0.0),  # n*M underflows to 0
+            (1e300, 1e-300, 1.0),  # n*M' overflows
+            (5e-324, 1.0, 0.5),  # a*n underflows to 0
+        ],
+    )
+    def test_out_of_float_range_rejected(self, args):
+        with pytest.raises(DomainError, match="float range"):
+            asymmetry_gain(*args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.floats(1e-3, 1e6),
+        m=st.floats(1e-3, 1e6),
+        t=st.floats(0.0, 1.0),
+    )
+    def test_range_guard_keeps_gain_bits(self, n, m, t):
+        # The guard only refuses; in range the gain keeps the bits of the
+        # plain expression.
+        a = max(1.0 - m / n, 0.0) + t * min(m / n, 1.0)
+        if a > 1.0:
+            return
+        n_sig, n_con = (1.0 - a) * n, a * n
+        m_anti = max(m + (2.0 * a - 1.0) * n, 0.0)
+        plain = (
+            (m + n_con) / (math.sqrt(n_sig * m) + math.sqrt(n_con * m_anti))
+        ) ** 2
+        assert asymmetry_gain(n, m, a) == plain
 
 
 class TestMeasurementNoise:

@@ -192,6 +192,20 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(transform, layout, SampleConfig(100, 0))
 
+    def test_nan_transform_rejected(self):
+        _, layout = build_machine(CloningConfig(1, 0, 1))
+        k = layout.total_modes
+        bad = CanonicalTransform(np.full((k, k), np.nan), np.zeros((k, k)))
+        with pytest.raises(DomainError):
+            simulate(bad, layout, SampleConfig(100, 0))
+
+    def test_unresolved_noise_rejected(self):
+        # At |psi| ~ 1e15 the float spacing of the means is coarser than
+        # the vacuum noise, so two samples can give a zero variance.
+        transform, layout = build_machine(CloningConfig(0, 1, 1))
+        with pytest.raises(DomainError):
+            simulate(transform, layout, SampleConfig(2, 0, 1592262918131445j))
+
 
 class TestCompareToAnalytic:
     def test_analytic_surrogate_gives_zero_z(self):

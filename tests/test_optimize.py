@@ -120,6 +120,16 @@ class TestSolveAmplifier:
             gain_from_amplitudes(1.0, 1e-6, 3.0), rel=1e-12
         )
 
+    def test_gauge_ratio_beyond_float_range_rejected(self):
+        with pytest.raises(DomainError, match="float range"):
+            solve_amplifier(1.0, 1.0, 1e200)
+
+    def test_unconverged_bracket_is_a_certificate_failure(self):
+        # Brent's method runs out of iterations here; the point it leaves
+        # fails the certificate instead of escaping as a RuntimeError.
+        with pytest.raises(ConvergenceError):
+            solve_amplifier(1.0, 1.0, 2e13)
+
     def test_certificate_fields(self):
         res = solve_amplifier(0.5, 1.0, 1.5)
         assert -0.5 < res.multiplier < 0.5
@@ -236,6 +246,16 @@ class TestMinimizeAsymmetry:
     def test_non_finite_rejected(self, n, m):
         with pytest.raises(DomainError, match="finite"):
             minimize_asymmetry(n, m)
+
+    def test_no_op_keywords_removed(self):
+        with pytest.raises(TypeError):
+            minimize_asymmetry(8, 16, grid_step=1e-3)
+
+    def test_clone_count_near_float_max(self):
+        # 2M overflows here; the optimum still tends to 1/2.
+        res = minimize_asymmetry(1.0, 1e308)
+        assert res.a_star == 0.5
+        assert res.n_th == pytest.approx(0.5, rel=1e-12)
 
     def test_serialization(self):
         doc = minimize_asymmetry(8, 16).to_dict()
