@@ -33,6 +33,7 @@ from .machine import (
     MachineLayout,
     NoiseReport,
     asymmetry_gain,
+    asymmetry_noise,
     build_machine,
     gain_from_amplitudes,
     gain_from_counts,
@@ -72,6 +73,7 @@ __all__ = [
     "SymplecticMap",
     "apply_map",
     "asymmetry_gain",
+    "asymmetry_noise",
     "build_machine",
     "coherent_state",
     "commutation_residual",

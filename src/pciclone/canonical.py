@@ -18,14 +18,24 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, require_finite
-from .gaussian import SymplecticMap
+from .gaussian import SymplecticMap, mirrored_tile_max
 
 # Residual above which a transform is refused as non-canonical.
 CANONICAL_TOL = 1e-8
 
 
 def _frozen_complex(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex, copy=True)
+    # A complex, C-contiguous array that owns its data and is already
+    # read-only has been handed over by its maker: keep it uncopied.
+    flags = arr.flags
+    if (
+        arr.dtype == complex
+        and flags.c_contiguous
+        and flags.owndata
+        and not flags.writeable
+    ):
+        return arr
+    out = np.array(arr, dtype=complex, order="C", copy=True)
     out.setflags(write=False)
     return out
 
@@ -33,7 +43,12 @@ def _frozen_complex(arr: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class CanonicalTransform:
     """Pair of KxK complex matrices (m_matrix, l_matrix) acting as
-    b = m_matrix a + l_matrix a*."""
+    b = m_matrix a + l_matrix a*.
+
+    Both are stored read-only and C-contiguous.  A matrix is copied
+    unless it is already a complex, C-contiguous, read-only array that
+    owns its data: marking an array read-only hands it over.
+    """
 
     m_matrix: np.ndarray
     l_matrix: np.ndarray
@@ -55,11 +70,30 @@ class CanonicalTransform:
     @cached_property
     def commutation_residual(self) -> float:
         """Max-norm violation of the two commutation constraints; 0 when
-        exact.  Computed on first use only: the matrices are read-only."""
+        exact.  Computed on first use only: the matrices are read-only.
+
+        Each constraint is read from the structure of its products.  With
+        W = M L^T, M L^T - L M^T = W - W^T.  With M = A + iB and
+        L = C + iD, M M^H - L L^H has real part A A^T + B B^T - C C^T -
+        D D^T and imaginary part V - V^T with V = B A^T - D C^T.  The real
+        part is P P^T - Q Q^T, where P and Q view M and L as K x 2K real
+        arrays (A and B, C and D interleaved); numpy evaluates each
+        such product as a symmetric rank-k update.
+        """
+        k = self.mode_count
         m, l = self.m_matrix, self.l_matrix
-        sym = m @ l.T - l @ m.T
-        unit = m @ m.conj().T - l @ l.conj().T - np.eye(self.mode_count)
-        return float(max(np.max(np.abs(sym)), np.max(np.abs(unit))))
+        w = m @ l.T
+        p, q = m.view(float), l.view(float)
+        re = p @ p.T
+        re -= q @ q.T
+        re.flat[:: k + 1] -= 1.0
+        v = np.ascontiguousarray(m.imag) @ np.ascontiguousarray(m.real).T
+        v -= np.ascontiguousarray(l.imag) @ np.ascontiguousarray(l.real).T
+        sym = mirrored_tile_max(k, lambda a, b: np.max(np.abs(w[a, b] - w[b, a].T)))
+        unit = mirrored_tile_max(
+            k, lambda a, b: np.max(np.hypot(re[a, b], v[a, b] - v[b, a].T))
+        )
+        return float(np.maximum(sym, unit))  # NaN from either one stays NaN
 
     @cached_property
     def quadrature_image(self) -> SymplecticMap:

@@ -36,6 +36,7 @@ from .errors import ConvergenceError, DomainError, require_finite
 from .machine import (
     CloningConfig,
     asymmetry_gain,
+    asymmetry_noise,
     attenuates,
     build_machine,
     noise_report,
@@ -143,10 +144,9 @@ def cmd_sweep(args) -> int:
         for a in a_grid:
             if attenuates(n, m, a):
                 continue  # attenuation corner of the (M, a) plane
-            gain = asymmetry_gain(n, m, a)
-            n_th = (gain - 1.0) / m
-            values = (n, m, a, (1.0 - a) * n, a * n, gain, n_th,
-                      math.sqrt(max(n_th, 0.0)))
+            n_th = asymmetry_noise(n, m, a)
+            values = (n, m, a, (1.0 - a) * n, a * n, asymmetry_gain(n, m, a),
+                      n_th, math.sqrt(n_th))
             rows.append(dict(zip(SWEEP_COLUMNS, values)))
     _write(rows, args.format, args.out, SWEEP_COLUMNS)
     return 0

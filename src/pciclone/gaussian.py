@@ -23,6 +23,10 @@ IDENTITY_TOL = 1e-12
 
 VACUUM_VARIANCE = 0.5
 
+# Tile edge of mirrored_tile_max; 128 and 256 were the fastest of 64-512
+# for K = 1030 modes on a 2-CPU Xeon.
+_TILE = 256
+
 
 def symplectic_form(mode_count: int) -> np.ndarray:
     """Block-diagonal symplectic form Omega = diag([[0, 1], [-1, 0]], ...)."""
@@ -30,6 +34,21 @@ def symplectic_form(mode_count: int) -> np.ndarray:
         raise DomainError(f"mode_count must be >= 1, got {mode_count}")
     block = np.array([[0.0, 1.0], [-1.0, 0.0]])
     return np.kron(np.eye(mode_count), block)
+
+
+def mirrored_tile_max(size: int, tile_value) -> float:
+    """Largest ``tile_value(rows, cols)`` over the square tiles on and
+    above the diagonal of a size x size matrix; NaN if any value is NaN.
+
+    For a quantity like W - W^T, whose (i, j) and (j, i) entries carry the
+    same magnitude, this reads each tile next to its mirror image, which
+    keeps the transposed reads cache-local and visits each pair once.
+    """
+    starts = range(0, size, _TILE)
+    return float(np.max([
+        tile_value(slice(i, i + _TILE), slice(j, j + _TILE))
+        for i in starts for j in starts if j >= i
+    ]))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -95,9 +114,21 @@ class SymplecticMap:
         return self.matrix.shape[0] // 2
 
     def residual(self) -> float:
-        """Max-norm deviation of S Omega S^T from Omega."""
-        omega = symplectic_form(self.mode_count)
-        return float(np.max(np.abs(self.matrix @ omega @ self.matrix.T - omega)))
+        """Max-norm deviation of S Omega S^T from Omega.
+
+        With X and Y the columns of S acting on the x and p quadratures,
+        S Omega S^T = X Y^T - Y X^T: one 2K x K x 2K product, and Omega
+        is never built.  Omega's upper entries are taken off W = X Y^T
+        in place, so the deviation is W - W^T.
+        """
+        x = np.ascontiguousarray(self.matrix[:, 0::2])
+        y = np.ascontiguousarray(self.matrix[:, 1::2])
+        w = x @ y.T
+        diag = np.arange(0, 2 * self.mode_count, 2)
+        w[diag, diag + 1] -= 1.0
+        return mirrored_tile_max(
+            w.shape[0], lambda a, b: np.max(np.abs(w[a, b] - w[b, a].T))
+        )
 
     def validate(self, tol: float = STRUCTURAL_TOL) -> None:
         res = self.residual()

@@ -157,7 +157,8 @@ def gain_from_amplitudes(alpha: float, beta: float, gamma: float) -> float:
     equals the limit (gamma^2 + alpha^2) / (2*alpha*gamma) directly.
     Signs are immaterial (they can be absorbed into mode phases), so
     magnitudes are used.  |gamma| < |alpha| would require attenuation
-    rather than amplification and is rejected, as are non-finite values.
+    rather than amplification and is rejected, as are non-finite values
+    and a gain beyond the float range.
     """
     require_finite(alpha=alpha, beta=beta, gamma=gamma)
     a, b, c = abs(alpha), abs(beta), abs(gamma)
@@ -167,8 +168,19 @@ def gain_from_amplitudes(alpha: float, beta: float, gamma: float) -> float:
         raise DomainError(
             f"|gamma|={c} < |alpha|={a} is the attenuation regime, not supported"
         )
+    # The gain is invariant under a common scale; an exact power of two
+    # that brings the largest magnitude into [1/2, 1) keeps the squares
+    # in the float range without changing the bits of an in-range gain.
+    _, exp = math.frexp(max(a, b, c))
+    a, b, c = (math.ldexp(x, -exp) for x in (a, b, c))
     root = math.sqrt(c * c - a * a + b * b)
-    return ((c * c + b * b) / (a * c + b * root)) ** 2
+    try:
+        return ((c * c + b * b) / (a * c + b * root)) ** 2
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(
+            f"(alpha, beta, gamma) = ({alpha}, {beta}, {gamma}) gives a gain "
+            f"beyond the float range"
+        ) from None
 
 
 def gain_from_counts(config: CloningConfig) -> float:
@@ -249,13 +261,41 @@ def asymmetry_gain(n: float, m: float, a: float) -> float:
     )
 
 
+def asymmetry_noise(n: float, m: float, a: float) -> float:
+    """Added thermal photons per clone, n_th = (G - 1)/M, for the split of
+    :func:`asymmetry_gain`, evaluated without cancellation as G -> 1.
+
+    With N = (1-a)n, N' = a*n and M' = M + N' - N,
+
+        G - 1 = ((M - N)(M + N')
+                 / ((sqrt(M M') + sqrt(N N'))(sqrt(N M) + sqrt(N' M'))))^2,
+
+    which at N = 0 is M/n, so n_th = 1/n even where M/n is below the
+    float epsilon and G rounds to 1.  Raises :class:`DomainError` where
+    :func:`asymmetry_gain` does.
+    """
+    asymmetry_gain(n, m, a)
+    n_sig, n_con = (1.0 - a) * n, a * n
+    if m <= n_sig:
+        # G = 1 at M = N; below it lies only the slack of attenuates().
+        return 0.0
+    m_anti = max(m + (2.0 * a - 1.0) * n, 0.0)
+    rt_m, rt_ma = math.sqrt(m), math.sqrt(m_anti)
+    rt_n, rt_nc = math.sqrt(n_sig), math.sqrt(n_con)
+    root_excess = (m - n_sig) / (rt_m * rt_ma + rt_n * rt_nc)
+    root_excess *= (m + n_con) / (rt_n * rt_m + rt_nc * rt_ma)
+    return root_excess * root_excess / m
+
+
 def measurement_noise(n_inputs: int, n_conj: int) -> float:
     """Large-M noise floor 1/(sqrt(N) + sqrt(N'))^2 per clone quadrature pair.
 
     This is the added thermal photon number left when distributing over
     infinitely many clones; equivalently the accuracy of the best joint
-    measurement on the same input set.
+    measurement on the same input set.  Both counts must be integers.
     """
+    require_finite(n_inputs=n_inputs, n_conj=n_conj)
+    require_integer(n_inputs=n_inputs, n_conj=n_conj)
     if n_inputs < 0 or n_conj < 0:
         raise DomainError("replica counts must be >= 0")
     if n_inputs + n_conj < 1:
@@ -350,15 +390,17 @@ def _apply_stage(
 
     This is :func:`~pciclone.canonical.compose` with the stage embedded
     on ``rows``, restricted to the rows the stage changes; for a passive
-    stage (L = 0) the cross terms vanish and are skipped.
+    stage (L = 0) the cross terms vanish and are skipped, and M and L
+    are updated one after the other to keep one block of rows in flight.
     """
     sm, sl = stage.m_matrix, stage.l_matrix
-    m_rows, l_rows = mm[rows], ll[rows]
-    mm[rows] = sm @ m_rows
-    ll[rows] = sm @ l_rows
     if sl.any():
-        mm[rows] += sl @ l_rows.conj()
-        ll[rows] += sl @ m_rows.conj()
+        m_rows, l_rows = mm[rows], ll[rows]
+        mm[rows] = sm @ m_rows + sl @ l_rows.conj()
+        ll[rows] = sm @ l_rows + sl @ m_rows.conj()
+    else:
+        mm[rows] = sm @ mm[rows]
+        ll[rows] = sm @ ll[rows]
 
 
 def build_machine(config: CloningConfig) -> tuple[CanonicalTransform, MachineLayout]:
@@ -390,6 +432,9 @@ def build_machine(config: CloningConfig) -> tuple[CanonicalTransform, MachineLay
         _apply_stage(
             mm, ll, dft_transform(mc, inverse=True), list(layout.anticlone_slots)
         )
+    # Read-only hands both matrices over to the transform uncopied.
+    mm.setflags(write=False)
+    ll.setflags(write=False)
     return CanonicalTransform(mm, ll), layout
 
 
@@ -398,6 +443,7 @@ __all__ = [
     "MachineLayout",
     "NoiseReport",
     "asymmetry_gain",
+    "asymmetry_noise",
     "attenuates",
     "build_machine",
     "gain_from_amplitudes",

@@ -35,7 +35,7 @@ import numpy as np
 
 from .canonical import CanonicalTransform, commutation_residual
 from .errors import ConvergenceError, DomainError, require_finite
-from .machine import asymmetry_gain
+from .machine import asymmetry_gain, asymmetry_noise
 
 
 @dataclass(frozen=True)
@@ -353,7 +353,7 @@ def minimize_asymmetry(n: float, m: float) -> AsymmetryResult:
         m=float(m),
         a_star=float(a_star),
         gain=gain,
-        n_th=(gain - 1.0) / m,
+        n_th=asymmetry_noise(n, m, a_star),
     )
 
 

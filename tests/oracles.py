@@ -21,6 +21,12 @@ updates only the rows each stage touches.
 The asymmetry oracle finds the best conjugate fraction by brute force, a
 grid scan sharpened by golden-section search, where the library uses a
 closed form.
+
+The certificate oracles evaluate the commutation and symplectic
+residuals from their defining dense products, with the dense symplectic
+form, where the library reads them from the structure of the products.
+The amplitude-gain oracle is the closed form without the library's
+power-of-two rescaling.
 """
 
 import math
@@ -36,6 +42,7 @@ from pciclone.canonical import (
     identity_transform,
     pcia_transform,
 )
+from pciclone.gaussian import symplectic_form
 from pciclone.machine import _machine_layout, asymmetry_gain, gain_from_counts
 
 
@@ -117,3 +124,38 @@ def dense_build_machine(config):
     for stage in stages:
         transform = compose(transform, stage)
     return transform, layout
+
+
+def dense_commutation_residual(m, l):
+    """Max-norm of M L^T - L M^T and of M M^H - L L^H - I, each from two
+    dense complex products."""
+    sym = m @ l.T - l @ m.T
+    unit = m @ m.conj().T - l @ l.conj().T - np.eye(m.shape[0])
+    return float(max(np.max(np.abs(sym)), np.max(np.abs(unit))))
+
+
+def dense_symplectic_residual(s):
+    """Max-norm of S Omega S^T - Omega with the dense 2K x 2K Omega."""
+    omega = symplectic_form(s.shape[0] // 2)
+    return float(np.max(np.abs(s @ omega @ s.T - omega)))
+
+
+def commutation_scale(m, l):
+    """Bound on the entries of M M^H + L L^H and of |M L^T| + |L M^T|:
+    the largest squared row norm of [M L].  Rounding in either residual
+    is relative to this size, not to the residual itself."""
+    return float(np.max(np.sum(np.abs(m) ** 2 + np.abs(l) ** 2, axis=1)))
+
+
+def symplectic_scale(s):
+    """Bound on the entries of |X| |Y|^T + |Y| |X|^T: the largest squared
+    row norm of S."""
+    return float(np.max(np.sum(s**2, axis=1)))
+
+
+def unscaled_gain_from_amplitudes(alpha, beta, gamma):
+    """Amplitude gain (gamma^2 + beta^2)^2 / (alpha gamma + beta root)^2
+    on the unscaled magnitudes."""
+    a, b, c = abs(alpha), abs(beta), abs(gamma)
+    root = math.sqrt(c * c - a * a + b * b)
+    return ((c * c + b * b) / (a * c + b * root)) ** 2

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from pciclone import machine
 from pciclone.canonical import (
     CanonicalTransform,
     commutation_residual,
@@ -14,11 +15,13 @@ from pciclone.canonical import (
 )
 from pciclone.errors import DomainError
 from pciclone.gaussian import (
+    SymplecticMap,
     apply_map,
     coherent_state,
     quadrature_variance,
     vacuum_state,
 )
+from pciclone.machine import CloningConfig, build_machine
 
 import oracles
 
@@ -120,16 +123,133 @@ class TestCommutationResidual:
         t = CanonicalTransform(
             t.m_matrix + 1e-6 * rng.normal(size=(5, 5)), t.l_matrix
         )
-        m, l = t.m_matrix, t.l_matrix
-        fresh = max(
-            np.max(np.abs(m @ l.T - l @ m.T)),
-            np.max(np.abs(m @ m.conj().T - l @ l.conj().T - np.eye(5))),
-        )
         first = commutation_residual(t)
         assert first > 0
-        assert first == fresh
+        # A new transform on the same matrices recomputes the same bits;
+        # the dense formula is compared in TestCertificatesMatchDense.
+        assert CanonicalTransform(t.m_matrix, t.l_matrix).commutation_residual == first
         assert commutation_residual(t) == first
         assert t.commutation_residual == first
+
+
+def assert_certificates_match_dense(t):
+    """Both residuals of ``t`` equal the dense oracle to 1e-12 relative to
+    the larger of the residual and the size of the products."""
+    m, l = t.m_matrix, t.l_matrix
+    s = t.quadrature_image.matrix
+    readings = [
+        (
+            commutation_residual(t),
+            oracles.dense_commutation_residual(m, l),
+            oracles.commutation_scale(m, l),
+        ),
+        (
+            t.quadrature_image.residual(),
+            oracles.dense_symplectic_residual(s),
+            oracles.symplectic_scale(s),
+        ),
+    ]
+    for got, want, scale in readings:
+        assert abs(got - want) <= 1e-12 * max(want, scale)
+
+
+def random_matrices(rng, k):
+    """Complex M, L with independent normal entries of variance 1/K: far
+    from canonical, with O(1) row norms."""
+    return [
+        (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))) / np.sqrt(2 * k)
+        for _ in range(2)
+    ]
+
+
+class TestCertificatesMatchDense:
+    @given(st.integers(1, 200), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_non_canonical(self, k, seed):
+        m, l = random_matrices(np.random.default_rng(seed), k)
+        assert_certificates_match_dense(CanonicalTransform(m, l))
+
+    @pytest.mark.parametrize("k", [256, 257, 300])
+    def test_across_tile_edges(self, k):
+        # Sizes at and past the 256-row tiles the residuals are read in.
+        m, l = random_matrices(np.random.default_rng(k), k)
+        assert_certificates_match_dense(CanonicalTransform(m, l))
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(1, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_machines(self, n, nc, m):
+        assume(n + nc >= 1 and m >= n)
+        transform, _ = build_machine(CloningConfig(n, nc, m))
+        assert_certificates_match_dense(transform)
+
+    @pytest.mark.parametrize("which", ["m", "l"])
+    def test_perturbed_entry_reads_alike(self, which):
+        transform, _ = build_machine(CloningConfig(2, 1, 5))
+        m, l = np.array(transform.m_matrix), np.array(transform.l_matrix)
+        (m if which == "m" else l)[3, 1] += 1e-6
+        bad = CanonicalTransform(m, l)
+        assert_certificates_match_dense(bad)
+        assert commutation_residual(bad) > 1e-7
+        assert bad.quadrature_image.residual() > 1e-7
+
+    @pytest.mark.parametrize("rows, want", [((0, 2), 1.0), ((2, 3), 2.0)])
+    def test_swapped_rows_read_alike(self, rows, want):
+        # Swapping x_0 with x_1 moves an Omega entry off its block (1);
+        # swapping x_1 with p_1 flips the sign of its block (2).
+        transform, _ = build_machine(CloningConfig(2, 1, 5))
+        s = np.array(transform.quadrature_image.matrix)
+        s[list(rows)] = s[list(rows[::-1])]
+        got = SymplecticMap(s).residual()
+        assert got == pytest.approx(oracles.dense_symplectic_residual(s), rel=1e-12)
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+class TestHandOver:
+    def test_read_only_matrices_kept(self):
+        m = np.eye(3, dtype=complex)
+        l = np.zeros((3, 3), dtype=complex)
+        m.setflags(write=False)
+        l.setflags(write=False)
+        t = CanonicalTransform(m, l)
+        assert np.shares_memory(t.m_matrix, m)
+        assert np.shares_memory(t.l_matrix, l)
+
+    def test_writable_matrix_copied(self):
+        m = np.eye(3, dtype=complex)
+        t = CanonicalTransform(m, np.zeros((3, 3)))
+        assert not np.shares_memory(t.m_matrix, m)
+        m[0, 0] = 5.0
+        assert t.m_matrix[0, 0] == 1.0
+        assert not t.m_matrix.flags.writeable
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.eye(3),  # real
+            lambda: np.asfortranarray(np.eye(3, dtype=complex) + 1j * np.tri(3)),
+            lambda: np.eye(4, dtype=complex)[:3, :3],  # a view
+        ],
+    )
+    def test_other_read_only_arrays_copied(self, make):
+        m = make()
+        m.setflags(write=False)
+        t = CanonicalTransform(m, np.zeros((3, 3)))
+        assert not np.shares_memory(t.m_matrix, m)
+        assert t.m_matrix.flags.c_contiguous
+        np.testing.assert_array_equal(t.m_matrix, m)
+
+    def test_build_machine_hands_over(self, monkeypatch):
+        handed = []
+
+        def spy(m, l):
+            handed.append((m, l))
+            return CanonicalTransform(m, l)
+
+        monkeypatch.setattr(machine, "CanonicalTransform", spy)
+        transform, _ = build_machine(CloningConfig(2, 1, 5))
+        m, l = handed[-1]
+        assert np.shares_memory(transform.m_matrix, m)
+        assert np.shares_memory(transform.l_matrix, l)
 
 
 class TestToSymplectic:

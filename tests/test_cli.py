@@ -160,6 +160,12 @@ class TestSweep:
         assert code == 0
         assert out == want + "\n"
 
+    def test_noise_without_cancellation(self, capsys):
+        code, out = run_cli(capsys, "sweep", 1, 1e-17, "--a-steps", 2, "--format", "json")
+        assert code == 0
+        (row,) = json.loads(out)  # a = 0 lies in the attenuation corner
+        assert (row["a"], row["n_th"], row["sqrt_n_th"]) == (1.0, 1.0, 1.0)
+
     def test_json_format(self, capsys):
         _, out = run_cli(capsys, "sweep", 2, 2, "--a-steps", 3, "--format", "json")
         rows = json.loads(out)
@@ -188,6 +194,11 @@ class TestOptimize:
         monkeypatch.setattr(pciclone.cli, "minimize_asymmetry", boom)
         code, _ = run_cli(capsys, "optimize", 8, 16)
         assert code == 3
+
+    def test_noise_without_cancellation(self, capsys):
+        code, out = run_cli(capsys, "optimize", 1, 1e-17)
+        assert code == 0
+        assert json.loads(out)["n_th"] == 1.0
 
     def test_non_finite_exit_code(self, capsys):
         code, out = run_cli(capsys, "optimize", "inf", 4)
@@ -293,11 +304,21 @@ def test_bad_tol_env_exit_code(capsys, monkeypatch, env):
     assert out == ""
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
+def assert_cli_import_leaves_unloaded(module):
     src = str(Path(pciclone.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, pciclone.cli; assert 'scipy.optimize' not in sys.modules"
+    code = f"import sys, pciclone.cli; assert {module!r} not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    assert_cli_import_leaves_unloaded("scipy.optimize")
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # The residual certificates use numpy alone: importing scipy.linalg
+    # after pciclone.cli raises peak resident memory by about 27 MB.
+    assert_cli_import_leaves_unloaded("scipy.linalg")
 
 
 class TestOutputFile:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pciclone import gaussian
 from pciclone.canonical import pcia_transform, to_symplectic
 from pciclone.errors import DomainError
 from pciclone.gaussian import (
@@ -189,6 +190,14 @@ class TestValidation:
     def test_non_symplectic_map_rejected(self):
         with pytest.raises(DomainError):
             SymplecticMap(2.0 * np.eye(2)).validate()
+
+    def test_residual_never_builds_omega(self, monkeypatch):
+        def dense_omega(mode_count):
+            raise AssertionError("residual built the dense symplectic form")
+
+        monkeypatch.setattr(gaussian, "symplectic_form", dense_omega)
+        assert SymplecticMap(np.eye(6)).residual() == 0.0
+        assert SymplecticMap(2.0 * np.eye(2)).residual() == 3.0
 
     def test_states_are_immutable(self):
         s = vacuum_state(1)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from pciclone.gaussian import apply_map, marginal, quadrature_variance
 from pciclone.machine import (
     CloningConfig,
     asymmetry_gain,
+    asymmetry_noise,
+    attenuates,
     build_machine,
     gain_from_amplitudes,
     gain_from_counts,
@@ -99,6 +102,37 @@ class TestGainFromAmplitudes:
     )
     def test_non_finite_rejected(self, args):
         with pytest.raises(DomainError, match="finite"):
+            gain_from_amplitudes(*args)
+
+    def test_rescaling_keeps_in_range_bits(self):
+        # Every square and product of these stays a normal float, so the
+        # unscaled formula is exact to rounding wherever its gain is finite.
+        rng = np.random.default_rng(6)
+        values = [0.0, 1e-150, 3.7e-91, 2.2e-20, 0.3, 1.0, 2.5, 1.7e7, 4.1e80, 1e150]
+        triples = list(itertools.product(values, repeat=3))
+        triples += (10.0 ** rng.uniform(-150, 150, size=(3000, 3))).tolist()
+        compared = 0
+        for alpha, beta, gamma in triples:
+            if alpha == beta == 0.0 or gamma < alpha:
+                continue
+            try:
+                old = oracles.unscaled_gain_from_amplitudes(alpha, beta, gamma)
+            except (OverflowError, ZeroDivisionError):
+                continue
+            if math.isfinite(old):
+                assert gain_from_amplitudes(alpha, beta, gamma) == old
+                compared += 1
+        assert compared > 1000
+
+    def test_tiny_common_scale(self):
+        assert gain_from_amplitudes(1e-200, 1e-200, 1e-200) == 1.0
+        assert gain_from_amplitudes(0.0, 1e-300, 1e-300) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize(
+        "args", [(1.0, 1.0, 1e200), (1e-300, 0.0, 1e300), (1e-10, 0.0, 1e200)]
+    )
+    def test_gain_beyond_float_range_rejected(self, args):
+        with pytest.raises(DomainError, match="float range"):
             gain_from_amplitudes(*args)
 
 
@@ -252,6 +286,38 @@ class TestMeasurementNoise:
             measurement_noise(0, 0)
         with pytest.raises(DomainError):
             measurement_noise(-1, 2)
+
+    @pytest.mark.parametrize("args", [(math.nan, 1), (math.inf, 0), (1.5, 1), (1, 2.0)])
+    def test_non_finite_or_non_integer_rejected(self, args):
+        with pytest.raises(DomainError):
+            measurement_noise(*args)
+
+
+class TestAsymmetryNoise:
+    @given(
+        st.floats(-3, 6), st.floats(-3, 6), st.floats(0.0, 1.0)
+    )
+    def test_matches_gain_away_from_cancellation(self, log_n, log_m, a):
+        n, m = 10.0**log_n, 10.0**log_m
+        if attenuates(n, m, a):
+            return
+        gain = asymmetry_gain(n, m, a)
+        if gain - 1.0 < 1e-2:
+            return  # (G - 1)/M cancels here: the case the identity is for
+        assert asymmetry_noise(n, m, a) == pytest.approx((gain - 1.0) / m, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1e-300, 1e-17, 1.0, 1e10])
+    def test_conjugate_only_split_adds_one_over_n(self, m):
+        # G - 1 = M/n at a = 1; G itself rounds to 1 once M/n < eps.
+        assert asymmetry_noise(4.0, m, 1.0) == pytest.approx(0.25, rel=1e-15)
+
+    def test_no_amplification_at_m_equals_n(self):
+        assert asymmetry_noise(8.0, 8.0, 0.0) == 0.0
+        assert asymmetry_noise(8.0, 4.0, 0.5) == 0.0
+
+    def test_attenuation_rejected(self):
+        with pytest.raises(DomainError, match="attenuation"):
+            asymmetry_noise(8.0, 4.0, 0.0)
 
 
 class TestPFunctionDensity:

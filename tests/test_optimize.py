@@ -251,6 +251,11 @@ class TestMinimizeAsymmetry:
         with pytest.raises(TypeError):
             minimize_asymmetry(8, 16, grid_step=1e-3)
 
+    def test_noise_without_cancellation(self):
+        # M/n is below the float epsilon: G rounds to 1, yet n_th = 1/n.
+        res = minimize_asymmetry(1, 1e-17)
+        assert (res.a_star, res.gain, res.n_th) == (1.0, 1.0, 1.0)
+
     def test_clone_count_near_float_max(self):
         # 2M overflows here; the optimum still tends to 1/2.
         res = minimize_asymmetry(1.0, 1e308)
