@@ -11,8 +11,6 @@ from .canonical import (
     commutation_residual,
     compose,
     dft_transform,
-    embed,
-    identity_transform,
     pcia_transform,
     to_symplectic,
 )
@@ -80,11 +78,9 @@ __all__ = [
     "compare_to_analytic",
     "compose",
     "dft_transform",
-    "embed",
     "fidelity_with_coherent",
     "gain_from_amplitudes",
     "gain_from_counts",
-    "identity_transform",
     "marginal",
     "measurement_noise",
     "minimize_asymmetry",

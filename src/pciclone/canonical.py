@@ -18,26 +18,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, require_finite
-from .gaussian import SymplecticMap, mirrored_tile_max
+from .gaussian import SymplecticMap, frozen_array, mirrored_tile_max
 
 # Residual above which a transform is refused as non-canonical.
 CANONICAL_TOL = 1e-8
-
-
-def _frozen_complex(arr: np.ndarray) -> np.ndarray:
-    # A complex, C-contiguous array that owns its data and is already
-    # read-only has been handed over by its maker: keep it uncopied.
-    flags = arr.flags
-    if (
-        arr.dtype == complex
-        and flags.c_contiguous
-        and flags.owndata
-        and not flags.writeable
-    ):
-        return arr
-    out = np.array(arr, dtype=complex, order="C", copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -45,17 +29,16 @@ class CanonicalTransform:
     """Pair of KxK complex matrices (m_matrix, l_matrix) acting as
     b = m_matrix a + l_matrix a*.
 
-    Both are stored read-only and C-contiguous.  A matrix is copied
-    unless it is already a complex, C-contiguous, read-only array that
-    owns its data: marking an array read-only hands it over.
+    Both are stored read-only and C-contiguous, handed over or copied
+    as :func:`~pciclone.gaussian.frozen_array` decides.
     """
 
     m_matrix: np.ndarray
     l_matrix: np.ndarray
 
     def __post_init__(self):
-        m = _frozen_complex(np.asarray(self.m_matrix))
-        l = _frozen_complex(np.asarray(self.l_matrix))
+        m = frozen_array(self.m_matrix, complex)
+        l = frozen_array(self.l_matrix, complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"m_matrix must be square, got {m.shape}")
         if l.shape != m.shape:
@@ -116,14 +99,8 @@ class CanonicalTransform:
         s[0::2, 1::2] = -minus.imag
         s[1::2, 0::2] = plus.imag
         s[1::2, 1::2] = minus.real
+        s.setflags(write=False)  # hands s over to the map uncopied
         return SymplecticMap(s)
-
-
-def identity_transform(mode_count: int) -> CanonicalTransform:
-    """M = identity, L = 0."""
-    if mode_count < 1:
-        raise DomainError(f"mode_count must be >= 1, got {mode_count}")
-    return CanonicalTransform(np.eye(mode_count), np.zeros((mode_count, mode_count)))
 
 
 def compose(
@@ -165,6 +142,13 @@ def to_symplectic(
     return transform.quadrature_image
 
 
+def _dft_matrix(mode_count: int, inverse: bool = False) -> np.ndarray:
+    """The C-contiguous unitary M of :func:`dft_transform`."""
+    idx = np.arange(mode_count)
+    m = np.exp(2j * np.pi * np.outer(idx, idx) / mode_count) / np.sqrt(mode_count)
+    return np.ascontiguousarray(m.conj().T) if inverse else m
+
+
 def dft_transform(mode_count: int, inverse: bool = False) -> CanonicalTransform:
     """Passive discrete-Fourier mixing of K modes (L = 0).
 
@@ -178,11 +162,9 @@ def dft_transform(mode_count: int, inverse: bool = False) -> CanonicalTransform:
     """
     if mode_count < 1:
         raise DomainError(f"mode_count must be >= 1, got {mode_count}")
-    idx = np.arange(mode_count)
-    m = np.exp(2j * np.pi * np.outer(idx, idx) / mode_count) / np.sqrt(mode_count)
-    if inverse:
-        m = m.conj().T
-    return CanonicalTransform(m, np.zeros((mode_count, mode_count)))
+    return CanonicalTransform(
+        _dft_matrix(mode_count, inverse), np.zeros((mode_count, mode_count))
+    )
 
 
 def pcia_transform(gain: float) -> CanonicalTransform:
@@ -203,35 +185,12 @@ def pcia_transform(gain: float) -> CanonicalTransform:
     )
 
 
-def embed(
-    transform: CanonicalTransform, targets: list[int], total_modes: int
-) -> CanonicalTransform:
-    """Act with ``transform`` on the listed modes, identity elsewhere."""
-    if len(targets) != transform.mode_count:
-        raise DomainError(
-            f"{transform.mode_count}-mode transform given {len(targets)} targets"
-        )
-    if len(set(targets)) != len(targets):
-        raise DomainError(f"repeated target index in {targets}")
-    for t in targets:
-        if not 0 <= t < total_modes:
-            raise DomainError(f"target index {t} out of range [0, {total_modes})")
-    m = np.eye(total_modes, dtype=complex)
-    l = np.zeros((total_modes, total_modes), dtype=complex)
-    sel = np.ix_(targets, targets)
-    m[sel] = transform.m_matrix
-    l[sel] = transform.l_matrix
-    return CanonicalTransform(m, l)
-
-
 __all__ = [
     "CANONICAL_TOL",
     "CanonicalTransform",
     "commutation_residual",
     "compose",
     "dft_transform",
-    "embed",
-    "identity_transform",
     "pcia_transform",
     "to_symplectic",
 ]

@@ -17,9 +17,8 @@ import numpy as np
 
 from .errors import DomainError
 
-# Default tolerances: structural matrix identities vs closed-form scalars.
+# Default tolerance of the structural matrix identities.
 STRUCTURAL_TOL = 1e-10
-IDENTITY_TOL = 1e-12
 
 VACUUM_VARIANCE = 0.5
 
@@ -51,8 +50,15 @@ def mirrored_tile_max(size: int, tile_value) -> float:
     ]))
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
+def frozen_array(arr, dtype) -> np.ndarray:
+    """``arr`` as a read-only, C-contiguous ``dtype`` array.  An array of
+    that kind which owns its data has been handed over by its maker and
+    is kept uncopied; anything else is copied."""
+    arr = np.asarray(arr)
+    f = arr.flags
+    if arr.dtype == dtype and f.c_contiguous and f.owndata and not f.writeable:
+        return arr
+    out = np.array(arr, dtype=dtype, order="C", copy=True)
     out.setflags(write=False)
     return out
 
@@ -73,8 +79,8 @@ class GaussianState:
     def __post_init__(self):
         if self.mode_count < 1:
             raise DomainError(f"mode_count must be >= 1, got {self.mode_count}")
-        mean = _frozen(np.asarray(self.mean).reshape(-1))
-        cov = _frozen(np.asarray(self.covariance))
+        mean = frozen_array(np.asarray(self.mean).reshape(-1), float)
+        cov = frozen_array(self.covariance, float)
         dim = 2 * self.mode_count
         if mean.shape != (dim,):
             raise DomainError(f"mean must have length {dim}, got {mean.shape}")
@@ -104,7 +110,7 @@ class SymplecticMap:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = _frozen(np.asarray(self.matrix))
+        mat = frozen_array(self.matrix, float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
             raise DomainError(f"symplectic matrix must be 2Kx2K, got {mat.shape}")
         object.__setattr__(self, "matrix", mat)
@@ -193,22 +199,31 @@ def quadrature_variance(state: GaussianState, mode: int) -> tuple[float, float]:
     return float(state.covariance[i, i]), float(state.covariance[i + 1, i + 1])
 
 
+def coherent_fidelity(
+    means: np.ndarray, covariances: np.ndarray, targets
+) -> np.ndarray:
+    """Overlaps of single-mode states, means (..., 2) and covariances
+    (..., 2, 2), with the coherent states |targets>: entrywise
+    F = exp(-d^T (V + I/2)^{-1} d / 2) / sqrt(det(V + I/2)), with the 2x2
+    inverse written out, for d = mean - sqrt(2) (Re target, Im target).
+    For V = (1/2 + n) I and d = 0 this is exactly 1/(1 + n).
+    """
+    v = covariances + VACUUM_VARIANCE * np.eye(2)
+    a, b, c, e = v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1]
+    det = a * e - b * c
+    bad = ~((0.0 < det) & (det < np.inf))
+    if bad.any():
+        raise DomainError(f"V + I/2 is singular (det {det[bad][0]:.3e})")
+    targets = np.asarray(targets)
+    dx = means[..., 0] - np.sqrt(2.0) * targets.real
+    dp = means[..., 1] - np.sqrt(2.0) * targets.imag
+    quad = (e * dx * dx - (b + c) * dx * dp + a * dp * dp) / det
+    return np.exp(-0.5 * quad) / np.sqrt(det)
+
+
 def fidelity_with_coherent(
     state: GaussianState, mode: int, target: complex
 ) -> float:
-    """Overlap of one mode's reduced state with the coherent state |target>.
-
-    F = exp(-d^T (V + I/2)^{-1} d / 2) / sqrt(det(V + I/2)) for the mode's
-    2x2 covariance V and mean offset d.  For isotropic V = (1/2 + n) I and
-    d = 0 this is exactly 1/(1 + n).
-    """
+    """:func:`coherent_fidelity` of one mode's reduced state."""
     sub = marginal(state, [mode])
-    v = sub.covariance + VACUUM_VARIANCE * np.eye(2)
-    det = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
-    if det <= 0.0 or not np.isfinite(det):
-        raise DomainError(f"V + I/2 is singular (det {det:.3e}); corrupted state")
-    d = sub.mean - np.array(
-        [np.sqrt(2.0) * np.real(target), np.sqrt(2.0) * np.imag(target)]
-    )
-    quad = d @ np.linalg.solve(v, d)
-    return float(np.exp(-0.5 * quad) / np.sqrt(det))
+    return float(coherent_fidelity(sub.mean, sub.covariance, target))

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .canonical import CanonicalTransform, dft_transform, pcia_transform
+from .canonical import CanonicalTransform, _dft_matrix, pcia_transform
 from .errors import DomainError, require_finite, require_integer
 from .gaussian import GaussianState, coherent_state
 
@@ -384,23 +384,28 @@ def _machine_layout(config: CloningConfig) -> MachineLayout:
 
 
 def _apply_stage(
-    mm: np.ndarray, ll: np.ndarray, stage: CanonicalTransform, rows: list[int]
+    mm: np.ndarray,
+    ll: np.ndarray,
+    rows: list[int],
+    sm: np.ndarray,
+    sl: np.ndarray | None = None,
 ) -> None:
-    """Act with ``stage`` on modes ``rows`` of b = mm a + ll a*, in place.
+    """Act with the stage (sm, sl) on modes ``rows`` of b = mm a + ll a*,
+    in place.
 
     This is :func:`~pciclone.canonical.compose` with the stage embedded
-    on ``rows``, restricted to the rows the stage changes; for a passive
-    stage (L = 0) the cross terms vanish and are skipped, and M and L
-    are updated one after the other to keep one block of rows in flight.
+    on ``rows``, restricted to the rows the stage changes.  A passive
+    stage leaves ``sl`` out: its cross terms vanish and are skipped, and
+    M and L are updated one after the other to keep one block of rows in
+    flight.
     """
-    sm, sl = stage.m_matrix, stage.l_matrix
-    if sl.any():
+    if sl is None:
+        mm[rows] = sm @ mm[rows]
+        ll[rows] = sm @ ll[rows]
+    else:
         m_rows, l_rows = mm[rows], ll[rows]
         mm[rows] = sm @ m_rows + sl @ l_rows.conj()
         ll[rows] = sm @ l_rows + sl @ m_rows.conj()
-    else:
-        mm[rows] = sm @ mm[rows]
-        ll[rows] = sm @ ll[rows]
 
 
 def build_machine(config: CloningConfig) -> tuple[CanonicalTransform, MachineLayout]:
@@ -421,16 +426,17 @@ def build_machine(config: CloningConfig) -> tuple[CanonicalTransform, MachineLay
     mm = np.eye(k, dtype=complex)
     ll = np.zeros((k, k), dtype=complex)
     if n > 1:
-        _apply_stage(mm, ll, dft_transform(n), list(range(n)))
+        _apply_stage(mm, ll, list(range(n)), _dft_matrix(n))
     if nc > 1:
-        _apply_stage(mm, ll, dft_transform(nc), list(range(a2, a2 + nc)))
-    _apply_stage(mm, ll, pcia_transform(gain_from_counts(config)), [a1, a2])
+        _apply_stage(mm, ll, list(range(a2, a2 + nc)), _dft_matrix(nc))
+    amp = pcia_transform(gain_from_counts(config))
+    _apply_stage(mm, ll, [a1, a2], amp.m_matrix, amp.l_matrix)
     _apply_stage(
-        mm, ll, dft_transform(config.m_clones, inverse=True), list(layout.clone_slots)
+        mm, ll, list(layout.clone_slots), _dft_matrix(config.m_clones, inverse=True)
     )
     if mc > 1:
         _apply_stage(
-            mm, ll, dft_transform(mc, inverse=True), list(layout.anticlone_slots)
+            mm, ll, list(layout.anticlone_slots), _dft_matrix(mc, inverse=True)
         )
     # Read-only hands both matrices over to the transform uncopied.
     mm.setflags(write=False)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .canonical import CanonicalTransform, to_symplectic
 from .errors import DomainError, require_finite, require_integer
-from .gaussian import GaussianState, fidelity_with_coherent
+from .gaussian import VACUUM_VARIANCE, coherent_fidelity, frozen_array
 from .machine import MachineLayout, NoiseReport
 
 BLOCK_SIZE = 1 << 17
@@ -87,9 +87,7 @@ class EmpiricalMoments:
 
     def __post_init__(self):
         for name in ("means", "covariances", "mean_se", "var_se"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_array(getattr(self, name), float))
         k = self.means.shape[0]
         shapes = {
             "means": (k, 2),
@@ -105,14 +103,6 @@ class EmpiricalMoments:
     @property
     def mode_count(self) -> int:
         return self.means.shape[0]
-
-    def mode_state(self, mode: int) -> GaussianState:
-        """Single-mode Gaussian state built from the empirical moments."""
-        return GaussianState(
-            mode_count=1,
-            mean=self.means[mode],
-            covariance=self.covariances[mode],
-        )
 
 
 def _merge_blocks(acc, block):
@@ -238,10 +228,11 @@ class ComparisonSummary:
         return doc
 
 
-def _z(diff: float, se: float) -> float:
-    if se == 0.0:
-        return 0.0 if diff == 0.0 else math.inf
-    return float(diff / se)
+def _z(diff: np.ndarray, se: np.ndarray) -> np.ndarray:
+    # diff / se entrywise; where se == 0, 0 if diff == 0 and inf otherwise.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = diff / se
+    return np.where(se == 0.0, np.where(diff == 0.0, 0.0, math.inf), z)
 
 
 def compare_to_analytic(
@@ -252,11 +243,19 @@ def compare_to_analytic(
 ) -> ComparisonSummary:
     """z-scores of empirical moments against the closed-form predictions.
 
-    Clone and anticlone modes are checked against their predicted means,
-    variances, and fidelities (the latter recomputed from the empirical
-    moments via :func:`fidelity_with_coherent`, with a delta-method
-    standard error); residual modes must look like vacuum.  Any
-    |z| > threshold marks the summary as failed.
+    Mode j is predicted to have amplitude a_j, variance v_j and fidelity
+    f_j: psi and the report's clone values on clones, psi* and its
+    anticlone values on anticlones, and the vacuum's 0, 1/2 and 1 on
+    residual modes.  With sampled means m and variances s, and z(d, se) =
+    d/se (0 if d = se = 0, inf if only se = 0), the mode's row holds
+
+        z_mean_x = z(m_x - sqrt(2) Re a_j, se(m_x)), z_mean_p likewise
+        z_var_x = z(s_x - v_j, se(s_x)), z_var_p likewise
+        z_fidelity = z(F_j - f_j, hypot(se(s_x), se(s_p)) / (2 (1 + n_j)^2))
+
+    with F_j the sampled state's :func:`~pciclone.gaussian.coherent_fidelity`
+    with |a_j> and its error from the delta method through F = 1/(1 + n),
+    n_j = (s_x + s_p - 1)/2.  Any |z| > threshold fails the summary.
     """
     if emp.mode_count != layout.total_modes:
         raise DomainError(
@@ -265,51 +264,35 @@ def compare_to_analytic(
     if layout.anticlone_slots and report.var_anticlone is None:
         raise DomainError("layout has anticlones but the report carries none")
 
-    psi = emp.psi
-    sqrt2 = math.sqrt(2.0)
-    expectations = {}
-    for mode in layout.clone_slots:
-        expectations[mode] = ("clone", psi, report.var_clone, report.f_clone)
-    for mode in layout.anticlone_slots:
-        expectations[mode] = (
-            "anticlone",
-            psi.conjugate(),
-            report.var_anticlone,
-            report.f_anticlone,
-        )
-    for mode in layout.residual_slots:
-        expectations[mode] = ("residual", 0j, 0.5, 1.0)
+    # The layout's output roles partition the modes: what is neither a
+    # clone nor an anticlone is a residual mode, predicted to be vacuum.
+    k = layout.total_modes
+    roles = np.full(k, "residual", dtype=object)
+    amp = np.zeros(k, dtype=complex)
+    var_pred = np.full(k, VACUUM_VARIANCE)
+    f_pred = np.ones(k)
+    for role, slots, a, v, f in (
+        ("clone", layout.clone_slots, emp.psi, report.var_clone, report.f_clone),
+        ("anticlone", layout.anticlone_slots, emp.psi.conjugate(),
+         report.var_anticlone, report.f_anticlone),
+    ):
+        idx = list(slots)
+        roles[idx], amp[idx], var_pred[idx], f_pred[idx] = role, a, v, f
 
-    rows = []
-    for mode in sorted(expectations):
-        role, amp, var_pred, f_pred = expectations[mode]
-        mean_pred = (sqrt2 * amp.real, sqrt2 * amp.imag)
-        mx, mp = emp.means[mode]
-        vx, vp = emp.covariances[mode, 0, 0], emp.covariances[mode, 1, 1]
-        se_mx, se_mp = emp.mean_se[mode]
-        se_vx, se_vp = emp.var_se[mode]
-
-        f_emp = fidelity_with_coherent(emp.mode_state(mode), 0, amp)
-        # Delta method through f = 1/(1 + n_th) with n_th estimated from
-        # the two quadrature variances.
-        n_th_emp = 0.5 * (vx + vp) - 0.5
-        se_n_th = 0.5 * math.hypot(se_vx, se_vp)
-        se_f = se_n_th / (1.0 + n_th_emp) ** 2
-
-        rows.append(
-            ComparisonRow(
-                mode=mode,
-                role=role,
-                z_mean_x=_z(mx - mean_pred[0], se_mx),
-                z_mean_p=_z(mp - mean_pred[1], se_mp),
-                z_var_x=_z(vx - var_pred, se_vx),
-                z_var_p=_z(vp - var_pred, se_vp),
-                z_fidelity=_z(f_emp - f_pred, se_f),
-            )
-        )
+    var = np.diagonal(emp.covariances, axis1=1, axis2=2)
+    mean_pred = math.sqrt(2.0) * np.stack((amp.real, amp.imag), axis=1)
+    f_emp = coherent_fidelity(emp.means, emp.covariances, amp)
+    n_th_emp = 0.5 * (var[:, 0] + var[:, 1]) - 0.5
+    se_f = 0.5 * np.hypot(*emp.var_se.T) / (1.0 + n_th_emp) ** 2
+    table = np.column_stack((
+        _z(emp.means - mean_pred, emp.mean_se),
+        _z(var - var_pred[:, None], emp.var_se),
+        _z(f_emp - f_pred, se_f),
+    )).tolist()
+    rows = tuple(ComparisonRow(mode, roles[mode], *z) for mode, z in enumerate(table))
     max_abs_z = float(max(row.max_abs_z for row in rows))
     return ComparisonSummary(
-        rows=tuple(rows),
+        rows=rows,
         threshold=threshold,
         max_abs_z=max_abs_z,
         passed=max_abs_z <= threshold,

@@ -27,6 +27,10 @@ residuals from their defining dense products, with the dense symplectic
 form, where the library reads them from the structure of the products.
 The amplitude-gain oracle is the closed form without the library's
 power-of-two rescaling.
+
+The comparison oracle scores sampled moments one output mode at a time,
+through a single-mode Gaussian state and :func:`fidelity_with_coherent`,
+where the library scores all modes as whole arrays.
 """
 
 import math
@@ -36,14 +40,15 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from pciclone.canonical import (
+    CanonicalTransform,
     compose,
     dft_transform,
-    embed,
-    identity_transform,
     pcia_transform,
 )
-from pciclone.gaussian import symplectic_form
+from pciclone.errors import DomainError
+from pciclone.gaussian import GaussianState, fidelity_with_coherent, symplectic_form
 from pciclone.machine import _machine_layout, asymmetry_gain, gain_from_counts
+from pciclone.montecarlo import ComparisonRow, ComparisonSummary
 
 
 def operator_means(m, l, psi):
@@ -98,6 +103,32 @@ def scan_asymmetry(n, m, grid_step=1e-3, refine_tol=1e-9):
         )
         a = float(min(max(res.x, grid[idx - 1]), grid[idx + 1]))
     return a, asymmetry_gain(n, m, a)
+
+
+def identity_transform(mode_count):
+    """M = identity, L = 0."""
+    if mode_count < 1:
+        raise DomainError(f"mode_count must be >= 1, got {mode_count}")
+    return CanonicalTransform(np.eye(mode_count), np.zeros((mode_count, mode_count)))
+
+
+def embed(transform, targets, total_modes):
+    """Act with ``transform`` on the listed modes, identity elsewhere."""
+    if len(targets) != transform.mode_count:
+        raise DomainError(
+            f"{transform.mode_count}-mode transform given {len(targets)} targets"
+        )
+    if len(set(targets)) != len(targets):
+        raise DomainError(f"repeated target index in {targets}")
+    for t in targets:
+        if not 0 <= t < total_modes:
+            raise DomainError(f"target index {t} out of range [0, {total_modes})")
+    m = np.eye(total_modes, dtype=complex)
+    l = np.zeros((total_modes, total_modes), dtype=complex)
+    sel = np.ix_(targets, targets)
+    m[sel] = transform.m_matrix
+    l[sel] = transform.l_matrix
+    return CanonicalTransform(m, l)
 
 
 def dense_build_machine(config):
@@ -159,3 +190,72 @@ def unscaled_gain_from_amplitudes(alpha, beta, gamma):
     a, b, c = abs(alpha), abs(beta), abs(gamma)
     root = math.sqrt(c * c - a * a + b * b)
     return ((c * c + b * b) / (a * c + b * root)) ** 2
+
+
+def _scalar_z(diff, se):
+    if se == 0.0:
+        return 0.0 if diff == 0.0 else math.inf
+    return float(diff / se)
+
+
+def per_mode_compare(emp, report, layout, threshold=5.0):
+    """ComparisonSummary of ``emp`` against ``report``, one mode at a time:
+    each mode's moments become a single-mode GaussianState whose fidelity
+    with its target comes from fidelity_with_coherent."""
+    if emp.mode_count != layout.total_modes:
+        raise DomainError(
+            f"moments cover {emp.mode_count} modes, layout has {layout.total_modes}"
+        )
+    if layout.anticlone_slots and report.var_anticlone is None:
+        raise DomainError("layout has anticlones but the report carries none")
+
+    psi = emp.psi
+    sqrt2 = math.sqrt(2.0)
+    expectations = {}
+    for mode in layout.clone_slots:
+        expectations[mode] = ("clone", psi, report.var_clone, report.f_clone)
+    for mode in layout.anticlone_slots:
+        expectations[mode] = (
+            "anticlone",
+            psi.conjugate(),
+            report.var_anticlone,
+            report.f_anticlone,
+        )
+    for mode in layout.residual_slots:
+        expectations[mode] = ("residual", 0j, 0.5, 1.0)
+
+    rows = []
+    for mode in sorted(expectations):
+        role, amp, var_pred, f_pred = expectations[mode]
+        mean_pred = (sqrt2 * amp.real, sqrt2 * amp.imag)
+        mx, mp = emp.means[mode]
+        vx, vp = emp.covariances[mode, 0, 0], emp.covariances[mode, 1, 1]
+        se_mx, se_mp = emp.mean_se[mode]
+        se_vx, se_vp = emp.var_se[mode]
+
+        state = GaussianState(1, emp.means[mode], emp.covariances[mode])
+        f_emp = fidelity_with_coherent(state, 0, amp)
+        # Delta method through f = 1/(1 + n_th) with n_th estimated from
+        # the two quadrature variances.
+        n_th_emp = 0.5 * (vx + vp) - 0.5
+        se_n_th = 0.5 * math.hypot(se_vx, se_vp)
+        se_f = se_n_th / (1.0 + n_th_emp) ** 2
+
+        rows.append(
+            ComparisonRow(
+                mode=mode,
+                role=role,
+                z_mean_x=_scalar_z(mx - mean_pred[0], se_mx),
+                z_mean_p=_scalar_z(mp - mean_pred[1], se_mp),
+                z_var_x=_scalar_z(vx - var_pred, se_vx),
+                z_var_p=_scalar_z(vp - var_pred, se_vp),
+                z_fidelity=_scalar_z(f_emp - f_pred, se_f),
+            )
+        )
+    max_abs_z = float(max(row.max_abs_z for row in rows))
+    return ComparisonSummary(
+        rows=tuple(rows),
+        threshold=threshold,
+        max_abs_z=max_abs_z,
+        passed=max_abs_z <= threshold,
+    )

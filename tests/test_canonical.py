@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pciclone import machine
+from pciclone import canonical, machine
 from pciclone.canonical import (
     CanonicalTransform,
     commutation_residual,
     compose,
     dft_transform,
-    embed,
-    identity_transform,
     pcia_transform,
     to_symplectic,
 )
@@ -24,6 +22,7 @@ from pciclone.gaussian import (
 from pciclone.machine import CloningConfig, build_machine
 
 import oracles
+from oracles import embed, identity_transform
 
 
 def random_transform(rng, mode_count, stages=6, max_extra_gain=2.0):
@@ -237,6 +236,18 @@ class TestHandOver:
         assert not np.shares_memory(t.m_matrix, m)
         assert t.m_matrix.flags.c_contiguous
         np.testing.assert_array_equal(t.m_matrix, m)
+
+    def test_quadrature_image_handed_over(self, monkeypatch):
+        handed = []
+        real = canonical.SymplecticMap
+
+        def spy(matrix):
+            handed.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(canonical, "SymplecticMap", spy)
+        transform, _ = build_machine(CloningConfig(2, 1, 5))
+        assert np.shares_memory(transform.quadrature_image.matrix, handed[-1])
 
     def test_build_machine_hands_over(self, monkeypatch):
         handed = []

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pciclone import gaussian
 from pciclone.canonical import pcia_transform, to_symplectic
@@ -9,13 +9,16 @@ from pciclone.gaussian import (
     GaussianState,
     SymplecticMap,
     apply_map,
+    coherent_fidelity,
     coherent_state,
     fidelity_with_coherent,
+    frozen_array,
     marginal,
     quadrature_variance,
     symplectic_form,
     vacuum_state,
 )
+from pciclone.montecarlo import EmpiricalMoments
 
 amplitudes = st.complex_numbers(
     max_magnitude=10.0, allow_nan=False, allow_infinity=False
@@ -170,6 +173,75 @@ class TestFidelityWithCoherent:
         s = GaussianState(1, np.zeros(2), -0.5 * np.eye(2))
         with pytest.raises(DomainError):
             fidelity_with_coherent(s, 0, 0j)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_array_form_matches_linear_solve(self, count, seed):
+        # The written-out 2x2 inverse against a linear solve, entry by
+        # entry, on asymmetric covariances with V + I/2 well inside the
+        # positive determinants.
+        rng = np.random.default_rng(seed)
+        means = rng.normal(scale=2.0, size=(count, 2))
+        covs = rng.uniform(-0.2, 0.2, size=(count, 2, 2))
+        covs[:, [0, 1], [0, 1]] = rng.uniform(0.3, 3.0, size=(count, 2))
+        targets = rng.normal(size=count) + 1j * rng.normal(size=count)
+        got = coherent_fidelity(means, covs, targets)
+        for j in range(count):
+            v = covs[j] + 0.5 * np.eye(2)
+            d = means[j] - np.sqrt(2.0) * np.array([targets[j].real, targets[j].imag])
+            want = np.exp(-0.5 * d @ np.linalg.solve(v, d)) / np.sqrt(np.linalg.det(v))
+            assert got[j] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_one_singular_entry_rejects_the_stack(self, bad):
+        covs = np.stack([0.5 * np.eye(2)] * 3)
+        covs[1] = np.diag([bad, bad])
+        with pytest.raises(DomainError):
+            coherent_fidelity(np.zeros((3, 2)), covs, np.zeros(3))
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+class TestFrozenArray:
+    # Every holder of numeric arrays keeps a read-only, C-contiguous
+    # float64 array that owns its data, and copies anything else.
+    HOLDERS = {
+        "SymplecticMap": lambda a: SymplecticMap(a).matrix,
+        "GaussianState": lambda a: GaussianState(1, np.zeros(2), a).covariance,
+        "EmpiricalMoments": lambda a: EmpiricalMoments(
+            2, 0j, a, np.zeros((2, 2, 2)), np.ones((2, 2)), np.ones((2, 2))
+        ).means,
+    }
+    COPIED = {
+        "writable": lambda: np.array([[1.0, 2.0], [3.0, 4.0]]),
+        "float32": lambda: _read_only(np.array([[1.0, 2.0], [3.0, 4.0]], np.float32)),
+        "int": lambda: _read_only(np.array([[1, 2], [3, 4]])),
+        "fortran": lambda: _read_only(np.asfortranarray([[1.0, 2.0], [3.0, 4.0]])),
+        "view": lambda: _read_only(np.arange(1.0, 7.0))[:4].reshape(2, 2),
+    }
+
+    @pytest.mark.parametrize("holder", HOLDERS)
+    def test_read_only_array_kept(self, holder):
+        arr = _read_only(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert np.shares_memory(self.HOLDERS[holder](arr), arr)
+
+    @pytest.mark.parametrize("kind", COPIED)
+    @pytest.mark.parametrize("holder", HOLDERS)
+    def test_other_arrays_copied(self, holder, kind):
+        arr = self.COPIED[kind]()
+        held = self.HOLDERS[holder](arr)
+        assert not np.shares_memory(held, arr)
+        assert held.dtype == np.float64 and held.flags.c_contiguous
+        assert not held.flags.writeable
+        np.testing.assert_array_equal(held, arr)
+
+    def test_keeps_only_the_requested_dtype(self):
+        arr = _read_only(np.eye(2))
+        assert frozen_array(arr, float) is arr
+        assert frozen_array(arr, complex).dtype == complex
 
 
 class TestValidation:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from pciclone import machine
 from pciclone.canonical import commutation_residual, to_symplectic
 from pciclone.errors import DomainError
 from pciclone.gaussian import apply_map, marginal, quadrature_variance
@@ -564,6 +565,20 @@ def oracle_configs():
 
 
 class TestRowwiseAssembly:
+    def test_passive_stages_carry_no_l(self, monkeypatch):
+        stages = []
+        real = machine._apply_stage
+
+        def spy(mm, ll, rows, sm, sl=None):
+            stages.append(None if sl is None else sl.shape)
+            real(mm, ll, rows, sm, sl)
+
+        monkeypatch.setattr(machine, "_apply_stage", spy)
+        build_machine(CloningConfig(3, 2, 6))
+        # DFT on 3 signals, DFT on 2 conjugates, the amplifier, DFTs onto
+        # 6 clones and 5 anticlones: only the amplifier has an L.
+        assert stages == [None, None, (2, 2), None, None]
+
     def test_matches_dense_oracle(self):
         for cfg in oracle_configs():
             transform, _ = build_machine(cfg)

@@ -1,10 +1,14 @@
+import dataclasses
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from pciclone import gaussian, montecarlo
 from pciclone.canonical import (
     CanonicalTransform,
     commutation_residual,
-    identity_transform,
     to_symplectic,
 )
 from pciclone.errors import DomainError
@@ -12,11 +16,14 @@ from pciclone.gaussian import apply_map
 from pciclone.machine import CloningConfig, build_machine, noise_report
 from pciclone.montecarlo import (
     BLOCK_SIZE,
+    EmpiricalMoments,
     SampleConfig,
     block_normals,
     compare_to_analytic,
     simulate,
 )
+
+import oracles
 
 
 def run(cfg, samples, seed, psi):
@@ -167,13 +174,6 @@ class TestSimulate:
             assert cov[0, 1] == cov[1, 0]
             assert cov[0, 0] > 0 and cov[1, 1] > 0
 
-    def test_mode_state_roundtrip(self):
-        _, _, emp = run(CloningConfig(1, 0, 1), 10**4, 3, 1j)
-        state = emp.mode_state(0)
-        assert state.mode_count == 1
-        np.testing.assert_array_equal(state.mean, emp.means[0])
-        np.testing.assert_array_equal(state.covariance, emp.covariances[0])
-
     def test_non_canonical_transform_rejected(self):
         bad = CanonicalTransform(
             np.array([[2.0 + 0j]]), np.array([[0.0 + 0j]])
@@ -207,31 +207,33 @@ class TestSimulate:
             simulate(transform, layout, SampleConfig(2, 0, 1592262918131445j))
 
 
+def exact_moments(cfg, psi, se):
+    """(layout, EmpiricalMoments) holding the exact output moments of
+    ``cfg`` with every standard error set to ``se``."""
+    transform, layout = build_machine(cfg)
+    exact = apply_map(layout.input_state(psi), to_symplectic(transform))
+    k = layout.total_modes
+    means = np.stack([exact.mean[2 * m : 2 * m + 2] for m in range(k)])
+    covs = np.stack(
+        [exact.covariance[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] for m in range(k)]
+    )
+    emp = EmpiricalMoments(
+        sample_count=10**6,
+        psi=psi,
+        means=means,
+        covariances=covs,
+        mean_se=np.full((k, 2), se),
+        var_se=np.full((k, 2), se),
+    )
+    return layout, emp
+
+
 class TestCompareToAnalytic:
     def test_analytic_surrogate_gives_zero_z(self):
         # Feed the comparison the exact moments; every z must vanish.
-        from pciclone.montecarlo import EmpiricalMoments
-
         cfg = CloningConfig(1, 1, 3)
-        psi = 0.6 - 0.2j
-        transform, layout = build_machine(cfg)
-        rep = noise_report(cfg)
-        exact = apply_map(layout.input_state(psi), to_symplectic(transform))
-        k = layout.total_modes
-        means = np.stack([exact.mean[2 * m : 2 * m + 2] for m in range(k)])
-        covs = np.stack(
-            [exact.covariance[2 * m : 2 * m + 2, 2 * m : 2 * m + 2]
-             for m in range(k)]
-        )
-        emp = EmpiricalMoments(
-            sample_count=10**6,
-            psi=psi,
-            means=means,
-            covariances=covs,
-            mean_se=np.full((k, 2), 1e-3),
-            var_se=np.full((k, 2), 1e-3),
-        )
-        summary = compare_to_analytic(emp, rep, layout)
+        layout, emp = exact_moments(cfg, 0.6 - 0.2j, 1e-3)
+        summary = compare_to_analytic(emp, noise_report(cfg), layout)
         assert summary.passed
         assert summary.max_abs_z < 1e-9
         assert summary.flagged() == []
@@ -262,6 +264,92 @@ class TestCompareToAnalytic:
         summary = compare_to_analytic(emp, lying, layout)
         assert not summary.passed
         assert summary.flagged()
+
+    @pytest.mark.parametrize(
+        "field, role",
+        [
+            ("var_clone", "clone"),
+            ("f_clone", "clone"),
+            ("var_anticlone", "anticlone"),
+            ("f_anticlone", "anticlone"),
+        ],
+    )
+    def test_each_corrupted_prediction_is_flagged(self, field, role):
+        cfg = CloningConfig(1, 1, 2)
+        _, layout, emp = run(cfg, 10**5, 4, 0.5 + 0.5j)
+        rep = noise_report(cfg)
+        lying = dataclasses.replace(rep, **{field: 0.9 * getattr(rep, field)})
+        summary = compare_to_analytic(emp, lying, layout)
+        assert not summary.passed
+        assert {summary.rows[mode].role for mode in summary.flagged()} == {role}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.integers(1, 10),
+        st.integers(2, 400),
+        st.integers(0, 2**64 - 1),
+        st.complex_numbers(max_magnitude=5.0),
+    )
+    def test_matches_per_mode_oracle(self, n, nc, m, samples, seed, psi):
+        # The array scoring does the per-mode loop's arithmetic except for
+        # the fidelity's standard error: numpy's hypot and square against
+        # math.hypot and pow, which may differ in the last bit or two.
+        # max_abs_z inherits that where it is a z_fidelity.
+        assume(n + nc > 0 and m >= n)
+        cfg = CloningConfig(n, nc, m)
+        _, layout, emp = run(cfg, samples, seed, psi)
+        rep = noise_report(cfg)
+        got = compare_to_analytic(emp, rep, layout)
+        want = oracles.per_mode_compare(emp, rep, layout)
+        key = operator.attrgetter(
+            "mode", "role", "z_mean_x", "z_mean_p", "z_var_x", "z_var_p"
+        )
+        assert [key(row) for row in got.rows] == [key(row) for row in want.rows]
+        assert got.passed == want.passed
+        np.testing.assert_array_max_ulp(
+            [row.z_fidelity for row in got.rows],
+            [row.z_fidelity for row in want.rows],
+            maxulp=4,
+        )
+        np.testing.assert_array_max_ulp(got.max_abs_z, want.max_abs_z, maxulp=4)
+
+    def test_zero_standard_error_gives_zero_or_inf(self):
+        cfg = CloningConfig(1, 1, 3)
+        layout, emp = exact_moments(cfg, 0.6 - 0.2j, 0.0)
+        means = emp.means.copy()
+        means[0, 0] += 0.25
+        emp = dataclasses.replace(emp, means=means)
+        rep = noise_report(cfg)
+        summary = compare_to_analytic(emp, rep, layout)
+        assert summary.rows == oracles.per_mode_compare(emp, rep, layout).rows
+        assert summary.rows[0].z_mean_x == np.inf
+        assert summary.max_abs_z == np.inf and not summary.passed
+
+    def test_scores_without_per_mode_states(self, monkeypatch):
+        cfg = CloningConfig(2, 1, 4)
+        _, layout, emp = run(cfg, 10**4, 3, 0.2j)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compare_to_analytic scored a mode on its own")
+
+        monkeypatch.setattr(gaussian.GaussianState, "__post_init__", refuse)
+        monkeypatch.setattr(gaussian, "fidelity_with_coherent", refuse)
+        monkeypatch.setattr(
+            montecarlo, "fidelity_with_coherent", refuse, raising=False
+        )
+        assert compare_to_analytic(emp, noise_report(cfg), layout).passed
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan])
+    def test_singular_covariance_rejected(self, bad):
+        cfg = CloningConfig(1, 1, 3)
+        layout, emp = exact_moments(cfg, 0.6 - 0.2j, 1e-3)
+        covs = emp.covariances.copy()
+        covs[2] = np.diag([bad, bad])
+        emp = dataclasses.replace(emp, covariances=covs)
+        with pytest.raises(DomainError):
+            compare_to_analytic(emp, noise_report(cfg), layout)
 
     def test_threshold_is_respected(self):
         cfg = CloningConfig(1, 0, 2)
