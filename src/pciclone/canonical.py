@@ -89,16 +89,19 @@ class CanonicalTransform:
             p'_i = sum_j Im(M+L)_ij x_j + Re(M-L)_ij p_j,
 
         which satisfies S Omega S^T = Omega exactly when the transform is
-        canonical.
+        canonical.  Each block of S is written in place from the real and
+        imaginary views of M and L, with no K x K temporary.
         """
-        plus = self.m_matrix + self.l_matrix
-        minus = self.m_matrix - self.l_matrix
+        m, l = self.m_matrix, self.l_matrix
         k = self.mode_count
         s = np.empty((2 * k, 2 * k))
-        s[0::2, 0::2] = plus.real
-        s[0::2, 1::2] = -minus.imag
-        s[1::2, 0::2] = plus.imag
-        s[1::2, 1::2] = minus.real
+        np.add(m.real, l.real, out=s[0::2, 0::2])
+        # Negated after the difference, as -(M-L).imag: l.imag - m.imag
+        # would give +0 where the image has -0.
+        xp = np.subtract(m.imag, l.imag, out=s[0::2, 1::2])
+        np.negative(xp, out=xp)
+        np.add(m.imag, l.imag, out=s[1::2, 0::2])
+        np.subtract(m.real, l.real, out=s[1::2, 1::2])
         s.setflags(write=False)  # hands s over to the map uncopied
         return SymplecticMap(s)
 

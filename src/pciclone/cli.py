@@ -16,9 +16,9 @@ csv; sweep defaults to csv, the others to json).  The PCICLONE_TOL
 environment variable supplies the tolerance wherever --tol is accepted
 but not given.
 
-Exit codes: 0 success, 1 failed verification, 2 domain error,
-3 non-convergence, 4 output could not be written (an unwritable --out
-path, or a closed standard output).
+Exit codes: 0 success, 1 failed verification, 2 domain error or an
+input too large for memory, 3 non-convergence, 4 output could not be
+written (an unwritable --out path, or a closed standard output).
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from .canonical import commutation_residual, to_symplectic
 from .errors import ConvergenceError, DomainError, require_finite
 from .machine import (
     CloningConfig,
-    asymmetry_gain,
-    asymmetry_noise,
+    _split_gain_noise,
     attenuates,
     build_machine,
     noise_report,
@@ -144,9 +143,8 @@ def cmd_sweep(args) -> int:
         for a in a_grid:
             if attenuates(n, m, a):
                 continue  # attenuation corner of the (M, a) plane
-            n_th = asymmetry_noise(n, m, a)
-            values = (n, m, a, (1.0 - a) * n, a * n, asymmetry_gain(n, m, a),
-                      n_th, math.sqrt(n_th))
+            gain, n_th = _split_gain_noise(n, m, a)
+            values = (n, m, a, (1.0 - a) * n, a * n, gain, n_th, math.sqrt(n_th))
             rows.append(dict(zip(SWEEP_COLUMNS, values)))
     _write(rows, args.format, args.out, SWEEP_COLUMNS)
     return 0
@@ -269,8 +267,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DomainError, MemoryError) as exc:
+        # numpy names the allocation that failed; a bare MemoryError is empty.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -50,6 +50,13 @@ def mirrored_tile_max(size: int, tile_value) -> float:
     ]))
 
 
+def _quadratures(amplitudes) -> np.ndarray:
+    """Mean quadratures sqrt(2) (Re a, Im a) of coherent amplitudes a, as
+    an array of shape amplitudes.shape + (2,); a = (x + ip)/sqrt(2)."""
+    amps = np.asarray(amplitudes, dtype=complex)
+    return np.sqrt(2.0) * np.stack((amps.real, amps.imag), axis=-1)
+
+
 def frozen_array(arr, dtype) -> np.ndarray:
     """``arr`` as a read-only, C-contiguous ``dtype`` array.  An array of
     that kind which owns its data has been handed over by its maker and
@@ -159,9 +166,7 @@ def coherent_state(amplitudes: Sequence[complex]) -> GaussianState:
     amps = np.asarray(list(amplitudes), dtype=complex)
     if amps.size == 0:
         raise DomainError("amplitude list must be non-empty")
-    mean = np.empty(2 * amps.size)
-    mean[0::2] = np.sqrt(2.0) * amps.real
-    mean[1::2] = np.sqrt(2.0) * amps.imag
+    mean = _quadratures(amps).reshape(-1)
     return GaussianState(amps.size, mean, VACUUM_VARIANCE * np.eye(2 * amps.size))
 
 
@@ -214,9 +219,8 @@ def coherent_fidelity(
     bad = ~((0.0 < det) & (det < np.inf))
     if bad.any():
         raise DomainError(f"V + I/2 is singular (det {det[bad][0]:.3e})")
-    targets = np.asarray(targets)
-    dx = means[..., 0] - np.sqrt(2.0) * targets.real
-    dp = means[..., 1] - np.sqrt(2.0) * targets.imag
+    d = means - _quadratures(targets)
+    dx, dp = d[..., 0], d[..., 1]
     quad = (e * dx * dx - (b + c) * dx * dp + a * dp * dp) / det
     return np.exp(-0.5 * quad) / np.sqrt(det)
 

@@ -30,7 +30,7 @@ from .canonical import CanonicalTransform, _dft_matrix, pcia_transform
 from .errors import DomainError, require_finite, require_integer
 from .gaussian import GaussianState, coherent_state
 
-# Smallest sum of square roots in asymmetry_gain whose rounding still
+# Smallest sum of square roots in _gain_and_excess whose rounding still
 # absorbs the error of a root of an underflowed product.
 _MIN_ROOTS = 2.0 * math.sqrt(sys.float_info.min) / sys.float_info.epsilon
 
@@ -183,6 +183,38 @@ def gain_from_amplitudes(alpha: float, beta: float, gamma: float) -> float:
         ) from None
 
 
+def _gain_and_excess(n, nc, m, mc, lost=False) -> tuple[float, float]:
+    """(G, G - 1) for counts N, N', M, M' given as exact integers or as
+    floats: G as in :func:`gain_from_counts`, G - 1 from the identity in
+    :func:`noise_report`.  An overflowed product, root sum or gain raises
+    :class:`DomainError`, as does a value of nonzero factors below the
+    normal range (``lost`` flags one among the counts) unless the sum of
+    roots, from _MIN_ROOTS up, absorbs its error.
+    """
+    tiny = sys.float_info.min
+    try:
+        sig, con = n * m, nc * mc
+        roots = math.sqrt(sig) + math.sqrt(con)
+        lost = lost or (n and sig < tiny) or (nc and mc and con < tiny)
+        in_range = roots < math.inf and (roots >= _MIN_ROOTS or not lost)
+        gain = ((m + nc) / roots) ** 2 if in_range else math.inf
+    except OverflowError:
+        gain = math.inf
+    if not gain < math.inf:
+        raise DomainError(
+            f"counts (N, N', M, M') = ({n}, {nc}, {m}, {mc}) leave the float "
+            f"range of the gain"
+        )
+    if m <= n:
+        # G = 1 at M = N; below it lies only the slack of attenuates().
+        return gain, 0.0
+    rt_m, rt_mc = math.sqrt(m), math.sqrt(mc)
+    rt_n, rt_nc = math.sqrt(n), math.sqrt(nc)
+    root_excess = (m - n) / (rt_m * rt_mc + rt_n * rt_nc)
+    root_excess *= (m + nc) / (rt_n * rt_m + rt_nc * rt_mc)
+    return gain, root_excess * root_excess
+
+
 def gain_from_counts(config: CloningConfig) -> float:
     """Amplifier gain that copies N + N' replicas onto M clones.
 
@@ -193,14 +225,9 @@ def gain_from_counts(config: CloningConfig) -> float:
     Counts whose products leave the float range raise
     :class:`DomainError`.
     """
-    n, nc, m = config.n_inputs, config.n_conj, config.m_clones
-    mc = config.m_anticlones
-    try:
-        return ((m + nc) / (math.sqrt(n * m) + math.sqrt(nc * mc))) ** 2
-    except OverflowError:
-        raise DomainError(
-            f"counts (N, N', M) = ({n}, {nc}, {m}) exceed the float range"
-        ) from None
+    return _gain_and_excess(
+        config.n_inputs, config.n_conj, config.m_clones, config.m_anticlones
+    )[0]
 
 
 def attenuates(n: float, m: float, a: float) -> bool:
@@ -213,16 +240,9 @@ def attenuates(n: float, m: float, a: float) -> bool:
     return (1.0 - a) * n - m > 1e-9 * max(m, n)
 
 
-def asymmetry_gain(n: float, m: float, a: float) -> float:
-    """Gain for splitting n total inputs as (1-a)*n signals, a*n conjugates.
-
-    Continuous relaxation of :func:`gain_from_counts` with N = (1-a)n,
-    N' = a*n, M' = M + (2a-1)n; non-integer replica counts are allowed.
-    Feasibility requires M >= N, i.e. a >= 1 - M/n (see
-    :func:`attenuates`).  Inputs whose products under- or overflow far
-    enough to change the gain, or whose gain overflows, raise
-    :class:`DomainError` rather than return a wrong gain.
-    """
+def _split_gain_noise(n: float, m: float, a: float) -> tuple[float, float]:
+    """(G, n_th) of :func:`asymmetry_gain` and :func:`asymmetry_noise`
+    from one evaluation."""
     require_finite(n=n, m=m, a=a)
     if n <= 0:
         raise DomainError(f"total input count must be > 0, got {n}")
@@ -234,57 +254,37 @@ def asymmetry_gain(n: float, m: float, a: float) -> float:
         raise DomainError(
             f"M={m} < (1-a)n={(1.0 - a) * n} is the attenuation regime"
         )
-    n_sig = (1.0 - a) * n
-    n_con = a * n
+    n_sig, n_con = (1.0 - a) * n, a * n
     m_anti = max(m + (2.0 * a - 1.0) * n, 0.0)
-    sig, con = n_sig * m, n_con * m_anti
-    roots = math.sqrt(sig) + math.sqrt(con)
-    # An overflowed product makes roots infinite.  A value of nonzero
-    # factors that fell below the normal range lost up to float_info.min;
-    # roots absorbs that error only from _MIN_ROOTS up.
+    # A split count of a nonzero share that fell below the normal range.
     tiny = sys.float_info.min
-    underflow = (
-        (a < 1.0 and n_sig < tiny)
-        or (a > 0.0 and n_con < tiny)
-        or (n_sig and sig < tiny)
-        or (n_con and m_anti and con < tiny)
-    )
-    if roots < math.inf and (roots >= _MIN_ROOTS or not underflow):
-        try:
-            gain = ((m + n_con) / roots) ** 2
-        except OverflowError:
-            gain = math.inf
-        if gain < math.inf:
-            return gain
-    raise DomainError(
-        f"(n, M, a) = ({n}, {m}, {a}) leaves the float range of the gain"
-    )
+    lost = (a < 1.0 and n_sig < tiny) or (a > 0.0 and n_con < tiny)
+    gain, excess = _gain_and_excess(n_sig, n_con, m, m_anti, lost)
+    return gain, excess / m
+
+
+def asymmetry_gain(n: float, m: float, a: float) -> float:
+    """Gain for splitting n total inputs as (1-a)*n signals, a*n conjugates.
+
+    Continuous relaxation of :func:`gain_from_counts` with N = (1-a)n,
+    N' = a*n, M' = M + (2a-1)n; non-integer replica counts are allowed.
+    Feasibility requires M >= N, i.e. a >= 1 - M/n (see
+    :func:`attenuates`).  Inputs whose products under- or overflow far
+    enough to change the gain, or whose gain overflows, raise
+    :class:`DomainError` rather than return a wrong gain.
+    """
+    return _split_gain_noise(n, m, a)[0]
 
 
 def asymmetry_noise(n: float, m: float, a: float) -> float:
     """Added thermal photons per clone, n_th = (G - 1)/M, for the split of
-    :func:`asymmetry_gain`, evaluated without cancellation as G -> 1.
-
-    With N = (1-a)n, N' = a*n and M' = M + N' - N,
-
-        G - 1 = ((M - N)(M + N')
-                 / ((sqrt(M M') + sqrt(N N'))(sqrt(N M) + sqrt(N' M'))))^2,
-
-    which at N = 0 is M/n, so n_th = 1/n even where M/n is below the
-    float epsilon and G rounds to 1.  Raises :class:`DomainError` where
-    :func:`asymmetry_gain` does.
+    :func:`asymmetry_gain`, with N = (1-a)n, N' = a*n, M' = M + N' - N and
+    G - 1 from the identity of :func:`noise_report`.  It does not cancel
+    as G -> 1: at N = 0 it is M/n, so n_th = 1/n even where M/n is below
+    the float epsilon and G rounds to 1.  Raises :class:`DomainError`
+    where :func:`asymmetry_gain` does.
     """
-    asymmetry_gain(n, m, a)
-    n_sig, n_con = (1.0 - a) * n, a * n
-    if m <= n_sig:
-        # G = 1 at M = N; below it lies only the slack of attenuates().
-        return 0.0
-    m_anti = max(m + (2.0 * a - 1.0) * n, 0.0)
-    rt_m, rt_ma = math.sqrt(m), math.sqrt(m_anti)
-    rt_n, rt_nc = math.sqrt(n_sig), math.sqrt(n_con)
-    root_excess = (m - n_sig) / (rt_m * rt_ma + rt_n * rt_nc)
-    root_excess *= (m + n_con) / (rt_n * rt_m + rt_nc * rt_ma)
-    return root_excess * root_excess / m
+    return _split_gain_noise(n, m, a)[1]
 
 
 def measurement_noise(n_inputs: int, n_conj: int) -> float:
@@ -323,17 +323,27 @@ def _standard_baseline(k_inputs: int, m_clones: int) -> tuple[float, float]:
 
 
 def noise_report(config: CloningConfig) -> NoiseReport:
-    """All closed-form predictions for one configuration."""
-    gain = gain_from_counts(config)
+    """All closed-form predictions for one configuration.
+
+    The added noise is n_th = (G - 1)/M per clone and (G - 1)/M' per
+    anticlone, with G - 1 from the identity
+
+        G - 1 = ((M - N)(M + N')
+                 / ((sqrt(M M') + sqrt(N N'))(sqrt(N M) + sqrt(N' M'))))^2,
+
+    which does not cancel as G -> 1.
+    """
+    n, nc = config.n_inputs, config.n_conj
     m, mc = config.m_clones, config.m_anticlones
-    n_th = (gain - 1.0) / m
+    gain, excess = _gain_and_excess(n, nc, m, mc)
+    n_th = excess / m
     if mc >= 1:
-        n_th_anti = (gain - 1.0) / mc
+        n_th_anti = excess / mc
         var_anti = 0.5 + n_th_anti
         f_anti = 1.0 / (1.0 + n_th_anti)
     else:
         n_th_anti = var_anti = f_anti = None
-    k = config.n_inputs + config.n_conj
+    k = n + nc
     baseline_var, baseline_f = _standard_baseline(k, m)
     return NoiseReport(
         gain=gain,
@@ -346,7 +356,7 @@ def noise_report(config: CloningConfig) -> NoiseReport:
         baseline_var=baseline_var,
         baseline_f=baseline_f,
         baseline_f_anticlone=k / (k + 1.0),
-        measurement_limit_noise=measurement_noise(config.n_inputs, config.n_conj),
+        measurement_limit_noise=measurement_noise(n, nc),
     )
 
 

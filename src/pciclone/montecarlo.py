@@ -31,7 +31,7 @@ import numpy as np
 
 from .canonical import CanonicalTransform, to_symplectic
 from .errors import DomainError, require_finite, require_integer
-from .gaussian import VACUUM_VARIANCE, coherent_fidelity, frozen_array
+from .gaussian import VACUUM_VARIANCE, _quadratures, coherent_fidelity, frozen_array
 from .machine import MachineLayout, NoiseReport
 
 BLOCK_SIZE = 1 << 17
@@ -132,8 +132,9 @@ def simulate(
     accurate for large input amplitudes); blocks merge in order.
     Identical arguments give bit-identical results.  A non-canonical
     transform is refused by :func:`~pciclone.canonical.to_symplectic`,
-    and degenerate sampled variances (an amplitude too large for float
-    spacing to resolve the vacuum noise) by :class:`DomainError`.
+    and an amplitude whose float spacing exceeds the vacuum noise's
+    standard deviation, or degenerate sampled variances, by
+    :class:`DomainError`.
     """
     s_t = to_symplectic(transform).matrix.T
     if transform.mode_count != layout.total_modes:
@@ -142,13 +143,15 @@ def simulate(
             f"layout expects {layout.total_modes}"
         )
     k = layout.total_modes
-    amps = layout.input_amplitudes(config.psi)
-    mu_in = np.empty(2 * k)
-    mu_in[0::2] = math.sqrt(2.0) * amps.real
-    mu_in[1::2] = math.sqrt(2.0) * amps.imag
+    mu_in = _quadratures(layout.input_amplitudes(config.psi)).reshape(-1)
+    sigma = math.sqrt(0.5)
+    # Samples spaced more coarsely than the vacuum noise cannot resolve it.
+    if np.spacing(np.max(np.abs(mu_in))) > sigma:
+        raise DomainError(
+            f"psi={config.psi} is too large for the samples to resolve the noise"
+        )
 
     acc = (0.0, np.zeros(2 * k), np.zeros(2 * k), np.zeros(k))
-    sigma = math.sqrt(0.5)
     for block_index, start in enumerate(range(0, config.sample_count, BLOCK_SIZE)):
         rows = min(BLOCK_SIZE, config.sample_count - start)
         z = block_normals(config.seed, block_index, rows, 2 * k)
@@ -280,7 +283,7 @@ def compare_to_analytic(
         roles[idx], amp[idx], var_pred[idx], f_pred[idx] = role, a, v, f
 
     var = np.diagonal(emp.covariances, axis1=1, axis2=2)
-    mean_pred = math.sqrt(2.0) * np.stack((amp.real, amp.imag), axis=1)
+    mean_pred = _quadratures(amp)
     f_emp = coherent_fidelity(emp.means, emp.covariances, amp)
     n_th_emp = 0.5 * (var[:, 0] + var[:, 1]) - 0.5
     se_f = 0.5 * np.hypot(*emp.var_se.T) / (1.0 + n_th_emp) ** 2

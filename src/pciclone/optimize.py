@@ -35,7 +35,7 @@ import numpy as np
 
 from .canonical import CanonicalTransform, commutation_residual
 from .errors import ConvergenceError, DomainError, require_finite
-from .machine import asymmetry_gain, asymmetry_noise
+from .machine import _split_gain_noise
 
 
 @dataclass(frozen=True)
@@ -169,13 +169,7 @@ class AsymmetryResult:
     n_th: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "M": self.m,
-            "a_star": self.a_star,
-            "gain": self.gain,
-            "n_th": self.n_th,
-        }
+        return {"M" if k == "m" else k: v for k, v in asdict(self).items()}
 
 
 def _full_completion_residual(coeffs: tuple[float, ...]) -> float:
@@ -347,13 +341,9 @@ def minimize_asymmetry(n: float, m: float) -> AsymmetryResult:
     # Halving after the division gives the same bits as (m - n)/(2m),
     # without 2m overflowing for m near the float maximum.
     a_star = max((m - n) / m / 2.0, 1.0 - m / n)
-    gain = asymmetry_gain(n, m, a_star)
+    gain, n_th = _split_gain_noise(n, m, a_star)
     return AsymmetryResult(
-        n=float(n),
-        m=float(m),
-        a_star=float(a_star),
-        gain=gain,
-        n_th=asymmetry_noise(n, m, a_star),
+        n=float(n), m=float(m), a_star=float(a_star), gain=gain, n_th=n_th
     )
 
 

@@ -31,9 +31,15 @@ power-of-two rescaling.
 The comparison oracle scores sampled moments one output mode at a time,
 through a single-mode Gaussian state and :func:`fidelity_with_coherent`,
 where the library scores all modes as whole arrays.
+
+The added-noise oracle evaluates n_th = (G - 1)/M and (G - 1)/M' in
+60-digit decimal arithmetic.  The symplectic-image oracle fills S from
+the complex sums M + L and M - L, where the library writes each block
+in place.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad
@@ -259,3 +265,37 @@ def per_mode_compare(emp, report, layout, threshold=5.0):
         max_abs_z=max_abs_z,
         passed=max_abs_z <= threshold,
     )
+
+
+def exact_added_noise(n, nc, m):
+    """(n_th clone, n_th anticlone or None) of counts (N, N', M), from
+    G - 1 in 60-digit decimal arithmetic."""
+    mc = m + nc - n
+    with localcontext() as ctx:
+        ctx.prec = 60
+        root_gain = Decimal(m + nc) / (Decimal(n * m).sqrt() + Decimal(nc * mc).sqrt())
+        excess = root_gain * root_gain - 1
+        return +(excess / m), (+(excess / mc) if mc >= 1 else None)
+
+
+def ulps_from(got, want):
+    """|got - want| in units of the float spacing at ``want`` (a Decimal)."""
+    if want == 0:
+        return 0.0 if got == 0.0 else math.inf
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float(abs(Decimal(got) - want) / Decimal(math.ulp(float(want))))
+
+
+def quadrature_image_from_sums(transform):
+    """S of :attr:`CanonicalTransform.quadrature_image`, filled from the
+    K x K complex temporaries M + L and M - L."""
+    plus = transform.m_matrix + transform.l_matrix
+    minus = transform.m_matrix - transform.l_matrix
+    k = transform.mode_count
+    s = np.empty((2 * k, 2 * k))
+    s[0::2, 0::2] = plus.real
+    s[0::2, 1::2] = -minus.imag
+    s[1::2, 0::2] = plus.imag
+    s[1::2, 1::2] = minus.real
+    return s

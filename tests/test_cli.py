@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import pciclone
 import pciclone.cli
+from pciclone import machine
 from pciclone.cli import SWEEP_HEADER, build_parser, main
 from pciclone.errors import ConvergenceError
 
@@ -166,6 +167,18 @@ class TestSweep:
         (row,) = json.loads(out)  # a = 0 lies in the attenuation corner
         assert (row["a"], row["n_th"], row["sqrt_n_th"]) == (1.0, 1.0, 1.0)
 
+    def test_one_closed_form_evaluation_per_row(self, capsys, monkeypatch):
+        calls = []
+        real = machine._gain_and_excess
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(machine, "_gain_and_excess", spy)
+        _, out = run_cli(capsys, "sweep", 8, 4, 16, "--a-steps", 5)
+        assert len(calls) == len(out.strip().splitlines()) - 1 == 8
+
     def test_json_format(self, capsys):
         _, out = run_cli(capsys, "sweep", 2, 2, "--a-steps", 3, "--format", "json")
         rows = json.loads(out)
@@ -309,6 +322,30 @@ def assert_cli_import_leaves_unloaded(module):
     env = {**os.environ, "PYTHONPATH": src}
     code = f"import sys, pciclone.cli; assert {module!r} not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify", 1, 1, 100000), ("sweep", 8, 9, "--a-steps", 10**12)]
+)
+def test_out_of_memory_exit_code(argv):
+    # Each asks numpy for hundreds of GiB; the child's address space is
+    # capped at 1.5 GB so the allocation fails at once.
+    import resource
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    src = str(Path(pciclone.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pciclone", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: Unable to allocate")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
@@ -460,6 +497,7 @@ def test_fuzz_closed_form_commands(command, values, fmt, split, a_steps, tol):
     fmt=st.sampled_from(["json", "csv"]),
 )
 @example((0, 1, 1), 2, 0, 1592262918131445j, 0.0, "json")
+@example((0, 1, 1), 22, 0, 4.338994632913419e92j, 0.0, "json")
 def test_fuzz_verify_tiny(counts, samples, seed, psi, tol, fmt):
     argv = ["verify", "--format", fmt, f"--psi={psi!r}", f"--tol={tol!r}"]
     assert_clean_exit(argv + ["--", *counts, samples, seed], fmt)

@@ -70,6 +70,12 @@ class TestCoherentState:
             coherent_state([])
 
     @given(st.lists(amplitudes, min_size=1, max_size=4))
+    def test_mean_is_the_quadrature_rule(self, amps):
+        want = [np.sqrt(2.0) * x for a in amps for x in (a.real, a.imag)]
+        assert coherent_state(amps).mean.tolist() == want
+        assert gaussian._quadratures(amps[0]).tolist() == want[:2]
+
+    @given(st.lists(amplitudes, min_size=1, max_size=4))
     def test_always_vacuum_noise_and_unit_self_fidelity(self, amps):
         s = coherent_state(amps)
         for mode, amp in enumerate(amps):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,6 +418,33 @@ class TestNoiseReport:
             oracles.thermal_overlap_fidelity(rep.n_th_clone), rel=1e-9
         )
 
+    def test_noise_within_16_ulp_of_exact(self):
+        # (G - 1)/M with G rounded first missed by up to 658 ulp, at (8, 8, 9).
+        for n, nc in itertools.product(range(9), repeat=2):
+            for m in range(max(n, 1), 65) if n + nc else ():
+                rep = noise_report(CloningConfig(n, nc, m))
+                clone, anti = oracles.exact_added_noise(n, nc, m)
+                assert oracles.ulps_from(rep.n_th_clone, clone) <= 16, (n, nc, m)
+                if anti is not None:
+                    assert oracles.ulps_from(rep.n_th_anticlone, anti) <= 16
+
+    def test_noise_next_to_huge_counts(self):
+        # G - 1 = 1/N is below the float epsilon of G = M/N.
+        n = 2**53 - 1
+        rep = noise_report(CloningConfig(n, 0, n + 1))
+        clone, anti = oracles.exact_added_noise(n, 0, n + 1)
+        assert oracles.ulps_from(rep.n_th_clone, clone) <= 16
+        assert oracles.ulps_from(rep.n_th_anticlone, anti) <= 16
+
+    @given(st.integers(0, 8), st.integers(0, 8), st.integers(1, 64))
+    def test_noise_duality_bit_exact(self, n, nc, m):
+        if n + nc == 0 or m < n or m + nc - n < 1:
+            return
+        rep = noise_report(CloningConfig(n, nc, m))
+        dual = noise_report(CloningConfig(nc, n, m + nc - n))
+        assert rep.n_th_clone == dual.n_th_anticlone
+        assert rep.n_th_anticlone == dual.n_th_clone
+
 
 class TestBuildMachine:
     def test_headline_example(self):
@@ -585,6 +613,38 @@ class TestRowwiseAssembly:
             dense, _ = oracles.dense_build_machine(cfg)
             assert np.max(np.abs(transform.m_matrix - dense.m_matrix)) <= 1e-13, cfg
             assert np.max(np.abs(transform.l_matrix - dense.l_matrix)) <= 1e-13, cfg
+
+    def test_quadrature_image_matches_sums(self):
+        # Bit for bit, so signed zeros too.
+        for cfg in oracle_configs():
+            transform, _ = build_machine(cfg)
+            want = oracles.quadrature_image_from_sums(transform)
+            assert transform.quadrature_image.matrix.tobytes() == want.tobytes(), cfg
+
+    def test_quadrature_image_needs_no_temporaries(self):
+        transform, _ = build_machine(CloningConfig(4, 4, 512))
+        tracemalloc.start()
+        try:
+            s = transform.quadrature_image.matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # S is 33.9 MB at K = 1030; the two K x K complex sums took 76.4 MB.
+        assert s.nbytes < peak <= 40e6
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 1000), data=st.data())
+def test_balanced_pair_beats_standard_cloner_iff_above_boundary(n, data):
+    # A balanced pair N = N' beats 2N identical inputs iff
+    # M^2 - 2MN - N^2 > 0, i.e. M > (1 + sqrt(2))N; no integer M ties.
+    above = n + math.isqrt(2 * n * n) + 1  # the smallest M above the boundary
+    for m in (above - 1, above, data.draw(st.integers(2 * n + 1, 10 * n))):
+        rep = noise_report(CloningConfig(n, n, m))
+        if m * m - 2 * m * n - n * n > 0:
+            assert rep.f_clone > rep.baseline_f, (n, m)
+        else:
+            assert rep.f_clone < rep.baseline_f, (n, m)
 
 
 @settings(max_examples=60, deadline=None)

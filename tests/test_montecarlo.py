@@ -199,6 +199,14 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(bad, layout, SampleConfig(100, 0))
 
+    def test_amplitude_beyond_noise_resolution_rejected(self):
+        # Past 2^52 the float spacing of the means exceeds the vacuum
+        # noise's standard deviation; the sampled variance of this run was
+        # about 5.6e154 and made the fidelity's standard error 0.
+        transform, layout = build_machine(CloningConfig(0, 1, 1))
+        with pytest.raises(DomainError, match="resolve the noise"):
+            simulate(transform, layout, SampleConfig(22, 0, 4.338994632913419e92j))
+
     def test_unresolved_noise_rejected(self):
         # At |psi| ~ 1e15 the float spacing of the means is coarser than
         # the vacuum noise, so two samples can give a zero variance.

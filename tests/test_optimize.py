@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from pciclone import machine
 from pciclone.errors import ConvergenceError, DomainError
 from pciclone.machine import asymmetry_gain, gain_from_amplitudes
 from pciclone.optimize import (
@@ -202,6 +203,18 @@ class TestMinimizeAsymmetry:
             for m in (16, 64, 256, 80000)
         ]
         assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
+
+    def test_one_closed_form_evaluation(self, monkeypatch):
+        calls = []
+        real = machine._gain_and_excess
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(machine, "_gain_and_excess", spy)
+        minimize_asymmetry(8, 16)
+        assert len(calls) == 1
 
     def test_refined_value_beats_grid(self):
         res = minimize_asymmetry(8, 32)
