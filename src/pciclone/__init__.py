@@ -4,7 +4,12 @@ Gaussian states and symplectic maps, linear canonical transforms, an
 explicit multimode cloning machine with its closed-form noise theory,
 numerical searches for the optimal amplifier and input asymmetry, and a
 Monte-Carlo phase-space verifier.
+
+The ``pciclone`` logger is silent unless the application configures
+logging; :func:`simulate` logs its sampling plan at DEBUG.
 """
+
+import logging
 
 from .canonical import (
     CanonicalTransform,
@@ -54,6 +59,8 @@ from .optimize import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "AsymmetryResult",

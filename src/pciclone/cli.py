@@ -28,9 +28,11 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
+from . import __version__
 from .canonical import commutation_residual, to_symplectic
 from .errors import ConvergenceError, DomainError, require_finite
 from .machine import (
@@ -40,7 +42,14 @@ from .machine import (
     build_machine,
     noise_report,
 )
-from .montecarlo import SampleConfig, compare_to_analytic, simulate
+from .montecarlo import (
+    BLOCK_SIZE,
+    STREAM_VERSION,
+    SampleConfig,
+    _sampling_plan,
+    compare_to_analytic,
+    simulate,
+)
 from .optimize import minimize_asymmetry, solve_amplifier
 
 SWEEP_HEADER = "n,M,a,N,Nc,G,n_th,sqrt_n_th"
@@ -167,17 +176,22 @@ def cmd_verify(args) -> int:
     tol = _resolve_tol(args, 1e-10)
     config = CloningConfig(args.n_sig, args.n_con, args.m)
     sampling = SampleConfig(sample_count=args.samples, seed=args.seed, psi=args.psi)
+    t_start = time.perf_counter()
     transform, layout = build_machine(config)
+    t_built = time.perf_counter()
     residual = commutation_residual(transform)
     symplectic = to_symplectic(transform).residual()
     structural_pass = residual <= tol and symplectic <= tol
-
+    t_certified = time.perf_counter()
     emp = simulate(transform, layout, sampling)
+    t_sampled = time.perf_counter()
     summary = compare_to_analytic(emp, noise_report(config), layout).to_dict()
+    t_scored = time.perf_counter()
     passed = structural_pass and summary["passed"]
     if args.format == "csv":
         _write(summary["rows"], "csv", args.out)
     else:
+        blocks, workers = _sampling_plan(args.samples)
         doc = {
             "N": config.n_inputs,
             "Nc": config.n_conj,
@@ -192,6 +206,20 @@ def cmd_verify(args) -> int:
             "structural_pass": structural_pass,
             "comparison": summary,
             "passed": passed,
+            "meta": {
+                "version": __version__,
+                "stream_version": STREAM_VERSION,
+                "block_size": BLOCK_SIZE,
+                "blocks": blocks,
+                "seed": args.seed,
+                "workers": workers,
+            },
+            "timings": {
+                "build_s": t_built - t_start,
+                "certificates_s": t_certified - t_built,
+                "sampling_s": t_sampled - t_certified,
+                "scoring_s": t_scored - t_sampled,
+            },
         }
         _write(doc, "json", args.out)
     return 0 if passed else 1

@@ -215,7 +215,10 @@ def coherent_fidelity(
     """
     v = covariances + VACUUM_VARIANCE * np.eye(2)
     a, b, c, e = v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1]
-    det = a * e - b * c
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = a * e - b * c
+    if (np.isfinite(v).all(axis=(-2, -1)) & ~np.isfinite(det)).any():
+        raise DomainError("det(V + I/2) of a finite V overflows the float range")
     bad = ~((0.0 < det) & (det < np.inf))
     if bad.any():
         raise DomainError(f"V + I/2 is singular (det {det[bad][0]:.3e})")

@@ -10,21 +10,34 @@ Sample streams are versioned and reproducible: the run is split into
 fixed-size blocks and block ``b`` draws its standard normals from a
 Philox generator keyed (seed, b).  Layout version 1 draws one
 (rows, 2K) array per block, samples along rows, mode m's x and p in
-columns 2m and 2m+1.  Block moments are merged in block order with the
-pooled mean/covariance update, so a blockwise run equals a single pass
-over the concatenated samples up to rounding.
+columns 2m and 2m+1; :func:`block_normals` is its definition.  Philox
+is counter-based, so every key is an independent stream and blocks can
+be sampled concurrently: a run of several blocks samples up to two at
+once on a thread pool, each block drawn and transformed CHUNK_ROWS rows
+at a time into its one output array, and merges the block moments in
+block order with the pooled mean/covariance update, so a blockwise run
+equals a single pass over the concatenated samples up to rounding.  A
+run of one block draws and transforms it whole.
 
 The draws are bit-reproducible on every platform.  The sampled moments
-are bit-reproducible only for a fixed BLAS build and thread count: the
+are bit-reproducible for a fixed BLAS build and thread count, whatever
+the CPU or worker count, since the blocks merge in a fixed order.  The
 transform is a BLAS product, whose summation order can depend on the
-thread count.  With OpenBLAS 0.3.31, (N, N', M) = (4, 4, 512), K = 1030
-modes, gives different moment bits under 1 and 2 threads; machines of
-up to K = 134 modes gave the same bits.
+thread count and on the product's shape.  With OpenBLAS 0.3.31,
+(N, N', M) = (4, 4, 512), K = 1030 modes, gives different moment bits
+under 1 and 2 threads; machines of up to K = 134 modes gave the same
+bits.  A CHUNK_ROWS-row product gave the bits of the whole-block product
+on every machine of up to K = 70 modes tried, but not at K = 134, where
+the rows at the end of each chunk differ in the last place.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -36,16 +49,46 @@ from .machine import MachineLayout, NoiseReport
 
 BLOCK_SIZE = 1 << 17
 STREAM_VERSION = 1
+# Rows drawn and transformed at a time in a run of several blocks.  With
+# OpenBLAS 0.3.31 and K = 14 modes, a product of up to 512 rows runs on
+# one BLAS thread, so the blocks sampled at once do not contend with
+# BLAS's own threads: 2^20 samples took 0.54 s in 512-row chunks, 1.24 s
+# and 1.06 s in 1024- and 4096-row chunks, and 0.83 s in whole blocks,
+# on 2 CPUs with 2 BLAS threads.
+CHUNK_ROWS = 512
+# Blocks sampled at once.  Each holds its (rows, 2K) output and one
+# chunk of draws, so two together hold about as much as one block drawn
+# whole, draws and output.
+MAX_WORKERS = 2
 # z-scores at or above this many standard errors are flagged.
 Z_FLAG = 5.0
+
+_log = logging.getLogger(__name__)
+
+
+def _block_generator(seed: int, block_index: int) -> np.random.Generator:
+    # The stream-version-1 key rule: block b of a run draws from Philox
+    # keyed (seed, b).
+    key = np.array([seed, block_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def block_normals(seed: int, block_index: int, rows: int, cols: int) -> np.ndarray:
     """Standard normals of block ``block_index`` under stream version 1."""
-    key = np.array([seed, block_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).standard_normal(
-        (rows, cols)
-    )
+    return _block_generator(seed, block_index).standard_normal((rows, cols))
+
+
+def _cpu_count() -> int:
+    # The CPUs this process may run on, which can be fewer than the machine's.
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sampling_plan(sample_count: int) -> tuple[int, int]:
+    """(block count, worker count) of a run of ``sample_count`` samples."""
+    blocks = -(-sample_count // BLOCK_SIZE)
+    return blocks, min(MAX_WORKERS, _cpu_count(), blocks)
 
 
 @dataclass(frozen=True)
@@ -120,6 +163,33 @@ def _merge_blocks(acc, block):
     return n, mu, sq, cross
 
 
+def _draw_block(seed, block_index, mu_in, sigma, s_t, y, z):
+    """Fill ``y`` with block ``block_index`` of samples pushed through the
+    map, (sigma z + mu_in) s_t, drawing the block's normals ``len(z)``
+    rows at a time into the scratch array ``z``; returns ``y``."""
+    gen = _block_generator(seed, block_index)
+    for start in range(0, len(y), len(z)):
+        chunk = z[: len(y) - start]
+        gen.standard_normal(out=chunk)
+        chunk *= sigma
+        chunk += mu_in
+        np.matmul(chunk, s_t, out=y[start : start + len(chunk)])
+    return y
+
+
+def _block_moments(*draw_args):
+    """(count, mean, centred square sums, centred x-p cross sums) of the
+    block :func:`_draw_block` writes for ``draw_args``, reduced in two
+    passes: mean first, then moments of the mean-centred samples, which
+    stay accurate for large input amplitudes."""
+    y = _draw_block(*draw_args)
+    mu = y.mean(axis=0)
+    y -= mu
+    sq = np.einsum("ij,ij->j", y, y)
+    cross = np.einsum("ij,ij->j", y[:, 0::2], y[:, 1::2])
+    return float(len(y)), mu, sq, cross
+
+
 def simulate(
     transform: CanonicalTransform,
     layout: MachineLayout,
@@ -129,12 +199,14 @@ def simulate(
 
     Each block is generated, transformed, and reduced in two passes
     (mean first, then moments of the mean-centered samples, which stay
-    accurate for large input amplitudes); blocks merge in order.
-    Identical arguments give bit-identical results.  A non-canonical
-    transform is refused by :func:`~pciclone.canonical.to_symplectic`,
-    and an amplitude whose float spacing exceeds the vacuum noise's
-    standard deviation, or degenerate sampled variances, by
-    :class:`DomainError`.
+    accurate for large input amplitudes), up to MAX_WORKERS blocks at
+    once on a thread pool; blocks merge in order.  Identical arguments
+    give bit-identical results, whatever the number of CPUs.  An
+    exception raised while sampling a block reaches the caller unchanged,
+    and no later block is started.  A non-canonical transform is refused
+    by :func:`~pciclone.canonical.to_symplectic`, and an amplitude whose
+    float spacing exceeds the vacuum noise's standard deviation, or
+    degenerate sampled variances, by :class:`DomainError`.
     """
     s_t = to_symplectic(transform).matrix.T
     if transform.mode_count != layout.total_modes:
@@ -151,18 +223,42 @@ def simulate(
             f"psi={config.psi} is too large for the samples to resolve the noise"
         )
 
+    blocks, workers = _sampling_plan(config.sample_count)
+    block_rows = min(BLOCK_SIZE, config.sample_count)
+    # One block is drawn and transformed whole, as one draw and one product.
+    chunk_rows = CHUNK_ROWS if blocks > 1 else block_rows
+    _log.debug(
+        "sampling %d samples of %d modes: %d blocks, %d workers, %d-row chunks",
+        config.sample_count, k, blocks, workers, chunk_rows,
+    )
+    # Each block in flight writes its own output and scratch arrays, made
+    # here once and reused: block b takes set b % workers, whose previous
+    # block has been merged by then.  Blocks allocated in the worker
+    # threads would be freed into per-thread malloc arenas, which made the
+    # peak RSS of a 40 s verify_deep run vary from 96 to 152 MB.
+    buffers = [
+        (np.empty((block_rows, 2 * k)), np.empty((chunk_rows, 2 * k)))
+        for _ in range(workers)
+    ]
     acc = (0.0, np.zeros(2 * k), np.zeros(2 * k), np.zeros(k))
-    for block_index, start in enumerate(range(0, config.sample_count, BLOCK_SIZE)):
-        rows = min(BLOCK_SIZE, config.sample_count - start)
-        z = block_normals(config.seed, block_index, rows, 2 * k)
-        z *= sigma
-        z += mu_in
-        y = z @ s_t
-        mu = y.mean(axis=0)
-        y -= mu
-        sq = np.einsum("ij,ij->j", y, y)
-        cross = np.einsum("ij,ij->j", y[:, 0::2], y[:, 1::2])
-        acc = _merge_blocks(acc, (float(rows), mu, sq, cross))
+    # At most ``workers`` blocks are submitted and not yet merged, so no
+    # block waits in the pool's queue and at most that many hold samples.
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="pciclone-sample")
+    in_flight = deque()
+    try:
+        for block_index, start in enumerate(range(0, config.sample_count, BLOCK_SIZE)):
+            if len(in_flight) == workers:
+                acc = _merge_blocks(acc, in_flight.popleft().result())
+            y, z = buffers[block_index % workers]
+            rows = min(BLOCK_SIZE, config.sample_count - start)
+            in_flight.append(pool.submit(
+                _block_moments, config.seed, block_index, mu_in, sigma, s_t,
+                y[:rows], z,
+            ))
+        while in_flight:
+            acc = _merge_blocks(acc, in_flight.popleft().result())
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     n, mu, sq, cross = acc
     var = sq / (n - 1.0)
@@ -286,7 +382,16 @@ def compare_to_analytic(
     mean_pred = _quadratures(amp)
     f_emp = coherent_fidelity(emp.means, emp.covariances, amp)
     n_th_emp = 0.5 * (var[:, 0] + var[:, 1]) - 0.5
-    se_f = 0.5 * np.hypot(*emp.var_se.T) / (1.0 + n_th_emp) ** 2
+    # (1 + n)^2 overflows once n passes about 1.3e154; dividing by 1 + n
+    # twice keeps the error finite there, and the square keeps its bits
+    # everywhere else.
+    one_plus_n = 1.0 + n_th_emp
+    half_hypot = 0.5 * np.hypot(*emp.var_se.T)
+    with np.errstate(over="ignore"):
+        square = one_plus_n**2
+    se_f = np.where(
+        square < math.inf, half_hypot / square, half_hypot / one_plus_n / one_plus_n
+    )
     table = np.column_stack((
         _z(emp.means - mean_pred, emp.mean_se),
         _z(var - var_pred[:, None], emp.var_se),

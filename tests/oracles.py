@@ -32,6 +32,11 @@ The comparison oracle scores sampled moments one output mode at a time,
 through a single-mode Gaussian state and :func:`fidelity_with_coherent`,
 where the library scores all modes as whole arrays.
 
+The sampling oracle runs the blocks of a Monte-Carlo run one after
+another, each drawn whole by :func:`block_normals` and transformed by one
+product, where the library samples up to two blocks at once, drawing
+and transforming each in chunks.
+
 The added-noise oracle evaluates n_th = (G - 1)/M and (G - 1)/M' in
 60-digit decimal arithmetic.  The symplectic-image oracle fills S from
 the complex sums M + L and M - L, where the library writes each block
@@ -50,11 +55,19 @@ from pciclone.canonical import (
     compose,
     dft_transform,
     pcia_transform,
+    to_symplectic,
 )
 from pciclone.errors import DomainError
 from pciclone.gaussian import GaussianState, fidelity_with_coherent, symplectic_form
 from pciclone.machine import _machine_layout, asymmetry_gain, gain_from_counts
-from pciclone.montecarlo import ComparisonRow, ComparisonSummary
+from pciclone.montecarlo import (
+    BLOCK_SIZE,
+    ComparisonRow,
+    ComparisonSummary,
+    EmpiricalMoments,
+    _merge_blocks,
+    block_normals,
+)
 
 
 def operator_means(m, l, psi):
@@ -299,3 +312,42 @@ def quadrature_image_from_sums(transform):
     s[1::2, 0::2] = plus.imag
     s[1::2, 1::2] = minus.real
     return s
+
+
+def serial_simulate(transform, layout, config):
+    """EmpiricalMoments of :func:`simulate`'s run, one block at a time:
+    block b is ``block_normals(seed, b, rows, 2K)`` scaled, shifted and
+    multiplied by S^T whole, reduced about its mean, and merged in order."""
+    s_t = to_symplectic(transform).matrix.T
+    k = layout.total_modes
+    amps = layout.input_amplitudes(config.psi)
+    mu_in = np.empty(2 * k)
+    mu_in[0::2] = np.sqrt(2.0) * amps.real
+    mu_in[1::2] = np.sqrt(2.0) * amps.imag
+    acc = (0.0, np.zeros(2 * k), np.zeros(2 * k), np.zeros(k))
+    for block_index, start in enumerate(range(0, config.sample_count, BLOCK_SIZE)):
+        rows = min(BLOCK_SIZE, config.sample_count - start)
+        z = block_normals(config.seed, block_index, rows, 2 * k)
+        z *= math.sqrt(0.5)
+        z += mu_in
+        y = z @ s_t
+        mu = y.mean(axis=0)
+        y -= mu
+        sq = np.einsum("ij,ij->j", y, y)
+        cross = np.einsum("ij,ij->j", y[:, 0::2], y[:, 1::2])
+        acc = _merge_blocks(acc, (float(rows), mu, sq, cross))
+    n, mu, sq, cross = acc
+    var = sq / (n - 1.0)
+    covariances = np.empty((k, 2, 2))
+    covariances[:, 0, 0] = var[0::2]
+    covariances[:, 1, 1] = var[1::2]
+    covariances[:, 0, 1] = covariances[:, 1, 0] = cross / (n - 1.0)
+    var_pairs = var.reshape(k, 2)
+    return EmpiricalMoments(
+        sample_count=config.sample_count,
+        psi=config.psi,
+        means=mu.reshape(k, 2),
+        covariances=covariances,
+        mean_se=np.sqrt(var_pairs / n),
+        var_se=var_pairs * math.sqrt(2.0 / (n - 1.0)),
+    )

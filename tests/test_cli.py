@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import pciclone
 import pciclone.cli
-from pciclone import machine
+from pciclone import machine, montecarlo
 from pciclone.cli import SWEEP_HEADER, build_parser, main
 from pciclone.errors import ConvergenceError
 
@@ -301,6 +302,37 @@ class TestVerify:
         code, out = run_cli(capsys, "verify", 1, 1, 2, 1000, f"--psi={psi}")
         assert code == 2
         assert out == ""
+
+    def test_meta_and_timings(self, capsys, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 4)
+        samples = 2 * montecarlo.BLOCK_SIZE + 1
+        code, out = run_cli(capsys, "verify", 1, 0, 1, samples, 5)
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc)[-2:] == ["meta", "timings"]
+        assert doc["meta"] == {
+            "version": pciclone.__version__,
+            "stream_version": 1,
+            "block_size": montecarlo.BLOCK_SIZE,
+            "blocks": 3,
+            "seed": 5,
+            "workers": 2,
+        }
+        timings = doc["timings"]
+        assert list(timings) == ["build_s", "certificates_s", "sampling_s", "scoring_s"]
+        assert all(0.0 <= t < 60.0 for t in timings.values())
+
+    def test_memory_error_in_a_block_exits_2(self, capsys, monkeypatch):
+        def exhausted(seed, block_index):
+            raise MemoryError
+
+        monkeypatch.setattr(montecarlo, "_block_generator", exhausted)
+        threads = threading.active_count()
+        samples = 3 * montecarlo.BLOCK_SIZE
+        code = main(["verify", "1", "0", "1", str(samples), "1"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: out of memory\n")
+        assert threading.active_count() == threads
 
     def test_csv_z_table(self, capsys):
         _, out = run_cli(capsys, "verify", 1, 1, 2, 1000, 1, "--format", "csv")

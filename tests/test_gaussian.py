@@ -205,6 +205,12 @@ class TestFidelityWithCoherent:
         with pytest.raises(DomainError):
             coherent_fidelity(np.zeros((3, 2)), covs, np.zeros(3))
 
+    @pytest.mark.parametrize("cross", [0.0, 1e160])
+    def test_determinant_overflow_is_named(self, cross):
+        covs = np.stack([0.5 * np.eye(2), [[1e160, cross], [cross, 1e160]]])
+        with pytest.raises(DomainError, match="overflows the float range"):
+            coherent_fidelity(np.zeros((2, 2)), covs, np.zeros(2))
+
 
 def _read_only(arr):
     arr.setflags(write=False)

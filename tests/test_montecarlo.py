@@ -1,5 +1,8 @@
 import dataclasses
+import json
+import logging
 import operator
+import threading
 
 import numpy as np
 import pytest
@@ -68,10 +71,36 @@ class TestBlockNormals:
         assert a.shape == (64, 3)
         np.testing.assert_array_equal(a, b)
 
+    def test_stream_version_1_definition(self):
+        # Block b of seed s is Philox keyed (s, b), rows of standard
+        # normals; the pinned values hold the stream to every platform.
+        assert montecarlo.STREAM_VERSION == 1
+        key = np.array([2**64 - 1, 3], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).standard_normal((2, 2))
+        got = block_normals(2**64 - 1, 3, 2, 2)
+        np.testing.assert_array_equal(got, want)
+        assert got.tolist() == [
+            [-0.33479247164565784, 1.3845258026488851],
+            [0.6203783740566545, 0.5130087603357995],
+        ]
+
     def test_blocks_differ(self):
         a = block_normals(9, 0, 64, 3)
         b = block_normals(9, 1, 64, 3)
         assert np.max(np.abs(a - b)) > 0.1
+
+    @pytest.mark.parametrize(
+        "rows, chunk_rows",
+        [(1024, 512), (1000, 512), (1000, 384), (77, 512), (1000, 1000)],
+    )
+    def test_chunked_draws_are_the_stream(self, rows, chunk_rows):
+        # Through an identity map with sigma = 1 and no shift, the block's
+        # output is its draws.
+        cols = 6
+        y, z = np.empty((rows, cols)), np.empty((chunk_rows, cols))
+        got = montecarlo._draw_block(9, 3, np.zeros(cols), 1.0, np.eye(cols), y, z)
+        assert got is y
+        np.testing.assert_array_equal(y, block_normals(9, 3, rows, cols))
 
 
 class TestSimulate:
@@ -166,6 +195,82 @@ class TestSimulate:
         np.testing.assert_array_equal(
             np.diagonal(emp.covariances, axis1=1, axis2=2).ravel(), var
         )
+
+    @pytest.mark.parametrize(
+        "counts, samples",
+        [
+            # 14 modes, three blocks, the last one short.
+            ((2, 2, 6), 2 * BLOCK_SIZE + 4099),
+            # 1030 modes in a single block.
+            ((4, 4, 512), 1024),
+        ],
+    )
+    def test_equals_serial_oracle(self, counts, samples):
+        # Holds where BLAS gives a CHUNK_ROWS-row product the bits of the
+        # whole-block product, as OpenBLAS 0.3.31 does at 14 modes.
+        transform, layout = build_machine(CloningConfig(*counts))
+        config = SampleConfig(samples, 2024, 0.5 - 1.25j)
+        got = simulate(transform, layout, config)
+        want = oracles.serial_simulate(transform, layout, config)
+        for field in ("means", "covariances", "mean_se", "var_se"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+    def test_worker_count_leaves_bits(self, monkeypatch):
+        transform, layout = build_machine(CloningConfig(1, 1, 2))
+        config = SampleConfig(3 * BLOCK_SIZE + 5, 8, 0.3j)
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+            assert montecarlo._sampling_plan(config.sample_count) == (4, cpus)
+            runs.append(simulate(transform, layout, config))
+        np.testing.assert_array_equal(runs[0].means, runs[1].means)
+        np.testing.assert_array_equal(runs[0].covariances, runs[1].covariances)
+
+    def test_sampling_plan(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)
+        assert montecarlo._sampling_plan(2) == (1, 1)
+        assert montecarlo._sampling_plan(BLOCK_SIZE) == (1, 1)
+        assert montecarlo._sampling_plan(BLOCK_SIZE + 1) == (2, 2)
+        assert montecarlo._sampling_plan(9 * BLOCK_SIZE) == (9, 2)
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
+        assert montecarlo._sampling_plan(9 * BLOCK_SIZE) == (9, 1)
+
+    def test_block_error_reaches_caller_and_stops_later_blocks(self, monkeypatch):
+        error = RuntimeError("block 1 failed")
+        started = []
+        real = montecarlo._block_generator
+
+        def failing(seed, block_index):
+            started.append(block_index)
+            if block_index == 1:
+                raise error
+            return real(seed, block_index)
+
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_block_generator", failing)
+        transform, layout = build_machine(CloningConfig(1, 0, 1))
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            simulate(transform, layout, SampleConfig(8 * BLOCK_SIZE, 0))
+        assert info.value is error
+        # Blocks 0 and 1 start together; block 2 may start once block 0
+        # is merged, and nothing after block 1's error is read.
+        assert set(started) <= {0, 1, 2} and {0, 1} <= set(started)
+        assert threading.active_count() == threads
+
+    def test_logs_its_plan_only_when_asked(self, caplog, capsys):
+        assert any(
+            isinstance(h, logging.NullHandler)
+            for h in logging.getLogger("pciclone").handlers
+        )
+        run(CloningConfig(1, 0, 1), 100, 0, 0j)
+        assert not caplog.records
+        assert capsys.readouterr() == ("", "")
+        with caplog.at_level(logging.DEBUG, logger="pciclone"):
+            run(CloningConfig(1, 0, 1), 100, 0, 0j)
+        (record,) = caplog.records
+        assert record.name == "pciclone.montecarlo"
+        assert "1 blocks, 1 workers, 100-row chunks" in record.getMessage()
 
     def test_covariances_are_symmetric(self):
         _, _, emp = run(CloningConfig(2, 1, 3), 10**4, 5, 0.2 + 0.1j)
@@ -348,6 +453,20 @@ class TestCompareToAnalytic:
             montecarlo, "fidelity_with_coherent", refuse, raising=False
         )
         assert compare_to_analytic(emp, noise_report(cfg), layout).passed
+
+    def test_huge_variance_keeps_a_finite_fidelity_error(self):
+        # (1 + n)^2 overflows at n = 5e199; the fidelity's standard error
+        # must not become 0 and its z infinite.
+        cfg = CloningConfig(1, 1, 3)
+        layout, emp = exact_moments(cfg, 0.6 - 0.2j, 1e-3)
+        covs, var_se = emp.covariances.copy(), emp.var_se.copy()
+        covs[0] = np.diag([1e200, 0.5])
+        var_se[0] = np.array([1e200, 0.5]) * np.sqrt(2.0 / (emp.sample_count - 1))
+        emp = dataclasses.replace(emp, covariances=covs, var_se=var_se)
+        summary = compare_to_analytic(emp, noise_report(cfg), layout)
+        assert np.isfinite(summary.rows[0].z_fidelity)
+        assert summary.rows[0].z_fidelity < -1e100
+        json.dumps(summary.to_dict(), allow_nan=False)
 
     @pytest.mark.parametrize("bad", [-0.5, np.nan])
     def test_singular_covariance_rejected(self, bad):
