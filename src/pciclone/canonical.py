@@ -12,6 +12,7 @@ quadrature moments (see :func:`to_symplectic`).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -132,24 +133,15 @@ def commutation_residual(transform: CanonicalTransform) -> float:
     return transform.commutation_residual
 
 
-def to_symplectic(
-    transform: CanonicalTransform, tol: float = CANONICAL_TOL
-) -> SymplecticMap:
+def to_symplectic(transform: CanonicalTransform) -> SymplecticMap:
     """The transform's :attr:`~CanonicalTransform.quadrature_image`,
-    refused when the commutation residual exceeds ``tol`` or is NaN."""
+    refused when the commutation residual exceeds CANONICAL_TOL or is NaN."""
     res = commutation_residual(transform)
-    if not res <= tol:
+    if not res <= CANONICAL_TOL:
         raise DomainError(
             f"transform is not canonical (commutation residual {res:.3e})"
         )
     return transform.quadrature_image
-
-
-def _dft_matrix(mode_count: int, inverse: bool = False) -> np.ndarray:
-    """The C-contiguous unitary M of :func:`dft_transform`."""
-    idx = np.arange(mode_count)
-    m = np.exp(2j * np.pi * np.outer(idx, idx) / mode_count) / np.sqrt(mode_count)
-    return np.ascontiguousarray(m.conj().T) if inverse else m
 
 
 def dft_transform(mode_count: int, inverse: bool = False) -> CanonicalTransform:
@@ -165,9 +157,26 @@ def dft_transform(mode_count: int, inverse: bool = False) -> CanonicalTransform:
     """
     if mode_count < 1:
         raise DomainError(f"mode_count must be >= 1, got {mode_count}")
+    idx = np.arange(mode_count)
+    m = np.exp(2j * np.pi * np.outer(idx, idx) / mode_count) / np.sqrt(mode_count)
     return CanonicalTransform(
-        _dft_matrix(mode_count, inverse), np.zeros((mode_count, mode_count))
+        m.conj().T if inverse else m, np.zeros((mode_count, mode_count))
     )
+
+
+def _apply_dft(array: np.ndarray, rows: Sequence[int], inverse: bool = False) -> None:
+    """Act with ``dft_transform(len(rows), inverse)`` on rows ``rows`` of
+    ``array``, in place, as an orthonormal FFT along the rows.
+
+    The forward M_lk = exp(2 pi i l k / K)/sqrt(K) is numpy's ``ifft`` and
+    its conjugate transpose numpy's ``fft``, both with ``norm="ortho"``,
+    so no K x K matrix is built.  Fewer than two rows are left as they are.
+    """
+    if len(rows) < 2:
+        return
+    idx = list(rows)
+    fft = np.fft.fft if inverse else np.fft.ifft
+    array[idx] = fft(array[idx], axis=0, norm="ortho")
 
 
 def pcia_transform(gain: float) -> CanonicalTransform:

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .canonical import CanonicalTransform, _dft_matrix, pcia_transform
+from .canonical import CanonicalTransform, _apply_dft, pcia_transform
 from .errors import DomainError, require_finite, require_integer
 from .gaussian import GaussianState, coherent_state
 
@@ -394,28 +394,17 @@ def _machine_layout(config: CloningConfig) -> MachineLayout:
 
 
 def _apply_stage(
-    mm: np.ndarray,
-    ll: np.ndarray,
-    rows: list[int],
-    sm: np.ndarray,
-    sl: np.ndarray | None = None,
+    mm: np.ndarray, ll: np.ndarray, rows: list[int], stage: CanonicalTransform
 ) -> None:
-    """Act with the stage (sm, sl) on modes ``rows`` of b = mm a + ll a*,
-    in place.
+    """Act with ``stage`` on modes ``rows`` of b = mm a + ll a*, in place.
 
     This is :func:`~pciclone.canonical.compose` with the stage embedded
-    on ``rows``, restricted to the rows the stage changes.  A passive
-    stage leaves ``sl`` out: its cross terms vanish and are skipped, and
-    M and L are updated one after the other to keep one block of rows in
-    flight.
+    on ``rows``, restricted to the rows the stage changes.
     """
-    if sl is None:
-        mm[rows] = sm @ mm[rows]
-        ll[rows] = sm @ ll[rows]
-    else:
-        m_rows, l_rows = mm[rows], ll[rows]
-        mm[rows] = sm @ m_rows + sl @ l_rows.conj()
-        ll[rows] = sm @ l_rows + sl @ m_rows.conj()
+    sm, sl = stage.m_matrix, stage.l_matrix
+    m_rows, l_rows = mm[rows], ll[rows]
+    mm[rows] = sm @ m_rows + sl @ l_rows.conj()
+    ll[rows] = sm @ l_rows + sl @ m_rows.conj()
 
 
 def build_machine(config: CloningConfig) -> tuple[CanonicalTransform, MachineLayout]:
@@ -424,30 +413,23 @@ def build_machine(config: CloningConfig) -> tuple[CanonicalTransform, MachineLay
     Concentration DFTs act on the replica blocks, the amplifier couples
     the two concentrated ports, and inverse DFTs distribute each port
     over its output block.  Each stage updates only the rows of (M, L)
-    it touches, so assembly costs O((M^2 + M'^2) K) rather than the
-    O(K^3) of composing dense K x K stages.  Feeding the layout's input
-    state yields clones of mean exactly psi and anticlones of mean
-    exactly psi*.
+    it touches, the DFTs as orthonormal FFTs, so assembly costs
+    O((M log M + M' log M') K) beyond allocating the K x K pair.
+    Feeding the layout's input state yields clones of mean exactly psi
+    and anticlones of mean exactly psi*.
     """
     layout = _machine_layout(config)
-    n, nc, mc = config.n_inputs, config.n_conj, config.m_anticlones
-    a1, a2 = 0, max(n, 1)
     k = layout.total_modes
     mm = np.eye(k, dtype=complex)
     ll = np.zeros((k, k), dtype=complex)
-    if n > 1:
-        _apply_stage(mm, ll, list(range(n)), _dft_matrix(n))
-    if nc > 1:
-        _apply_stage(mm, ll, list(range(a2, a2 + nc)), _dft_matrix(nc))
+    # L stays zero until the amplifier, so concentration acts on M alone.
+    _apply_dft(mm, layout.signal_slots)
+    _apply_dft(mm, layout.conjugate_slots)
     amp = pcia_transform(gain_from_counts(config))
-    _apply_stage(mm, ll, [a1, a2], amp.m_matrix, amp.l_matrix)
-    _apply_stage(
-        mm, ll, list(layout.clone_slots), _dft_matrix(config.m_clones, inverse=True)
-    )
-    if mc > 1:
-        _apply_stage(
-            mm, ll, list(layout.anticlone_slots), _dft_matrix(mc, inverse=True)
-        )
+    _apply_stage(mm, ll, [0, max(config.n_inputs, 1)], amp)
+    for rows in (layout.clone_slots, layout.anticlone_slots):
+        _apply_dft(mm, rows, inverse=True)
+        _apply_dft(ll, rows, inverse=True)
     # Read-only hands both matrices over to the transform uncopied.
     mm.setflags(write=False)
     ll.setflags(write=False)

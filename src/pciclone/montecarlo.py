@@ -118,7 +118,8 @@ class EmpiricalMoments:
 
     ``means`` is (K, 2), ``covariances`` (K, 2, 2); ``mean_se`` and
     ``var_se`` give the standard errors of the mean and of the diagonal
-    variances, the latter as var*sqrt(2/(n-1)).
+    variances, the latter as var*sqrt(2/(n-1)).  Every entry must be
+    finite.
     """
 
     sample_count: int
@@ -139,9 +140,11 @@ class EmpiricalMoments:
             "var_se": (k, 2),
         }
         for name, want in shapes.items():
-            got = getattr(self, name).shape
-            if got != want:
-                raise DomainError(f"{name} must have shape {want}, got {got}")
+            got = getattr(self, name)
+            if got.shape != want:
+                raise DomainError(f"{name} must have shape {want}, got {got.shape}")
+            if not np.all(np.isfinite(got)):
+                raise DomainError(f"{name} must be finite")
 
     @property
     def mode_count(self) -> int:
@@ -300,13 +303,10 @@ class ComparisonRow:
 
     @property
     def max_abs_z(self) -> float:
-        return max(
-            abs(self.z_mean_x),
-            abs(self.z_mean_p),
-            abs(self.z_var_x),
-            abs(self.z_var_p),
-            abs(self.z_fidelity),
-        )
+        """Largest |z| of the row; NaN if any z is NaN."""
+        return float(np.max(np.abs([
+            self.z_mean_x, self.z_mean_p, self.z_var_x, self.z_var_p, self.z_fidelity,
+        ])))
 
 
 @dataclass(frozen=True)
@@ -319,7 +319,8 @@ class ComparisonSummary:
     passed: bool
 
     def flagged(self) -> list[int]:
-        return [row.mode for row in self.rows if row.max_abs_z > self.threshold]
+        """Modes with a |z| above the threshold or a NaN z."""
+        return [row.mode for row in self.rows if not row.max_abs_z <= self.threshold]
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -354,7 +355,8 @@ def compare_to_analytic(
 
     with F_j the sampled state's :func:`~pciclone.gaussian.coherent_fidelity`
     with |a_j> and its error from the delta method through F = 1/(1 + n),
-    n_j = (s_x + s_p - 1)/2.  Any |z| > threshold fails the summary.
+    n_j = (s_x + s_p - 1)/2.  Any |z| > threshold, or a NaN z, fails the
+    summary.
     """
     if emp.mode_count != layout.total_modes:
         raise DomainError(
@@ -396,9 +398,12 @@ def compare_to_analytic(
         _z(emp.means - mean_pred, emp.mean_se),
         _z(var - var_pred[:, None], emp.var_se),
         _z(f_emp - f_pred, se_f),
-    )).tolist()
-    rows = tuple(ComparisonRow(mode, roles[mode], *z) for mode, z in enumerate(table))
-    max_abs_z = float(max(row.max_abs_z for row in rows))
+    ))
+    rows = tuple(
+        ComparisonRow(mode, roles[mode], *z) for mode, z in enumerate(table.tolist())
+    )
+    # np.max, unlike max, keeps a NaN wherever it stands, so a NaN fails.
+    max_abs_z = float(np.max(np.abs(table)))
     return ComparisonSummary(
         rows=rows,
         threshold=threshold,

@@ -15,8 +15,9 @@ The fidelity oracle integrates the thermal Glauber P density against the
 coherent-state overlap kernel exp(-|xi - psi|^2) radially.
 
 The assembly oracle builds the machine the dense way, embedding every
-stage in a K x K transform and composing them, where the library
-updates only the rows each stage touches.
+stage, the DFTs as the explicit matrices of :func:`dft_transform`, in a
+K x K transform and composing them, where the library updates only the
+rows each stage touches and applies the DFTs as orthonormal FFTs.
 
 The asymmetry oracle finds the best conjugate fraction by brute force, a
 grid scan sharpened by golden-section search, where the library uses a

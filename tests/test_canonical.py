@@ -369,6 +369,34 @@ class TestDftTransform:
         with pytest.raises(DomainError):
             dft_transform(0)
 
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_fft_on_identity_is_the_matrix(self, inverse):
+        # The worst gap, 3.4e-14, is the rounding of the exp formula's
+        # argument 2 pi l k / K, not of the FFT.
+        for k in [*range(1, 65), 509, 512, 1021, 1024]:
+            a = np.eye(k, dtype=complex)
+            canonical._apply_dft(a, range(k), inverse)
+            want = dft_transform(k, inverse).m_matrix
+            assert np.max(np.abs(a - want)) <= 1e-13, k
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_fft_acts_on_the_given_rows_only(self, inverse):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        before = a.copy()
+        rows = (4, 0, 2)
+        canonical._apply_dft(a, rows, inverse)
+        want = dft_transform(3, inverse).m_matrix @ before[list(rows)]
+        np.testing.assert_allclose(a[list(rows)], want, atol=1e-14)
+        np.testing.assert_array_equal(a[[1, 3, 5]], before[[1, 3, 5]])
+
+    @pytest.mark.parametrize("rows", [(), (2,)])
+    def test_fft_of_fewer_than_two_rows_is_a_no_op(self, rows):
+        a = np.arange(12.0).reshape(4, 3) + 1j
+        before = a.copy()
+        canonical._apply_dft(a, rows)
+        np.testing.assert_array_equal(a, before)
+
 
 class TestPciaTransform:
     def test_unit_gain_is_identity(self):

@@ -593,19 +593,25 @@ def oracle_configs():
 
 
 class TestRowwiseAssembly:
-    def test_passive_stages_carry_no_l(self, monkeypatch):
+    def test_apply_stage_runs_once_for_the_amplifier(self, monkeypatch):
         stages = []
         real = machine._apply_stage
 
-        def spy(mm, ll, rows, sm, sl=None):
-            stages.append(None if sl is None else sl.shape)
-            real(mm, ll, rows, sm, sl)
+        def spy(mm, ll, rows, stage):
+            stages.append((list(rows), stage.mode_count))
+            real(mm, ll, rows, stage)
 
         monkeypatch.setattr(machine, "_apply_stage", spy)
         build_machine(CloningConfig(3, 2, 6))
-        # DFT on 3 signals, DFT on 2 conjugates, the amplifier, DFTs onto
-        # 6 clones and 5 anticlones: only the amplifier has an L.
-        assert stages == [None, None, (2, 2), None, None]
+        # The four DFT stages run as FFTs; only the amplifier, on ports
+        # 0 and N = 3, is a matrix stage.
+        assert stages == [([0, 3], 2)]
+
+    def test_wide_machine_certificates(self):
+        # Dense DFT products leave about 4.4e-14 in both here, FFTs about 1e-15.
+        transform, _ = build_machine(CloningConfig(4, 4, 512))
+        assert commutation_residual(transform) <= 1e-14
+        assert to_symplectic(transform).residual() <= 1e-14
 
     def test_matches_dense_oracle(self):
         for cfg in oracle_configs():

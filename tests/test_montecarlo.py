@@ -440,6 +440,33 @@ class TestCompareToAnalytic:
         assert summary.rows[0].z_mean_x == np.inf
         assert summary.max_abs_z == np.inf and not summary.passed
 
+    @pytest.mark.parametrize(
+        "field, index",
+        [("means", (-1, 1)), ("covariances", (1, 0, 1)), ("mean_se", (2, 0)),
+         ("var_se", (0, 1))],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_moments_rejected(self, field, index, bad):
+        _, _, emp = run(CloningConfig(1, 1, 3), 10**4, 11, 0.5j)
+        arr = getattr(emp, field).copy()
+        arr[index] = bad
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            dataclasses.replace(emp, **{field: arr})
+
+    def test_nan_in_a_row_is_its_max(self):
+        row = montecarlo.ComparisonRow(0, "clone", 1.0, np.nan, 0.0, 0.0, 0.0)
+        assert np.isnan(row.max_abs_z)
+
+    def test_nan_prediction_never_passes(self):
+        # The NaN rows are the anticlones, after the first row, where
+        # Python's max would drop them.
+        cfg = CloningConfig(1, 1, 3)
+        _, layout, emp = run(cfg, 10**4, 11, 0.5j)
+        rep = dataclasses.replace(noise_report(cfg), var_anticlone=np.nan)
+        summary = compare_to_analytic(emp, rep, layout)
+        assert np.isnan(summary.max_abs_z) and not summary.passed
+        assert summary.flagged() == sorted(layout.anticlone_slots)
+
     def test_scores_without_per_mode_states(self, monkeypatch):
         cfg = CloningConfig(2, 1, 4)
         _, layout, emp = run(cfg, 10**4, 3, 0.2j)
@@ -474,8 +501,9 @@ class TestCompareToAnalytic:
         layout, emp = exact_moments(cfg, 0.6 - 0.2j, 1e-3)
         covs = emp.covariances.copy()
         covs[2] = np.diag([bad, bad])
-        emp = dataclasses.replace(emp, covariances=covs)
+        # A NaN is refused by EmpiricalMoments, -0.5 by the scoring.
         with pytest.raises(DomainError):
+            emp = dataclasses.replace(emp, covariances=covs)
             compare_to_analytic(emp, noise_report(cfg), layout)
 
     def test_threshold_is_respected(self):
