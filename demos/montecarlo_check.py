@@ -2,10 +2,13 @@
 Monte-Carlo cross-check
 =======================
 
-Samples a machine's inputs in phase space, pushes every sample through
-the symplectic matrix, and compares the empirical moments of each output
-mode against the analytic noise report.  Agreement is scored in standard
-errors; anything beyond five would be flagged.
+Draws the empirical output moments of 200,000 phase-space samples of a
+machine's inputs pushed through its symplectic matrix, and compares
+each output mode's moments against the analytic noise report.  The
+moments come straight from their exact law (a normal mean and a
+Wishart covariance), so no sample is drawn one by one, yet every
+z-score has the law it would have if each sample were.  Agreement is
+scored in standard errors; anything beyond five would be flagged.
 """
 
 from pciclone import (

@@ -6,7 +6,7 @@ numerical searches for the optimal amplifier and input asymmetry, and a
 Monte-Carlo phase-space verifier.
 
 The ``pciclone`` logger is silent unless the application configures
-logging; :func:`simulate` logs its sampling plan at DEBUG.
+logging; :func:`simulate` logs the shape of its Wishart factor at DEBUG.
 """
 
 import logging

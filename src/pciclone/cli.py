@@ -46,7 +46,6 @@ from .montecarlo import (
     BLOCK_SIZE,
     STREAM_VERSION,
     SampleConfig,
-    _sampling_plan,
     compare_to_analytic,
     simulate,
 )
@@ -191,7 +190,6 @@ def cmd_verify(args) -> int:
     if args.format == "csv":
         _write(summary["rows"], "csv", args.out)
     else:
-        blocks, workers = _sampling_plan(args.samples)
         doc = {
             "N": config.n_inputs,
             "Nc": config.n_conj,
@@ -210,9 +208,7 @@ def cmd_verify(args) -> int:
                 "version": __version__,
                 "stream_version": STREAM_VERSION,
                 "block_size": BLOCK_SIZE,
-                "blocks": blocks,
                 "seed": args.seed,
-                "workers": workers,
             },
             "timings": {
                 "build_s": t_built - t_start,

@@ -1,43 +1,47 @@
-"""Statistical oracle: push phase-space samples through a machine.
+"""Statistical oracle: the sampled output moments of a machine.
 
-For Gaussian inputs and linear mode transforms, sampling each input
-quadrature pair from a Gaussian with the mode's mean and covariance
-(1/2)I and applying the symplectic map to every sample reproduces the
-exact output moments in expectation, so empirical moments converge to
-the analytic predictions without any method bias.
+A run of n samples stands for n independent input quadrature vectors,
+each Gaussian with the coherent inputs' means mu_in and covariance
+sigma^2 I, sigma^2 = 1/2, pushed through the machine's symplectic matrix
+S and reduced to each output mode's sample means, variances and x-p
+covariance.  The map is linear and the inputs Gaussian, so the joint law
+of those statistics is known exactly, and :func:`simulate` draws them
+from it (stream version 2) instead of drawing the samples.  With d = 2K
+quadratures, the input sample mean is mu_in + sigma g / sqrt(n) with
+g ~ N(0, I_d), and (n - 1) / sigma^2 times the input sample covariance
+is Wishart(I_d, n - 1), independent of the mean and drawn as F F^T.  For
+n - 1 >= d, F is the Bartlett factor: lower triangular, F_ii =
+sqrt(chi^2(n - 1 - i)) for i = 0, ..., d - 1, normals below it (Bartlett,
+Proc. R. Soc. Edinburgh 53, 260 (1933); Odell & Feiveson, JASA 61, 199
+(1966)).  For n - 1 < d, F is d x (n - 1) standard normals.  The output
+means are then S (mu_in + sigma g / sqrt(n)), each output variance is
+sigma^2 / (n - 1) times a squared row norm of S F, and each x-p
+covariance the same multiple of the product of the mode's two rows.
+Every statistic, and so every z-score, has exactly the law it has under
+per-sample draws, and a run costs O(d^2 min(n, d)) whatever n: the
+sampler tests the same S against the same closed forms, but no
+per-sample arithmetic runs.
 
-Sample streams are versioned and reproducible: the run is split into
-fixed-size blocks and block ``b`` draws its standard normals from a
-Philox generator keyed (seed, b).  Layout version 1 draws one
-(rows, 2K) array per block, samples along rows, mode m's x and p in
-columns 2m and 2m+1; :func:`block_normals` is its definition.  Philox
-is counter-based, so every key is an independent stream and blocks can
-be sampled concurrently: a run of several blocks samples up to two at
-once on a thread pool, each block drawn and transformed CHUNK_ROWS rows
-at a time into its one output array, and merges the block moments in
-block order with the pooled mean/covariance update, so a blockwise run
-equals a single pass over the concatenated samples up to rounding.  A
-run of one block draws and transforms it whole.
+One generator, ``np.random.default_rng(seed)``, draws g, then F: the
+Bartlett factor's chi^2 diagonal, through numpy's gamma sampler, and
+then its normals row by row, or else F's normals in row order.  The
+same arguments give the same moments under one numpy version,
+platform and BLAS build and thread count.  numpy does not promise that
+its normal and gamma samplers keep their output across versions, the
+samplers call the platform's math library, and the product S F may sum
+in a BLAS-build- and thread-dependent order.
 
-The draws are bit-reproducible on every platform.  The sampled moments
-are bit-reproducible for a fixed BLAS build and thread count, whatever
-the CPU or worker count, since the blocks merge in a fixed order.  The
-transform is a BLAS product, whose summation order can depend on the
-thread count and on the product's shape.  With OpenBLAS 0.3.31,
-(N, N', M) = (4, 4, 512), K = 1030 modes, gives different moment bits
-under 1 and 2 threads; machines of up to K = 134 modes gave the same
-bits.  A CHUNK_ROWS-row product gave the bits of the whole-block product
-on every machine of up to K = 70 modes tried, but not at K = 134, where
-the rows at the end of each chunk differ in the last place.
+Stream version 1 drew every sample: block b of BLOCK_SIZE samples took
+its standard normals from a Philox generator keyed (seed, b), one (rows,
+2K) array per block with mode m's x and p in columns 2m and 2m + 1.
+:func:`block_normals` is its definition, and the test oracle
+``tests/oracles.py::serial_simulate`` runs it.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -47,53 +51,24 @@ from .errors import DomainError, require_finite, require_integer
 from .gaussian import VACUUM_VARIANCE, _quadratures, coherent_fidelity, frozen_array
 from .machine import MachineLayout, NoiseReport
 
+# Samples per block of stream version 1.
 BLOCK_SIZE = 1 << 17
-STREAM_VERSION = 1
-# Rows drawn and transformed at a time in a run of several blocks.  With
-# OpenBLAS 0.3.31 and K = 14 modes, a product of up to 512 rows runs on
-# one BLAS thread, so the blocks sampled at once do not contend with
-# BLAS's own threads: 2^20 samples took 0.54 s in 512-row chunks, 1.24 s
-# and 1.06 s in 1024- and 4096-row chunks, and 0.83 s in whole blocks,
-# on 2 CPUs with 2 BLAS threads.
-CHUNK_ROWS = 512
-# Blocks sampled at once.  Each holds its (rows, 2K) output and one
-# chunk of draws, so two together hold about as much as one block drawn
-# whole, draws and output.
-MAX_WORKERS = 2
+STREAM_VERSION = 2
 # z-scores at or above this many standard errors are flagged.
 Z_FLAG = 5.0
 
 _log = logging.getLogger(__name__)
 
 
-def _block_generator(seed: int, block_index: int) -> np.random.Generator:
-    # The stream-version-1 key rule: block b of a run draws from Philox
-    # keyed (seed, b).
-    key = np.array([seed, block_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def block_normals(seed: int, block_index: int, rows: int, cols: int) -> np.ndarray:
     """Standard normals of block ``block_index`` under stream version 1."""
-    return _block_generator(seed, block_index).standard_normal((rows, cols))
-
-
-def _cpu_count() -> int:
-    # The CPUs this process may run on, which can be fewer than the machine's.
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _sampling_plan(sample_count: int) -> tuple[int, int]:
-    """(block count, worker count) of a run of ``sample_count`` samples."""
-    blocks = -(-sample_count // BLOCK_SIZE)
-    return blocks, min(MAX_WORKERS, _cpu_count(), blocks)
+    key = np.array([seed, block_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal((rows, cols))
 
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Sampling run parameters: integral ``sample_count`` >= 2, an
+    """Sampling run parameters: integral ``sample_count`` in [2, 2^53], an
     integral ``seed`` in [0, 2^64), and a finite amplitude ``psi``."""
 
     sample_count: int
@@ -107,6 +82,11 @@ class SampleConfig:
             raise DomainError(
                 f"sample_count must be >= 2 to estimate variances, "
                 f"got {self.sample_count}"
+            )
+        # Past 2^53, n and n - 1 are no longer exact floats.
+        if self.sample_count > 2**53:
+            raise DomainError(
+                f"sample_count must be <= 2^53, got {self.sample_count}"
             )
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must fit in 64 unsigned bits, got {self.seed}")
@@ -151,46 +131,16 @@ class EmpiricalMoments:
         return self.means.shape[0]
 
 
-def _merge_blocks(acc, block):
-    # Pooled update for (count, mean, centered square sums, centered
-    # cross sums); associative with fixed order, so blockwise equals a
-    # single pass up to rounding.
-    n1, mu1, sq1, cross1 = acc
-    n2, mu2, sq2, cross2 = block
-    n = n1 + n2
-    delta = mu2 - mu1
-    w = n1 * n2 / n
-    mu = mu1 + delta * (n2 / n)
-    sq = sq1 + sq2 + w * delta * delta
-    cross = cross1 + cross2 + w * delta[0::2] * delta[1::2]
-    return n, mu, sq, cross
-
-
-def _draw_block(seed, block_index, mu_in, sigma, s_t, y, z):
-    """Fill ``y`` with block ``block_index`` of samples pushed through the
-    map, (sigma z + mu_in) s_t, drawing the block's normals ``len(z)``
-    rows at a time into the scratch array ``z``; returns ``y``."""
-    gen = _block_generator(seed, block_index)
-    for start in range(0, len(y), len(z)):
-        chunk = z[: len(y) - start]
-        gen.standard_normal(out=chunk)
-        chunk *= sigma
-        chunk += mu_in
-        np.matmul(chunk, s_t, out=y[start : start + len(chunk)])
-    return y
-
-
-def _block_moments(*draw_args):
-    """(count, mean, centred square sums, centred x-p cross sums) of the
-    block :func:`_draw_block` writes for ``draw_args``, reduced in two
-    passes: mean first, then moments of the mean-centred samples, which
-    stay accurate for large input amplitudes."""
-    y = _draw_block(*draw_args)
-    mu = y.mean(axis=0)
-    y -= mu
-    sq = np.einsum("ij,ij->j", y, y)
-    cross = np.einsum("ij,ij->j", y[:, 0::2], y[:, 1::2])
-    return float(len(y)), mu, sq, cross
+def _wishart_factor(gen: np.random.Generator, d: int, dof: int) -> np.ndarray:
+    """A factor F of F F^T ~ Wishart(I_d, dof): the d x d Bartlett factor
+    if dof >= d, filled in place, else d x dof standard normals."""
+    if dof < d:
+        return gen.standard_normal((d, dof))
+    f = np.zeros((d, d))
+    np.fill_diagonal(f, np.sqrt(gen.chisquare(dof - np.arange(d))))
+    for i in range(1, d):
+        gen.standard_normal(out=f[i, :i])
+    return f
 
 
 def simulate(
@@ -200,18 +150,16 @@ def simulate(
 ) -> EmpiricalMoments:
     """Empirical output moments of a machine fed its coherent inputs.
 
-    Each block is generated, transformed, and reduced in two passes
-    (mean first, then moments of the mean-centered samples, which stay
-    accurate for large input amplitudes), up to MAX_WORKERS blocks at
-    once on a thread pool; blocks merge in order.  Identical arguments
-    give bit-identical results, whatever the number of CPUs.  An
-    exception raised while sampling a block reaches the caller unchanged,
-    and no later block is started.  A non-canonical transform is refused
-    by :func:`~pciclone.canonical.to_symplectic`, and an amplitude whose
-    float spacing exceeds the vacuum noise's standard deviation, or
-    degenerate sampled variances, by :class:`DomainError`.
+    The sample means, variances and x-p covariances of
+    ``config.sample_count`` phase-space samples, drawn from their exact
+    joint law as the module docstring describes.  Identical arguments give
+    identical results under one numpy version, platform and BLAS set-up.
+    A non-canonical transform is refused by
+    :func:`~pciclone.canonical.to_symplectic`, and an amplitude whose
+    float spacing exceeds the vacuum noise's standard deviation by
+    :class:`DomainError`.
     """
-    s_t = to_symplectic(transform).matrix.T
+    s = to_symplectic(transform).matrix
     if transform.mode_count != layout.total_modes:
         raise DomainError(
             f"transform has {transform.mode_count} modes, "
@@ -219,73 +167,39 @@ def simulate(
         )
     k = layout.total_modes
     mu_in = _quadratures(layout.input_amplitudes(config.psi)).reshape(-1)
-    sigma = math.sqrt(0.5)
-    # Samples spaced more coarsely than the vacuum noise cannot resolve it.
+    sigma = math.sqrt(VACUUM_VARIANCE)
+    # Input samples spaced more coarsely than the vacuum noise could not
+    # resolve it, so their moments are refused, not drawn.
     if np.spacing(np.max(np.abs(mu_in))) > sigma:
         raise DomainError(
             f"psi={config.psi} is too large for the samples to resolve the noise"
         )
 
-    blocks, workers = _sampling_plan(config.sample_count)
-    block_rows = min(BLOCK_SIZE, config.sample_count)
-    # One block is drawn and transformed whole, as one draw and one product.
-    chunk_rows = CHUNK_ROWS if blocks > 1 else block_rows
+    n = config.sample_count
+    gen = np.random.default_rng(config.seed)
+    g = gen.standard_normal(2 * k)
+    f = _wishart_factor(gen, 2 * k, n - 1)
     _log.debug(
-        "sampling %d samples of %d modes: %d blocks, %d workers, %d-row chunks",
-        config.sample_count, k, blocks, workers, chunk_rows,
+        "sampling %d samples of %d modes from a %d x %d Wishart factor",
+        n, k, *f.shape,
     )
-    # Each block in flight writes its own output and scratch arrays, made
-    # here once and reused: block b takes set b % workers, whose previous
-    # block has been merged by then.  Blocks allocated in the worker
-    # threads would be freed into per-thread malloc arenas, which made the
-    # peak RSS of a 40 s verify_deep run vary from 96 to 152 MB.
-    buffers = [
-        (np.empty((block_rows, 2 * k)), np.empty((chunk_rows, 2 * k)))
-        for _ in range(workers)
-    ]
-    acc = (0.0, np.zeros(2 * k), np.zeros(2 * k), np.zeros(k))
-    # At most ``workers`` blocks are submitted and not yet merged, so no
-    # block waits in the pool's queue and at most that many hold samples.
-    pool = ThreadPoolExecutor(workers, thread_name_prefix="pciclone-sample")
-    in_flight = deque()
-    try:
-        for block_index, start in enumerate(range(0, config.sample_count, BLOCK_SIZE)):
-            if len(in_flight) == workers:
-                acc = _merge_blocks(acc, in_flight.popleft().result())
-            y, z = buffers[block_index % workers]
-            rows = min(BLOCK_SIZE, config.sample_count - start)
-            in_flight.append(pool.submit(
-                _block_moments, config.seed, block_index, mu_in, sigma, s_t,
-                y[:rows], z,
-            ))
-        while in_flight:
-            acc = _merge_blocks(acc, in_flight.popleft().result())
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-    n, mu, sq, cross = acc
-    var = sq / (n - 1.0)
-    # Every output mode carries at least vacuum noise, so a zero,
-    # infinite or NaN sample variance means the samples did not resolve
-    # that noise next to the means (|psi| too large for float spacing).
-    if not np.all((0.0 < var) & (var < math.inf)):
-        raise DomainError(
-            f"sampled variances are degenerate at psi={config.psi}: the "
-            f"amplitude is too large for the samples to resolve the noise"
-        )
-    cov_xp = cross / (n - 1.0)
+    sf = np.matmul(s, f)
+    scale = VACUUM_VARIANCE / (n - 1)
+    var = scale * np.einsum("ij,ij->i", sf, sf)
     covariances = np.empty((k, 2, 2))
     covariances[:, 0, 0] = var[0::2]
     covariances[:, 1, 1] = var[1::2]
-    covariances[:, 0, 1] = covariances[:, 1, 0] = cov_xp
+    covariances[:, 0, 1] = covariances[:, 1, 0] = scale * np.einsum(
+        "ij,ij->i", sf[0::2], sf[1::2]
+    )
     var_pairs = var.reshape(k, 2)
     return EmpiricalMoments(
-        sample_count=config.sample_count,
+        sample_count=n,
         psi=config.psi,
-        means=mu.reshape(k, 2),
+        means=np.matmul(s, mu_in + (sigma / math.sqrt(n)) * g).reshape(k, 2),
         covariances=covariances,
         mean_se=np.sqrt(var_pairs / n),
-        var_se=var_pairs * math.sqrt(2.0 / (n - 1.0)),
+        var_se=var_pairs * math.sqrt(2.0 / (n - 1)),
     )
 
 

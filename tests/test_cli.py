@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -303,8 +302,7 @@ class TestVerify:
         assert code == 2
         assert out == ""
 
-    def test_meta_and_timings(self, capsys, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 4)
+    def test_meta_and_timings(self, capsys):
         samples = 2 * montecarlo.BLOCK_SIZE + 1
         code, out = run_cli(capsys, "verify", 1, 0, 1, samples, 5)
         assert code == 0
@@ -312,27 +310,31 @@ class TestVerify:
         assert list(doc)[-2:] == ["meta", "timings"]
         assert doc["meta"] == {
             "version": pciclone.__version__,
-            "stream_version": 1,
+            "stream_version": 2,
             "block_size": montecarlo.BLOCK_SIZE,
-            "blocks": 3,
             "seed": 5,
-            "workers": 2,
         }
         timings = doc["timings"]
         assert list(timings) == ["build_s", "certificates_s", "sampling_s", "scoring_s"]
         assert all(0.0 <= t < 60.0 for t in timings.values())
 
     def test_memory_error_in_a_block_exits_2(self, capsys, monkeypatch):
-        def exhausted(seed, block_index):
+        def exhausted(gen, d, dof):
             raise MemoryError
 
-        monkeypatch.setattr(montecarlo, "_block_generator", exhausted)
-        threads = threading.active_count()
+        monkeypatch.setattr(montecarlo, "_wishart_factor", exhausted)
         samples = 3 * montecarlo.BLOCK_SIZE
         code = main(["verify", "1", "0", "1", str(samples), "1"])
         assert code == 2
         assert capsys.readouterr() == ("", "error: out of memory\n")
-        assert threading.active_count() == threads
+
+    def test_sample_count_beyond_2_53_exit_code(self, capsys):
+        code = main(["verify", "1", "1", "2", "9007199254740993"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_csv_z_table(self, capsys):
         _, out = run_cli(capsys, "verify", 1, 1, 2, 1000, 1, "--format", "csv")
@@ -382,6 +384,11 @@ def test_out_of_memory_exit_code(argv):
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     assert_cli_import_leaves_unloaded("scipy.optimize")
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    # Sampling starts no threads; the pool's import cost about 1.8 ms.
+    assert_cli_import_leaves_unloaded("concurrent.futures")
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():

@@ -2,11 +2,11 @@ import dataclasses
 import json
 import logging
 import operator
-import threading
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy import stats
 
 from pciclone import gaussian, montecarlo
 from pciclone.canonical import (
@@ -44,6 +44,12 @@ class TestSampleConfig:
         with pytest.raises(DomainError):
             SampleConfig(100, 2**64)
 
+    @pytest.mark.parametrize("count", [2**53 + 1, 2**70])
+    def test_sample_count_capped_at_2_53(self, count):
+        assert SampleConfig(2**53, 0).sample_count == 2**53
+        with pytest.raises(DomainError, match="2\\^53"):
+            SampleConfig(count, 0)
+
     @pytest.mark.parametrize(
         "args",
         [(2.5, 0), (100.0, 0), (True, 0), (100, 1.5), (100, "7"), (100, 0.0)],
@@ -74,7 +80,6 @@ class TestBlockNormals:
     def test_stream_version_1_definition(self):
         # Block b of seed s is Philox keyed (s, b), rows of standard
         # normals; the pinned values hold the stream to every platform.
-        assert montecarlo.STREAM_VERSION == 1
         key = np.array([2**64 - 1, 3], dtype=np.uint64)
         want = np.random.Generator(np.random.Philox(key=key)).standard_normal((2, 2))
         got = block_normals(2**64 - 1, 3, 2, 2)
@@ -88,20 +93,6 @@ class TestBlockNormals:
         a = block_normals(9, 0, 64, 3)
         b = block_normals(9, 1, 64, 3)
         assert np.max(np.abs(a - b)) > 0.1
-
-    @pytest.mark.parametrize(
-        "rows, chunk_rows",
-        [(1024, 512), (1000, 512), (1000, 384), (77, 512), (1000, 1000)],
-    )
-    def test_chunked_draws_are_the_stream(self, rows, chunk_rows):
-        # Through an identity map with sigma = 1 and no shift, the block's
-        # output is its draws.
-        cols = 6
-        y, z = np.empty((rows, cols)), np.empty((chunk_rows, cols))
-        got = montecarlo._draw_block(9, 3, np.zeros(cols), 1.0, np.eye(cols), y, z)
-        assert got is y
-        np.testing.assert_array_equal(y, block_normals(9, 3, rows, cols))
-
 
 class TestSimulate:
     def test_identity_vacuum(self):
@@ -139,12 +130,14 @@ class TestSimulate:
         assert np.max(np.abs(a.means - b.means)) > 0
 
     def test_blockwise_merge_matches_single_pass(self):
-        # Reconstruct the exact sample set via the public block generator
-        # and compare the streamed moments against numpy on the full array.
+        # Reconstruct the exact sample set of stream version 1 via the
+        # public block generator and compare the oracle's merged block
+        # moments against numpy on the full array.
         cfg = CloningConfig(1, 1, 2)
         psi = 0.3 - 0.8j
         samples = BLOCK_SIZE + BLOCK_SIZE // 3  # forces an unequal final block
-        transform, layout, emp = run(cfg, samples, 77, psi)
+        transform, layout = build_machine(cfg)
+        emp = oracles.serial_simulate(transform, layout, SampleConfig(samples, 77, psi))
         s = to_symplectic(transform).matrix
         mu_in = layout.input_amplitudes(psi)
         mean_in = np.empty(2 * layout.total_modes)
@@ -176,11 +169,12 @@ class TestSimulate:
 
     def test_single_block_equals_reference_expression(self):
         # One block merged into the empty accumulator is returned as is,
-        # so the in-place affine step must reproduce the moments of
+        # so the stream-version-1 oracle must reproduce the moments of
         # (sigma z + mu) S^T bit for bit.
         cfg = CloningConfig(2, 1, 3)
         psi = -0.6 + 1.1j
-        transform, layout, emp = run(cfg, 5000, 13, psi)
+        transform, layout = build_machine(cfg)
+        emp = oracles.serial_simulate(transform, layout, SampleConfig(5000, 13, psi))
         k = layout.total_modes
         amps = layout.input_amplitudes(psi)
         mu_in = np.empty(2 * k)
@@ -199,64 +193,71 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "counts, samples",
         [
-            # 14 modes, three blocks, the last one short.
-            ((2, 2, 6), 2 * BLOCK_SIZE + 4099),
-            # 1030 modes in a single block.
-            ((4, 4, 512), 1024),
+            # d = 8 quadratures: the Bartlett factor.
+            ((1, 1, 2), 64),
+            # d = 28: n - 1 < d (normals), n - 1 = d and n - 1 > d (Bartlett).
+            ((2, 2, 6), 8),
+            ((2, 2, 6), 28),
+            ((2, 2, 6), 29),
         ],
     )
-    def test_equals_serial_oracle(self, counts, samples):
-        # Holds where BLAS gives a CHUNK_ROWS-row product the bits of the
-        # whole-block product, as OpenBLAS 0.3.31 does at 14 modes.
-        transform, layout = build_machine(CloningConfig(*counts))
-        config = SampleConfig(samples, 2024, 0.5 - 1.25j)
-        got = simulate(transform, layout, config)
-        want = oracles.serial_simulate(transform, layout, config)
-        for field in ("means", "covariances", "mean_se", "var_se"):
-            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    def test_matches_stream_1_in_law(self, counts, samples):
+        # One clone's x variance, x-p covariance and x mean over 2000 runs
+        # of each stream, on disjoint seeds, must pass a two-sample KS
+        # test, and the variance must fit v chi^2(n - 1)/(n - 1).
+        cfg = CloningConfig(*counts)
+        transform, layout = build_machine(cfg)
+        mode = layout.clone_slots[0]
+        runs = 2000
 
-    def test_worker_count_leaves_bits(self, monkeypatch):
-        transform, layout = build_machine(CloningConfig(1, 1, 2))
-        config = SampleConfig(3 * BLOCK_SIZE + 5, 8, 0.3j)
-        runs = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
-            assert montecarlo._sampling_plan(config.sample_count) == (4, cpus)
-            runs.append(simulate(transform, layout, config))
-        np.testing.assert_array_equal(runs[0].means, runs[1].means)
-        np.testing.assert_array_equal(runs[0].covariances, runs[1].covariances)
+        def statistics(route, seeds):
+            out = []
+            for seed in seeds:
+                emp = route(transform, layout, SampleConfig(samples, seed, 0.5 - 0.25j))
+                out.append(
+                    (emp.covariances[mode, 0, 0], emp.covariances[mode, 0, 1],
+                     emp.means[mode, 0])
+                )
+            return np.array(out).T
 
-    def test_sampling_plan(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)
-        assert montecarlo._sampling_plan(2) == (1, 1)
-        assert montecarlo._sampling_plan(BLOCK_SIZE) == (1, 1)
-        assert montecarlo._sampling_plan(BLOCK_SIZE + 1) == (2, 2)
-        assert montecarlo._sampling_plan(9 * BLOCK_SIZE) == (9, 2)
-        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
-        assert montecarlo._sampling_plan(9 * BLOCK_SIZE) == (9, 1)
+        v2 = statistics(simulate, range(runs))
+        v1 = statistics(oracles.serial_simulate, range(runs, 2 * runs))
+        for got, want in zip(v2, v1):
+            assert stats.ks_2samp(got, want).pvalue > 1e-3
+        dof = samples - 1
+        scaled = v2[0] * dof / noise_report(cfg).var_clone
+        assert stats.kstest(scaled, stats.chi2(dof).cdf).pvalue > 1e-3
 
-    def test_block_error_reaches_caller_and_stops_later_blocks(self, monkeypatch):
-        error = RuntimeError("block 1 failed")
-        started = []
-        real = montecarlo._block_generator
+    def test_stream_version_2_definition(self):
+        # A run draws g, then F's chi^2 diagonal, then its normals row by
+        # row, all from default_rng(seed).  The draws are pinned exactly;
+        # the moments, which also pass through BLAS products, to 1e-12.
+        assert montecarlo.STREAM_VERSION == 2
+        gen = np.random.default_rng(2**64 - 1)
+        assert gen.standard_normal(4)[0] == 0.7213364570768727
+        assert montecarlo._wishart_factor(gen, 4, 5).tolist() == [
+            [2.0641360507387065, 0.0, 0.0, 0.0],
+            [-0.09459650306552869, 2.605615103482924, 0.0, 0.0],
+            [1.2536647840795245, 0.6841898002396202, 1.2639938612658754, 0.0],
+            [-0.9660323525907308, 0.7311210350129016, -0.013779267408206727,
+             1.710015929726313],
+        ]
+        assert montecarlo._wishart_factor(gen, 4, 3).shape == (4, 3)
+        _, _, emp = run(CloningConfig(1, 1, 2), 64, 2**64 - 1, 0.5j)
+        np.testing.assert_allclose(
+            emp.means[0], [0.04779638119409085, 0.5886777870605474], rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            emp.covariances[0].ravel(),
+            [0.569616332272427, -0.04183663786231095, -0.04183663786231095,
+             0.5424262529344104],
+            rtol=1e-12,
+        )
 
-        def failing(seed, block_index):
-            started.append(block_index)
-            if block_index == 1:
-                raise error
-            return real(seed, block_index)
-
-        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(montecarlo, "_block_generator", failing)
-        transform, layout = build_machine(CloningConfig(1, 0, 1))
-        threads = threading.active_count()
-        with pytest.raises(RuntimeError) as info:
-            simulate(transform, layout, SampleConfig(8 * BLOCK_SIZE, 0))
-        assert info.value is error
-        # Blocks 0 and 1 start together; block 2 may start once block 0
-        # is merged, and nothing after block 1's error is read.
-        assert set(started) <= {0, 1, 2} and {0, 1} <= set(started)
-        assert threading.active_count() == threads
+    def test_largest_sample_count_passes(self):
+        cfg = CloningConfig(1, 1, 2)
+        _, layout, emp = run(cfg, 2**53, 3, 1 + 0.5j)
+        assert compare_to_analytic(emp, noise_report(cfg), layout).passed
 
     def test_logs_its_plan_only_when_asked(self, caplog, capsys):
         assert any(
@@ -270,7 +271,11 @@ class TestSimulate:
             run(CloningConfig(1, 0, 1), 100, 0, 0j)
         (record,) = caplog.records
         assert record.name == "pciclone.montecarlo"
-        assert "1 blocks, 1 workers, 100-row chunks" in record.getMessage()
+        # 1 signal mode in 1 of 2 modes, d = 4 quadratures, n - 1 = 99 >= d:
+        # the Bartlett factor is 4 x 4.
+        assert record.getMessage() == (
+            "sampling 100 samples of 2 modes from a 4 x 4 Wishart factor"
+        )
 
     def test_covariances_are_symmetric(self):
         _, _, emp = run(CloningConfig(2, 1, 3), 10**4, 5, 0.2 + 0.1j)
@@ -311,14 +316,6 @@ class TestSimulate:
         transform, layout = build_machine(CloningConfig(0, 1, 1))
         with pytest.raises(DomainError, match="resolve the noise"):
             simulate(transform, layout, SampleConfig(22, 0, 4.338994632913419e92j))
-
-    def test_unresolved_noise_rejected(self):
-        # At |psi| ~ 1e15 the float spacing of the means is coarser than
-        # the vacuum noise, so two samples can give a zero variance.
-        transform, layout = build_machine(CloningConfig(0, 1, 1))
-        with pytest.raises(DomainError):
-            simulate(transform, layout, SampleConfig(2, 0, 1592262918131445j))
-
 
 def exact_moments(cfg, psi, se):
     """(layout, EmpiricalMoments) holding the exact output moments of
