@@ -6,8 +6,11 @@ the commutation relations requires
 
     M L^T - L M^T = 0        and        M M^H - L L^H = I,
 
-and every such transform has an exact image as a symplectic matrix on the
-quadrature moments (see :func:`to_symplectic`).
+and every such transform has an exact image as a symplectic matrix S on the
+quadrature moments (see :func:`to_symplectic`).  Both constraints are read
+off the one product behind E = S Omega S^T - Omega: in E's 2 x 2 block
+(i, j), |M M^H - L L^H - I|_ij = hypot(Exx + Epp, Exp - Epx)/2 and
+|M L^T - L M^T|_ij = hypot(Exx - Epp, Exp + Epx)/2.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, require_finite
-from .gaussian import SymplecticMap, frozen_array, mirrored_tile_max
+from .gaussian import SymplecticMap, frozen_array
 
 # Residual above which a transform is refused as non-canonical.
 CANONICAL_TOL = 1e-8
@@ -51,33 +54,16 @@ class CanonicalTransform:
     def mode_count(self) -> int:
         return self.m_matrix.shape[0]
 
-    @cached_property
+    @property
     def commutation_residual(self) -> float:
         """Max-norm violation of the two commutation constraints; 0 when
-        exact.  Computed on first use only: the matrices are read-only.
-
-        Each constraint is read from the structure of its products.  With
-        W = M L^T, M L^T - L M^T = W - W^T.  With M = A + iB and
-        L = C + iD, M M^H - L L^H has real part A A^T + B B^T - C C^T -
-        D D^T and imaginary part V - V^T with V = B A^T - D C^T.  The real
-        part is P P^T - Q Q^T, where P and Q view M and L as K x 2K real
-        arrays (A and B, C and D interleaved); numpy evaluates each
-        such product as a symmetric rank-k update.
+        exact, NaN if M or L holds a NaN.  Read with the symplectic residual
+        off the :attr:`quadrature_image` S, the transform that is sampled:
+        in E = S Omega S^T - Omega's (i, j) block, |M M^H - L L^H - I|_ij =
+        hypot(Exx + Epp, Exp - Epx)/2 and |M L^T - L M^T|_ij =
+        hypot(Exx - Epp, Exp + Epx)/2, all from one product.
         """
-        k = self.mode_count
-        m, l = self.m_matrix, self.l_matrix
-        w = m @ l.T
-        p, q = m.view(float), l.view(float)
-        re = p @ p.T
-        re -= q @ q.T
-        re.flat[:: k + 1] -= 1.0
-        v = np.ascontiguousarray(m.imag) @ np.ascontiguousarray(m.real).T
-        v -= np.ascontiguousarray(l.imag) @ np.ascontiguousarray(l.real).T
-        sym = mirrored_tile_max(k, lambda a, b: np.max(np.abs(w[a, b] - w[b, a].T)))
-        unit = mirrored_tile_max(
-            k, lambda a, b: np.max(np.hypot(re[a, b], v[a, b] - v[b, a].T))
-        )
-        return float(np.maximum(sym, unit))  # NaN from either one stays NaN
+        return self.quadrature_image._residuals[1]
 
     @cached_property
     def quadrature_image(self) -> SymplecticMap:
@@ -125,11 +111,8 @@ def compose(
 
 
 def commutation_residual(transform: CanonicalTransform) -> float:
-    """Max-norm violation of the two commutation constraints; 0 when exact.
-
-    The value is cached on the transform, so repeated checks of the same
-    transform cost nothing after the first.
-    """
+    """The transform's :attr:`~CanonicalTransform.commutation_residual`,
+    computed once per transform: later checks cost nothing."""
     return transform.commutation_residual
 
 

@@ -11,6 +11,7 @@ All objects are immutable after construction; every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ STRUCTURAL_TOL = 1e-10
 
 VACUUM_VARIANCE = 0.5
 
-# Tile edge of mirrored_tile_max; 128 and 256 were the fastest of 64-512
+# Tile edge of _omega_residuals; 128 and 256 were the fastest of 64-512
 # for K = 1030 modes on a 2-CPU Xeon.
 _TILE = 256
 
@@ -35,19 +36,31 @@ def symplectic_form(mode_count: int) -> np.ndarray:
     return np.kron(np.eye(mode_count), block)
 
 
-def mirrored_tile_max(size: int, tile_value) -> float:
-    """Largest ``tile_value(rows, cols)`` over the square tiles on and
-    above the diagonal of a size x size matrix; NaN if any value is NaN.
-
-    For a quantity like W - W^T, whose (i, j) and (j, i) entries carry the
-    same magnitude, this reads each tile next to its mirror image, which
-    keeps the transposed reads cache-local and visits each pair once.
+def _omega_residuals(s: np.ndarray) -> tuple[float, float]:
+    """(max|E|, commutation residual) of E = S Omega S^T - Omega, as
+    :meth:`SymplecticMap.residual` states; NaN if E holds a NaN.  With
+    Omega's upper entries taken off W in place, E = W - W^T is read tile
+    by tile next to its mirror tile, so each pair is visited once and the
+    transposed reads stay cache-local.
     """
-    starts = range(0, size, _TILE)
-    return float(np.max([
-        tile_value(slice(i, i + _TILE), slice(j, j + _TILE))
+    w = np.ascontiguousarray(s[:, 0::2]) @ np.ascontiguousarray(s[:, 1::2]).T
+    diag = np.arange(0, s.shape[0], 2)
+    w[diag, diag + 1] -= 1.0
+
+    def tile(a, b):
+        e = w[a, b] - w[b, a].T
+        xx, xp, px, pp = e[0::2, 0::2], e[0::2, 1::2], e[1::2, 0::2], e[1::2, 1::2]
+        two_a, two_b = np.hypot(xx + pp, xp - px), np.hypot(xx - pp, xp + px)
+        return np.max(np.abs(e)), 0.5 * np.max(np.maximum(two_a, two_b))
+
+    # Tile edges are even, so each tile holds whole 2 x 2 mode blocks.
+    starts = range(0, s.shape[0], _TILE)
+    residual, commutation = np.max([
+        tile(slice(i, i + _TILE), slice(j, j + _TILE))
         for i in starts for j in starts if j >= i
-    ]))
+    ], axis=0)
+    # hypot(inf, nan) is inf, so a NaN in E reaches both through max|E|.
+    return float(residual), float(residual if np.isnan(residual) else commutation)
 
 
 def _quadratures(amplitudes) -> np.ndarray:
@@ -97,9 +110,11 @@ class GaussianState:
         object.__setattr__(self, "covariance", cov)
 
     def validate(self, tol: float = STRUCTURAL_TOL) -> None:
-        """Check symmetry and the uncertainty bound V + (i/2)Omega >= 0."""
+        """Check finiteness, symmetry and V + (i/2)Omega >= 0."""
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.covariance).all()):
+            raise DomainError("mean and covariance must be finite")
         asym = np.max(np.abs(self.covariance - self.covariance.T))
-        if asym > tol:
+        if not asym <= tol:
             raise DomainError(f"covariance asymmetry {asym:.3e} exceeds {tol:.1e}")
         omega = symplectic_form(self.mode_count)
         herm = self.covariance + 0.5j * omega
@@ -126,26 +141,27 @@ class SymplecticMap:
     def mode_count(self) -> int:
         return self.matrix.shape[0] // 2
 
-    def residual(self) -> float:
-        """Max-norm deviation of S Omega S^T from Omega.
+    @cached_property
+    def _residuals(self) -> tuple[float, float]:
+        return _omega_residuals(self.matrix)
 
-        With X and Y the columns of S acting on the x and p quadratures,
-        S Omega S^T = X Y^T - Y X^T: one 2K x K x 2K product, and Omega
-        is never built.  Omega's upper entries are taken off W = X Y^T
-        in place, so the deviation is W - W^T.
+    def residual(self) -> float:
+        """Max-norm deviation of S Omega S^T from Omega, computed on first
+        use with the commutation residual of the transform S encodes.
+
+        S Omega S^T = W - W^T for W = X Y^T, X and Y the columns of S
+        acting on x and p: one 2K x K x 2K product; Omega is never built.
+        For the image of b = M a + L a*, with A = M M^H - L L^H - I and
+        B = M L^T - L M^T, E = S Omega S^T - Omega holds Exx = Im(A + B),
+        Exp = Re(A - B), Epx = -Re(A + B) and Epp = Im(A - B) in its (i, j)
+        block: |A_ij| = hypot(Exx + Epp, Exp - Epx)/2 and |B_ij| =
+        hypot(Exx - Epp, Exp + Epx)/2, whose maximum is the commutation one.
         """
-        x = np.ascontiguousarray(self.matrix[:, 0::2])
-        y = np.ascontiguousarray(self.matrix[:, 1::2])
-        w = x @ y.T
-        diag = np.arange(0, 2 * self.mode_count, 2)
-        w[diag, diag + 1] -= 1.0
-        return mirrored_tile_max(
-            w.shape[0], lambda a, b: np.max(np.abs(w[a, b] - w[b, a].T))
-        )
+        return self._residuals[0]
 
     def validate(self, tol: float = STRUCTURAL_TOL) -> None:
         res = self.residual()
-        if res > tol:
+        if not res <= tol:  # a NaN residual is refused too
             raise DomainError(f"symplectic residual {res:.3e} exceeds {tol:.1e}")
 
 

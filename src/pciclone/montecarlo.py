@@ -183,16 +183,16 @@ def simulate(
         "sampling %d samples of %d modes from a %d x %d Wishart factor",
         n, k, *f.shape,
     )
-    sf = np.matmul(s, f)
-    scale = VACUUM_VARIANCE / (n - 1)
-    var = scale * np.einsum("ij,ij->i", sf, sf)
-    covariances = np.empty((k, 2, 2))
-    covariances[:, 0, 0] = var[0::2]
-    covariances[:, 1, 1] = var[1::2]
-    covariances[:, 0, 1] = covariances[:, 1, 0] = scale * np.einsum(
-        "ij,ij->i", sf[0::2], sf[1::2]
+    # S F in column halves: a Bartlett F's upper right k x k block is zero.
+    parts = (
+        (np.matmul(s, f[:, :k]), np.matmul(s[:, k:], f[k:, k:]))
+        if n - 1 >= 2 * k else (np.matmul(s, f),)
     )
-    var_pairs = var.reshape(k, 2)
+    # Mode a's 2 x 2 block sums products of its x and p rows of S F.
+    covariances = (VACUUM_VARIANCE / (n - 1)) * sum(
+        np.einsum("aik,ajk->aij", r, r) for r in (p.reshape(k, 2, -1) for p in parts)
+    )
+    var_pairs = np.diagonal(covariances, axis1=1, axis2=2)
     return EmpiricalMoments(
         sample_count=n,
         psi=config.psi,

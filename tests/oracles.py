@@ -25,7 +25,8 @@ closed form.
 
 The certificate oracles evaluate the commutation and symplectic
 residuals from their defining dense products, with the dense symplectic
-form, where the library reads them from the structure of the products.
+form, where the library reads both off one product of the symplectic
+image.
 The amplitude-gain oracle is the closed form without the library's
 power-of-two rescaling.
 

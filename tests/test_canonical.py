@@ -203,6 +203,42 @@ class TestCertificatesMatchDense:
         assert got == pytest.approx(want, abs=1e-12)
 
 
+class TestOneProductResidual:
+    # Each of the two hypot terms alone must read a violation of its own
+    # constraint at the dense oracle's value.
+    @pytest.mark.parametrize("eps", [1e-6, 1e-6j, 0.25 - 0.5j])
+    def test_antisymmetry_violation(self, eps):
+        # M L^T - L M^T = L^T - L; M M^H - L L^H - I = -L L^H is O(eps^2).
+        t = CanonicalTransform(np.eye(2), np.array([[0.0, eps], [0.0, 0.0]]))
+        want = oracles.dense_commutation_residual(t.m_matrix, t.l_matrix)
+        assert commutation_residual(t) == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert want == pytest.approx(abs(eps), rel=1e-12)
+
+    @pytest.mark.parametrize("m", [
+        (1 + 1e-6) * np.eye(2),
+        np.array([[1.0, 1e-6 + 2e-6j], [0.0, 1.0]]),
+        np.array([[1.0, 1e-6j], [0.0, 1.0]]),
+    ])
+    def test_unitarity_violation(self, m):
+        # With L = 0 only M M^H - I is violated.
+        t = CanonicalTransform(m, np.zeros((2, 2)))
+        want = oracles.dense_commutation_residual(t.m_matrix, t.l_matrix)
+        assert want > 1e-7
+        assert commutation_residual(t) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("which", ["m", "l"])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 2), (2, 1)])
+    def test_nan_anywhere_is_refused(self, which, entry):
+        transform, _ = build_machine(CloningConfig(1, 1, 2))
+        m, l = np.array(transform.m_matrix), np.array(transform.l_matrix)
+        (m if which == "m" else l)[entry] = np.nan
+        bad = CanonicalTransform(m, l)
+        assert np.isnan(commutation_residual(bad))
+        assert np.isnan(bad.quadrature_image.residual())
+        with pytest.raises(DomainError):
+            to_symplectic(bad)
+
+
 class TestHandOver:
     def test_read_only_matrices_kept(self):
         m = np.eye(3, dtype=complex)

@@ -271,6 +271,24 @@ class TestVerify:
         assert doc["Mc"] == 2
         assert doc["comparison"]["passed"] is True
 
+    def test_certificates_take_one_product(self, capsys, monkeypatch):
+        # Both residuals, to_symplectic's gate and simulate read the
+        # pair computed once from W = X Y^T.
+        calls = []
+        real = pciclone.gaussian._omega_residuals
+
+        def spy(s):
+            calls.append(s.shape)
+            return real(s)
+
+        monkeypatch.setattr(pciclone.gaussian, "_omega_residuals", spy)
+        code, out = run_cli(capsys, "verify", 2, 1, 5, 1000, 3)
+        assert code == 0
+        assert calls == [(20, 20)]
+        doc = json.loads(out)
+        assert 0.0 <= doc["commutation_residual"] <= 1e-14
+        assert 0.0 <= doc["symplectic_residual"] <= 1e-14
+
     def test_attenuation_exit_code(self, capsys):
         code, _ = run_cli(capsys, "verify", 3, 1, 2)
         assert code == 2

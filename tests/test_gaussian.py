@@ -275,6 +275,37 @@ class TestValidation:
         with pytest.raises(DomainError):
             SymplecticMap(2.0 * np.eye(2)).validate()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 3), (3, 2)])
+    def test_non_finite_map_rejected(self, bad, entry):
+        s = np.array(to_symplectic(pcia_transform(1.5)).matrix)
+        s[entry] = bad
+        with pytest.raises(DomainError):
+            SymplecticMap(s).validate()
+
+    def test_overflowed_product_reads_nan_in_both(self):
+        # A finite S whose W = X Y^T overflows: E's (0, 1) block holds
+        # Exx = inf - inf = NaN next to Exp = inf, where both hypot terms
+        # read inf, so the NaN must reach the commutation value via max|E|.
+        a = 1e200
+        s = np.array([[a, 0, 0, a], [0, 0, 0, 0], [0, a, a, 0], [0, a, 0, 0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual, commutation = gaussian._omega_residuals(s)
+        assert np.isnan(residual) and np.isnan(commutation)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["mean", "diagonal", "off-diagonal"])
+    def test_non_finite_state_rejected(self, bad, where):
+        mean, cov = np.zeros(4), 0.5 * np.eye(4)
+        if where == "mean":
+            mean[1] = bad
+        elif where == "diagonal":
+            cov[2, 2] = bad
+        else:
+            cov[0, 3] = cov[3, 0] = bad
+        with pytest.raises(DomainError):
+            GaussianState(2, mean, cov).validate()
+
     def test_residual_never_builds_omega(self, monkeypatch):
         def dense_omega(mode_count):
             raise AssertionError("residual built the dense symplectic form")

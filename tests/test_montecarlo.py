@@ -228,6 +228,24 @@ class TestSimulate:
         scaled = v2[0] * dof / noise_report(cfg).var_clone
         assert stats.kstest(scaled, stats.chi2(dof).cdf).pvalue > 1e-3
 
+    @pytest.mark.parametrize(
+        "counts, samples",
+        [((2, 2, 6), 28), ((2, 2, 6), 29), ((2, 2, 6), 5000), ((4, 4, 40), 200)],
+    )
+    def test_matches_the_full_product(self, counts, samples):
+        # The same draws through the whole S F, upper zeros included.
+        transform, layout = build_machine(CloningConfig(*counts))
+        emp = simulate(transform, layout, SampleConfig(samples, 11, 0.5j))
+        k = layout.total_modes
+        gen = np.random.default_rng(11)
+        gen.standard_normal(2 * k)
+        sf = to_symplectic(transform).matrix @ montecarlo._wishart_factor(
+            gen, 2 * k, samples - 1
+        )
+        gram = (0.5 / (samples - 1)) * sf @ sf.T
+        cov = [gram[2 * a : 2 * a + 2, 2 * a : 2 * a + 2] for a in range(k)]
+        np.testing.assert_allclose(emp.covariances, cov, rtol=0, atol=1e-14)
+
     def test_stream_version_2_definition(self):
         # A run draws g, then F's chi^2 diagonal, then its normals row by
         # row, all from default_rng(seed).  The draws are pinned exactly;
