@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, require_finite, require_integer
 from .gaussian import SymplecticMap, frozen_array
 
 # Residual above which a transform is refused as non-canonical.
@@ -138,6 +138,7 @@ def dft_transform(mode_count: int, inverse: bool = False) -> CanonicalTransform:
 
     Entries follow the unitary convention M_lk = exp(2 pi i l k / K)/sqrt(K).
     """
+    require_integer(mode_count=mode_count)
     if mode_count < 1:
         raise DomainError(f"mode_count must be >= 1, got {mode_count}")
     idx = np.arange(mode_count)

@@ -130,6 +130,9 @@ def _config_from_args(args, tol: float) -> CloningConfig:
 
 def cmd_report(args) -> int:
     tol = _resolve_tol(args, 1e-9)
+    # From 0.5 on, every float lies within tol of an integer.
+    if tol >= 0.5:
+        raise DomainError(f"count tolerance must be < 0.5, got {tol}")
     _write(noise_report(_config_from_args(args, tol)).to_dict(), args.format, args.out)
     return 0
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite, require_integer
 
 # Default tolerance of the structural matrix identities.
 STRUCTURAL_TOL = 1e-10
@@ -30,6 +30,7 @@ _TILE = 256
 
 def symplectic_form(mode_count: int) -> np.ndarray:
     """Block-diagonal symplectic form Omega = diag([[0, 1], [-1, 0]], ...)."""
+    require_integer(mode_count=mode_count)
     if mode_count < 1:
         raise DomainError(f"mode_count must be >= 1, got {mode_count}")
     block = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -97,6 +98,7 @@ class GaussianState:
     covariance: np.ndarray
 
     def __post_init__(self):
+        require_integer(mode_count=self.mode_count)
         if self.mode_count < 1:
             raise DomainError(f"mode_count must be >= 1, got {self.mode_count}")
         mean = frozen_array(np.asarray(self.mean).reshape(-1), float)
@@ -167,6 +169,7 @@ class SymplecticMap:
 
 def vacuum_state(mode_count: int) -> GaussianState:
     """K-mode vacuum: zero mean, covariance (1/2) * identity."""
+    require_integer(mode_count=mode_count)
     if mode_count < 1:
         raise DomainError(f"mode_count must be >= 1, got {mode_count}")
     dim = 2 * mode_count
@@ -182,6 +185,7 @@ def coherent_state(amplitudes: Sequence[complex]) -> GaussianState:
     amps = np.asarray(list(amplitudes), dtype=complex)
     if amps.size == 0:
         raise DomainError("amplitude list must be non-empty")
+    require_finite(**{f"amplitudes[{j}]": a for j, a in enumerate(amps.tolist())})
     mean = _quadratures(amps).reshape(-1)
     return GaussianState(amps.size, mean, VACUUM_VARIANCE * np.eye(2 * amps.size))
 
@@ -204,6 +208,7 @@ def marginal(state: GaussianState, modes: Sequence[int]) -> GaussianState:
     if len(set(modes)) != len(modes):
         raise DomainError(f"repeated mode index in {modes}")
     for m in modes:
+        require_integer(mode=m)
         if not 0 <= m < state.mode_count:
             raise DomainError(f"mode index {m} out of range [0, {state.mode_count})")
     idx = np.array([[2 * m, 2 * m + 1] for m in modes]).reshape(-1)
@@ -214,6 +219,7 @@ def marginal(state: GaussianState, modes: Sequence[int]) -> GaussianState:
 
 def quadrature_variance(state: GaussianState, mode: int) -> tuple[float, float]:
     """(Var x, Var p) of one mode."""
+    require_integer(mode=mode)
     if not 0 <= mode < state.mode_count:
         raise DomainError(f"mode index {mode} out of range [0, {state.mode_count})")
     i = 2 * mode
@@ -248,5 +254,6 @@ def fidelity_with_coherent(
     state: GaussianState, mode: int, target: complex
 ) -> float:
     """:func:`coherent_fidelity` of one mode's reduced state."""
+    require_finite(target=target)
     sub = marginal(state, [mode])
     return float(coherent_fidelity(sub.mean, sub.covariance, target))

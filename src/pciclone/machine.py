@@ -105,6 +105,7 @@ class MachineLayout:
     def input_amplitudes(self, psi: complex) -> np.ndarray:
         """Complex amplitude vector: psi on signal slots, conj(psi) on
         conjugate slots, 0 on vacuum slots."""
+        require_finite(psi=psi)
         amps = np.zeros(self.total_modes, dtype=complex)
         amps[list(self.signal_slots)] = psi
         amps[list(self.conjugate_slots)] = np.conj(psi)
@@ -310,6 +311,7 @@ def p_function_density(n_th: float, xi: complex, psi: complex) -> float:
     Normalized so that the integral over the complex plane is 1; the
     n_th -> 0 limit is a Dirac delta and must be handled by the caller.
     """
+    require_finite(n_th=n_th, xi=xi, psi=psi)
     if n_th <= 0:
         raise DomainError(f"thermal photon number must be > 0, got {n_th}")
     return math.exp(-abs(xi - psi) ** 2 / n_th) / (math.pi * n_th)

@@ -6,30 +6,28 @@ sigma^2 I, sigma^2 = 1/2, pushed through the machine's symplectic matrix
 S and reduced to each output mode's sample means, variances and x-p
 covariance.  The map is linear and the inputs Gaussian, so the joint law
 of those statistics is known exactly, and :func:`simulate` draws them
-from it (stream version 2) instead of drawing the samples.  With d = 2K
+from it (stream version 3) instead of drawing the samples.  With d = 2K
 quadratures, the input sample mean is mu_in + sigma g / sqrt(n) with
 g ~ N(0, I_d), and (n - 1) / sigma^2 times the input sample covariance
-is Wishart(I_d, n - 1), independent of the mean and drawn as F F^T.  For
-n - 1 >= d, F is the Bartlett factor: lower triangular, F_ii =
-sqrt(chi^2(n - 1 - i)) for i = 0, ..., d - 1, normals below it (Bartlett,
-Proc. R. Soc. Edinburgh 53, 260 (1933); Odell & Feiveson, JASA 61, 199
-(1966)).  For n - 1 < d, F is d x (n - 1) standard normals.  The output
-means are then S (mu_in + sigma g / sqrt(n)), each output variance is
-sigma^2 / (n - 1) times a squared row norm of S F, and each x-p
-covariance the same multiple of the product of the mode's two rows.
+is Wishart(I_d, n - 1), independent of the mean and drawn as F F^T for
+every n with one factor: F is d x r, r = min(d, n - 1), lower
+trapezoidal, F_ii = sqrt(chi^2(n - 1 - i)), normals below the diagonal
+(Bartlett; Uhlig for n - 1 < d; see :func:`_wishart_factor`).  The
+output means are then S (mu_in + sigma g / sqrt(n)), each output
+variance is sigma^2 / (n - 1) times a squared row norm of S F, and each
+x-p covariance the same multiple of the product of the mode's two rows.
 Every statistic, and so every z-score, has exactly the law it has under
 per-sample draws, and a run costs O(d^2 min(n, d)) whatever n: the
 sampler tests the same S against the same closed forms, but no
 per-sample arithmetic runs.
 
-One generator, ``np.random.default_rng(seed)``, draws g, then F: the
-Bartlett factor's chi^2 diagonal, through numpy's gamma sampler, and
-then its normals row by row, or else F's normals in row order.  The
-same arguments give the same moments under one numpy version,
-platform and BLAS build and thread count.  numpy does not promise that
-its normal and gamma samplers keep their output across versions, the
-samplers call the platform's math library, and the product S F may sum
-in a BLAS-build- and thread-dependent order.
+One generator, ``np.random.default_rng(seed)``, draws g, then F's chi^2
+diagonal (numpy's gamma sampler), then its normals row by row; for
+n - 1 >= d these are stream version 2's draws.  The same arguments give
+the same moments under one numpy version, platform and BLAS build and
+thread count: numpy does not promise that its samplers keep their
+output across versions, they call the platform's math library, and the
+product S F may sum in a BLAS-build- and thread-dependent order.
 
 Stream version 1 drew every sample: block b of BLOCK_SIZE samples took
 its standard normals from a Philox generator keyed (seed, b), one (rows,
@@ -53,7 +51,7 @@ from .machine import MachineLayout, NoiseReport
 
 # Samples per block of stream version 1.
 BLOCK_SIZE = 1 << 17
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 # z-scores at or above this many standard errors are flagged.
 Z_FLAG = 5.0
 
@@ -132,14 +130,20 @@ class EmpiricalMoments:
 
 
 def _wishart_factor(gen: np.random.Generator, d: int, dof: int) -> np.ndarray:
-    """A factor F of F F^T ~ Wishart(I_d, dof): the d x d Bartlett factor
-    if dof >= d, filled in place, else d x dof standard normals."""
-    if dof < d:
-        return gen.standard_normal((d, dof))
-    f = np.zeros((d, d))
-    np.fill_diagonal(f, np.sqrt(gen.chisquare(dof - np.arange(d))))
+    """The d x r factor F of F F^T ~ Wishart(I_d, dof), r = min(d, dof),
+    filled in place: F_ii = sqrt(chi^2(dof - i)), normals below the
+    diagonal, zeros above it (Bartlett, Proc. R. Soc. Edinburgh 53, 260
+    (1933); Odell & Feiveson, JASA 61, 199 (1966)).  One law serves every
+    dof (Uhlig, Ann. Statist. 22, 395 (1994)): LQ-factor the first r rows of
+    G ~ N(0, 1)^{d x dof} as T Q.  T is the Bartlett factor, and for dof < d
+    the other rows G_2 Q^T are normals, Q being orthogonal and independent
+    of G_2, so F F^T has the law of G G^T.
+    """
+    r = min(d, dof)
+    f = np.zeros((d, r))
+    np.fill_diagonal(f, np.sqrt(gen.chisquare(dof - np.arange(r))))
     for i in range(1, d):
-        gen.standard_normal(out=f[i, :i])
+        gen.standard_normal(out=f[i, : min(i, r)])
     return f
 
 
@@ -152,12 +156,10 @@ def simulate(
 
     The sample means, variances and x-p covariances of
     ``config.sample_count`` phase-space samples, drawn from their exact
-    joint law as the module docstring describes.  Identical arguments give
-    identical results under one numpy version, platform and BLAS set-up.
-    A non-canonical transform is refused by
-    :func:`~pciclone.canonical.to_symplectic`, and an amplitude whose
-    float spacing exceeds the vacuum noise's standard deviation by
-    :class:`DomainError`.
+    joint law as the module docstring describes.  A non-canonical
+    transform is refused by :func:`~pciclone.canonical.to_symplectic`, and
+    an amplitude whose float spacing exceeds the vacuum noise's standard
+    deviation by :class:`DomainError`.
     """
     s = to_symplectic(transform).matrix
     if transform.mode_count != layout.total_modes:
@@ -179,16 +181,13 @@ def simulate(
     gen = np.random.default_rng(config.seed)
     g = gen.standard_normal(2 * k)
     f = _wishart_factor(gen, 2 * k, n - 1)
-    _log.debug(
-        "sampling %d samples of %d modes from a %d x %d Wishart factor",
-        n, k, *f.shape,
-    )
-    # S F in column halves: a Bartlett F's upper right k x k block is zero.
-    parts = (
-        (np.matmul(s, f[:, :k]), np.matmul(s[:, k:], f[k:, k:]))
-        if n - 1 >= 2 * k else (np.matmul(s, f),)
-    )
-    # Mode a's 2 x 2 block sums products of its x and p rows of S F.
+    _log.debug("sampling %d samples of %d modes from a %d x %d Wishart factor",
+               n, k, *f.shape)
+    # S F in column halves split at h = r // 2, the fewest flops: F's upper
+    # right h x (r - h) block is zero.  Mode a's 2 x 2 block sums products
+    # of its x and p rows of S F.
+    h = f.shape[1] // 2
+    parts = (np.matmul(s, f[:, :h]), np.matmul(s[:, h:], f[h:, h:]))
     covariances = (VACUUM_VARIANCE / (n - 1)) * sum(
         np.einsum("aik,ajk->aij", r, r) for r in (p.reshape(k, 2, -1) for p in parts)
     )

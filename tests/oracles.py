@@ -37,7 +37,7 @@ where the library scores all modes as whole arrays.
 The sampling oracle is stream version 1: it draws every sample, block
 by block with :func:`block_normals`, pushes each block through S by one
 product and merges the block moments in order, where the library draws
-the moments themselves from their exact law (stream version 2).  The
+the moments themselves from their exact law (stream version 3).  The
 two agree in law, not in bits.
 
 The added-noise oracle evaluates n_th = (G - 1)/M and (G - 1)/M' in

@@ -81,6 +81,19 @@ class TestReport:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("via_env", [False, True])
+    @pytest.mark.parametrize("tol, want", [("0.45", 0), ("0.5", 2), ("0.75", 2)])
+    def test_count_tolerance_below_a_half(self, capsys, monkeypatch, via_env, tol, want):
+        # From 0.5 on every float rounds within tol, so 1.4 would pass as 1.
+        argv = ("report", 1.4, 1, 2)
+        if via_env:
+            monkeypatch.setenv("PCICLONE_TOL", tol)
+        else:
+            argv += ("--tol", tol)
+        code, out = run_cli(capsys, *argv)
+        assert code == want
+        assert (out == "") == (want == 2)
+
 
 class TestSweep:
     def test_header_and_feasible_rows(self, capsys):
@@ -328,7 +341,7 @@ class TestVerify:
         assert list(doc)[-2:] == ["meta", "timings"]
         assert doc["meta"] == {
             "version": pciclone.__version__,
-            "stream_version": 2,
+            "stream_version": 3,
             "block_size": montecarlo.BLOCK_SIZE,
             "seed": 5,
         }

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pciclone import gaussian
-from pciclone.canonical import pcia_transform, to_symplectic
+from pciclone.canonical import dft_transform, pcia_transform, to_symplectic
 from pciclone.errors import DomainError
 from pciclone.gaussian import (
     GaussianState,
@@ -18,11 +18,45 @@ from pciclone.gaussian import (
     symplectic_form,
     vacuum_state,
 )
+from pciclone.machine import CloningConfig, build_machine, p_function_density
 from pciclone.montecarlo import EmpiricalMoments
 
 amplitudes = st.complex_numbers(
     max_magnitude=10.0, allow_nan=False, allow_infinity=False
 )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: quadrature_variance(vacuum_state(2), 1.0),
+        lambda: quadrature_variance(vacuum_state(2), True),
+        lambda: marginal(vacuum_state(2), [1.0]),
+        lambda: fidelity_with_coherent(vacuum_state(2), 1.0, 0),
+        lambda: fidelity_with_coherent(vacuum_state(2), 1, complex("nan")),
+        lambda: symplectic_form(2.0),
+        lambda: vacuum_state(2.5),
+        lambda: dft_transform(2.5),
+        lambda: dft_transform(True),
+        lambda: GaussianState(2.0, np.zeros(4), 0.5 * np.eye(4)),
+        lambda: coherent_state([np.nan]),
+        lambda: coherent_state([1.0, complex(0, np.inf)]),
+        lambda: build_machine(CloningConfig(1, 1, 2))[1].input_state(np.nan),
+        lambda: p_function_density(np.nan, 0, 0),
+        lambda: p_function_density(np.inf, 0, 0),
+        lambda: p_function_density(1.0, complex("nan"), 0),
+    ],
+    ids=[
+        "variance-float-mode", "variance-bool-mode", "marginal-float-mode",
+        "fidelity-float-mode", "fidelity-nan-target", "omega-float-count",
+        "vacuum-float-count", "dft-float-count", "dft-bool-count",
+        "state-float-count", "coherent-nan", "coherent-inf", "input-state-nan",
+        "p-density-nan", "p-density-inf", "p-density-nan-xi",
+    ],
+)
+def test_non_integral_or_non_finite_arguments_refused(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_symplectic_form_structure():

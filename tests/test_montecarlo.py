@@ -230,7 +230,15 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "counts, samples",
-        [((2, 2, 6), 28), ((2, 2, 6), 29), ((2, 2, 6), 5000), ((4, 4, 40), 200)],
+        [
+            ((2, 2, 6), 28),
+            ((2, 2, 6), 29),
+            ((2, 2, 6), 5000),
+            ((4, 4, 40), 200),
+            # n - 1 < d = 28: the trapezoidal factor, down to one column.
+            ((2, 2, 6), 8),
+            ((2, 2, 6), 2),
+        ],
     )
     def test_matches_the_full_product(self, counts, samples):
         # The same draws through the whole S F, upper zeros included.
@@ -246,11 +254,13 @@ class TestSimulate:
         cov = [gram[2 * a : 2 * a + 2, 2 * a : 2 * a + 2] for a in range(k)]
         np.testing.assert_allclose(emp.covariances, cov, rtol=0, atol=1e-14)
 
-    def test_stream_version_2_definition(self):
+    def test_stream_version_3_definition(self):
         # A run draws g, then F's chi^2 diagonal, then its normals row by
         # row, all from default_rng(seed).  The draws are pinned exactly;
         # the moments, which also pass through BLAS products, to 1e-12.
-        assert montecarlo.STREAM_VERSION == 2
+        # The 4 x 4 values are stream version 2's: v3 draws as v2 did for
+        # n - 1 >= d.
+        assert montecarlo.STREAM_VERSION == 3
         gen = np.random.default_rng(2**64 - 1)
         assert gen.standard_normal(4)[0] == 0.7213364570768727
         assert montecarlo._wishart_factor(gen, 4, 5).tolist() == [
@@ -260,7 +270,13 @@ class TestSimulate:
             [-0.9660323525907308, 0.7311210350129016, -0.013779267408206727,
              1.710015929726313],
         ]
-        assert montecarlo._wishart_factor(gen, 4, 3).shape == (4, 3)
+        # dof = 3 < d = 4: a 4 x 3 trapezoid, zero above the diagonal only.
+        assert montecarlo._wishart_factor(gen, 4, 3).tolist() == [
+            [1.5246612470388643, 0.0, 0.0],
+            [-0.32018285515557876, 1.3507958664789792, 0.0],
+            [-0.23469822790137987, 0.061965466718244044, 0.09365075000135907],
+            [0.38644051036869487, -0.3086178209353126, -0.6593333036010385],
+        ]
         _, _, emp = run(CloningConfig(1, 1, 2), 64, 2**64 - 1, 0.5j)
         np.testing.assert_allclose(
             emp.means[0], [0.04779638119409085, 0.5886777870605474], rtol=1e-12
