@@ -32,9 +32,8 @@ print(f"(2,1) -> 3 clones + 2 anticlones, {samples.sample_count} samples, "
 print(f"{'mode':>4} {'role':>10} {'z mean x':>9} {'z mean p':>9} "
       f"{'z var x':>9} {'z var p':>9} {'z fid':>9}")
 for row in summary.rows:
-    print(f"{row.mode:>4} {row.role:>10} {row.z_mean_x:>9.2f} "
-          f"{row.z_mean_p:>9.2f} {row.z_var_x:>9.2f} {row.z_var_p:>9.2f} "
-          f"{row.z_fidelity:>9.2f}")
+    mode, role, *z = row.values()
+    print(f"{mode:>4} {role:>10} " + " ".join(f"{v:>9.2f}" for v in z))
 print(f"\nlargest |z| = {summary.max_abs_z:.2f}, "
       f"{'consistent' if summary.passed else 'INCONSISTENT'} "
       f"at the {summary.threshold:.0f} sigma level")

@@ -8,9 +8,8 @@ the commutation relations requires
 
 and every such transform has an exact image as a symplectic matrix S on the
 quadrature moments (see :func:`to_symplectic`).  Both constraints are read
-off the one product behind E = S Omega S^T - Omega: in E's 2 x 2 block
-(i, j), |M M^H - L L^H - I|_ij = hypot(Exx + Epp, Exp - Epx)/2 and
-|M L^T - L M^T|_ij = hypot(Exx - Epp, Exp + Epx)/2.
+off the 2 x 2 blocks of E = S Omega S^T - Omega, by the identity that
+:meth:`~pciclone.gaussian.SymplecticMap.residual` states.
 """
 
 from __future__ import annotations
@@ -58,10 +57,8 @@ class CanonicalTransform:
     def commutation_residual(self) -> float:
         """Max-norm violation of the two commutation constraints; 0 when
         exact, NaN if M or L holds a NaN.  Read with the symplectic residual
-        off the :attr:`quadrature_image` S, the transform that is sampled:
-        in E = S Omega S^T - Omega's (i, j) block, |M M^H - L L^H - I|_ij =
-        hypot(Exx + Epp, Exp - Epx)/2 and |M L^T - L M^T|_ij =
-        hypot(Exx - Epp, Exp + Epx)/2, all from one product.
+        off the :attr:`quadrature_image` S, the transform that is sampled,
+        as :meth:`~pciclone.gaussian.SymplecticMap.residual` states.
         """
         return self.quadrature_image._residuals[1]
 

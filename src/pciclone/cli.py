@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .canonical import commutation_residual, to_symplectic
-from .errors import ConvergenceError, DomainError, require_finite
+from .errors import ConvergenceError, DomainError, _require_tolerance, require_finite
 from .machine import (
     CloningConfig,
     _split_gain_noise,
@@ -80,8 +80,7 @@ def _resolve_tol(args, fallback: float) -> float:
             tol = float(env)
         except ValueError:
             raise DomainError(f"PCICLONE_TOL={env!r} is not a number") from None
-    if not 0.0 <= tol < math.inf:
-        raise DomainError(f"tolerance must be finite and >= 0, got {tol}")
+    _require_tolerance(tol)
     return tol
 
 

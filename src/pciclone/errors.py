@@ -26,6 +26,13 @@ def require_finite(**values: complex) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
+def _require_tolerance(tol: float) -> None:
+    """Raise :class:`DomainError` unless ``tol`` is finite and >= 0."""
+    require_finite(tol=tol)
+    if tol < 0:
+        raise DomainError(f"tol must be >= 0, got {tol}")
+
+
 def require_integer(**values: int) -> None:
     """Raise :class:`DomainError` naming the first value that is not an
     integer; bools and floats, even integral ones, are refused."""

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, require_finite, require_integer
+from .errors import DomainError, _require_tolerance, require_finite, require_integer
 
 # Default tolerance of the structural matrix identities.
 STRUCTURAL_TOL = 1e-10
@@ -37,6 +37,8 @@ def symplectic_form(mode_count: int) -> np.ndarray:
     return np.kron(np.eye(mode_count), block)
 
 
+# A non-finite S gives NaN quietly: that NaN is the refusal.
+@np.errstate(invalid="ignore")
 def _omega_residuals(s: np.ndarray) -> tuple[float, float]:
     """(max|E|, commutation residual) of E = S Omega S^T - Omega, as
     :meth:`SymplecticMap.residual` states; NaN if E holds a NaN.  With
@@ -113,6 +115,7 @@ class GaussianState:
 
     def validate(self, tol: float = STRUCTURAL_TOL) -> None:
         """Check finiteness, symmetry and V + (i/2)Omega >= 0."""
+        _require_tolerance(tol)
         if not (np.isfinite(self.mean).all() and np.isfinite(self.covariance).all()):
             raise DomainError("mean and covariance must be finite")
         asym = np.max(np.abs(self.covariance - self.covariance.T))
@@ -162,6 +165,7 @@ class SymplecticMap:
         return self._residuals[0]
 
     def validate(self, tol: float = STRUCTURAL_TOL) -> None:
+        _require_tolerance(tol)
         res = self.residual()
         if not res <= tol:  # a NaN residual is refused too
             raise DomainError(f"symplectic residual {res:.3e} exceeds {tol:.1e}")

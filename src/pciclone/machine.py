@@ -238,6 +238,7 @@ def attenuates(n: float, m: float, a: float) -> bool:
     A slack of a few ulps keeps the boundary a = 1 - M/n itself, which
     is not exactly representable, in the amplification regime.
     """
+    require_finite(n=n, m=m, a=a)
     return (1.0 - a) * n - m > 1e-9 * max(m, n)
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,43 +202,52 @@ def simulate(
     )
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """z-scores of one output mode against its analytic prediction."""
-
-    mode: int
-    role: str
-    z_mean_x: float
-    z_mean_p: float
-    z_var_x: float
-    z_var_p: float
-    z_fidelity: float
-
-    @property
-    def max_abs_z(self) -> float:
-        """Largest |z| of the row; NaN if any z is NaN."""
-        return float(np.max(np.abs([
-            self.z_mean_x, self.z_mean_p, self.z_var_x, self.z_var_p, self.z_fidelity,
-        ])))
+_Z_COLUMNS = ("z_mean_x", "z_mean_p", "z_var_x", "z_var_p", "z_fidelity")
 
 
 @dataclass(frozen=True)
 class ComparisonSummary:
-    """All per-mode z-scores plus the overall verdict."""
+    """Per-mode z-scores against the analytic predictions, and the verdict.
 
-    rows: tuple[ComparisonRow, ...]
-    threshold: float
-    max_abs_z: float
-    passed: bool
+    Row j of the read-only (K, 5) table ``z`` holds mode j's z_mean_x,
+    z_mean_p, z_var_x, z_var_p and z_fidelity, and ``roles[j]`` its role.
+    Any |z| above the finite, positive ``threshold``, or a NaN z, fails.
+    """
+
+    roles: tuple[str, ...]
+    z: np.ndarray
+    threshold: float = Z_FLAG
+
+    def __post_init__(self):
+        object.__setattr__(self, "z", frozen_array(self.z, float))
+        require_finite(threshold=self.threshold)
+        if not self.threshold > 0:
+            raise DomainError(f"threshold must be > 0, got {self.threshold}")
+
+    @property
+    def max_abs_z(self) -> float:
+        # np.max, unlike max, keeps a NaN wherever it stands, so a NaN fails.
+        return float(np.max(np.abs(self.z)))
+
+    @property
+    def passed(self) -> bool:
+        return self.max_abs_z <= self.threshold
 
     def flagged(self) -> list[int]:
         """Modes with a |z| above the threshold or a NaN z."""
-        return [row.mode for row in self.rows if not row.max_abs_z <= self.threshold]
+        row_max = np.max(np.abs(self.z), axis=1)
+        return np.flatnonzero(~(row_max <= self.threshold)).tolist()
+
+    @property
+    def rows(self) -> list[dict]:
+        return [
+            {"mode": mode, "role": role, **dict(zip(_Z_COLUMNS, z))}
+            for mode, (role, z) in enumerate(zip(self.roles, self.z.tolist()))
+        ]
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["rows"] = list(doc["rows"])
-        return doc
+        return {"rows": self.rows, "threshold": self.threshold,
+                "max_abs_z": self.max_abs_z, "passed": self.passed}
 
 
 def _z(diff: np.ndarray, se: np.ndarray) -> np.ndarray:
@@ -312,24 +321,13 @@ def compare_to_analytic(
         _z(var - var_pred[:, None], emp.var_se),
         _z(f_emp - f_pred, se_f),
     ))
-    rows = tuple(
-        ComparisonRow(mode, roles[mode], *z) for mode, z in enumerate(table.tolist())
-    )
-    # np.max, unlike max, keeps a NaN wherever it stands, so a NaN fails.
-    max_abs_z = float(np.max(np.abs(table)))
-    return ComparisonSummary(
-        rows=rows,
-        threshold=threshold,
-        max_abs_z=max_abs_z,
-        passed=max_abs_z <= threshold,
-    )
+    return ComparisonSummary(tuple(roles.tolist()), table, threshold)
 
 
 __all__ = [
     "BLOCK_SIZE",
     "STREAM_VERSION",
     "Z_FLAG",
-    "ComparisonRow",
     "ComparisonSummary",
     "EmpiricalMoments",
     "SampleConfig",

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .canonical import CanonicalTransform, commutation_residual
-from .errors import ConvergenceError, DomainError, require_finite
+from .errors import ConvergenceError, DomainError, _require_tolerance, require_finite
 from .machine import _split_gain_noise
 
 
@@ -206,14 +206,15 @@ def solve_amplifier(
     such as the benchmark's design-scan workload, pass it.
 
     Raises :class:`ConvergenceError` when the certificate fails, i.e.
-    the constraint residual, -min_curvature or the stationarity residual
-    relative to the objective gradient exceeds ``tol``, and
-    :class:`DomainError` for non-finite input, outside |gamma| >= |alpha|,
-    when beta = 0 (the scaling gauge needs a conjugate-port coupling) or
-    when |gamma/beta| > 1e150, where the search's quadratic terms would
-    overflow.
+    -min_curvature, the constraint residual over its largest squared term
+    or the stationarity residual over the largest objective-gradient
+    entry (each scale at least 1) exceeds ``tol``, and :class:`DomainError`
+    for non-finite input, ``tol`` < 0, outside |gamma| >= |alpha|, when
+    beta = 0 (the scaling gauge needs a conjugate-port coupling) or when
+    |gamma/beta| > 1e150, where the search's quadratic terms would overflow.
     """
-    require_finite(alpha=alpha, beta=beta, gamma=gamma, tol=tol)
+    _require_tolerance(tol)
+    require_finite(alpha=alpha, beta=beta, gamma=gamma)
     a, b, c = abs(alpha), abs(beta), abs(gamma)
     if b == 0.0:
         raise DomainError("beta = 0 cannot be scaled to the beta = 1 gauge")
@@ -282,13 +283,17 @@ def solve_amplifier(
     grad, obj_grad = problem.constraint_grad(x), problem.objective_grad(x)
     lam = -float(obj_grad @ grad) / float(grad @ grad)
 
+    m11, m12, m13, l11, l12, l13 = problem.coefficients(x)
     constraint_residual = abs(problem.constraint(x))
+    # Residuals are judged as ratios, which cannot overflow, to the terms
+    # that make them; the constraint's grow like (gamma/beta)^2.
+    terms = (m11**2, l12**2, abs(1.0 - problem.alpha**2) * l11**2, m13**2, l13**2)
     min_curvature = float(np.min(curvature(lam)))
     stationarity = np.max(np.abs(obj_grad + lam * grad))
     if not (
-        constraint_residual <= tol
+        constraint_residual / max(1.0, *terms) <= tol
         and min_curvature >= -tol
-        and stationarity <= tol * max(1.0, np.max(np.abs(obj_grad)))
+        and stationarity / max(1.0, np.max(np.abs(obj_grad))) <= tol
     ):
         raise ConvergenceError(
             f"no certified amplifier for (alpha, beta, gamma)="
@@ -297,7 +302,6 @@ def solve_amplifier(
             f"stationarity residual {stationarity:.3g}"
         )
 
-    m11, m12, m13, l11, l12, l13 = problem.coefficients(x)
     return SearchResult(
         alpha=a,
         beta=b,

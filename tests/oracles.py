@@ -65,7 +65,6 @@ from pciclone.gaussian import GaussianState, fidelity_with_coherent, symplectic_
 from pciclone.machine import _machine_layout, asymmetry_gain, gain_from_counts
 from pciclone.montecarlo import (
     BLOCK_SIZE,
-    ComparisonRow,
     ComparisonSummary,
     EmpiricalMoments,
     block_normals,
@@ -245,7 +244,7 @@ def per_mode_compare(emp, report, layout, threshold=5.0):
     for mode in layout.residual_slots:
         expectations[mode] = ("residual", 0j, 0.5, 1.0)
 
-    rows = []
+    roles, z_rows = [], []
     for mode in sorted(expectations):
         role, amp, var_pred, f_pred = expectations[mode]
         mean_pred = (sqrt2 * amp.real, sqrt2 * amp.imag)
@@ -262,24 +261,15 @@ def per_mode_compare(emp, report, layout, threshold=5.0):
         se_n_th = 0.5 * math.hypot(se_vx, se_vp)
         se_f = se_n_th / (1.0 + n_th_emp) ** 2
 
-        rows.append(
-            ComparisonRow(
-                mode=mode,
-                role=role,
-                z_mean_x=_scalar_z(mx - mean_pred[0], se_mx),
-                z_mean_p=_scalar_z(mp - mean_pred[1], se_mp),
-                z_var_x=_scalar_z(vx - var_pred, se_vx),
-                z_var_p=_scalar_z(vp - var_pred, se_vp),
-                z_fidelity=_scalar_z(f_emp - f_pred, se_f),
-            )
-        )
-    max_abs_z = float(max(row.max_abs_z for row in rows))
-    return ComparisonSummary(
-        rows=tuple(rows),
-        threshold=threshold,
-        max_abs_z=max_abs_z,
-        passed=max_abs_z <= threshold,
-    )
+        roles.append(role)
+        z_rows.append([
+            _scalar_z(mx - mean_pred[0], se_mx),
+            _scalar_z(mp - mean_pred[1], se_mp),
+            _scalar_z(vx - var_pred, se_vx),
+            _scalar_z(vp - var_pred, se_vp),
+            _scalar_z(f_emp - f_pred, se_f),
+        ])
+    return ComparisonSummary(tuple(roles), np.array(z_rows), threshold)
 
 
 def exact_added_noise(n, nc, m):

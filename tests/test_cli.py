@@ -373,6 +373,25 @@ class TestVerify:
         assert lines[0] == "mode,role,z_mean_x,z_mean_p,z_var_x,z_var_p,z_fidelity"
         assert len(lines) == 5  # four modes
 
+    def test_comparison_keys_and_csv_rows(self, capsys):
+        # JSON and CSV carry the same z table: the CSV fields are the JSON
+        # keys in order, and its 17-digit floats round-trip exactly.
+        argv = ("verify", 2, 1, 3, 5000, 4)
+        _, out = run_cli(capsys, *argv)
+        comparison = json.loads(out)["comparison"]
+        assert list(comparison) == ["rows", "threshold", "max_abs_z", "passed"]
+        want = comparison["rows"]
+        columns = ["mode", "role", "z_mean_x", "z_mean_p", "z_var_x", "z_var_p",
+                   "z_fidelity"]
+        assert [list(row) for row in want] == [columns] * 6
+        _, out = run_cli(capsys, *argv, "--format", "csv")
+        got = list(csv.DictReader(io.StringIO(out)))
+        assert [list(row) for row in got] == [columns] * 6
+        for got_row, want_row in zip(got, want):
+            assert int(got_row.pop("mode")) == want_row.pop("mode")
+            assert got_row.pop("role") == want_row.pop("role")
+            assert {k: float(v) for k, v in got_row.items()} == want_row
+
 
 @pytest.mark.parametrize("env", ["abc", "nan", "inf", "-1"])
 def test_bad_tol_env_exit_code(capsys, monkeypatch, env):

@@ -18,8 +18,20 @@ from pciclone.gaussian import (
     symplectic_form,
     vacuum_state,
 )
-from pciclone.machine import CloningConfig, build_machine, p_function_density
-from pciclone.montecarlo import EmpiricalMoments
+from pciclone.machine import (
+    CloningConfig,
+    attenuates,
+    build_machine,
+    noise_report,
+    p_function_density,
+)
+from pciclone.montecarlo import (
+    EmpiricalMoments,
+    SampleConfig,
+    compare_to_analytic,
+    simulate,
+)
+from pciclone.optimize import solve_amplifier
 
 amplitudes = st.complex_numbers(
     max_magnitude=10.0, allow_nan=False, allow_infinity=False
@@ -56,6 +68,42 @@ amplitudes = st.complex_numbers(
 )
 def test_non_integral_or_non_finite_arguments_refused(call):
     with pytest.raises(DomainError):
+        call()
+
+
+def compare_at(threshold):
+    cfg = CloningConfig(1, 1, 2)
+    transform, layout = build_machine(cfg)
+    emp = simulate(transform, layout, SampleConfig(1000, 1))
+    return compare_to_analytic(emp, noise_report(cfg), layout, threshold=threshold)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: compare_at(np.nan),
+        lambda: compare_at(-1.0),
+        lambda: compare_at(0.0),
+        lambda: compare_at(np.inf),
+        lambda: solve_amplifier(1, 1, 2, tol=-1.0),
+        lambda: solve_amplifier(1, 1, 2, tol=np.inf),
+        lambda: vacuum_state(1).validate(np.nan),
+        lambda: vacuum_state(1).validate(-1e-9),
+        lambda: SymplecticMap(np.eye(2)).validate(np.nan),
+        lambda: SymplecticMap(np.eye(2)).validate(-np.inf),
+        lambda: attenuates(np.nan, 1, 0),
+        lambda: attenuates(2, 1, np.inf),
+    ],
+    ids=[
+        "threshold-nan", "threshold-negative", "threshold-zero", "threshold-inf",
+        "solve-negative-tol", "solve-inf-tol", "state-nan-tol",
+        "state-negative-tol", "map-nan-tol", "map-minus-inf-tol",
+        "attenuates-nan-n", "attenuates-inf-a",
+    ],
+)
+def test_tolerance_and_threshold_arguments_refused(call):
+    # Refused up front, not by a comparison that a NaN bound fails.
+    with pytest.raises(DomainError, match="must be"):
         call()
 
 
@@ -309,6 +357,7 @@ class TestValidation:
         with pytest.raises(DomainError):
             SymplecticMap(2.0 * np.eye(2)).validate()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (1, 3), (3, 2)])
     def test_non_finite_map_rejected(self, bad, entry):

@@ -125,11 +125,25 @@ class TestSolveAmplifier:
         with pytest.raises(DomainError, match="float range"):
             solve_amplifier(1.0, 1.0, 1e200)
 
-    def test_unconverged_bracket_is_a_certificate_failure(self):
+    def test_unconverged_bracket_is_judged_by_the_certificate(self):
         # Brent's method runs out of iterations here; the point it leaves
-        # fails the certificate instead of escaping as a RuntimeError.
-        with pytest.raises(ConvergenceError):
-            solve_amplifier(1.0, 1.0, 2e13)
+        # is closed onto the constraint and certified, not refused for the
+        # bracket or escaping as a RuntimeError.
+        res = solve_amplifier(1.0, 1.0, 2e13)
+        assert res.iterations > 100
+        want = gain_from_amplitudes(1.0, 1.0, 2e13)
+        assert res.gain == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.999, 1.0])
+    def test_certified_across_the_gauge_range(self, alpha):
+        # The constraint's terms grow like (gamma/beta)^2 and its residual
+        # with them; judged against them, no gamma up to 1e150 is refused.
+        for k in range(0, 601, 5):
+            gamma = 10.0 ** (k / 4)
+            want = gain_from_amplitudes(alpha, 1.0, gamma)
+            assert solve_amplifier(alpha, 1.0, gamma).gain == pytest.approx(
+                want, rel=1e-15
+            ), gamma
 
     def test_certificate_fields(self):
         res = solve_amplifier(0.5, 1.0, 1.5)
