@@ -145,19 +145,32 @@ def dft_transform(mode_count: int, inverse: bool = False) -> CanonicalTransform:
     )
 
 
-def _apply_dft(array: np.ndarray, rows: Sequence[int], inverse: bool = False) -> None:
-    """Act with ``dft_transform(len(rows), inverse)`` on rows ``rows`` of
-    ``array``, in place, as an orthonormal FFT along the rows.
+def _apply_dft(
+    arrays: np.ndarray | Sequence[np.ndarray],
+    rows: Sequence[int] | slice,
+    inverse: bool = False,
+) -> None:
+    """Act with the K-mode ``dft_transform(K, inverse)`` on the K rows
+    ``rows`` (indices, or a slice) of ``arrays``, in place, as one
+    orthonormal FFT along the rows.  ``arrays`` is an array or a list of
+    arrays, such as column views of M and L, that share those rows.
 
     The forward M_lk = exp(2 pi i l k / K)/sqrt(K) is numpy's ``ifft`` and
     its conjugate transpose numpy's ``fft``, both with ``norm="ortho"``,
     so no K x K matrix is built.  Fewer than two rows are left as they are.
     """
-    if len(rows) < 2:
+    if isinstance(arrays, np.ndarray):
+        arrays = [arrays]
+    idx = rows if isinstance(rows, slice) else np.asarray(rows, dtype=np.intp)
+    blocks = [a[idx] for a in arrays]
+    if len(blocks[0]) < 2:
         return
-    idx = list(rows)
     fft = np.fft.fft if inverse else np.fft.ifft
-    array[idx] = fft(array[idx], axis=0, norm="ortho")
+    out = fft(np.concatenate(blocks, axis=1), axis=0, norm="ortho")
+    start = 0
+    for a, block in zip(arrays, blocks):
+        a[idx] = out[:, start : start + block.shape[1]]
+        start += block.shape[1]
 
 
 def pcia_transform(gain: float) -> CanonicalTransform:

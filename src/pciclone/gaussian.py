@@ -23,8 +23,9 @@ STRUCTURAL_TOL = 1e-10
 
 VACUUM_VARIANCE = 0.5
 
-# Tile edge of _omega_residuals; 128 and 256 were the fastest of 64-512
-# for K = 1030 modes on a 2-CPU Xeon.
+# Panel edge of _omega_residuals (rows of E) and of montecarlo.simulate
+# (columns of F); 128 to 384 ran within noise of each other, and 512
+# slower, for K = 1030 modes on a 2-CPU Xeon.
 _TILE = 256
 
 
@@ -41,27 +42,29 @@ def symplectic_form(mode_count: int) -> np.ndarray:
 @np.errstate(invalid="ignore")
 def _omega_residuals(s: np.ndarray) -> tuple[float, float]:
     """(max|E|, commutation residual) of E = S Omega S^T - Omega, as
-    :meth:`SymplecticMap.residual` states; NaN if E holds a NaN.  With
-    Omega's upper entries taken off W in place, E = W - W^T is read tile
-    by tile next to its mirror tile, so each pair is visited once and the
-    transposed reads stay cache-local.
+    :meth:`SymplecticMap.residual` states; NaN if E holds a NaN.  E is
+    antisymmetric, so it is formed _TILE rows at a time from the diagonal
+    on, E[I, I:] = X_I Y_{I:}^T - Y_I X_{I:}^T with Omega subtracted on
+    the diagonal block, and each panel is reduced before the next: besides
+    the contiguous X and Y, no array larger than a panel is made.
     """
-    w = np.ascontiguousarray(s[:, 0::2]) @ np.ascontiguousarray(s[:, 1::2]).T
-    diag = np.arange(0, s.shape[0], 2)
-    w[diag, diag + 1] -= 1.0
+    x, y = np.ascontiguousarray(s[:, 0::2]), np.ascontiguousarray(s[:, 1::2])
 
-    def tile(a, b):
-        e = w[a, b] - w[b, a].T
+    def panel(i):
+        e = x[i : i + _TILE] @ y[i:].T
+        e -= y[i : i + _TILE] @ x[i:].T
+        diag = np.arange(0, e.shape[0], 2)
+        e[diag, diag + 1] -= 1.0
+        e[diag + 1, diag] += 1.0
+        residual = np.max(np.abs(e))
+        # Panel edges are even, so each panel holds whole 2 x 2 mode blocks.
         xx, xp, px, pp = e[0::2, 0::2], e[0::2, 1::2], e[1::2, 0::2], e[1::2, 1::2]
         two_a, two_b = np.hypot(xx + pp, xp - px), np.hypot(xx - pp, xp + px)
-        return np.max(np.abs(e)), 0.5 * np.max(np.maximum(two_a, two_b))
+        return residual, 0.5 * np.max(np.maximum(two_a, two_b))
 
-    # Tile edges are even, so each tile holds whole 2 x 2 mode blocks.
-    starts = range(0, s.shape[0], _TILE)
-    residual, commutation = np.max([
-        tile(slice(i, i + _TILE), slice(j, j + _TILE))
-        for i in starts for j in starts if j >= i
-    ], axis=0)
+    residual, commutation = np.max(
+        [panel(i) for i in range(0, s.shape[0], _TILE)], axis=0
+    )
     # hypot(inf, nan) is inf, so a NaN in E reaches both through max|E|.
     return float(residual), float(residual if np.isnan(residual) else commutation)
 
@@ -154,8 +157,10 @@ class SymplecticMap:
         """Max-norm deviation of S Omega S^T from Omega, computed on first
         use with the commutation residual of the transform S encodes.
 
-        S Omega S^T = W - W^T for W = X Y^T, X and Y the columns of S
-        acting on x and p: one 2K x K x 2K product; Omega is never built.
+        S Omega S^T = X Y^T - Y X^T, X and Y the columns of S acting on x
+        and p, is antisymmetric: its rows are formed in panels from the
+        diagonal on, about the 8K^3 flops of one 2K x K x 2K product, and
+        each panel is read and dropped; Omega is never built.
         For the image of b = M a + L a*, with A = M M^H - L L^H - I and
         B = M L^T - L M^T, E = S Omega S^T - Omega holds Exx = Im(A + B),
         Exp = Re(A - B), Epx = -Re(A + B) and Epp = Im(A - B) in its (i, j)

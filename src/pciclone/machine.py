@@ -363,17 +363,26 @@ def noise_report(config: CloningConfig) -> NoiseReport:
     )
 
 
-def _machine_layout(config: CloningConfig) -> MachineLayout:
-    n, nc, m, mc = config.n_inputs, config.n_conj, config.m_clones, config.m_anticlones
+def _block_starts(config: CloningConfig) -> tuple[int, int, int, int]:
+    """(a2, dist_start, anti_start, total) of the layout: the conjugate
+    port, the first clone vacuum, the first anticlone vacuum and the mode
+    count.  Slots 0:a2 hold the signal replicas, a2:dist_start the
+    conjugate ones; both amplifier ports, 0 and a2, lie in 0:dist_start.
+    """
     # Both amplifier ports exist even when a channel has no replicas (the
     # slot is then fed vacuum), hence the max(., 1) block widths.
+    a2 = max(config.n_inputs, 1)
+    dist_start = a2 + max(config.n_conj, 1)
+    anti_start = dist_start + config.m_clones - 1
+    return a2, dist_start, anti_start, anti_start + max(config.m_anticlones - 1, 0)
+
+
+def _machine_layout(config: CloningConfig) -> MachineLayout:
+    n, nc, mc = config.n_inputs, config.n_conj, config.m_anticlones
     a1 = 0
-    a2 = max(n, 1)
-    dist_start = a2 + max(nc, 1)
-    clone_extra = tuple(range(dist_start, dist_start + m - 1))
-    anti_start = dist_start + m - 1
-    anti_extra = tuple(range(anti_start, anti_start + max(mc - 1, 0)))
-    total = anti_start + max(mc - 1, 0)
+    a2, dist_start, anti_start, total = _block_starts(config)
+    clone_extra = tuple(range(dist_start, anti_start))
+    anti_extra = tuple(range(anti_start, total))
 
     signal = tuple(range(n))
     conjugate = tuple(range(a2, a2 + nc))
@@ -416,23 +425,31 @@ def build_machine(config: CloningConfig) -> tuple[CanonicalTransform, MachineLay
     Concentration DFTs act on the replica blocks, the amplifier couples
     the two concentrated ports, and inverse DFTs distribute each port
     over its output block.  Each stage updates only the rows of (M, L)
-    it touches, the DFTs as orthonormal FFTs, so assembly costs
-    O((M log M + M' log M') K) beyond allocating the K x K pair.
-    Feeding the layout's input state yields clones of mean exactly psi
-    and anticlones of mean exactly psi*.
+    it touches, and each DFT, an orthonormal FFT, only the columns those
+    rows can reach, so assembly costs O(M log M (N + N' + M) + M' log M'
+    (N + N' + M')) beyond allocating the K x K pair.  Feeding the
+    layout's input state yields clones of mean exactly psi and
+    anticlones of mean exactly psi*.
     """
     layout = _machine_layout(config)
-    k = layout.total_modes
+    a2, dist_start, anti_start, k = _block_starts(config)
     mm = np.eye(k, dtype=complex)
     ll = np.zeros((k, k), dtype=complex)
-    # L stays zero until the amplifier, so concentration acts on M alone.
-    _apply_dft(mm, layout.signal_slots)
-    _apply_dft(mm, layout.conjugate_slots)
+    # L stays zero until the amplifier, and each replica block of M is
+    # the identity, so concentration acts on that block of M alone.
+    for block in (slice(0, config.n_inputs), slice(a2, a2 + config.n_conj)):
+        _apply_dft(mm[:, block], block)
     amp = pcia_transform(gain_from_counts(config))
-    _apply_stage(mm, ll, [0, max(config.n_inputs, 1)], amp)
-    for rows in (layout.clone_slots, layout.anticlone_slots):
-        _apply_dft(mm, rows, inverse=True)
-        _apply_dft(ll, rows, inverse=True)
+    _apply_stage(mm, ll, [0, a2], amp)
+    # The ports' rows now reach the inputs 0:dist_start; a distribution
+    # block's other rows are its vacua, identity rows of M and zero rows
+    # of L.  The clone vacua dist_start:anti_start follow the inputs.
+    inputs = slice(0, dist_start)
+    for rows, m_cols in (
+        (layout.clone_slots, [slice(0, anti_start)]),
+        (layout.anticlone_slots, [inputs, slice(anti_start, k)]),
+    ):
+        _apply_dft([mm[:, c] for c in m_cols] + [ll[:, inputs]], rows, inverse=True)
     # Read-only hands both matrices over to the transform uncopied.
     mm.setflags(write=False)
     ll.setflags(write=False)

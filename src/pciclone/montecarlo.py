@@ -46,7 +46,13 @@ import numpy as np
 
 from .canonical import CanonicalTransform, to_symplectic
 from .errors import DomainError, require_finite, require_integer
-from .gaussian import VACUUM_VARIANCE, _quadratures, coherent_fidelity, frozen_array
+from .gaussian import (
+    _TILE,
+    VACUUM_VARIANCE,
+    _quadratures,
+    coherent_fidelity,
+    frozen_array,
+)
 from .machine import MachineLayout, NoiseReport
 
 # Samples per block of stream version 1.
@@ -183,13 +189,15 @@ def simulate(
     f = _wishart_factor(gen, 2 * k, n - 1)
     _log.debug("sampling %d samples of %d modes from a %d x %d Wishart factor",
                n, k, *f.shape)
-    # S F in column halves split at h = r // 2, the fewest flops: F's upper
-    # right h x (r - h) block is zero.  Mode a's 2 x 2 block sums products
-    # of its x and p rows of S F.
-    h = f.shape[1] // 2
-    parts = (np.matmul(s, f[:, :h]), np.matmul(s[:, h:], f[h:, h:]))
+    # S F in column panels of F: panel c has no nonzero row above row c, so
+    # it is S[:, c:] F[c:, c:c + _TILE], and mode a's 2 x 2 block sums the
+    # products of its x and p rows of each panel as the panel is made.
+    def gram(c):
+        panel = np.matmul(s[:, c:], f[c:, c : c + _TILE]).reshape(k, 2, -1)
+        return np.einsum("aik,ajk->aij", panel, panel)
+
     covariances = (VACUUM_VARIANCE / (n - 1)) * sum(
-        np.einsum("aik,ajk->aij", r, r) for r in (p.reshape(k, 2, -1) for p in parts)
+        gram(c) for c in range(0, f.shape[1], _TILE)
     )
     var_pairs = np.diagonal(covariances, axis1=1, axis2=2)
     return EmpiricalMoments(

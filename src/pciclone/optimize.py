@@ -206,12 +206,13 @@ def solve_amplifier(
     such as the benchmark's design-scan workload, pass it.
 
     Raises :class:`ConvergenceError` when the certificate fails, i.e.
-    -min_curvature, the constraint residual over its largest squared term
-    or the stationarity residual over the largest objective-gradient
-    entry (each scale at least 1) exceeds ``tol``, and :class:`DomainError`
-    for non-finite input, ``tol`` < 0, outside |gamma| >= |alpha|, when
-    beta = 0 (the scaling gauge needs a conjugate-port coupling) or when
-    |gamma/beta| > 1e150, where the search's quadratic terms would overflow.
+    -min_curvature, the constraint residual over the largest square of a
+    term that forms it or the stationarity residual over the largest
+    objective-gradient entry (each scale at least 1) exceeds ``tol``, and
+    :class:`DomainError` for non-finite input, ``tol`` < 0, outside
+    |gamma| >= |alpha|, when beta = 0 (the scaling gauge needs a
+    conjugate-port coupling) or when |gamma/beta| > 1e150, where the
+    search's quadratic terms would overflow.
     """
     _require_tolerance(tol)
     require_finite(alpha=alpha, beta=beta, gamma=gamma)
@@ -286,8 +287,12 @@ def solve_amplifier(
     m11, m12, m13, l11, l12, l13 = problem.coefficients(x)
     constraint_residual = abs(problem.constraint(x))
     # Residuals are judged as ratios, which cannot overflow, to the terms
-    # that make them; the constraint's grow like (gamma/beta)^2.
-    terms = (m11**2, l12**2, abs(1.0 - problem.alpha**2) * l11**2, m13**2, l13**2)
+    # that make them; the constraint's grow like (gamma/beta)^2.  Its
+    # rounding starts in l12 = gamma - alpha*m11 and (1 - alpha^2) l11^2,
+    # so the squares of gamma, alpha*m11, l11 and alpha*l11 scale it too.
+    al = problem.alpha
+    terms = (m11**2, l12**2, problem.gamma**2, (al * m11) ** 2, l11**2,
+             (al * l11) ** 2, m13**2, l13**2)
     min_curvature = float(np.min(curvature(lam)))
     stationarity = np.max(np.abs(obj_grad + lam * grad))
     if not (

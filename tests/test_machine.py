@@ -582,7 +582,8 @@ class TestBuildMachine:
 
 def oracle_configs():
     # Every N, N' <= 4 and N <= M <= 10, including N = 0, N' = 0 and
-    # M' = 0 (N' = 0, M = N), plus one wide machine.
+    # M' = 0 (N' = 0, M = N), plus wide machines, two of them with an
+    # empty channel whose amplifier port is a vacuum slot.
     for n in range(5):
         for nc in range(5):
             if n + nc == 0:
@@ -590,6 +591,8 @@ def oracle_configs():
             for m in range(max(n, 1), 11):
                 yield CloningConfig(n, nc, m)
     yield CloningConfig(4, 4, 64)
+    yield CloningConfig(0, 3, 64)
+    yield CloningConfig(3, 0, 64)
 
 
 class TestRowwiseAssembly:

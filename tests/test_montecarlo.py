@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,7 +197,8 @@ class TestSimulate:
         [
             # d = 8 quadratures: the Bartlett factor.
             ((1, 1, 2), 64),
-            # d = 28: n - 1 < d (normals), n - 1 = d and n - 1 > d (Bartlett).
+            # d = 28: n - 1 < d (the trapezoidal Bartlett factor), n - 1 = d
+            # and n - 1 > d (the square one).
             ((2, 2, 6), 8),
             ((2, 2, 6), 28),
             ((2, 2, 6), 29),
@@ -239,6 +241,10 @@ class TestSimulate:
             # n - 1 < d = 28: the trapezoidal factor, down to one column.
             ((2, 2, 6), 8),
             ((2, 2, 6), 2),
+            # d = 812: four column panels of the square factor, and two of
+            # the trapezoidal one, the last 243 columns wide.
+            ((4, 4, 200), 2000),
+            ((4, 4, 200), 500),
         ],
     )
     def test_matches_the_full_product(self, counts, samples):
@@ -254,6 +260,25 @@ class TestSimulate:
         gram = (0.5 / (samples - 1)) * sf @ sf.T
         cov = [gram[2 * a : 2 * a + 2, 2 * a : 2 * a + 2] for a in range(k)]
         np.testing.assert_allclose(emp.covariances, cov, rtol=0, atol=1e-14)
+
+    def test_panels_need_no_full_size_temporaries(self):
+        # At K = 606, S is 11.8 MB.  The certificates of a fresh map and a
+        # sampling run with them cached each trace one 2K x K pair (X and Y,
+        # or the factor F) and panels; a full-size product traced 2 S.
+        transform, layout = build_machine(CloningConfig(4, 4, 300))
+        s = transform.quadrature_image.matrix
+        tracemalloc.start()
+        try:
+            gaussian.SymplecticMap(s).residual()
+            residual_peak = tracemalloc.get_traced_memory()[1]
+            to_symplectic(transform)
+            tracemalloc.reset_peak()
+            simulate(transform, layout, SampleConfig(4096, 1))
+            sampling_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residual_peak < 1.6 * s.nbytes
+        assert sampling_peak < 1.6 * s.nbytes
 
     def test_stream_version_3_definition(self):
         # A run draws g, then F's chi^2 diagonal, then its normals row by

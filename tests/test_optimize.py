@@ -111,15 +111,22 @@ class TestSolveAmplifier:
             solve_amplifier(2.0, 1.0, 1.0)
 
     def test_convergence_failure_raises(self):
-        # At beta/alpha = 1e-6 the constraint's terms reach (gamma/beta)^2
-        # ~ 1e13, whose rounding alone exceeds the default tol: the final
-        # point is infeasible at that tolerance and must be refused.
+        # At beta/alpha = 1e-6 rounding leaves the final point 1.3e-9 off
+        # the constraint, small beside (alpha*m11)^2 ~ 9e12, one of the
+        # terms that form it.  A zero tolerance demands an exact
+        # constraint, so that point must be refused.
         with pytest.raises(ConvergenceError, match="constraint residual"):
-            solve_amplifier(1.0, 1e-6, 3.0)
-        loose = solve_amplifier(1.0, 1e-6, 3.0, tol=1e-6)
-        assert loose.gain == pytest.approx(
-            gain_from_amplitudes(1.0, 1e-6, 3.0), rel=1e-12
-        )
+            solve_amplifier(1.0, 1e-6, 3.0, tol=0.0)
+
+    def test_certified_as_beta_vanishes(self):
+        # The rounding of l12 = gamma - alpha*m11 grows like (alpha/beta)^2;
+        # judged against (alpha*m11)^2, no beta down to 1e-8 is refused.
+        for k in range(0, 33):
+            beta = 10.0 ** (-k / 4)
+            want = gain_from_amplitudes(1.0, beta, 3.0)
+            assert solve_amplifier(1.0, beta, 3.0).gain == pytest.approx(
+                want, rel=1e-12
+            ), beta
 
     def test_gauge_ratio_beyond_float_range_rejected(self):
         with pytest.raises(DomainError, match="float range"):
