@@ -23,9 +23,11 @@ STRUCTURAL_TOL = 1e-10
 
 VACUUM_VARIANCE = 0.5
 
-# Panel edge of _omega_residuals (rows of E) and of montecarlo.simulate
-# (columns of F); 128 to 384 ran within noise of each other, and 512
-# slower, for K = 1030 modes on a 2-CPU Xeon.
+# Most rows of a panel of S in _support_plan, read by _omega_residuals and
+# montecarlo.simulate, and the column panel edge of F in simulate; 128 to
+# 384 ran within noise of each other, and 512 slower, for K = 1030 modes
+# on a 2-CPU Xeon.  Diagonal strips of _TILE // 2 rows ran faster there
+# than _TILE // 4 or whole diagonal tiles.
 _TILE = 256
 
 
@@ -38,33 +40,153 @@ def symplectic_form(mode_count: int) -> np.ndarray:
     return np.kron(np.eye(mode_count), block)
 
 
-# A non-finite S gives NaN quietly: that NaN is the refusal.
-@np.errstate(invalid="ignore")
-def _omega_residuals(s: np.ndarray) -> tuple[float, float]:
-    """(max|E|, commutation residual) of E = S Omega S^T - Omega, as
-    :meth:`SymplecticMap.residual` states; NaN if E holds a NaN.  E is
-    antisymmetric, so it is formed _TILE rows at a time from the diagonal
-    on, E[I, I:] = X_I Y_{I:}^T - Y_I X_{I:}^T with Omega subtracted on
-    the diagonal block, and each panel is reduced before the next: besides
-    the contiguous X and Y, no array larger than a panel is made.
+def _even_cuts(start: int, stop: int, most: int) -> list[int]:
+    """Edges that split the even range [start, stop) into the fewest
+    pieces of at most ``most`` (even) rows, all even and within one mode
+    (two rows) of each other in size."""
+    modes = (stop - start) // 2
+    count = max(-(-2 * modes // most), 1)
+    return [start + 2 * (modes * i // count) for i in range(count + 1)]
+
+
+def _runs(reach: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The (start, stop) runs of True in one row of mode columns."""
+    edges = np.flatnonzero(np.diff(reach, prepend=False, append=False))
+    return tuple(zip(edges[0::2].tolist(), edges[1::2].tolist()))
+
+
+def _support_plan(s: np.ndarray) -> tuple:
+    """Row panels of S with the mode columns they reach: a tuple of
+    (start, stop, runs), runs the (start, stop) mode-column ranges outside
+    which every entry of rows start:stop is exactly zero.  Row edges are
+    even, so each panel holds whole modes.
+
+    A block of consecutive mode rows that reach the same mode columns is
+    cut into the fewest even panels of at most _TILE rows.  Blocks of
+    fewer than _TILE // 8 rows, such as a machine's input ports and
+    residual modes, are packed together into panels of at most _TILE rows
+    reaching the union of their columns: a narrower panel would read the
+    columns it shares with others for too few rows to pay for the pass.
+    An S of at most _TILE rows is one panel with one full run, found
+    without a look at its entries.  NaN != 0, so a non-finite entry
+    counts as reached.
     """
-    x, y = np.ascontiguousarray(s[:, 0::2]), np.ascontiguousarray(s[:, 1::2])
+    dim = s.shape[0]
+    if dim <= _TILE:
+        return ((0, dim, ((0, dim // 2),)),)
+    # A mode row reaches a mode column where its 2 x 2 block has a nonzero
+    # entry: x and p columns are a pair of bytes of one uint16.
+    nz = (s != 0).view(np.uint16)
+    reach = (nz[0::2] | nz[1::2]) != 0  # mode rows x mode columns
+    edges = np.flatnonzero((reach[1:] != reach[:-1]).any(axis=1)) + 1
+    bounds = [0, *edges.tolist(), reach.shape[0]]
+    groups = []  # [first mode, stop mode, first mode of each block, short]
+    for m0, m1 in zip(bounds[:-1], bounds[1:]):
+        short = 2 * (m1 - m0) < _TILE // 8
+        if short and groups and groups[-1][3] and 2 * (m1 - groups[-1][0]) <= _TILE:
+            groups[-1][1] = m1
+            groups[-1][2].append(m0)
+        else:
+            groups.append([m0, m1, [m0], short])
+    panels = []
+    for m0, m1, firsts, _ in groups:
+        runs = _runs(np.logical_or.reduce(reach[firsts]))
+        cuts = _even_cuts(2 * m0, 2 * m1, _TILE)
+        panels += [(a, b, runs) for a, b in zip(cuts[:-1], cuts[1:])]
+    return tuple(panels)
 
-    def panel(i):
-        e = x[i : i + _TILE] @ y[i:].T
-        e -= y[i : i + _TILE] @ x[i:].T
-        diag = np.arange(0, e.shape[0], 2)
-        e[diag, diag + 1] -= 1.0
-        e[diag + 1, diag] += 1.0
-        residual = np.max(np.abs(e))
-        # Panel edges are even, so each panel holds whole 2 x 2 mode blocks.
-        xx, xp, px, pp = e[0::2, 0::2], e[0::2, 1::2], e[1::2, 0::2], e[1::2, 1::2]
-        two_a, two_b = np.hypot(xx + pp, xp - px), np.hypot(xx - pp, xp + px)
-        return residual, 0.5 * np.max(np.maximum(two_a, two_b))
 
-    residual, commutation = np.max(
-        [panel(i) for i in range(0, s.shape[0], _TILE)], axis=0
-    )
+def _shared(runs, others) -> tuple[tuple[int, int], ...]:
+    """The column ranges that two sorted run lists both cover."""
+    out = []
+    for a0, a1 in runs:
+        for b0, b1 in others:
+            lo, hi = max(a0, b0), min(a1, b1)
+            if lo < hi:
+                out.append((lo, hi))
+    return tuple(out)
+
+
+def _reduce_tile(e: np.ndarray) -> tuple[float, float]:
+    """(max|e|, max over e's 2 x 2 blocks of max(|A_ij|, |B_ij|)) of a tile
+    of E whose row and column edges are even, by the identity stated in
+    :meth:`SymplecticMap.residual`; e is overwritten.  The hypot pairs are
+    the parts of complex numbers, whose modulus numpy takes as hypot does,
+    inf and NaN included, and several times faster."""
+    xx, xp, px, pp = e[0::2, 0::2], e[0::2, 1::2], e[1::2, 0::2], e[1::2, 1::2]
+    two = np.empty((2, *xx.shape), dtype=complex)
+    np.add(xx, pp, out=two[0].real)
+    np.subtract(xp, px, out=two[0].imag)
+    np.subtract(xx, pp, out=two[1].real)
+    np.add(xp, px, out=two[1].imag)
+    return np.max(np.abs(e, out=e)), 0.5 * np.max(np.abs(two))
+
+
+# A non-finite S gives NaN quietly: that NaN is the refusal.
+@np.errstate(invalid="ignore", over="ignore")
+def _omega_residuals(s: np.ndarray, plan=None) -> tuple[float, float]:
+    """(max|E|, commutation residual) of E = S Omega S^T - Omega, as
+    :meth:`SymplecticMap.residual` states; NaN if E holds a NaN.
+
+    E = X Y^T - Y X^T - Omega, X and Y the x and p columns of S, is
+    antisymmetric, so only its tiles E[I, J], J >= I, over the row panels
+    of ``plan`` (:func:`_support_plan` of S by default) are formed, each
+    reduced before the next.  E[I, J] is summed only over the mode
+    columns that panels I and J both reach, since every other product is
+    of exact zeros, and neighbouring J with the same shared runs go into
+    one product.  The diagonal tile is formed in strips of at most
+    _TILE // 2 rows from the diagonal on, Omega subtracted there; strips
+    are even, so each mode's own 2 x 2 block is formed whole.  A
+    non-finite entry of panel I is in I's runs, so it reaches the diagonal
+    tile and both residuals read NaN.  Besides the contiguous X and Y, no
+    array larger than one tile is made.
+    """
+    plan = _support_plan(s) if plan is None else plan
+    # Contiguous X and Y, written only in each panel's runs: a tile reads
+    # only the runs its two panels share.
+    x, y = np.empty((2, s.shape[0], s.shape[1] // 2))
+    for r0, r1, runs in plan:
+        for a, b in runs:
+            x[r0:r1, a:b] = s[r0:r1, 2 * a : 2 * b : 2]
+            y[r0:r1, a:b] = s[r0:r1, 2 * a + 1 : 2 * b : 2]
+
+    def tile(t0, t1, c0, c1, shared):
+        e = None
+        for a, b in shared:
+            part = x[t0:t1, a:b] @ y[c0:c1, a:b].T
+            part -= y[t0:t1, a:b] @ x[c0:c1, a:b].T
+            if e is None:
+                e = part
+            else:
+                e += part
+        return np.zeros((t1 - t0, c1 - c0)) if e is None else e
+
+    results = []
+    for i, (r0, r1, runs) in enumerate(plan):
+        # Neighbouring J panels with the same shared runs: the first
+        # group starts at the diagonal tile, which shares all of I's runs.
+        groups = [[r1, runs]]  # [stop row, shared runs]
+        for _, c1, other in plan[i + 1 :]:
+            shared = _shared(runs, other)
+            if groups[-1][1] == shared:
+                groups[-1][0] = c1
+            else:
+                groups.append([c1, shared])
+        # The diagonal group in strips, each from its diagonal on.
+        cuts = _even_cuts(r0, r1, _TILE // 2)
+        for t0, t1 in zip(cuts[:-1], cuts[1:]):
+            e = tile(t0, t1, t0, groups[0][0], runs)
+            # Omega's entries e[d, d + 1] = 1 and e[d + 1, d] = -1, d even,
+            # lie 2 (width + 1) apart in the contiguous tile.
+            width = e.shape[1]
+            flat = e.reshape(-1)
+            flat[1 : (t1 - t0) * width : 2 * (width + 1)] -= 1.0
+            flat[width : (t1 - t0) * width : 2 * (width + 1)] += 1.0
+            results.append(_reduce_tile(e))
+        for (c0, _), (c1, shared) in zip(groups, groups[1:]):
+            if shared:
+                results.append(_reduce_tile(tile(r0, r1, c0, c1, shared)))
+    residual, commutation = np.max(results, axis=0)
     # hypot(inf, nan) is inf, so a NaN in E reaches both through max|E|.
     return float(residual), float(residual if np.isnan(residual) else commutation)
 
@@ -150,17 +272,26 @@ class SymplecticMap:
         return self.matrix.shape[0] // 2
 
     @cached_property
+    def _plan(self) -> tuple:
+        """:func:`_support_plan` of S, read by both residuals and by the
+        sampling product of :func:`~pciclone.montecarlo.simulate`."""
+        return _support_plan(self.matrix)
+
+    @cached_property
     def _residuals(self) -> tuple[float, float]:
-        return _omega_residuals(self.matrix)
+        return _omega_residuals(self.matrix, self._plan)
 
     def residual(self) -> float:
         """Max-norm deviation of S Omega S^T from Omega, computed on first
         use with the commutation residual of the transform S encodes.
 
         S Omega S^T = X Y^T - Y X^T, X and Y the columns of S acting on x
-        and p, is antisymmetric: its rows are formed in panels from the
-        diagonal on, about the 8K^3 flops of one 2K x K x 2K product, and
-        each panel is read and dropped; Omega is never built.
+        and p, is antisymmetric: its tiles are formed from the diagonal on,
+        over the row panels of S's support plan and only over the mode
+        columns both panels reach, and each tile is read and dropped;
+        Omega is never built.  A dense S costs about 4K^3 multiply-adds;
+        a machine's, whose clone and anticlone rows share only the input
+        columns, about a quarter of that.
         For the image of b = M a + L a*, with A = M M^H - L L^H - I and
         B = M L^T - L M^T, E = S Omega S^T - Omega holds Exx = Im(A + B),
         Exp = Re(A - B), Epx = -Re(A + B) and Epp = Im(A - B) in its (i, j)

@@ -17,9 +17,11 @@ output means are then S (mu_in + sigma g / sqrt(n)), each output
 variance is sigma^2 / (n - 1) times a squared row norm of S F, and each
 x-p covariance the same multiple of the product of the mode's two rows.
 Every statistic, and so every z-score, has exactly the law it has under
-per-sample draws, and a run costs O(d^2 min(n, d)) whatever n: the
-sampler tests the same S against the same closed forms, but no
-per-sample arithmetic runs.
+per-sample draws, and a run costs O(d^2 min(n, d)) whatever n, with S F
+formed only over the columns each row panel of S reaches (about half of
+the dense product for a machine, whose clone and anticlone rows share
+only the input columns): the sampler tests the same S against the same
+closed forms, but no per-sample arithmetic runs.
 
 One generator, ``np.random.default_rng(seed)``, draws g, then F's chi^2
 diagonal (numpy's gamma sampler), then its normals row by row; for
@@ -73,7 +75,8 @@ def block_normals(seed: int, block_index: int, rows: int, cols: int) -> np.ndarr
 @dataclass(frozen=True)
 class SampleConfig:
     """Sampling run parameters: integral ``sample_count`` in [2, 2^53], an
-    integral ``seed`` in [0, 2^64), and a finite amplitude ``psi``."""
+    integral ``seed`` in [0, 2^64), and a finite amplitude ``psi`` whose
+    quadratures sqrt(2) (Re psi, Im psi) are finite too."""
 
     sample_count: int
     seed: int
@@ -94,6 +97,10 @@ class SampleConfig:
             )
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        # The input means are sqrt(2) (Re psi, Im psi); past float max they
+        # would overflow to inf.
+        if not math.sqrt(2.0) * max(abs(self.psi.real), abs(self.psi.imag)) < math.inf:
+            raise DomainError(f"psi={self.psi} has quadratures beyond the float range")
 
 
 @dataclass(frozen=True)
@@ -167,12 +174,13 @@ def simulate(
     an amplitude whose float spacing exceeds the vacuum noise's standard
     deviation by :class:`DomainError`.
     """
-    s = to_symplectic(transform).matrix
     if transform.mode_count != layout.total_modes:
         raise DomainError(
             f"transform has {transform.mode_count} modes, "
             f"layout expects {layout.total_modes}"
         )
+    smap = to_symplectic(transform)
+    s = smap.matrix
     k = layout.total_modes
     mu_in = _quadratures(layout.input_amplitudes(config.psi)).reshape(-1)
     sigma = math.sqrt(VACUUM_VARIANCE)
@@ -189,16 +197,29 @@ def simulate(
     f = _wishart_factor(gen, 2 * k, n - 1)
     _log.debug("sampling %d samples of %d modes from a %d x %d Wishart factor",
                n, k, *f.shape)
-    # S F in column panels of F: panel c has no nonzero row above row c, so
-    # it is S[:, c:] F[c:, c:c + _TILE], and mode a's 2 x 2 block sums the
-    # products of its x and p rows of each panel as the panel is made.
-    def gram(c):
-        panel = np.matmul(s[:, c:], f[c:, c : c + _TILE]).reshape(k, 2, -1)
-        return np.einsum("aik,ajk->aij", panel, panel)
-
-    covariances = (VACUUM_VARIANCE / (n - 1)) * sum(
-        gram(c) for c in range(0, f.shape[1], _TILE)
-    )
+    # S F by row panels of S (the map's support plan) and column panels of
+    # F.  F has no nonzero row above row c in the panel from column c, so
+    # the tile of row panel I is S[I, R] F[R, c:c + _TILE] over the parts R
+    # of I's column runs from c on: every other product is of exact zeros.
+    # Each tile is reduced at once into the 2 x 2 blocks of I's modes.
+    covariances = np.zeros((k, 2, 2))
+    for r0, r1, runs in smap._plan:
+        gram = covariances[r0 // 2 : r1 // 2]
+        for c in range(0, f.shape[1], _TILE):
+            tile = None
+            for a, b in runs:
+                if 2 * b > c:
+                    a, b = max(2 * a, c), 2 * b
+                    part = s[r0:r1, a:b] @ f[a:b, c : c + _TILE]
+                    tile = part if tile is None else tile + part
+            if tile is None:
+                break
+            tile = tile.reshape(-1, 2, tile.shape[1])
+            if c:
+                gram += np.einsum("aik,ajk->aij", tile, tile)
+            else:
+                np.einsum("aik,ajk->aij", tile, tile, out=gram)
+    covariances *= VACUUM_VARIANCE / (n - 1)
     var_pairs = np.diagonal(covariances, axis1=1, axis2=2)
     return EmpiricalMoments(
         sample_count=n,

@@ -191,6 +191,47 @@ class TestCertificatesMatchDense:
         assert commutation_residual(bad) > 1e-7
         assert bad.quadrature_image.residual() > 1e-7
 
+    @given(
+        st.integers(100, 320),
+        st.integers(1, 3),
+        st.integers(0, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_block_sparse(self, k, blocks, empty, seed):
+        # Row blocks with their own runs of zero columns, one run across
+        # the first panel edge (mode 128, row 256), and rows reaching no
+        # column: the residuals skip the zero products and read alike.
+        rng = np.random.default_rng(seed)
+        m, l = random_matrices(rng, k)
+        reach = np.ones((k, k), dtype=bool)
+        edges = [0, *sorted(rng.choice(np.arange(1, k), blocks - 1, replace=False)), k]
+        for r0, r1 in zip(edges[:-1], edges[1:]):
+            for _ in range(int(rng.integers(1, 4))):
+                c0 = int(rng.integers(0, k))
+                reach[r0:r1, c0 : c0 + int(rng.integers(1, k // 2))] = False
+        reach[edges[0] : edges[1], 100:150] = False
+        reach[rng.choice(k, empty, replace=False)] = False
+        t = CanonicalTransform(np.where(reach, m, 0), np.where(reach, l, 0))
+        assert_certificates_match_dense(t)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_in_a_skipped_column(self, bad):
+        # Clone rows reach no anticlone vacuum column.  The bad entry puts
+        # one there in its own panel only, whose diagonal tile it reaches.
+        transform, layout = build_machine(CloningConfig(2, 2, 130))
+        s = np.array(transform.quadrature_image.matrix)
+        row, col = 2 * layout.clone_slots[-1], 2 * layout.anticlone_slots[-1] + 1
+        assert not s[:, col][2 * np.array(layout.clone_slots)].any()
+        s[row, col] = bad
+        smap = SymplecticMap(s)
+        reaches = [any(a <= col // 2 < b for a, b in p[2]) for p in smap._plan]
+        own = next(i for i, (r0, r1, _) in enumerate(smap._plan) if r0 <= row < r1)
+        assert reaches[own] and not all(reaches)
+        residual, commutation = smap._residuals
+        assert np.isnan(residual) and np.isnan(commutation)
+
     @pytest.mark.parametrize("rows, want", [((0, 2), 1.0), ((2, 3), 2.0)])
     def test_swapped_rows_read_alike(self, rows, want):
         # Swapping x_0 with x_1 moves an Omega entry off its block (1);

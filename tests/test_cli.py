@@ -290,9 +290,9 @@ class TestVerify:
         calls = []
         real = pciclone.gaussian._omega_residuals
 
-        def spy(s):
+        def spy(s, *plan):
             calls.append(s.shape)
-            return real(s)
+            return real(s, *plan)
 
         monkeypatch.setattr(pciclone.gaussian, "_omega_residuals", spy)
         code, out = run_cli(capsys, "verify", 2, 1, 5, 1000, 3)
@@ -587,6 +587,8 @@ def test_fuzz_closed_form_commands(command, values, fmt, split, a_steps, tol):
 )
 @example((0, 1, 1), 2, 0, 1592262918131445j, 0.0, "json")
 @example((0, 1, 1), 22, 0, 4.338994632913419e92j, 0.0, "json")
+# sqrt(2) psi overflows: refused, not a RuntimeWarning.
+@example((0, 1, 1), 2, 0, 1.2711610061536462e308j, 0.0, "json")
 def test_fuzz_verify_tiny(counts, samples, seed, psi, tol, fmt):
     argv = ["verify", "--format", fmt, f"--psi={psi!r}", f"--tol={tol!r}"]
     assert_clean_exit(argv + ["--", *counts, samples, seed], fmt)

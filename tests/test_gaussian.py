@@ -338,6 +338,64 @@ class TestFrozenArray:
         assert frozen_array(arr, complex).dtype == complex
 
 
+def certificate_macs(plan):
+    """Multiply-adds of the residual tiles E[I, J], J >= I, each over the
+    columns its panels share; diagonal tiles counted whole, so the strips
+    of the kernel do fewer."""
+    return sum(
+        2 * (r1 - r0) * (c1 - c0) * sum(b - a for a, b in gaussian._shared(runs, other))
+        for i, (r0, r1, runs) in enumerate(plan)
+        for c0, c1, other in plan[i:]
+    )
+
+
+def sampler_macs(plan, cols):
+    """Multiply-adds of S F in simulate for a square factor of ``cols``
+    columns: row panel I times each column panel of F from its first
+    nonzero row on, over I's runs."""
+    tile = gaussian._TILE
+    return sum(
+        (r1 - r0) * (2 * b - max(2 * a, c)) * (min(c + tile, cols) - c)
+        for r0, r1, runs in plan
+        for c in range(0, cols, tile)
+        for a, b in runs
+        if 2 * b > c
+    )
+
+
+class TestSupportPlan:
+    def test_small_map_is_one_full_panel(self):
+        transform, _ = build_machine(CloningConfig(2, 2, 6))
+        assert transform.quadrature_image._plan == ((0, 28, ((0, 14),)),)
+
+    def test_wide_machine(self):
+        cfg = CloningConfig(4, 4, 512)
+        transform, layout = build_machine(cfg)
+        smap = transform.quadrature_image
+        s, plan, dim = smap.matrix, smap._plan, smap.matrix.shape[0]
+        assert [p[0] for p in plan[1:]] == [p[1] for p in plan[:-1]]
+        assert plan[0][0] == 0 and plan[-1][1] == dim
+        inputs = cfg.n_inputs + cfg.n_conj
+        widths = {"clone": [], "anticlone": []}
+        for r0, r1, runs in plan:
+            assert r0 % 2 == 0 and r1 % 2 == 0 and r1 - r0 <= gaussian._TILE
+            reached = np.zeros(dim, dtype=bool)
+            for a, b in runs:
+                reached[2 * a : 2 * b] = True
+            assert not s[r0:r1, ~reached].any()
+            for role, slots in (("clone", layout.clone_slots),
+                                ("anticlone", layout.anticlone_slots)):
+                if set(range(r0 // 2, r1 // 2)) <= set(slots):
+                    widths[role].append(sum(b - a for a, b in runs))
+        assert len(widths["clone"]) >= 4 and len(widths["anticlone"]) >= 4
+        assert max(widths["clone"]) <= cfg.m_clones + inputs
+        assert max(widths["anticlone"]) <= cfg.m_anticlones + inputs
+        cuts = gaussian._even_cuts(0, dim, gaussian._TILE)
+        dense = tuple((a, b, ((0, dim // 2),)) for a, b in zip(cuts[:-1], cuts[1:]))
+        assert certificate_macs(plan) <= 0.35 * certificate_macs(dense)
+        assert sampler_macs(plan, dim) <= 0.55 * sampler_macs(dense, dim)
+
+
 class TestValidation:
     def test_asymmetric_covariance_rejected(self):
         s = GaussianState(1, np.zeros(2), np.array([[0.5, 0.2], [0.0, 0.5]]))

@@ -245,6 +245,12 @@ class TestSimulate:
             # the trapezoidal one, the last 243 columns wide.
             ((4, 4, 200), 2000),
             ((4, 4, 200), 500),
+            # Row panels that reach part of the columns: d = 1208 with a
+            # three-panel trapezoid, d = 266 with two panels of S, and a
+            # machine without conjugate inputs at d = 254, one panel.
+            ((1, 3, 300), 700),
+            ((0, 3, 64), 300),
+            ((3, 0, 64), 3000),
         ],
     )
     def test_matches_the_full_product(self, counts, samples):
@@ -356,11 +362,21 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(bad, layout, SampleConfig(100, 0))
 
-    def test_mode_count_mismatch_rejected(self):
+    def test_mode_count_mismatch_rejected(self, monkeypatch):
+        # Refused before the certificates of the fresh transform are paid.
+        calls = []
+        real = gaussian._omega_residuals
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(gaussian, "_omega_residuals", spy)
         transform, _ = build_machine(CloningConfig(1, 0, 1))
         _, layout = build_machine(CloningConfig(1, 1, 2))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="layout expects"):
             simulate(transform, layout, SampleConfig(100, 0))
+        assert calls == []
 
     def test_nan_transform_rejected(self):
         _, layout = build_machine(CloningConfig(1, 0, 1))
