@@ -33,7 +33,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .canonical import commutation_residual, to_symplectic
+from .canonical import commutation_residual
 from .errors import ConvergenceError, DomainError, _require_tolerance, require_finite
 from .machine import (
     CloningConfig,
@@ -181,7 +181,7 @@ def cmd_verify(args) -> int:
     transform, layout = build_machine(config)
     t_built = time.perf_counter()
     residual = commutation_residual(transform)
-    symplectic = to_symplectic(transform).residual()
+    symplectic = transform.symplectic_residual
     structural_pass = residual <= tol and symplectic <= tol
     t_certified = time.perf_counter()
     emp = simulate(transform, layout, sampling)

@@ -10,7 +10,7 @@ All objects are immutable after construction; every function is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -55,11 +55,14 @@ def _runs(reach: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(zip(edges[0::2].tolist(), edges[1::2].tolist()))
 
 
-def _support_plan(s: np.ndarray) -> tuple:
-    """Row panels of S with the mode columns they reach: a tuple of
-    (start, stop, runs), runs the (start, stop) mode-column ranges outside
-    which every entry of rows start:stop is exactly zero.  Row edges are
-    even, so each panel holds whole modes.
+def _support_plan(reach: np.ndarray) -> tuple:
+    """Row panels of a 2K x 2K map S with the mode columns they reach: a
+    tuple of (start, stop, runs), runs the (start, stop) mode-column ranges
+    outside which every entry of rows start:stop is exactly zero.  Row
+    edges are even, so each panel holds whole modes.  ``reach`` is the
+    K x K mode-level reach, True where S's 2 x 2 block (i, j) holds a
+    nonzero entry: :func:`_block_reach` of S, or the same matrix read off
+    the (M, L) that S is the image of.
 
     A block of consecutive mode rows that reach the same mode columns is
     cut into the fewest even panels of at most _TILE rows.  Blocks of
@@ -67,17 +70,12 @@ def _support_plan(s: np.ndarray) -> tuple:
     residual modes, are packed together into panels of at most _TILE rows
     reaching the union of their columns: a narrower panel would read the
     columns it shares with others for too few rows to pay for the pass.
-    An S of at most _TILE rows is one panel with one full run, found
-    without a look at its entries.  NaN != 0, so a non-finite entry
-    counts as reached.
+    An S of at most _TILE rows is one panel with one full run, whatever
+    ``reach`` holds.
     """
-    dim = s.shape[0]
+    dim = 2 * reach.shape[0]
     if dim <= _TILE:
         return ((0, dim, ((0, dim // 2),)),)
-    # A mode row reaches a mode column where its 2 x 2 block has a nonzero
-    # entry: x and p columns are a pair of bytes of one uint16.
-    nz = (s != 0).view(np.uint16)
-    reach = (nz[0::2] | nz[1::2]) != 0  # mode rows x mode columns
     edges = np.flatnonzero((reach[1:] != reach[:-1]).any(axis=1)) + 1
     bounds = [0, *edges.tolist(), reach.shape[0]]
     groups = []  # [first mode, stop mode, first mode of each block, short]
@@ -96,6 +94,14 @@ def _support_plan(s: np.ndarray) -> tuple:
     return tuple(panels)
 
 
+def _block_reach(s: np.ndarray) -> np.ndarray:
+    """The mode-level reach of S: True where its 2 x 2 block (i, j) holds
+    a nonzero entry.  NaN != 0, so a non-finite entry counts as reached."""
+    # x and p columns are a pair of bytes of one uint16.
+    nz = (s != 0).view(np.uint16)
+    return (nz[0::2] | nz[1::2]) != 0
+
+
 def _shared(runs, others) -> tuple[tuple[int, int], ...]:
     """The column ranges that two sorted run lists both cover."""
     out = []
@@ -112,45 +118,44 @@ def _reduce_tile(e: np.ndarray) -> tuple[float, float]:
     of E whose row and column edges are even, by the identity stated in
     :meth:`SymplecticMap.residual`; e is overwritten.  The hypot pairs are
     the parts of complex numbers, whose modulus numpy takes as hypot does,
-    inf and NaN included, and several times faster."""
+    inf and NaN included, and several times faster; the two are formed
+    one after the other in one array of a quarter of e's size."""
     xx, xp, px, pp = e[0::2, 0::2], e[0::2, 1::2], e[1::2, 0::2], e[1::2, 1::2]
-    two = np.empty((2, *xx.shape), dtype=complex)
-    np.add(xx, pp, out=two[0].real)
-    np.subtract(xp, px, out=two[0].imag)
-    np.subtract(xx, pp, out=two[1].real)
-    np.add(xp, px, out=two[1].imag)
-    return np.max(np.abs(e, out=e)), 0.5 * np.max(np.abs(two))
+    pair = np.empty(xx.shape, dtype=complex)
+    np.add(xx, pp, out=pair.real)
+    np.subtract(xp, px, out=pair.imag)
+    first = np.max(np.abs(pair))
+    np.subtract(xx, pp, out=pair.real)
+    np.add(xp, px, out=pair.imag)
+    # np.maximum, unlike max, keeps a NaN in either place.
+    both = np.maximum(first, np.max(np.abs(pair)))
+    return np.max(np.abs(e, out=e)), 0.5 * both
 
 
 # A non-finite S gives NaN quietly: that NaN is the refusal.
 @np.errstate(invalid="ignore", over="ignore")
-def _omega_residuals(s: np.ndarray, plan=None) -> tuple[float, float]:
+def _omega_residuals(x: np.ndarray, y: np.ndarray, plan) -> tuple[float, float]:
     """(max|E|, commutation residual) of E = S Omega S^T - Omega, as
     :meth:`SymplecticMap.residual` states; NaN if E holds a NaN.
 
-    E = X Y^T - Y X^T - Omega, X and Y the x and p columns of S, is
-    antisymmetric, so only its tiles E[I, J], J >= I, over the row panels
-    of ``plan`` (:func:`_support_plan` of S by default) are formed, each
-    reduced before the next.  E[I, J] is summed only over the mode
-    columns that panels I and J both reach, since every other product is
-    of exact zeros, and neighbouring J with the same shared runs go into
-    one product.  The diagonal tile is formed in strips of at most
-    _TILE // 2 rows from the diagonal on, Omega subtracted there; strips
-    are even, so each mode's own 2 x 2 block is formed whole.  A
-    non-finite entry of panel I is in I's runs, so it reaches the diagonal
-    tile and both residuals read NaN.  Besides the contiguous X and Y, no
-    array larger than one tile is made.
+    E = X Y^T - Y X^T - Omega, X and Y the 2K x K x and p columns of S.
+    Only the entries of X and Y in each panel's runs of ``plan``
+    (:func:`_support_plan` of S) are read: the rest may hold anything.
+    E is antisymmetric, so only its tiles E[I, J], J >= I, over the row
+    panels are formed, each reduced before the next.  E[I, J] is summed
+    only over the mode columns that panels I and J both reach, since every
+    other product is of exact zeros, and neighbouring J with the same
+    shared runs go into one product.  The diagonal tile is formed in
+    strips of at most _TILE // 2 rows from the diagonal on, Omega
+    subtracted there; strips are even, so each mode's own 2 x 2 block is
+    formed whole.  A non-finite entry of panel I is in I's runs, so it
+    reaches the diagonal tile and both residuals read NaN.  No array
+    larger than one tile is made.
     """
-    plan = _support_plan(s) if plan is None else plan
-    # Contiguous X and Y, written only in each panel's runs: a tile reads
-    # only the runs its two panels share.
-    x, y = np.empty((2, s.shape[0], s.shape[1] // 2))
-    for r0, r1, runs in plan:
-        for a, b in runs:
-            x[r0:r1, a:b] = s[r0:r1, 2 * a : 2 * b : 2]
-            y[r0:r1, a:b] = s[r0:r1, 2 * a + 1 : 2 * b : 2]
 
-    def tile(t0, t1, c0, c1, shared):
+    def reduced_tile(t0, t1, c0, c1, shared):
+        # E[t0:t1, c0:c1] over the shared runs, reduced and dropped; a
+        # diagonal strip (c0 == t0) has Omega subtracted first.
         e = None
         for a, b in shared:
             part = x[t0:t1, a:b] @ y[c0:c1, a:b].T
@@ -159,7 +164,16 @@ def _omega_residuals(s: np.ndarray, plan=None) -> tuple[float, float]:
                 e = part
             else:
                 e += part
-        return np.zeros((t1 - t0, c1 - c0)) if e is None else e
+        if e is None:
+            e = np.zeros((t1 - t0, c1 - c0))
+        if c0 == t0:
+            # Omega's entries e[d, d + 1] = 1 and e[d + 1, d] = -1, d even,
+            # lie 2 (width + 1) apart in the contiguous tile.
+            width = e.shape[1]
+            flat = e.reshape(-1)
+            flat[1 : (t1 - t0) * width : 2 * (width + 1)] -= 1.0
+            flat[width : (t1 - t0) * width : 2 * (width + 1)] += 1.0
+        return _reduce_tile(e)
 
     results = []
     for i, (r0, r1, runs) in enumerate(plan):
@@ -175,17 +189,10 @@ def _omega_residuals(s: np.ndarray, plan=None) -> tuple[float, float]:
         # The diagonal group in strips, each from its diagonal on.
         cuts = _even_cuts(r0, r1, _TILE // 2)
         for t0, t1 in zip(cuts[:-1], cuts[1:]):
-            e = tile(t0, t1, t0, groups[0][0], runs)
-            # Omega's entries e[d, d + 1] = 1 and e[d + 1, d] = -1, d even,
-            # lie 2 (width + 1) apart in the contiguous tile.
-            width = e.shape[1]
-            flat = e.reshape(-1)
-            flat[1 : (t1 - t0) * width : 2 * (width + 1)] -= 1.0
-            flat[width : (t1 - t0) * width : 2 * (width + 1)] += 1.0
-            results.append(_reduce_tile(e))
+            results.append(reduced_tile(t0, t1, t0, groups[0][0], runs))
         for (c0, _), (c1, shared) in zip(groups, groups[1:]):
             if shared:
-                results.append(_reduce_tile(tile(r0, r1, c0, c1, shared)))
+                results.append(reduced_tile(r0, r1, c0, c1, shared))
     residual, commutation = np.max(results, axis=0)
     # hypot(inf, nan) is inf, so a NaN in E reaches both through max|E|.
     return float(residual), float(residual if np.isnan(residual) else commutation)
@@ -260,6 +267,10 @@ class SymplecticMap:
     """Linear quadrature map S with S Omega S^T = Omega."""
 
     matrix: np.ndarray
+    # The CanonicalTransform whose quadrature image S is, if any, set by
+    # that transform alone: its residuals, read off (M, L), are the map's.
+    # Not an init field, so dataclasses.replace drops it.
+    _transform: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = frozen_array(self.matrix, float)
@@ -273,17 +284,30 @@ class SymplecticMap:
 
     @cached_property
     def _plan(self) -> tuple:
-        """:func:`_support_plan` of S, read by both residuals and by the
-        sampling product of :func:`~pciclone.montecarlo.simulate`."""
-        return _support_plan(self.matrix)
+        """:func:`_support_plan` of S, the transform's for an image."""
+        if self._transform is not None:
+            return self._transform._plan
+        return _support_plan(_block_reach(self.matrix))
 
     @cached_property
     def _residuals(self) -> tuple[float, float]:
-        return _omega_residuals(self.matrix, self._plan)
+        if self._transform is not None:
+            return self._transform._residuals
+        s, plan = self.matrix, self._plan
+        # X and Y, written only in each panel's runs: a tile reads only
+        # the runs its two panels share.
+        x, y = np.empty((2, s.shape[0], s.shape[1] // 2))
+        for r0, r1, runs in plan:
+            for a, b in runs:
+                x[r0:r1, a:b] = s[r0:r1, 2 * a : 2 * b : 2]
+                y[r0:r1, a:b] = s[r0:r1, 2 * a + 1 : 2 * b : 2]
+        return _omega_residuals(x, y, plan)
 
     def residual(self) -> float:
         """Max-norm deviation of S Omega S^T from Omega, computed on first
-        use with the commutation residual of the transform S encodes.
+        use with the commutation residual of the transform S encodes; a
+        transform's :attr:`~pciclone.canonical.CanonicalTransform.quadrature_image`
+        reads both off the transform, which computed them without S.
 
         S Omega S^T = X Y^T - Y X^T, X and Y the columns of S acting on x
         and p, is antisymmetric: its tiles are formed from the diagonal on,
@@ -291,7 +315,8 @@ class SymplecticMap:
         columns both panels reach, and each tile is read and dropped;
         Omega is never built.  A dense S costs about 4K^3 multiply-adds;
         a machine's, whose clone and anticlone rows share only the input
-        columns, about a quarter of that.
+        columns, about a quarter of that.  Besides X and Y, which together
+        are the size of S, no array larger than one tile is made.
         For the image of b = M a + L a*, with A = M M^H - L L^H - I and
         B = M L^T - L M^T, E = S Omega S^T - Omega holds Exx = Im(A + B),
         Exp = Re(A - B), Epx = -Re(A + B) and Epp = Im(A - B) in its (i, j)

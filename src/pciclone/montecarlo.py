@@ -21,7 +21,9 @@ per-sample draws, and a run costs O(d^2 min(n, d)) whatever n, with S F
 formed only over the columns each row panel of S reaches (about half of
 the dense product for a machine, whose clone and anticlone rows share
 only the input columns): the sampler tests the same S against the same
-closed forms, but no per-sample arithmetic runs.
+closed forms, but no per-sample arithmetic runs.  S is never held
+whole: each row panel is written from the transform's (M, L), used and
+dropped.
 
 One generator, ``np.random.default_rng(seed)``, draws g, then F's chi^2
 diagonal (numpy's gamma sampler), then its normals row by row; for
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalTransform, to_symplectic
+from .canonical import CanonicalTransform, _image_blocks, _require_canonical
 from .errors import DomainError, require_finite, require_integer
 from .gaussian import (
     _TILE,
@@ -169,8 +171,11 @@ def simulate(
 
     The sample means, variances and x-p covariances of
     ``config.sample_count`` phase-space samples, drawn from their exact
-    joint law as the module docstring describes.  A non-canonical
-    transform is refused by :func:`~pciclone.canonical.to_symplectic`, and
+    joint law as the module docstring describes.  The image S is never
+    built whole: each row panel of the transform's support plan is
+    written from (M, L) over the columns it reaches, used and dropped.
+    A non-canonical transform is refused by its cached commutation
+    residual, as :func:`~pciclone.canonical.to_symplectic` refuses it, and
     an amplitude whose float spacing exceeds the vacuum noise's standard
     deviation by :class:`DomainError`.
     """
@@ -179,8 +184,7 @@ def simulate(
             f"transform has {transform.mode_count} modes, "
             f"layout expects {layout.total_modes}"
         )
-    smap = to_symplectic(transform)
-    s = smap.matrix
+    _require_canonical(transform)
     k = layout.total_modes
     mu_in = _quadratures(layout.input_amplitudes(config.psi)).reshape(-1)
     sigma = math.sqrt(VACUUM_VARIANCE)
@@ -197,21 +201,42 @@ def simulate(
     f = _wishart_factor(gen, 2 * k, n - 1)
     _log.debug("sampling %d samples of %d modes from a %d x %d Wishart factor",
                n, k, *f.shape)
-    # S F by row panels of S (the map's support plan) and column panels of
-    # F.  F has no nonzero row above row c in the panel from column c, so
-    # the tile of row panel I is S[I, R] F[R, c:c + _TILE] over the parts R
-    # of I's column runs from c on: every other product is of exact zeros.
-    # Each tile is reduced at once into the 2 x 2 blocks of I's modes.
+    sample_mean = mu_in + (sigma / math.sqrt(n)) * g
+    # Row panel I of S (the transform's support plan) is written from
+    # (M, L) over its column runs only, side by side in one buffer; every
+    # other entry of those rows is an exact zero.  So I's means are its
+    # runs' products with the input sample mean, and the tile of I and
+    # column panel c of F is S[I, R] F[R, c:c + _TILE] over the parts R of
+    # I's runs from c on, as F has no nonzero row above row c there.  Each
+    # tile is reduced at once into the 2 x 2 blocks of I's modes.
+    m, l = transform.m_matrix, transform.l_matrix
+    plan = [(r0, r1, runs, 2 * sum(b - a for a, b in runs))
+            for r0, r1, runs in transform._plan]
+    buf = np.empty(max((r1 - r0) * width for r0, r1, _, width in plan))
+    means = np.zeros(2 * k)
     covariances = np.zeros((k, 2, 2))
-    for r0, r1, runs in smap._plan:
+    for r0, r1, runs, width in plan:
+        panel = buf[: (r1 - r0) * width].reshape(r1 - r0, width)
+        rows = slice(r0 // 2, r1 // 2)
+        blocks, start = [], 0  # (first column of S, S[I, run]) per run
+        for a, b in runs:
+            block = panel[:, start : start + 2 * (b - a)]
+            start += 2 * (b - a)
+            _image_blocks(m[rows, a:b], l[rows, a:b], block[0::2, 0::2],
+                          block[0::2, 1::2], block[1::2, 0::2], block[1::2, 1::2])
+            means[r0:r1] += block @ sample_mean[2 * a : 2 * b]
+            blocks.append((2 * a, block))
         gram = covariances[r0 // 2 : r1 // 2]
         for c in range(0, f.shape[1], _TILE):
             tile = None
-            for a, b in runs:
-                if 2 * b > c:
-                    a, b = max(2 * a, c), 2 * b
-                    part = s[r0:r1, a:b] @ f[a:b, c : c + _TILE]
-                    tile = part if tile is None else tile + part
+            for a, block in blocks:
+                b = a + block.shape[1]
+                if b > c:
+                    part = block[:, max(a, c) - a :] @ f[max(a, c) : b, c : c + _TILE]
+                    if tile is None:
+                        tile = part
+                    else:
+                        tile += part
             if tile is None:
                 break
             tile = tile.reshape(-1, 2, tile.shape[1])
@@ -224,7 +249,7 @@ def simulate(
     return EmpiricalMoments(
         sample_count=n,
         psi=config.psi,
-        means=np.matmul(s, mu_in + (sigma / math.sqrt(n)) * g).reshape(k, 2),
+        means=means.reshape(k, 2),
         covariances=covariances,
         mean_se=np.sqrt(var_pairs / n),
         var_se=var_pairs * math.sqrt(2.0 / (n - 1)),
@@ -241,6 +266,7 @@ class ComparisonSummary:
     Row j of the read-only (K, 5) table ``z`` holds mode j's z_mean_x,
     z_mean_p, z_var_x, z_var_p and z_fidelity, and ``roles[j]`` its role.
     Any |z| above the finite, positive ``threshold``, or a NaN z, fails.
+    ``worst`` names the largest |z| (the first NaN, if any).
     """
 
     roles: tuple[str, ...]
@@ -262,6 +288,15 @@ class ComparisonSummary:
     def passed(self) -> bool:
         return self.max_abs_z <= self.threshold
 
+    @property
+    def worst(self) -> dict:
+        """The mode, role, column and signed value of the largest |z|: the
+        first in row order on a tie, and the first NaN if there is one,
+        as :attr:`max_abs_z` reads it."""
+        mode, col = divmod(int(np.argmax(np.abs(self.z))), len(_Z_COLUMNS))
+        return {"mode": mode, "role": self.roles[mode], "column": _Z_COLUMNS[col],
+                "z": float(self.z[mode, col])}
+
     def flagged(self) -> list[int]:
         """Modes with a |z| above the threshold or a NaN z."""
         row_max = np.max(np.abs(self.z), axis=1)
@@ -276,7 +311,8 @@ class ComparisonSummary:
 
     def to_dict(self) -> dict:
         return {"rows": self.rows, "threshold": self.threshold,
-                "max_abs_z": self.max_abs_z, "passed": self.passed}
+                "max_abs_z": self.max_abs_z, "worst": self.worst,
+                "passed": self.passed}
 
 
 def _z(diff: np.ndarray, se: np.ndarray) -> np.ndarray:

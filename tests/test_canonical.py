@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pciclone import canonical, machine
+from pciclone import canonical, gaussian, machine
 from pciclone.canonical import (
     CanonicalTransform,
     commutation_residual,
@@ -232,6 +234,43 @@ class TestCertificatesMatchDense:
         residual, commutation = smap._residuals
         assert np.isnan(residual) and np.isnan(commutation)
 
+    @given(
+        st.integers(100, 200),
+        st.integers(1, 3),
+        st.lists(st.sampled_from(["plus", "minus", "conj", "-conj", "zero",
+                                  "nan", "inf", "-inf", "tiny"]), max_size=12),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_plan_read_off_the_pair(self, k, blocks, specials, seed):
+        # Block-sparse (M, L) with exact cancellations M = +-L and M =
+        # +-conj(L), which zero half of an S block, signed zeros, NaN and
+        # +-inf: the plan read off (M, L) is the plan of S's 2 x 2 blocks,
+        # and both certificates match those of S itself, NaN for NaN.
+        rng = np.random.default_rng(seed)
+        m, l = random_matrices(rng, k)
+        reach = np.ones((k, k), dtype=bool)
+        edges = [0, *sorted(rng.choice(np.arange(1, k), blocks - 1, replace=False)), k]
+        for r0, r1 in zip(edges[:-1], edges[1:]):
+            c0 = int(rng.integers(0, k))
+            reach[r0:r1, c0 : c0 + int(rng.integers(1, k // 2))] = False
+        m, l = np.where(reach, m, 0), np.where(reach, l, -0.0)
+        for kind in specials:
+            i, j = rng.integers(0, k, size=2)
+            if kind in ("plus", "minus", "conj", "-conj"):
+                sign = -1 if kind[0] == "-" else 1
+                m[i, j] = sign * (l[i, j].conjugate() if "conj" in kind else l[i, j])
+            elif kind == "zero":
+                m[i, j], l[i, j] = complex(-0.0, 0.0), complex(0.0, -0.0)
+            elif kind == "tiny":
+                m[i, j] = l[i, j] = 5e-324
+            else:
+                (m if rng.integers(2) else l)[i, j] = complex(kind) * (1 - 2j)
+        t = CanonicalTransform(m, l)
+        s = np.array(t.quadrature_image.matrix)
+        assert t._plan == gaussian._support_plan(gaussian._block_reach(s))
+        np.testing.assert_array_equal(t._residuals, SymplecticMap(s)._residuals)
+
     @pytest.mark.parametrize("rows, want", [((0, 2), 1.0), ((2, 3), 2.0)])
     def test_swapped_rows_read_alike(self, rows, want):
         # Swapping x_0 with x_1 moves an Omega entry off its block (1);
@@ -341,6 +380,21 @@ class TestHandOver:
 
 
 class TestToSymplectic:
+    def test_image_reads_the_transform_residuals(self):
+        # The image's residuals are the transform's pair, not a second
+        # computation, and equal those of the same S read on its own; a
+        # map made from the image by dataclasses.replace reads its own.
+        transform, _ = build_machine(CloningConfig(4, 4, 130))
+        image = to_symplectic(transform)
+        assert image._residuals is transform._residuals
+        assert image.residual() == transform.symplectic_residual
+        assert image._plan is transform._plan
+        alone = SymplecticMap(np.array(image.matrix))
+        assert alone._residuals == transform._residuals
+        assert alone._plan == transform._plan
+        other = dataclasses.replace(image, matrix=2.0 * np.eye(4))
+        assert other.residual() == 3.0
+
     def test_unit_gain_is_identity(self):
         np.testing.assert_allclose(
             to_symplectic(pcia_transform(1.0)).matrix, np.eye(4), atol=1e-15

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -285,19 +286,20 @@ class TestVerify:
         assert doc["comparison"]["passed"] is True
 
     def test_certificates_take_one_product(self, capsys, monkeypatch):
-        # Both residuals, to_symplectic's gate and simulate read the
-        # pair computed once from W = X Y^T.
+        # Both residuals and simulate's gate read the pair computed once
+        # from the tiles of E = X Y^T - Y X^T - Omega, X and Y the 2K x K
+        # x and p columns of S, written from (M, L).
         calls = []
-        real = pciclone.gaussian._omega_residuals
+        real = pciclone.canonical._omega_residuals
 
-        def spy(s, *plan):
-            calls.append(s.shape)
-            return real(s, *plan)
+        def spy(x, y, plan):
+            calls.append((x.shape, y.shape))
+            return real(x, y, plan)
 
-        monkeypatch.setattr(pciclone.gaussian, "_omega_residuals", spy)
+        monkeypatch.setattr(pciclone.canonical, "_omega_residuals", spy)
         code, out = run_cli(capsys, "verify", 2, 1, 5, 1000, 3)
         assert code == 0
-        assert calls == [(20, 20)]
+        assert calls == [((20, 10), (20, 10))]
         doc = json.loads(out)
         assert 0.0 <= doc["commutation_residual"] <= 1e-14
         assert 0.0 <= doc["symplectic_residual"] <= 1e-14
@@ -379,7 +381,7 @@ class TestVerify:
         argv = ("verify", 2, 1, 3, 5000, 4)
         _, out = run_cli(capsys, *argv)
         comparison = json.loads(out)["comparison"]
-        assert list(comparison) == ["rows", "threshold", "max_abs_z", "passed"]
+        assert list(comparison) == ["rows", "threshold", "max_abs_z", "worst", "passed"]
         want = comparison["rows"]
         columns = ["mode", "role", "z_mean_x", "z_mean_p", "z_var_x", "z_var_p",
                    "z_fidelity"]
@@ -391,6 +393,43 @@ class TestVerify:
             assert int(got_row.pop("mode")) == want_row.pop("mode")
             assert got_row.pop("role") == want_row.pop("role")
             assert {k: float(v) for k, v in got_row.items()} == want_row
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_golden.json").read_text())
+
+
+@pytest.mark.parametrize("golden", GOLDEN, ids=lambda g: " ".join(g["argv"][1:]))
+def test_verify_golden(capsys, golden):
+    # Every field but the timings, as the version before the image-free
+    # verify path printed it: counts, flags, verdicts, roles and meta
+    # exactly, residuals to 1e-14 and z-scores to 1e-9.
+    code, out = run_cli(capsys, *golden["argv"])
+    assert code == golden["exit_code"]
+    doc = json.loads(out)
+    assert list(doc.pop("timings")) == ["build_s", "certificates_s", "sampling_s",
+                                        "scoring_s"]
+    want = golden["doc"]
+    comparison, want_comparison = doc.pop("comparison"), want.pop("comparison")
+    for key in ("commutation_residual", "symplectic_residual"):
+        assert doc.pop(key) == pytest.approx(want.pop(key), rel=0, abs=1e-14)
+    assert doc == want
+    rows = comparison["rows"]
+    assert [row["mode"] for row in rows] == list(range(len(golden["roles"])))
+    assert [row["role"] for row in rows] == golden["roles"]
+    columns = ["z_mean_x", "z_mean_p", "z_var_x", "z_var_p", "z_fidelity"]
+    z = [[row[c] for c in columns] for row in rows]
+    np.testing.assert_allclose(z, golden["z"], rtol=0, atol=1e-9)
+    assert comparison["threshold"] == want_comparison["threshold"]
+    assert comparison["passed"] is want_comparison["passed"]
+    assert comparison["max_abs_z"] == pytest.approx(want_comparison["max_abs_z"],
+                                                    rel=0, abs=1e-9)
+    flagged = [j for j, zs in enumerate(golden["z"])
+               if max(map(abs, zs)) > want_comparison["threshold"]]
+    assert [j for j, zs in enumerate(z)
+            if max(map(abs, zs)) > comparison["threshold"]] == flagged
+    worst = comparison["worst"]
+    assert abs(worst["z"]) == comparison["max_abs_z"]
+    assert rows[worst["mode"]][worst["column"]] == worst["z"]
 
 
 @pytest.mark.parametrize("env", ["abc", "nan", "inf", "-1"])

@@ -431,7 +431,7 @@ class TestValidation:
         a = 1e200
         s = np.array([[a, 0, 0, a], [0, 0, 0, 0], [0, a, a, 0], [0, a, 0, 0]])
         with np.errstate(over="ignore", invalid="ignore"):
-            residual, commutation = gaussian._omega_residuals(s)
+            residual, commutation = SymplecticMap(s)._residuals
         assert np.isnan(residual) and np.isnan(commutation)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from pciclone import machine
+from pciclone import gaussian, machine
 from pciclone.canonical import commutation_residual, to_symplectic
 from pciclone.errors import DomainError
 from pciclone.gaussian import apply_map, marginal, quadrature_variance
@@ -629,6 +629,20 @@ class TestRowwiseAssembly:
             transform, _ = build_machine(cfg)
             want = oracles.quadrature_image_from_sums(transform)
             assert transform.quadrature_image.matrix.tobytes() == want.tobytes(), cfg
+
+    def test_plan_read_off_the_pair(self):
+        # (M_ij, L_ij) != (0, 0) is S's 2 x 2 block reach, so the plan read
+        # off (M, L) is the plan of S, tuple for tuple.  The last three
+        # machines have several panels.
+        wide = [(2, 2, 130), (1, 3, 300), (4, 4, 300)]
+        for cfg in [*oracle_configs(), *(CloningConfig(*c) for c in wide)]:
+            transform, _ = build_machine(cfg)
+            m, l = transform.m_matrix, transform.l_matrix
+            reach = gaussian._block_reach(oracles.quadrature_image_from_sums(transform))
+            np.testing.assert_array_equal((m != 0) | (l != 0), reach)
+            assert transform._plan == gaussian._support_plan(reach), cfg
+            assert "quadrature_image" not in vars(transform)
+        assert len(transform._plan) > 1
 
     def test_quadrature_image_needs_no_temporaries(self):
         transform, _ = build_machine(CloningConfig(4, 4, 512))

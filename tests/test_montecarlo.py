@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
-from pciclone import gaussian, montecarlo
+from pciclone import canonical, gaussian, montecarlo
 from pciclone.canonical import (
     CanonicalTransform,
     commutation_residual,
@@ -254,18 +254,22 @@ class TestSimulate:
         ],
     )
     def test_matches_the_full_product(self, counts, samples):
-        # The same draws through the whole S F, upper zeros included.
+        # The same draws through the whole S F and the whole S, upper zeros
+        # included; the panels sum in another order, within 1e-14.
         transform, layout = build_machine(CloningConfig(*counts))
         emp = simulate(transform, layout, SampleConfig(samples, 11, 0.5j))
         k = layout.total_modes
         gen = np.random.default_rng(11)
-        gen.standard_normal(2 * k)
-        sf = to_symplectic(transform).matrix @ montecarlo._wishart_factor(
-            gen, 2 * k, samples - 1
-        )
+        g = gen.standard_normal(2 * k)
+        s = to_symplectic(transform).matrix
+        sf = s @ montecarlo._wishart_factor(gen, 2 * k, samples - 1)
         gram = (0.5 / (samples - 1)) * sf @ sf.T
         cov = [gram[2 * a : 2 * a + 2, 2 * a : 2 * a + 2] for a in range(k)]
         np.testing.assert_allclose(emp.covariances, cov, rtol=0, atol=1e-14)
+        amps = layout.input_amplitudes(0.5j)
+        mu_in = np.sqrt(2.0) * np.column_stack((amps.real, amps.imag)).reshape(-1)
+        means = s @ (mu_in + np.sqrt(0.5 / samples) * g)
+        np.testing.assert_allclose(emp.means.reshape(-1), means, rtol=0, atol=1e-14)
 
     def test_panels_need_no_full_size_temporaries(self):
         # At K = 606, S is 11.8 MB.  The certificates of a fresh map and a
@@ -285,6 +289,26 @@ class TestSimulate:
             tracemalloc.stop()
         assert residual_peak < 1.6 * s.nbytes
         assert sampling_peak < 1.6 * s.nbytes
+
+    def test_verify_path_never_builds_the_image(self):
+        # At K = 606, S would be 11.8 MB.  Certifying and sampling read
+        # (M, L) and hold one working set besides: X and Y (S's size
+        # together), then the factor F (S's size for n - 1 >= 2K), with
+        # one row panel of S and a few tiles.  Holding S as well traced
+        # about 2.2 S.
+        warm, warm_layout = build_machine(CloningConfig(2, 2, 130))
+        simulate(warm, warm_layout, SampleConfig(600, 1))  # first-use imports
+        transform, layout = build_machine(CloningConfig(4, 4, 300))
+        s_nbytes = (2 * transform.mode_count) ** 2 * 8
+        tracemalloc.start()
+        try:
+            commutation_residual(transform)
+            simulate(transform, layout, SampleConfig(4096, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "quadrature_image" not in vars(transform)
+        assert peak <= 1.2 * s_nbytes
 
     def test_stream_version_3_definition(self):
         # A run draws g, then F's chi^2 diagonal, then its normals row by
@@ -365,13 +389,13 @@ class TestSimulate:
     def test_mode_count_mismatch_rejected(self, monkeypatch):
         # Refused before the certificates of the fresh transform are paid.
         calls = []
-        real = gaussian._omega_residuals
+        real = canonical._omega_residuals
 
         def spy(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(gaussian, "_omega_residuals", spy)
+        monkeypatch.setattr(canonical, "_omega_residuals", spy)
         transform, _ = build_machine(CloningConfig(1, 0, 1))
         _, layout = build_machine(CloningConfig(1, 1, 2))
         with pytest.raises(DomainError, match="layout expects"):
@@ -531,6 +555,16 @@ class TestCompareToAnalytic:
         summary = ComparisonSummary(("clone",) * 4, z, threshold=10.0)
         assert summary.flagged() == [2]
         assert np.isnan(summary.max_abs_z) and not summary.passed
+        worst = summary.worst
+        assert (worst["mode"], worst["column"]) == (2, "z_mean_p")
+        assert np.isnan(worst["z"])
+
+    def test_worst_is_the_first_largest(self):
+        z = np.zeros((3, 5))
+        z[1, 3], z[2, 0] = -4.5, 4.5
+        summary = ComparisonSummary(("clone", "anticlone", "residual"), z)
+        assert summary.worst == {"mode": 1, "role": "anticlone",
+                                 "column": "z_var_p", "z": -4.5}
 
     def test_nan_prediction_never_passes(self):
         # The NaN rows are the anticlones, after the first row, where
@@ -610,7 +644,7 @@ class TestCompareToAnalytic:
         transform, layout, emp = run(cfg, 10**4, 12, 0j)
         summary = compare_to_analytic(emp, noise_report(cfg), layout)
         doc = summary.to_dict()
-        assert list(doc) == ["rows", "threshold", "max_abs_z", "passed"]
+        assert list(doc) == ["rows", "threshold", "max_abs_z", "worst", "passed"]
         assert [list(row) for row in doc["rows"]] == [[
             "mode", "role", "z_mean_x", "z_mean_p",
             "z_var_x", "z_var_p", "z_fidelity",
@@ -618,6 +652,11 @@ class TestCompareToAnalytic:
         assert [row["mode"] for row in doc["rows"]] == [0, 1, 2, 3]
         assert [list(row.values())[2:] for row in doc["rows"]] == summary.z.tolist()
         assert doc["max_abs_z"] == np.max(np.abs(summary.z))
+        worst = doc["worst"]
+        assert list(worst) == ["mode", "role", "column", "z"]
+        assert abs(worst["z"]) == doc["max_abs_z"]
+        assert doc["rows"][worst["mode"]][worst["column"]] == worst["z"]
+        assert worst["role"] == doc["rows"][worst["mode"]]["role"]
         assert doc["passed"] is summary.passed is True
         with pytest.raises(ValueError):
             summary.z[0, 0] = 0.0
