@@ -284,9 +284,7 @@ class SymplecticMap:
 
     @cached_property
     def _plan(self) -> tuple:
-        """:func:`_support_plan` of S, the transform's for an image."""
-        if self._transform is not None:
-            return self._transform._plan
+        """:func:`_support_plan` of S, read by :attr:`_residuals`."""
         return _support_plan(_block_reach(self.matrix))
 
     @cached_property

@@ -388,7 +388,6 @@ class TestToSymplectic:
         image = to_symplectic(transform)
         assert image._residuals is transform._residuals
         assert image.residual() == transform.symplectic_residual
-        assert image._plan is transform._plan
         alone = SymplecticMap(np.array(image.matrix))
         assert alone._residuals == transform._residuals
         assert alone._plan == transform._plan

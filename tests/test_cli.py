@@ -288,15 +288,17 @@ class TestVerify:
     def test_certificates_take_one_product(self, capsys, monkeypatch):
         # Both residuals and simulate's gate read the pair computed once
         # from the tiles of E = X Y^T - Y X^T - Omega, X and Y the 2K x K
-        # x and p columns of S, written from (M, L).
+        # x and p columns of S, written from (M, L).  Both call sites are
+        # spied on: a transform's and a bare SymplecticMap's.
         calls = []
-        real = pciclone.canonical._omega_residuals
+        real = pciclone.gaussian._omega_residuals
 
         def spy(x, y, plan):
             calls.append((x.shape, y.shape))
             return real(x, y, plan)
 
         monkeypatch.setattr(pciclone.canonical, "_omega_residuals", spy)
+        monkeypatch.setattr(pciclone.gaussian, "_omega_residuals", spy)
         code, out = run_cli(capsys, "verify", 2, 1, 5, 1000, 3)
         assert code == 0
         assert calls == [((20, 10), (20, 10))]
