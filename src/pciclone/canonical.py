@@ -17,7 +17,7 @@ builds S.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -45,6 +45,10 @@ class CanonicalTransform:
 
     m_matrix: np.ndarray
     l_matrix: np.ndarray
+    # The stages (M, L) was assembled from, if any, set by
+    # :func:`~pciclone.machine.build_machine` alone: :meth:`_push` runs
+    # through them.  Not an init field, so dataclasses.replace drops it.
+    _network: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = frozen_array(self.m_matrix, complex)
@@ -59,6 +63,17 @@ class CanonicalTransform:
     @property
     def mode_count(self) -> int:
         return self.m_matrix.shape[0]
+
+    def _push(self, a: np.ndarray) -> None:
+        """Turn each column alpha of the (K, cols) complex array ``a`` into
+        M alpha + L conj(alpha) in place: S acting on the quadratures
+        (Re alpha, Im alpha).  Through the machine's stages at O(K log K)
+        a column if the pair was assembled from them, else through
+        (M, L)."""
+        if self._network is not None:
+            self._network._push(a)
+        else:
+            a[...] = self.m_matrix @ a + self.l_matrix @ a.conj()
 
     @property
     def commutation_residual(self) -> float:
@@ -82,7 +97,7 @@ class CanonicalTransform:
         """:func:`~pciclone.gaussian._support_plan` of the image S, from the
         mode-level reach of (M, L): S's 2 x 2 block (i, j) is nonzero iff
         (M_ij, L_ij) != (0, 0), NaN included, as :func:`_image_blocks`
-        writes it.  Read by both certificates and by the sampler."""
+        writes it.  Read by both exact certificates."""
         # A complex number is true iff it is nonzero; NaN is true.
         return _support_plan(np.logical_or(self.m_matrix, self.l_matrix))
 
@@ -118,7 +133,7 @@ class CanonicalTransform:
         imaginary views of M and L by :func:`_image_blocks`, with no K x K
         temporary.  The map's residuals are the transform's, read on
         demand and never recomputed from S.  Neither the certificates nor
-        :func:`~pciclone.montecarlo.simulate` need the whole S.
+        :func:`~pciclone.montecarlo.simulate` build S.
         """
         k = self.mode_count
         s = np.empty((2 * k, 2 * k))
@@ -138,9 +153,9 @@ def _image_blocks(m, l, xx, xp, px, pp) -> None:
     for the entries ``m``, ``l`` (equal-shape complex views of M and L):
     xx = Re(M+L), xp = -Im(M-L), px = Im(M+L) and pp = Re(M-L), each
     output a real view of that shape.  The one rule behind
-    :attr:`CanonicalTransform.quadrature_image`, its x and p columns and
-    the sampler's row panels; signed zeros are kept, so all three hold
-    the same bits."""
+    :attr:`CanonicalTransform.quadrature_image` and the x and p columns
+    the certificates read; signed zeros are kept, so both hold the same
+    bits."""
     np.add(m.real, l.real, out=xx)
     # Negated after the difference, as -(M-L).imag: l.imag - m.imag would
     # give +0 where the image has -0.
@@ -219,7 +234,8 @@ def _apply_dft(
     """Act with the K-mode ``dft_transform(K, inverse)`` on the K rows
     ``rows`` (indices, or a slice) of ``arrays``, in place, as one
     orthonormal FFT along the rows.  ``arrays`` is an array or a list of
-    arrays, such as column views of M and L, that share those rows.
+    arrays, such as column views of M and L, that share those rows.  A
+    (B, K) index array acts on B blocks of K rows with one batched FFT.
 
     The forward M_lk = exp(2 pi i l k / K)/sqrt(K) is numpy's ``ifft`` and
     its conjugate transpose numpy's ``fft``, both with ``norm="ortho"``,
@@ -229,14 +245,16 @@ def _apply_dft(
         arrays = [arrays]
     idx = rows if isinstance(rows, slice) else np.asarray(rows, dtype=np.intp)
     blocks = [a[idx] for a in arrays]
-    if len(blocks[0]) < 2:
+    if blocks[0].shape[-2] < 2:
         return
     fft = np.fft.fft if inverse else np.fft.ifft
-    out = fft(np.concatenate(blocks, axis=1), axis=0, norm="ortho")
+    # One array's rows are transformed as they are, with no joined copy.
+    whole = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
+    out = fft(whole, axis=-2, norm="ortho")
     start = 0
     for a, block in zip(arrays, blocks):
-        a[idx] = out[:, start : start + block.shape[1]]
-        start += block.shape[1]
+        a[idx] = out[..., start : start + block.shape[-1]]
+        start += block.shape[-1]
 
 
 def pcia_transform(gain: float) -> CanonicalTransform:

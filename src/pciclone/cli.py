@@ -36,15 +36,18 @@ from . import __version__
 from .canonical import commutation_residual
 from .errors import ConvergenceError, DomainError, _require_tolerance, require_finite
 from .machine import (
+    _CERTIFICATE,
     CloningConfig,
+    _network,
+    _require_memory,
     _split_gain_noise,
     attenuates,
-    build_machine,
     noise_report,
 )
 from .montecarlo import (
     BLOCK_SIZE,
     STREAM_VERSION,
+    _Z_COLUMNS,
     SampleConfig,
     compare_to_analytic,
     simulate,
@@ -177,20 +180,28 @@ def cmd_verify(args) -> int:
     tol = _resolve_tol(args, 1e-10)
     config = CloningConfig(args.n_sig, args.n_con, args.m)
     sampling = SampleConfig(sample_count=args.samples, seed=args.seed, psi=args.psi)
+    _require_memory(config, sampling.sample_count)
+    # Only the machine's stages are built: both certificates are probe
+    # bounds read through them, and the sampler pushes F through them.
     t_start = time.perf_counter()
-    transform, layout = build_machine(config)
+    network, layout = _network(config)
     t_built = time.perf_counter()
-    residual = commutation_residual(transform)
-    symplectic = transform.symplectic_residual
+    residual = commutation_residual(network)
+    symplectic = network.symplectic_residual
     structural_pass = residual <= tol and symplectic <= tol
-    t_certified = time.perf_counter()
-    emp = simulate(transform, layout, sampling)
-    t_sampled = time.perf_counter()
-    summary = compare_to_analytic(emp, noise_report(config), layout).to_dict()
-    t_scored = time.perf_counter()
+    t_certified = t_sampled = t_scored = time.perf_counter()
+    # A machine that fails its certificates has failed verification and
+    # is not sampled: it has no z table.
+    summary = None
+    if structural_pass:
+        emp = simulate(network, layout, sampling)
+        t_sampled = time.perf_counter()
+        summary = compare_to_analytic(emp, noise_report(config), layout).to_dict()
+        t_scored = time.perf_counter()
     passed = structural_pass and summary["passed"]
     if args.format == "csv":
-        _write(summary["rows"], "csv", args.out)
+        rows = summary["rows"] if summary else []
+        _write(rows, "csv", args.out, ["mode", "role", *_Z_COLUMNS])
     else:
         doc = {
             "N": config.n_inputs,
@@ -211,6 +222,7 @@ def cmd_verify(args) -> int:
                 "stream_version": STREAM_VERSION,
                 "block_size": BLOCK_SIZE,
                 "seed": args.seed,
+                "certificate": _CERTIFICATE,
             },
             "timings": {
                 "build_s": t_built - t_start,

@@ -23,9 +23,8 @@ STRUCTURAL_TOL = 1e-10
 
 VACUUM_VARIANCE = 0.5
 
-# Most rows of a panel of S in _support_plan, read by _omega_residuals and
-# montecarlo.simulate, and the column panel edge of F in simulate; 128 to
-# 384 ran within noise of each other, and 512 slower, for K = 1030 modes
+# Most rows of a panel of S in _support_plan, read by _omega_residuals; 128
+# to 384 ran within noise of each other, and 512 slower, for K = 1030 modes
 # on a 2-CPU Xeon.  Diagonal strips of _TILE // 2 rows ran faster there
 # than _TILE // 4 or whole diagonal tiles.
 _TILE = 256

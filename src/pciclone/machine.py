@@ -2,11 +2,11 @@
 
 The machine takes N replicas of a coherent state psi together with N'
 replicas of its phase conjugate psi*, and emits M clones plus
-M' = M + N' - N anticlones.  It is built from three stages acting on
-K modes:
+M' = M + N' - N anticlones.  It is built from five stages in three
+steps acting on K modes:
 
     1. concentrate: a DFT merges the N signal replicas into one mode and
-       the N' conjugate replicas into another,
+       another the N' conjugate replicas into a second,
     2. amplify: a two-mode phase-insensitive amplifier of gain G couples
        the two concentrated modes,
     3. distribute: inverse DFTs spread the amplified modes over M clone
@@ -16,13 +16,20 @@ Every clone carries mean exactly psi with added thermal noise (G-1)/M per
 mode; anticlones carry psi* with (G-1)/M'.  The closed-form evaluators
 here (gains, noise, fidelities, comparison baselines) are what the
 explicit transform is tested against.
+
+One private description of the stages serves both routes:
+:func:`build_machine` assembles the explicit K x K pair (M, L) from it,
+and the ``verify`` path pushes columns through it at O(K log K) each and
+certifies it with Gaussian probes, holding no K x K array.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +40,28 @@ from .gaussian import GaussianState, coherent_state
 # Smallest sum of square roots in _gain_and_excess whose rounding still
 # absorbs the error of a root of an underflowed product.
 _MIN_ROOTS = 2.0 * math.sqrt(sys.float_info.min) / sys.float_info.epsilon
+
+# The verify path's certificates read E = S Omega S^T - Omega off Gaussian
+# probes v (Halko, Martinsson & Tropp, SIAM Rev. 53, 217 (2011)): along
+# E's top right singular vector v has a standard normal part, so
+# ||E v|| < eps ||E||_2 with probability at most eps sqrt(2/pi), and the
+# largest of _PROBES probe norms over eps bounds ||E||_2 except with
+# probability (eps sqrt(2/pi))^_PROBES, below 1e-35.  The probes come from
+# a generator of their own, seeded by _PROBE_SEED, so one machine always
+# gets the same certificate.
+_PROBES = 32
+_PROBE_EPSILON = 0.1
+_PROBE_SEED = 2001
+_CERTIFICATE = {
+    "method": "gaussian_probes",
+    "probes": _PROBES,
+    "epsilon": _PROBE_EPSILON,
+    "miss_probability": (_PROBE_EPSILON * math.sqrt(2.0 / math.pi)) ** _PROBES,
+}
+# Bytes per mode of the layout's slot tuples while they are built and
+# checked (112 to 116 traced at K = 6e5 to 2e6) and of the stages' slot
+# arrays (8).
+_SLOT_BYTES = 128
 
 
 @dataclass(frozen=True)
@@ -419,41 +448,176 @@ def _apply_stage(
     ll[rows] = sm @ l_rows + sl @ m_rows.conj()
 
 
+@dataclass(frozen=True, eq=False)
+class _Network:
+    """The machine's five stages on ``mode_count`` modes, in order: a
+    concentration DFT on each replica block of ``concentration``, the
+    ``amplifier`` on its two ``ports``, and an inverse DFT distributing
+    each port over its slots in ``distribution`` (clones, then
+    anticlones).  :func:`build_machine` assembles (M, L) from it;
+    :meth:`_push` applies it to columns at O(K log K) each, and its
+    certificates read E = S Omega S^T - Omega off probes pushed through
+    it, so the verify path holds no K x K array.
+    """
+
+    mode_count: int
+    concentration: tuple[slice, slice]
+    ports: tuple[int, int]
+    amplifier: CanonicalTransform
+    distribution: tuple[np.ndarray, np.ndarray]
+
+    def _push(self, a: np.ndarray, transpose: bool = False) -> None:
+        """Turn each column alpha of the (K, cols) complex array ``a`` into
+        M alpha + L conj(alpha) in place, which is S acting on the
+        quadratures (Re alpha, Im alpha).  With ``transpose`` S^T acts
+        instead: the stages run in reverse order and each DFT in the
+        other direction, since the DFT matrix and the amplifier's
+        quadrature matrix are symmetric (a passive U's image transposes
+        to that of its conjugate transpose).
+        """
+        conc, dist = self._stages
+        concentrate = [(rows, transpose) for rows in conc]
+        distribute = [(rows, not transpose) for rows in dist]
+        first, last = (distribute, concentrate) if transpose else (concentrate, distribute)
+        for rows, inverse in first:
+            _apply_dft(a, rows, inverse)
+        ports = list(self.ports)
+        x = a[ports]
+        a[ports] = self.amplifier.m_matrix @ x + self.amplifier.l_matrix @ x.conj()
+        for rows, inverse in last:
+            _apply_dft(a, rows, inverse)
+
+    @cached_property
+    def _stages(self) -> tuple:
+        """The concentration and distribution row sets :meth:`_push`
+        transforms: a stage's two blocks, or, if they have one length,
+        one (2, length) index array, so one batched FFT does both."""
+        modes = np.arange(self.mode_count)
+        groups = []
+        for blocks in (self.concentration, self.distribution):
+            rows = [modes[b] for b in blocks]
+            groups.append((np.stack(rows),) if len(rows[0]) == len(rows[1]) else blocks)
+        return tuple(groups)
+
+    @cached_property
+    @np.errstate(invalid="ignore", over="ignore")  # a NaN or inf is the refusal
+    def _probe_bound(self) -> float:
+        """max_j ||E v_j|| / eps over the probes v_j of :data:`_CERTIFICATE`:
+        E v = S Omega S^T v - Omega v, one transposed and one forward push
+        of all probes, Omega acting on alpha = x + ip as -i.  It bounds
+        max|E_ij| and, by the identity in
+        :meth:`~pciclone.gaussian.SymplecticMap.residual`, every |A_ij| and
+        |B_ij|, since |A_ij| + |B_ij| is the norm of E's (i, j) block; NaN
+        if the stages hold one."""
+        gen = np.random.default_rng(_PROBE_SEED)
+        v = gen.standard_normal((self.mode_count, 2 * _PROBES)).view(complex)
+        e = v.copy()
+        self._push(e, transpose=True)
+        e *= -1j
+        self._push(e)
+        e += 1j * v
+        return float(np.max(np.linalg.norm(e, axis=0))) / _PROBE_EPSILON
+
+    @property
+    def commutation_residual(self) -> float:
+        """Bound on the commutation residual of the (M, L) the stages
+        compose, as :attr:`_probe_bound` states."""
+        return self._probe_bound
+
+    @property
+    def symplectic_residual(self) -> float:
+        """Bound on max|S Omega S^T - Omega|, as :attr:`_probe_bound` states."""
+        return self._probe_bound
+
+
+def _network(config: CloningConfig) -> tuple[_Network, MachineLayout]:
+    """The machine's stages and its layout."""
+    layout = _machine_layout(config)
+    a2 = _block_starts(config)[0]
+    slots = (layout.clone_slots, layout.anticlone_slots)
+    network = _Network(
+        mode_count=layout.total_modes,
+        concentration=(slice(0, config.n_inputs), slice(a2, a2 + config.n_conj)),
+        ports=(0, a2),
+        amplifier=pcia_transform(gain_from_counts(config)),
+        distribution=tuple(np.array(s, dtype=np.intp) for s in slots),
+    )
+    return network, layout
+
+
+def _working_set(config: CloningConfig, samples: int | None = None) -> int:
+    """Bytes a run on ``config`` holds at its peak, known before anything
+    is allocated: the slots of the layout and the stages, plus (M, L),
+    32 K^2 bytes, for :func:`build_machine` (``samples`` None), or for a
+    ``verify`` run of ``samples`` samples the Wishart factor F,
+    16 K min(2K, samples - 1) bytes, and the probes with their FFT copies.
+    """
+    k = _block_starts(config)[3]
+    if samples is None:
+        held = 32 * k * k
+    else:
+        held = 16 * k * (min(2 * k, samples - 1) + 4 * _PROBES)
+    return _SLOT_BYTES * k + held
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, read with os.sysconf; inf if unknown."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def _require_memory(config: CloningConfig, samples: int | None = None) -> None:
+    """Refuse a run whose :func:`_working_set` exceeds physical memory with
+    :class:`DomainError`, in numpy's words for a failed allocation."""
+    need, have = _working_set(config, samples), _physical_memory()
+    if need > have:
+        raise DomainError(
+            f"Unable to allocate {need / 2**30:.3g} GiB for a machine of "
+            f"{_block_starts(config)[3]} modes: physical memory is "
+            f"{have / 2**30:.3g} GiB"
+        )
+
+
 def build_machine(config: CloningConfig) -> tuple[CanonicalTransform, MachineLayout]:
     """Explicit K-mode canonical transform of the machine plus its layout.
 
-    Concentration DFTs act on the replica blocks, the amplifier couples
-    the two concentrated ports, and inverse DFTs distribute each port
-    over its output block.  Each stage updates only the rows of (M, L)
-    it touches, and each DFT, an orthonormal FFT, only the columns those
-    rows can reach, so assembly costs O(M log M (N + N' + M) + M' log M'
-    (N + N' + M')) beyond allocating the K x K pair.  Feeding the
-    layout's input state yields clones of mean exactly psi and
+    The stages of :func:`_network` in order: concentration DFTs act on the
+    replica blocks, the amplifier couples the two concentrated ports, and
+    inverse DFTs distribute each port over its output block.  Each stage
+    updates only the rows of (M, L) it touches, and each DFT, an
+    orthonormal FFT, only the columns those rows can reach, so assembly
+    costs O(M log M (N + N' + M) + M' log M' (N + N' + M')) beyond
+    allocating the K x K pair, which :func:`_require_memory` refuses
+    beyond physical memory.  The transform keeps the stages as a private
+    link, so :func:`~pciclone.montecarlo.simulate` pushes through them.
+    Feeding the layout's input state yields clones of mean exactly psi and
     anticlones of mean exactly psi*.
     """
-    layout = _machine_layout(config)
-    a2, dist_start, anti_start, k = _block_starts(config)
+    _require_memory(config)
+    network, layout = _network(config)
+    _, dist_start, anti_start, k = _block_starts(config)
     mm = np.eye(k, dtype=complex)
     ll = np.zeros((k, k), dtype=complex)
     # L stays zero until the amplifier, and each replica block of M is
     # the identity, so concentration acts on that block of M alone.
-    for block in (slice(0, config.n_inputs), slice(a2, a2 + config.n_conj)):
+    for block in network.concentration:
         _apply_dft(mm[:, block], block)
-    amp = pcia_transform(gain_from_counts(config))
-    _apply_stage(mm, ll, [0, a2], amp)
+    _apply_stage(mm, ll, list(network.ports), network.amplifier)
     # The ports' rows now reach the inputs 0:dist_start; a distribution
     # block's other rows are its vacua, identity rows of M and zero rows
     # of L.  The clone vacua dist_start:anti_start follow the inputs.
     inputs = slice(0, dist_start)
-    for rows, m_cols in (
-        (layout.clone_slots, [slice(0, anti_start)]),
-        (layout.anticlone_slots, [inputs, slice(anti_start, k)]),
-    ):
-        _apply_dft([mm[:, c] for c in m_cols] + [ll[:, inputs]], rows, inverse=True)
+    m_cols = ([slice(0, anti_start)], [inputs, slice(anti_start, k)])
+    for rows, cols in zip(network.distribution, m_cols):
+        _apply_dft([mm[:, c] for c in cols] + [ll[:, inputs]], rows, inverse=True)
     # Read-only hands both matrices over to the transform uncopied.
     mm.setflags(write=False)
     ll.setflags(write=False)
-    return CanonicalTransform(mm, ll), layout
+    transform = CanonicalTransform(mm, ll)
+    object.__setattr__(transform, "_network", network)
+    return transform, layout
 
 
 __all__ = [

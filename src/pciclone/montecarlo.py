@@ -17,13 +17,14 @@ output means are then S (mu_in + sigma g / sqrt(n)), each output
 variance is sigma^2 / (n - 1) times a squared row norm of S F, and each
 x-p covariance the same multiple of the product of the mode's two rows.
 Every statistic, and so every z-score, has exactly the law it has under
-per-sample draws, and a run costs O(d^2 min(n, d)) whatever n, with S F
-formed only over the columns each row panel of S reaches (about half of
-the dense product for a machine, whose clone and anticlone rows share
-only the input columns): the sampler tests the same S against the same
-closed forms, but no per-sample arithmetic runs.  S is never held
-whole: each row panel is written from the transform's (M, L), used and
-dropped.
+per-sample draws: the sampler tests the same S against the same closed
+forms, but no per-sample arithmetic runs.  S is never built.  The mean
+and F's columns, read as complex amplitudes x + ip, are pushed through
+the machine's stages (two concentration DFTs as orthonormal FFTs, the
+two-mode amplifier, two distribution DFTs), which turn alpha into
+M alpha + L conj(alpha), S's action, at O(K log K) a column; a run costs
+O(K log K min(n, d)) whatever n.  A bare transform pushes them through
+(M, L) in the same loop, at O(K^2) a column.
 
 One generator, ``np.random.default_rng(seed)``, draws g, then F's chi^2
 diagonal (numpy's gamma sampler), then its normals row by row; for
@@ -31,7 +32,10 @@ n - 1 >= d these are stream version 2's draws.  The same arguments give
 the same moments under one numpy version, platform and BLAS build and
 thread count: numpy does not promise that its samplers keep their
 output across versions, they call the platform's math library, and the
-product S F may sum in a BLAS-build- and thread-dependent order.
+FFTs and BLAS products may round in a build- and thread-dependent way.
+Pushed through the stages instead of through S's row panels, the
+moments moved by about 1e-15 relative within stream version 3, whose
+draws are unchanged.
 
 Stream version 1 drew every sample: block b of BLOCK_SIZE samples took
 its standard normals from a Philox generator keyed (seed, b), one (rows,
@@ -48,10 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalTransform, _image_blocks, _require_canonical
+from .canonical import CanonicalTransform, _require_canonical
 from .errors import DomainError, require_finite, require_integer
 from .gaussian import (
-    _TILE,
     VACUUM_VARIANCE,
     _quadratures,
     coherent_fidelity,
@@ -61,6 +64,10 @@ from .machine import MachineLayout, NoiseReport
 
 # Samples per block of stream version 1.
 BLOCK_SIZE = 1 << 17
+# Columns of F pushed through the machine at once.  16 to 128 ran within
+# noise of each other for K = 1030 modes on a 2-CPU Xeon; 32 keeps a
+# panel and its FFT copies within a tenth of F's size at K = 606.
+_PANEL = 32
 STREAM_VERSION = 3
 # z-scores at or above this many standard errors are flagged.
 Z_FLAG = 5.0
@@ -171,13 +178,19 @@ def simulate(
 
     The sample means, variances and x-p covariances of
     ``config.sample_count`` phase-space samples, drawn from their exact
-    joint law as the module docstring describes.  The image S is never
-    built whole: each row panel of the transform's support plan is
-    written from (M, L) over the columns it reaches, used and dropped.
-    A non-canonical transform is refused by its cached commutation
-    residual, as :func:`~pciclone.canonical.to_symplectic` refuses it, and
-    an amplitude whose float spacing exceeds the vacuum noise's standard
-    deviation by :class:`DomainError`.
+    joint law as the module docstring describes.  ``transform`` is a
+    :class:`~pciclone.canonical.CanonicalTransform` or the stages of
+    ``pciclone.machine._network``: the sample mean and each _PANEL-column
+    panel of F are pushed through it as complex amplitudes x + ip, each
+    panel reduced into the modes' 2 x 2 sums and dropped.  The machine's
+    stages (also linked from the transforms ``build_machine`` returns)
+    push a column through FFTs at O(K log K); a bare transform through
+    (M, L).  No K x K array is formed.  A transform whose commutation
+    residual (for the stages, their probe bound) is above
+    ``CANONICAL_TOL`` is refused, as
+    :func:`~pciclone.canonical.to_symplectic` refuses it, and so is an
+    amplitude whose float spacing exceeds the vacuum noise's standard
+    deviation, both by :class:`DomainError`.
     """
     if transform.mode_count != layout.total_modes:
         raise DomainError(
@@ -201,55 +214,34 @@ def simulate(
     f = _wishart_factor(gen, 2 * k, n - 1)
     _log.debug("sampling %d samples of %d modes from a %d x %d Wishart factor",
                n, k, *f.shape)
-    sample_mean = mu_in + (sigma / math.sqrt(n)) * g
-    # Row panel I of S (the transform's support plan) is written from
-    # (M, L) over its column runs only, side by side in one buffer; every
-    # other entry of those rows is an exact zero.  So I's means are its
-    # runs' products with the input sample mean, and the tile of I and
-    # column panel c of F is S[I, R] F[R, c:c + _TILE] over the parts R of
-    # I's runs from c on, as F has no nonzero row above row c there.  Each
-    # tile is reduced at once into the 2 x 2 blocks of I's modes.
-    m, l = transform.m_matrix, transform.l_matrix
-    plan = [(r0, r1, runs, 2 * sum(b - a for a, b in runs))
-            for r0, r1, runs in transform._plan]
-    buf = np.empty(max((r1 - r0) * width for r0, r1, _, width in plan))
-    means = np.zeros(2 * k)
-    covariances = np.zeros((k, 2, 2))
-    for r0, r1, runs, width in plan:
-        panel = buf[: (r1 - r0) * width].reshape(r1 - r0, width)
-        rows = slice(r0 // 2, r1 // 2)
-        blocks, start = [], 0  # (first column of S, S[I, run]) per run
-        for a, b in runs:
-            block = panel[:, start : start + 2 * (b - a)]
-            start += 2 * (b - a)
-            _image_blocks(m[rows, a:b], l[rows, a:b], block[0::2, 0::2],
-                          block[0::2, 1::2], block[1::2, 0::2], block[1::2, 1::2])
-            means[r0:r1] += block @ sample_mean[2 * a : 2 * b]
-            blocks.append((2 * a, block))
-        gram = covariances[r0 // 2 : r1 // 2]
-        for c in range(0, f.shape[1], _TILE):
-            tile = None
-            for a, block in blocks:
-                b = a + block.shape[1]
-                if b > c:
-                    part = block[:, max(a, c) - a :] @ f[max(a, c) : b, c : c + _TILE]
-                    if tile is None:
-                        tile = part
-                    else:
-                        tile += part
-            if tile is None:
-                break
-            tile = tile.reshape(-1, 2, tile.shape[1])
-            if c:
-                gram += np.einsum("aik,ajk->aij", tile, tile)
-            else:
-                np.einsum("aik,ajk->aij", tile, tile, out=gram)
-    covariances *= VACUUM_VARIANCE / (n - 1)
-    var_pairs = np.diagonal(covariances, axis1=1, axis2=2)
+    # Mode m's quadratures (x, p) are the amplitude x + ip of a complex
+    # view.  A panel's columns are F's columns c, c + 1, ... as amplitudes,
+    # after the input sample mean in the first panel.  Pushed, they are
+    # S's image of the mean and those columns of S F, whose parts add to
+    # the modes' x x, x p and p p sums.
+    means = (mu_in + (sigma / math.sqrt(n)) * g).view(complex)
+    sums = np.zeros((3, k))
+    for c in range(0, f.shape[1], _PANEL):
+        lead = 1 if c == 0 else 0
+        cols = f[:, c : c + _PANEL]
+        panel = np.empty((k, lead + cols.shape[1]), dtype=complex)
+        if lead:
+            panel[:, 0] = means
+        panel.real[:, lead:] = cols[0::2]
+        panel.imag[:, lead:] = cols[1::2]
+        transform._push(panel)
+        if lead:
+            means[:] = panel[:, 0]
+        x, p = panel.real[:, lead:], panel.imag[:, lead:]
+        for row, (u, v) in zip(sums, ((x, x), (x, p), (p, p))):
+            row += np.einsum("ij,ij->i", u, v)
+    xx, xp, pp = sums * (VACUUM_VARIANCE / (n - 1))
+    covariances = np.stack((xx, xp, xp, pp), axis=-1).reshape(k, 2, 2)
+    var_pairs = np.stack((xx, pp), axis=-1)
     return EmpiricalMoments(
         sample_count=n,
         psi=config.psi,
-        means=means.reshape(k, 2),
+        means=means.view(float).reshape(k, 2),
         covariances=covariances,
         mean_se=np.sqrt(var_pairs / n),
         var_se=var_pairs * math.sqrt(2.0 / (n - 1)),

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -286,25 +287,103 @@ class TestVerify:
         assert doc["comparison"]["passed"] is True
 
     def test_certificates_take_one_product(self, capsys, monkeypatch):
-        # Both residuals and simulate's gate read the pair computed once
-        # from the tiles of E = X Y^T - Y X^T - Omega, X and Y the 2K x K
-        # x and p columns of S, written from (M, L).  Both call sites are
-        # spied on: a transform's and a bare SymplecticMap's.
-        calls = []
-        real = pciclone.gaussian._omega_residuals
+        # Both residuals and simulate's gate read one probe pass through
+        # the machine's stages, its only transposed push; no exact
+        # certificate runs, at either call site of _omega_residuals.
+        calls, pushes = [], []
+        real = machine._Network._push
 
-        def spy(x, y, plan):
-            calls.append((x.shape, y.shape))
-            return real(x, y, plan)
+        def spy(*args):
+            calls.append(args)
+
+        def push_spy(self, a, transpose=False):
+            pushes.append((a.shape, transpose))
+            real(self, a, transpose)
 
         monkeypatch.setattr(pciclone.canonical, "_omega_residuals", spy)
         monkeypatch.setattr(pciclone.gaussian, "_omega_residuals", spy)
+        monkeypatch.setattr(machine._Network, "_push", push_spy)
         code, out = run_cli(capsys, "verify", 2, 1, 5, 1000, 3)
         assert code == 0
-        assert calls == [((20, 10), (20, 10))]
+        assert calls == []
+        probes = machine._PROBES
+        # K = 10: the probes back and forth, then one panel of F's 20
+        # columns after the sample mean.
+        assert pushes == [((10, probes), True), ((10, probes), False),
+                          ((10, 21), False)]
         doc = json.loads(out)
-        assert 0.0 <= doc["commutation_residual"] <= 1e-14
-        assert 0.0 <= doc["symplectic_residual"] <= 1e-14
+        assert doc["commutation_residual"] == doc["symplectic_residual"]
+        assert 0.0 < doc["commutation_residual"] <= 1e-13
+
+    def test_certificates_repeat_whatever_the_seed(self, capsys):
+        # The probes come from a generator of their own, not the sampling
+        # stream: two runs, and runs of other seeds, certify alike.
+        docs = [json.loads(run_cli(capsys, "verify", 2, 2, 9, 500, seed)[1])
+                for seed in (1, 1, 2)]
+        fields = [(d["commutation_residual"], d["symplectic_residual"],
+                   d["meta"]["certificate"]) for d in docs]
+        assert fields[0] == fields[1] == fields[2]
+        assert docs[0]["comparison"] == docs[1]["comparison"]
+        assert docs[0]["comparison"] != docs[2]["comparison"]
+
+    def test_perturbed_amplifier_fails_the_certificate(self, capsys, monkeypatch):
+        # sqrt(G - 1) off by 1e-6 relative: no longer canonical.
+        real = machine.pcia_transform
+
+        def perturbed(gain):
+            amp = real(gain)
+            return pciclone.canonical.CanonicalTransform(
+                amp.m_matrix, amp.l_matrix * (1 + 1e-6))
+
+        monkeypatch.setattr(machine, "pcia_transform", perturbed)
+        code, out = run_cli(capsys, "verify", 2, 2, 6, 1000, 3)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["structural_pass"] is False
+        assert doc["passed"] is False
+        assert doc["commutation_residual"] > 1e-7
+        # Failed before sampling: no z table, in JSON or CSV.
+        assert doc["comparison"] is None
+        code, out = run_cli(capsys, "verify", 2, 2, 6, 1000, 3, "--format", "csv")
+        assert code == 1
+        assert out == "mode,role,z_mean_x,z_mean_p,z_var_x,z_var_p,z_fidelity\n"
+
+    def test_verify_holds_only_the_factor(self, capsys, monkeypatch):
+        # At K = 606 and n - 1 >= 2K, F is 2K x 2K, 11.8 MB.  Only the
+        # stages are built, no (M, L), and a run holds F, one panel with
+        # its FFT copies, and the layout; the (M, L) pair alone would be
+        # another F.
+        def unreachable(config):
+            raise AssertionError("build_machine called on the verify path")
+
+        monkeypatch.setattr(machine, "build_machine", unreachable)
+        run_cli(capsys, "verify", 2, 2, 130, 600, 1)  # first-use imports
+        k, samples = 606, 4096
+        f_nbytes = 16 * k * min(2 * k, samples - 1)
+        tracemalloc.start()
+        try:
+            code, _ = run_cli(capsys, "verify", 4, 4, 300, samples, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert f_nbytes < peak < 1.2 * f_nbytes
+
+    def test_working_set_beyond_memory_exits_2(self, capsys, monkeypatch):
+        # Refused before the layout is built; the sampling and
+        # certificate working set is F plus the probes.
+        monkeypatch.setattr(machine, "_physical_memory", lambda: 10**5)
+
+        def unreachable(config):
+            raise AssertionError("layout built past the memory guard")
+
+        monkeypatch.setattr(machine, "_machine_layout", unreachable)
+        code = main(["verify", "1", "1", "30", "100", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate ")
+        assert captured.err.count("\n") == 1
 
     def test_attenuation_exit_code(self, capsys):
         code, _ = run_cli(capsys, "verify", 3, 1, 2)
@@ -332,7 +411,7 @@ class TestVerify:
         def unreachable(config):
             raise AssertionError("machine built before the sampling check")
 
-        monkeypatch.setattr(pciclone.cli, "build_machine", unreachable)
+        monkeypatch.setattr(pciclone.cli, "_network", unreachable)
         code, out = run_cli(capsys, "verify", 1, 1, 2, 1000, f"--psi={psi}")
         assert code == 2
         assert out == ""
@@ -348,7 +427,14 @@ class TestVerify:
             "stream_version": 3,
             "block_size": montecarlo.BLOCK_SIZE,
             "seed": 5,
+            "certificate": {
+                "method": "gaussian_probes",
+                "probes": 32,
+                "epsilon": 0.1,
+                "miss_probability": (0.1 * math.sqrt(2 / math.pi)) ** 32,
+            },
         }
+        assert doc["meta"]["certificate"]["miss_probability"] < 1e-35
         timings = doc["timings"]
         assert list(timings) == ["build_s", "certificates_s", "sampling_s", "scoring_s"]
         assert all(0.0 <= t < 60.0 for t in timings.values())
@@ -480,6 +566,17 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 def test_cli_import_leaves_concurrent_futures_unloaded():
     # Sampling starts no threads; the pool's import cost about 1.8 ms.
     assert_cli_import_leaves_unloaded("concurrent.futures")
+
+
+def test_cli_import_loads_no_scipy_and_no_fft():
+    # scipy loads only with the amplifier search and numpy.fft only at
+    # the first FFT, so neither adds to a verify run's start-up.
+    src = str(Path(pciclone.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, pciclone.cli; "
+            "assert not [m for m in sys.modules if m == 'scipy' "
+            "or m.startswith(('scipy.', 'numpy.fft'))], sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():

@@ -1,13 +1,14 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from pciclone import gaussian, machine
+from pciclone import gaussian, machine, montecarlo
 from pciclone.canonical import commutation_residual, to_symplectic
 from pciclone.errors import DomainError
 from pciclone.gaussian import apply_map, marginal, quadrature_variance
@@ -654,6 +655,129 @@ class TestRowwiseAssembly:
             tracemalloc.stop()
         # S is 33.9 MB at K = 1030; the two K x K complex sums took 76.4 MB.
         assert s.nbytes < peak <= 40e6
+
+
+def pushed_image(network, transpose=False):
+    """The 2K x 2K matrix whose column 2j (2j + 1) is the push of mode j's
+    unit x (p) quadrature through ``network``, interleaved as S is."""
+    k = network.mode_count
+    modes = np.arange(k)
+    a = np.zeros((k, 2 * k), dtype=complex)
+    a[modes, 2 * modes] = 1.0
+    a[modes, 2 * modes + 1] = 1j
+    network._push(a, transpose)
+    return np.stack((a.real, a.imag), axis=1).reshape(2 * k, 2 * k)
+
+
+def check_stages(cfg):
+    transform, layout = build_machine(cfg)
+    network = transform._network
+    assert network.mode_count == layout.total_modes
+    s = to_symplectic(transform).matrix
+    np.testing.assert_allclose(pushed_image(network), s, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(pushed_image(network, True), s.T, rtol=0, atol=1e-14)
+    # The probe bound holds every exact residual of the assembled pair.
+    exact = max(transform.symplectic_residual, transform.commutation_residual)
+    assert exact <= network.symplectic_residual == network.commutation_residual
+    assert network.commutation_residual <= 1e-12
+
+
+class TestStages:
+    def test_pushes_are_the_image_and_its_transpose(self):
+        for cfg in oracle_configs():
+            check_stages(cfg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 6), st.integers(1, 40))
+    # N = 0, N' = 0, M' = 0 (N' = 0, M = N) and M' = 1.
+    @example(0, 3, 5)
+    @example(3, 0, 7)
+    @example(4, 0, 4)
+    @example(2, 0, 3)
+    def test_pushes_and_probes_on_a_sweep(self, n, nc, m):
+        if n + nc == 0 or m < n:
+            return
+        check_stages(CloningConfig(n, nc, m))
+
+    def test_build_machine_reads_the_stages(self):
+        # One network: the stages cmd_verify builds alone are the ones
+        # build_machine assembles and links, and the link leaves (M, L)'s
+        # bits alone.
+        cfg = CloningConfig(3, 2, 9)
+        transform, layout = build_machine(cfg)
+        network, alone = machine._network(cfg)
+        assert alone == layout
+        assert network.concentration == transform._network.concentration
+        assert network.ports == transform._network.ports == (0, 3)
+        for got, want in zip(network.distribution, transform._network.distribution):
+            assert got.tolist() == list(want)
+        assert [s.tolist() for s in network.distribution] == [
+            list(layout.clone_slots), list(layout.anticlone_slots)]
+        dense, _ = oracles.dense_build_machine(cfg)
+        assert np.max(np.abs(transform.m_matrix - dense.m_matrix)) <= 1e-13
+
+    def test_amplifier_residual_is_caught(self):
+        # sqrt(G - 1) off by 1e-6: A_00 = G - (G - 1)(1 + 1e-6)^2 - 1, about
+        # -2e-6 (G - 1).
+        transform, _ = build_machine(CloningConfig(2, 2, 6))
+        network = transform._network
+        amp = network.amplifier
+        bad = dataclasses.replace(network, amplifier=type(amp)(
+            amp.m_matrix, amp.l_matrix * (1 + 1e-6)))
+        gain = gain_from_counts(CloningConfig(2, 2, 6))
+        assert bad.commutation_residual >= 2e-6 * (gain - 1)
+
+    def test_nan_stage_reads_nan(self):
+        transform, _ = build_machine(CloningConfig(1, 1, 3))
+        network = transform._network
+        amp = network.amplifier
+        bad = dataclasses.replace(network, amplifier=type(amp)(
+            amp.m_matrix * np.nan, amp.l_matrix))
+        assert math.isnan(bad.commutation_residual)
+
+
+class TestMemoryGuard:
+    def test_working_set_counts_slots_and_arrays(self):
+        cfg = CloningConfig(1, 0, 50_000)
+        k = machine._block_starts(cfg)[3]
+        assert k == 99_999
+        tracemalloc.start()
+        try:
+            machine._network(cfg)
+            slots_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slots = machine._SLOT_BYTES * k
+        assert 0.8 * slots < slots_peak <= slots
+        assert machine._working_set(cfg) == slots + 32 * k * k
+        probes = 16 * k * 4 * machine._PROBES
+        for samples, width in ((100, 99), (2 * k + 1, 2 * k), (10**9, 2 * k)):
+            want = slots + 16 * k * width + probes
+            assert machine._working_set(cfg, samples) == want
+        # F's bytes, and (M, L)'s, as the arrays hold them.
+        small = CloningConfig(2, 1, 4)
+        transform, layout = build_machine(small)
+        ks = layout.total_modes
+        assert transform.m_matrix.nbytes + transform.l_matrix.nbytes == 32 * ks * ks
+        f = montecarlo._wishart_factor(np.random.default_rng(0), 2 * ks, 5)
+        assert f.nbytes == 16 * ks * min(2 * ks, 5)
+
+    def test_refused_before_anything_is_built(self, monkeypatch):
+        def unreachable(config):
+            raise AssertionError("layout built past the memory guard")
+
+        cfg = CloningConfig(4, 4, 64)
+        need = machine._working_set(cfg)
+        monkeypatch.setattr(machine, "_machine_layout", unreachable)
+        monkeypatch.setattr(machine, "_physical_memory", lambda: need - 1)
+        with pytest.raises(DomainError, match="^Unable to allocate .* physical memory"):
+            build_machine(cfg)
+        monkeypatch.undo()
+        monkeypatch.setattr(machine, "_physical_memory", lambda: need)
+        build_machine(cfg)
+
+    def test_physical_memory_is_read(self):
+        assert 0 < machine._physical_memory() < math.inf
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
-from pciclone import canonical, gaussian, montecarlo
+from pciclone import canonical, gaussian, machine, montecarlo
 from pciclone.canonical import (
     CanonicalTransform,
     commutation_residual,
@@ -274,7 +274,8 @@ class TestSimulate:
     def test_panels_need_no_full_size_temporaries(self):
         # At K = 606, S is 11.8 MB.  The certificates of a fresh map and a
         # sampling run with them cached each trace one 2K x K pair (X and Y,
-        # or the factor F) and panels; a full-size product traced 2 S.
+        # or the factor F) and panels or tiles; a full-size product traced
+        # 2 S.
         transform, layout = build_machine(CloningConfig(4, 4, 300))
         s = transform.quadrature_image.matrix
         tracemalloc.start()
@@ -290,12 +291,36 @@ class TestSimulate:
         assert residual_peak < 1.6 * s.nbytes
         assert sampling_peak < 1.6 * s.nbytes
 
+    @pytest.mark.parametrize("counts, samples", [((2, 2, 6), 100), ((4, 4, 40), 60)])
+    def test_stages_and_pair_sample_alike(self, counts, samples):
+        # One loop: the stages (alone or linked from the transform) and a
+        # bare pair push the same panels, the pair through (M, L).
+        cfg = CloningConfig(*counts)
+        transform, layout = build_machine(cfg)
+        network, _ = machine._network(cfg)
+        bare = dataclasses.replace(transform)
+        assert bare._network is None and transform._network is not None
+        sample = SampleConfig(samples, 4, 0.3 + 0.2j)
+        linked, alone, dense = (simulate(t, layout, sample)
+                                for t in (transform, network, bare))
+        for name in ("means", "covariances"):
+            assert getattr(linked, name).tobytes() == getattr(alone, name).tobytes()
+            np.testing.assert_allclose(getattr(dense, name), getattr(linked, name),
+                                       rtol=0, atol=1e-14)
+
+    def test_non_canonical_stages_rejected(self):
+        network, layout = machine._network(CloningConfig(1, 1, 2))
+        amp = network.amplifier
+        bad = dataclasses.replace(network, amplifier=CanonicalTransform(
+            amp.m_matrix * 1.01, amp.l_matrix))
+        with pytest.raises(DomainError, match="not canonical"):
+            simulate(bad, layout, SampleConfig(100, 0))
+
     def test_verify_path_never_builds_the_image(self):
-        # At K = 606, S would be 11.8 MB.  Certifying and sampling read
-        # (M, L) and hold one working set besides: X and Y (S's size
-        # together), then the factor F (S's size for n - 1 >= 2K), with
-        # one row panel of S and a few tiles.  Holding S as well traced
-        # about 2.2 S.
+        # At K = 606, S would be 11.8 MB.  Certifying reads (M, L) and
+        # holds X and Y (S's size together); sampling pushes F (S's size
+        # for n - 1 >= 2K) through the stages one panel of columns at a
+        # time.  Holding S as well traced about 2.2 S.
         warm, warm_layout = build_machine(CloningConfig(2, 2, 130))
         simulate(warm, warm_layout, SampleConfig(600, 1))  # first-use imports
         transform, layout = build_machine(CloningConfig(4, 4, 300))
