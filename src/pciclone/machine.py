@@ -5,7 +5,7 @@ replicas of its phase conjugate psi*, and emits M clones plus
 M' = M + N' - N anticlones.  It is built from five stages in three
 steps acting on K modes:
 
-    1. concentrate: a DFT merges the N signal replicas into one mode and
+    1. concentrate: one DFT merges the N signal replicas into one mode,
        another the N' conjugate replicas into a second,
     2. amplify: a two-mode phase-insensitive amplifier of gain G couples
        the two concentrated modes,
@@ -507,8 +507,8 @@ class _Network:
         of all probes, Omega acting on alpha = x + ip as -i.  It bounds
         max|E_ij| and, by the identity in
         :meth:`~pciclone.gaussian.SymplecticMap.residual`, every |A_ij| and
-        |B_ij|, since |A_ij| + |B_ij| is the norm of E's (i, j) block; NaN
-        if the stages hold one."""
+        |B_ij|, since |A_ij| + |B_ij| is the spectral norm of E's (i, j)
+        block; NaN if the stages hold one."""
         gen = np.random.default_rng(_PROBE_SEED)
         v = gen.standard_normal((self.mode_count, 2 * _PROBES)).view(complex)
         e = v.copy()
