@@ -701,8 +701,7 @@ class TestStages:
 
     def test_build_machine_reads_the_stages(self):
         # One network: the stages cmd_verify builds alone are the ones
-        # build_machine assembles and links, and the link leaves (M, L)'s
-        # bits alone.
+        # build_machine assembles and links.
         cfg = CloningConfig(3, 2, 9)
         transform, layout = build_machine(cfg)
         network, alone = machine._network(cfg)
@@ -713,8 +712,6 @@ class TestStages:
             assert got.tolist() == list(want)
         assert [s.tolist() for s in network.distribution] == [
             list(layout.clone_slots), list(layout.anticlone_slots)]
-        dense, _ = oracles.dense_build_machine(cfg)
-        assert np.max(np.abs(transform.m_matrix - dense.m_matrix)) <= 1e-13
 
     def test_amplifier_residual_is_caught(self):
         # sqrt(G - 1) off by 1e-6: A_00 = G - (G - 1)(1 + 1e-6)^2 - 1, about
