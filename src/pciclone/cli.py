@@ -91,7 +91,8 @@ def _write(rows, fmt: str, out_path: str | None, columns=None):
     """Write one row (a dict) or a list of rows as JSON, or as CSV under
     one header line of ``columns`` (default: the first row's keys)."""
     if fmt == "json":
-        text = json.dumps(rows, indent=2, allow_nan=False)
+        # Compact: an indent would run json's pure-Python encoder.
+        text = json.dumps(rows, allow_nan=False)
     else:
         rows = [rows] if isinstance(rows, dict) else rows
         columns = columns or list(rows[0])

@@ -549,14 +549,19 @@ def _working_set(config: CloningConfig, samples: int | None = None) -> int:
     """Bytes a run on ``config`` holds at its peak, known before anything
     is allocated: the slots of the layout and the stages, plus (M, L),
     32 K^2 bytes, for :func:`build_machine` (``samples`` None), or for a
-    ``verify`` run of ``samples`` samples the Wishart factor F,
-    16 K min(2K, samples - 1) bytes, and the probes with their FFT copies.
+    ``verify`` run one panel of the Wishart factor F with the sample mean
+    and the probes, each with three FFT copies: 64 K (_PANEL + 1 +
+    _PROBES) bytes whatever the sample count, since F is drawn one panel
+    at a time.
     """
+    # montecarlo, which defines the panel width, imports this module.
+    from .montecarlo import _PANEL
+
     k = _block_starts(config)[3]
     if samples is None:
         held = 32 * k * k
     else:
-        held = 16 * k * (min(2 * k, samples - 1) + 4 * _PROBES)
+        held = 64 * k * (_PANEL + 1 + _PROBES)
     return _SLOT_BYTES * k + held
 
 

@@ -6,13 +6,13 @@ sigma^2 I, sigma^2 = 1/2, pushed through the machine's symplectic matrix
 S and reduced to each output mode's sample means, variances and x-p
 covariance.  The map is linear and the inputs Gaussian, so the joint law
 of those statistics is known exactly, and :func:`simulate` draws them
-from it (stream version 3) instead of drawing the samples.  With d = 2K
+from it (stream version 4) instead of drawing the samples.  With d = 2K
 quadratures, the input sample mean is mu_in + sigma g / sqrt(n) with
 g ~ N(0, I_d), and (n - 1) / sigma^2 times the input sample covariance
 is Wishart(I_d, n - 1), independent of the mean and drawn as F F^T for
 every n with one factor: F is d x r, r = min(d, n - 1), lower
 trapezoidal, F_ii = sqrt(chi^2(n - 1 - i)), normals below the diagonal
-(Bartlett; Uhlig for n - 1 < d; see :func:`_wishart_factor`).  The
+(Bartlett; Uhlig for n - 1 < d; see :func:`_factor_panel`).  The
 output means are then S (mu_in + sigma g / sqrt(n)), each output
 variance is sigma^2 / (n - 1) times a squared row norm of S F, and each
 x-p covariance the same multiple of the product of the mode's two rows.
@@ -24,18 +24,26 @@ the machine's stages (two concentration DFTs as orthonormal FFTs, the
 two-mode amplifier, two distribution DFTs), which turn alpha into
 M alpha + L conj(alpha), S's action, at O(K log K) a column; a run costs
 O(K log K min(n, d)) whatever n.  A bare transform pushes them through
-(M, L) in the same loop, at O(K^2) a column.
+(M, L) in the same loop, at O(K^2) a column.  F is drawn one _PANEL-column
+panel at a time, as the panel is pushed, so a run holds one panel of F
+and never the whole factor.
 
 One generator, ``np.random.default_rng(seed)``, draws g, then F's chi^2
-diagonal (numpy's gamma sampler), then its normals row by row; for
-n - 1 >= d these are stream version 2's draws.  The same arguments give
-the same moments under one numpy version, platform and BLAS build and
-thread count: numpy does not promise that its samplers keep their
-output across versions, they call the platform's math library, and the
-FFTs and BLAS products may round in a build- and thread-dependent way.
-Pushed through the stages instead of through S's row panels, the
-moments moved by about 1e-15 relative within stream version 3, whose
-draws are unchanged.
+diagonal (numpy's gamma sampler), then one ``standard_normal`` call per
+panel: the panel from column c, w columns wide, takes the (K - c/2, w)
+complex amplitudes of modes c/2 on in row order, x before p, and keeps
+those on and below F's diagonal, putting the chi values on it.  _PANEL
+= 32 is part of that definition.  The same arguments give the same
+moments under one numpy version, platform and BLAS build and thread
+count: numpy does not promise that its samplers keep their output
+across versions, they call the platform's math library, and the FFTs
+and BLAS products may round in a build- and thread-dependent way.
+
+Stream version 3 drew the same law's F whole before the first push,
+its normals row by row; it agrees with version 4 in law, not in bits,
+and its draws live on as the test oracle
+``tests/oracles.py::stream_3_factor``.  Stream version 2 drew as version
+3 for n - 1 >= d.
 
 Stream version 1 drew every sample: block b of BLOCK_SIZE samples took
 its standard normals from a Philox generator keyed (seed, b), one (rows,
@@ -64,11 +72,16 @@ from .machine import MachineLayout, NoiseReport
 
 # Samples per block of stream version 1.
 BLOCK_SIZE = 1 << 17
-# Columns of F pushed through the machine at once.  16 to 128 ran within
-# noise of each other for K = 1030 modes on a 2-CPU Xeon; 32 keeps a
-# panel and its FFT copies within a tenth of F's size at K = 606.
+# Columns of F drawn and pushed through the machine at once, part of
+# stream version 4's definition.  16 to 128 ran within noise of each other
+# for K = 1030 modes on a 2-CPU Xeon.
 _PANEL = 32
-STREAM_VERSION = 3
+STREAM_VERSION = 4
+# Row i = 2r + q of a panel's first _PANEL quadrature rows, indexed
+# (r, q, j) against its column j: strictly above F's diagonal, and on it.
+_ROWS = np.arange(_PANEL).reshape(_PANEL // 2, 2, 1)
+_ABOVE = _ROWS < np.arange(_PANEL)
+_DIAGONAL = _ROWS == np.arange(_PANEL)
 # z-scores at or above this many standard errors are flagged.
 Z_FLAG = 5.0
 
@@ -151,22 +164,34 @@ class EmpiricalMoments:
         return self.means.shape[0]
 
 
-def _wishart_factor(gen: np.random.Generator, d: int, dof: int) -> np.ndarray:
-    """The d x r factor F of F F^T ~ Wishart(I_d, dof), r = min(d, dof),
-    filled in place: F_ii = sqrt(chi^2(dof - i)), normals below the
-    diagonal, zeros above it (Bartlett, Proc. R. Soc. Edinburgh 53, 260
-    (1933); Odell & Feiveson, JASA 61, 199 (1966)).  One law serves every
-    dof (Uhlig, Ann. Statist. 22, 395 (1994)): LQ-factor the first r rows of
-    G ~ N(0, 1)^{d x dof} as T Q.  T is the Bartlett factor, and for dof < d
-    the other rows G_2 Q^T are normals, Q being orthogonal and independent
-    of G_2, so F F^T has the law of G G^T.
+def _factor_panel(
+    gen: np.random.Generator, chi: np.ndarray, c: int, k: int, w: int
+) -> np.ndarray:
+    """Columns c to c + w - 1 of the 2K x r factor F of F F^T ~
+    Wishart(I_2K, dof), r = min(2K, dof), as a (K, w) complex array of
+    amplitudes x + ip: F_ii = chi[i] = sqrt(chi^2(dof - i)), normals below
+    the diagonal, zeros above it (Bartlett, Proc. R. Soc. Edinburgh 53,
+    260 (1933); Odell & Feiveson, JASA 61, 199 (1966)).  One law serves
+    every dof (Uhlig, Ann. Statist. 22, 395 (1994)): LQ-factor the first r
+    rows of G ~ N(0, 1)^{2K x dof} as T Q.  T is the Bartlett factor, and
+    for dof < 2K the other rows G_2 Q^T are normals, Q being orthogonal
+    and independent of G_2, so F F^T has the law of G G^T.
+
+    Stream version 4 fills the panel so: zeros in the modes above c/2, one
+    ``standard_normal`` call over the (K - c/2, w) rows from mode c/2 down
+    in row order, then zeros above F's diagonal and ``chi[c:c + w]`` on it.
     """
-    r = min(d, dof)
-    f = np.zeros((d, r))
-    np.fill_diagonal(f, np.sqrt(gen.chisquare(dof - np.arange(r))))
-    for i in range(1, d):
-        gen.standard_normal(out=f[i, : min(i, r)])
-    return f
+    top = c // 2
+    panel = np.empty((k, w), dtype=complex)
+    panel[:top] = 0.0
+    gen.standard_normal(out=panel[top:].view(float))
+    # The diagonal runs through the first ceil(w/2) drawn modes: read as
+    # (mode, quadrature, column), quadrature row c + i meets column c + j.
+    h = (w + 1) // 2
+    corner = panel[top : top + h].view(float).reshape(h, w, 2).transpose(0, 2, 1)
+    corner[_ABOVE[:h, :, :w]] = 0.0
+    corner[_DIAGONAL[:h, :, :w]] = chi[c : c + w]
+    return panel
 
 
 def simulate(
@@ -181,13 +206,15 @@ def simulate(
     joint law as the module docstring describes.  ``transform`` is a
     :class:`~pciclone.canonical.CanonicalTransform` or the stages of
     ``pciclone.machine._network``: the sample mean and each _PANEL-column
-    panel of F are pushed through it as complex amplitudes x + ip, each
-    panel reduced into the modes' 2 x 2 sums and dropped.  The machine's
-    stages (also linked from the transforms ``build_machine`` returns)
-    push a column through FFTs at O(K log K); a bare transform through
-    (M, L).  No K x K array is formed.  A transform whose commutation
-    residual (for the stages, their probe bound) is above
-    ``CANONICAL_TOL`` is refused, as
+    panel of F, drawn when it is reached, are pushed through it as complex
+    amplitudes x + ip, each panel reduced into the modes' 2 x 2 sums and
+    dropped, so F is never held.  The machine's stages (also linked from
+    the transforms ``build_machine`` returns) push a column through FFTs
+    at O(K log K); a bare transform through (M, L).  No K x K array is
+    formed.  The route the panels take is the one gated: a transform
+    whose commutation residual (for the stages, and a transform linked to
+    them, the stages' probe bound) is above ``CANONICAL_TOL`` is refused,
+    as
     :func:`~pciclone.canonical.to_symplectic` refuses it, and so is an
     amplitude whose float spacing exceeds the vacuum noise's standard
     deviation, both by :class:`DomainError`.
@@ -197,7 +224,7 @@ def simulate(
             f"transform has {transform.mode_count} modes, "
             f"layout expects {layout.total_modes}"
         )
-    _require_canonical(transform)
+    _require_canonical(getattr(transform, "_network", None) or transform)
     k = layout.total_modes
     mu_in = _quadratures(layout.input_amplitudes(config.psi)).reshape(-1)
     sigma = math.sqrt(VACUUM_VARIANCE)
@@ -209,11 +236,12 @@ def simulate(
         )
 
     n = config.sample_count
+    r = min(2 * k, n - 1)
     gen = np.random.default_rng(config.seed)
     g = gen.standard_normal(2 * k)
-    f = _wishart_factor(gen, 2 * k, n - 1)
+    chi = np.sqrt(gen.chisquare(n - 1 - np.arange(r)))
     _log.debug("sampling %d samples of %d modes from a %d x %d Wishart factor",
-               n, k, *f.shape)
+               n, k, 2 * k, r)
     # Mode m's quadratures (x, p) are the amplitude x + ip of a complex
     # view.  A panel's columns are F's columns c, c + 1, ... as amplitudes,
     # after the input sample mean in the first panel.  Pushed, they are
@@ -221,14 +249,11 @@ def simulate(
     # the modes' x x, x p and p p sums.
     means = (mu_in + (sigma / math.sqrt(n)) * g).view(complex)
     sums = np.zeros((3, k))
-    for c in range(0, f.shape[1], _PANEL):
+    for c in range(0, r, _PANEL):
+        panel = _factor_panel(gen, chi, c, k, min(_PANEL, r - c))
         lead = 1 if c == 0 else 0
-        cols = f[:, c : c + _PANEL]
-        panel = np.empty((k, lead + cols.shape[1]), dtype=complex)
         if lead:
-            panel[:, 0] = means
-        panel.real[:, lead:] = cols[0::2]
-        panel.imag[:, lead:] = cols[1::2]
+            panel = np.column_stack((means, panel))
         transform._push(panel)
         if lead:
             means[:] = panel[:, 0]

@@ -37,8 +37,12 @@ where the library scores all modes as whole arrays.
 The sampling oracle is stream version 1: it draws every sample, block
 by block with :func:`block_normals`, pushes each block through S by one
 product and merges the block moments in order, where the library draws
-the moments themselves from their exact law (stream version 3).  The
-two agree in law, not in bits.
+the moments themselves from their exact law (stream version 4).  The
+two agree in law, not in bits.  Stream version 3, which drew the same
+law's Wishart factor F whole and row by row, is an oracle too, and so
+is stream version 4's F assembled whole from its panels: both feed one
+product with the whole S, where the library pushes one panel of F at a
+time through the machine's stages.
 
 The added-noise oracle evaluates n_th = (G - 1)/M and (G - 1)/M' in
 60-digit decimal arithmetic.  The symplectic-image oracle fills S from
@@ -64,6 +68,7 @@ from pciclone.errors import DomainError
 from pciclone.gaussian import GaussianState, fidelity_with_coherent, symplectic_form
 from pciclone.machine import _machine_layout, asymmetry_gain, gain_from_counts
 from pciclone.montecarlo import (
+    _PANEL,
     BLOCK_SIZE,
     ComparisonSummary,
     EmpiricalMoments,
@@ -357,4 +362,61 @@ def serial_simulate(transform, layout, config):
         covariances=covariances,
         mean_se=np.sqrt(var_pairs / n),
         var_se=var_pairs * math.sqrt(2.0 / (n - 1.0)),
+    )
+
+
+def stream_3_factor(gen, d, dof):
+    """Stream version 3's d x r factor F of F F^T ~ Wishart(I_d, dof),
+    r = min(d, dof): F_ii = sqrt(chi^2(dof - i)) from one ``chisquare``
+    call, then the normals below the diagonal, one ``standard_normal``
+    call per row, zeros above it (Bartlett, Proc. R. Soc. Edinburgh 53,
+    260 (1933); Uhlig, Ann. Statist. 22, 395 (1994), for dof < d)."""
+    r = min(d, dof)
+    f = np.zeros((d, r))
+    np.fill_diagonal(f, np.sqrt(gen.chisquare(dof - np.arange(r))))
+    for i in range(1, d):
+        gen.standard_normal(out=f[i, : min(i, r)])
+    return f
+
+
+def stream_4_factor(gen, d, dof):
+    """Stream version 4's d x r factor F, assembled whole: the chi^2
+    diagonal as in stream version 3, then for each _PANEL-column panel
+    from column c one (d/2 - c/2, w, 2) draw of modes c/2 on, each
+    mode's column entries as (x, p), kept on and below the diagonal."""
+    r = min(d, dof)
+    chi = np.sqrt(gen.chisquare(dof - np.arange(r)))
+    f = np.zeros((d, r))
+    for c in range(0, r, _PANEL):
+        w = min(_PANEL, r - c)
+        z = gen.standard_normal(((d - c) // 2, w, 2))
+        f[c:, c : c + w] = np.tril(z.transpose(0, 2, 1).reshape(d - c, w))
+    f[np.arange(r), np.arange(r)] = chi
+    return f
+
+
+def wishart_simulate(transform, layout, config, factor):
+    """EmpiricalMoments of a run that draws g ~ N(0, I_2K) and then
+    F = factor(gen, 2K, n - 1) from ``default_rng(seed)``, through the
+    whole S: means S (mu_in + g / sqrt(2 n)) and covariances the 2 x 2
+    diagonal blocks of S F (S F)^T / (2 (n - 1))."""
+    n = config.sample_count
+    k = layout.total_modes
+    s = to_symplectic(transform).matrix
+    gen = np.random.default_rng(config.seed)
+    g = gen.standard_normal(2 * k)
+    sf = s @ factor(gen, 2 * k, n - 1)
+    amps = layout.input_amplitudes(config.psi)
+    mu_in = np.sqrt(2.0) * np.column_stack((amps.real, amps.imag)).reshape(-1)
+    means = s @ (mu_in + math.sqrt(0.5 / n) * g)
+    pairs = sf.reshape(k, 2, -1)
+    covariances = np.einsum("kac,kbc->kab", pairs, pairs) * (0.5 / (n - 1))
+    var_pairs = np.diagonal(covariances, axis1=1, axis2=2)
+    return EmpiricalMoments(
+        sample_count=n,
+        psi=config.psi,
+        means=means.reshape(k, 2),
+        covariances=covariances,
+        mean_se=np.sqrt(var_pairs / n),
+        var_se=var_pairs * math.sqrt(2.0 / (n - 1)),
     )

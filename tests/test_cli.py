@@ -350,9 +350,11 @@ class TestVerify:
 
     def test_verify_holds_only_the_factor(self, capsys, monkeypatch):
         # At K = 606 and n - 1 >= 2K, F is 2K x 2K, 11.8 MB.  Only the
-        # stages are built, no (M, L), and a run holds F, one panel with
-        # its FFT copies, and the layout; the (M, L) pair alone would be
-        # another F.
+        # stages are built, no (M, L), and F is drawn one panel at a time
+        # as it is pushed: a run holds the layout and one panel with its
+        # FFT copies, or the probes, within its planned working set and
+        # far below F.  Holding F traced just above F; the (M, L) pair
+        # alone would be another F.
         def unreachable(config):
             raise AssertionError("build_machine called on the verify path")
 
@@ -367,11 +369,12 @@ class TestVerify:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert f_nbytes < peak < 1.2 * f_nbytes
+        assert peak <= 0.25 * f_nbytes
+        assert peak <= machine._working_set(machine.CloningConfig(4, 4, 300), samples)
 
     def test_working_set_beyond_memory_exits_2(self, capsys, monkeypatch):
         # Refused before the layout is built; the sampling and
-        # certificate working set is F plus the probes.
+        # certificate working set is one panel of F plus the probes.
         monkeypatch.setattr(machine, "_physical_memory", lambda: 10**5)
 
         def unreachable(config):
@@ -424,7 +427,7 @@ class TestVerify:
         assert list(doc)[-2:] == ["meta", "timings"]
         assert doc["meta"] == {
             "version": pciclone.__version__,
-            "stream_version": 3,
+            "stream_version": 4,
             "block_size": montecarlo.BLOCK_SIZE,
             "seed": 5,
             "certificate": {
@@ -440,10 +443,11 @@ class TestVerify:
         assert all(0.0 <= t < 60.0 for t in timings.values())
 
     def test_memory_error_in_a_block_exits_2(self, capsys, monkeypatch):
-        def exhausted(gen, d, dof):
+        # The allocation fails in the draw of a panel of F.
+        def exhausted(gen, chi, c, k, w):
             raise MemoryError
 
-        monkeypatch.setattr(montecarlo, "_wishart_factor", exhausted)
+        monkeypatch.setattr(montecarlo, "_factor_panel", exhausted)
         samples = 3 * montecarlo.BLOCK_SIZE
         code = main(["verify", "1", "0", "1", str(samples), "1"])
         assert code == 2
@@ -488,9 +492,9 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_golden.json").read
 
 @pytest.mark.parametrize("golden", GOLDEN, ids=lambda g: " ".join(g["argv"][1:]))
 def test_verify_golden(capsys, golden):
-    # Every field but the timings, as the version before the image-free
-    # verify path printed it: counts, flags, verdicts, roles and meta
-    # exactly, residuals to 1e-14 and z-scores to 1e-9.
+    # Every field but the timings, as stream version 4 printed it:
+    # counts, flags, verdicts, roles and meta exactly, residuals to 1e-14
+    # and z-scores to 1e-9.
     code, out = run_cli(capsys, *golden["argv"])
     assert code == golden["exit_code"]
     doc = json.loads(out)
@@ -536,11 +540,13 @@ def assert_cli_import_leaves_unloaded(module):
 
 
 @pytest.mark.parametrize(
-    "argv", [("verify", 1, 1, 100000), ("sweep", 8, 9, "--a-steps", 10**12)]
+    "argv", [("verify", 1, 1, 10**8), ("sweep", 8, 9, "--a-steps", 10**12)]
 )
 def test_out_of_memory_exit_code(argv):
-    # Each asks numpy for hundreds of GiB; the child's address space is
-    # capped at 1.5 GB so the allocation fails at once.
+    # Each needs hundreds of GiB: verify plans about 800 GiB for its
+    # K = 2e8 modes and is refused before it allocates, and the sweep asks
+    # numpy for its grid; the child's address space is capped at 1.5 GB
+    # so that allocation fails at once.
     import resource
 
     def cap_address_space():

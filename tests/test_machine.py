@@ -747,17 +747,21 @@ class TestMemoryGuard:
         slots = machine._SLOT_BYTES * k
         assert 0.8 * slots < slots_peak <= slots
         assert machine._working_set(cfg) == slots + 32 * k * k
-        probes = 16 * k * 4 * machine._PROBES
-        for samples, width in ((100, 99), (2 * k + 1, 2 * k), (10**9, 2 * k)):
-            want = slots + 16 * k * width + probes
-            assert machine._working_set(cfg, samples) == want
-        # F's bytes, and (M, L)'s, as the arrays hold them.
+        # A verify run holds one panel of F with the sample mean, or the
+        # probes, each with three FFT copies, whatever the sample count.
+        panel = 4 * 16 * k * (montecarlo._PANEL + 1)
+        probes = 4 * 16 * k * machine._PROBES
+        for samples in (2, 100, 2 * k + 1, 10**9):
+            assert machine._working_set(cfg, samples) == slots + panel + probes
+        # (M, L)'s bytes, and a panel's, as the arrays hold them.
         small = CloningConfig(2, 1, 4)
         transform, layout = build_machine(small)
         ks = layout.total_modes
         assert transform.m_matrix.nbytes + transform.l_matrix.nbytes == 32 * ks * ks
-        f = montecarlo._wishart_factor(np.random.default_rng(0), 2 * ks, 5)
-        assert f.nbytes == 16 * ks * min(2 * ks, 5)
+        width = montecarlo._PANEL
+        cols = montecarlo._factor_panel(np.random.default_rng(0), np.ones(width), 0,
+                                        40, width)
+        assert cols.nbytes == 16 * 40 * width
 
     def test_refused_before_anything_is_built(self, monkeypatch):
         def unreachable(config):

@@ -234,6 +234,45 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "counts, samples",
         [
+            # d = 52: two panels of the square factor, the second 20 wide;
+            # and of the trapezoid, the second 7 wide.
+            ((2, 2, 12), 64),
+            ((2, 2, 12), 40),
+            # d = 8: one panel.
+            ((1, 1, 2), 9),
+        ],
+    )
+    def test_matches_stream_3_in_law(self, counts, samples):
+        # Each mode's x and p variance over 1000 runs of stream version 4
+        # and of stream version 3 (the whole factor, drawn row by row), on
+        # disjoint seeds, must pass a two-sample KS test; modes are pooled
+        # by role, since every clone (anticlone) has one law.
+        cfg = CloningConfig(*counts)
+        transform, layout = build_machine(cfg)
+        runs = 1000
+
+        def variances(route, seeds):
+            out = []
+            for seed in seeds:
+                emp = route(transform, layout, SampleConfig(samples, seed, 0.5 - 0.25j))
+                out.append(np.diagonal(emp.covariances, axis1=1, axis2=2))
+            return np.array(out)
+
+        def stream_3(transform, layout, config):
+            return oracles.wishart_simulate(transform, layout, config,
+                                            oracles.stream_3_factor)
+
+        v4 = variances(simulate, range(runs))
+        v3 = variances(stream_3, range(runs, 2 * runs))
+        for slots in (layout.clone_slots, layout.anticlone_slots, layout.residual_slots):
+            for q in range(2):
+                if slots:
+                    got, want = v4[:, list(slots), q], v3[:, list(slots), q]
+                    assert stats.ks_2samp(got.ravel(), want.ravel()).pvalue > 1e-3
+
+    @pytest.mark.parametrize(
+        "counts, samples",
+        [
             ((2, 2, 6), 28),
             ((2, 2, 6), 29),
             ((2, 2, 6), 5000),
@@ -254,28 +293,22 @@ class TestSimulate:
         ],
     )
     def test_matches_the_full_product(self, counts, samples):
-        # The same draws through the whole S F and the whole S, upper zeros
-        # included; the panels sum in another order, within 1e-14.
+        # The same draws, F assembled whole from its panels, through the
+        # whole S F and the whole S, upper zeros included; the panels sum
+        # in another order, within 1e-14.
         transform, layout = build_machine(CloningConfig(*counts))
-        emp = simulate(transform, layout, SampleConfig(samples, 11, 0.5j))
-        k = layout.total_modes
-        gen = np.random.default_rng(11)
-        g = gen.standard_normal(2 * k)
-        s = to_symplectic(transform).matrix
-        sf = s @ montecarlo._wishart_factor(gen, 2 * k, samples - 1)
-        gram = (0.5 / (samples - 1)) * sf @ sf.T
-        cov = [gram[2 * a : 2 * a + 2, 2 * a : 2 * a + 2] for a in range(k)]
-        np.testing.assert_allclose(emp.covariances, cov, rtol=0, atol=1e-14)
-        amps = layout.input_amplitudes(0.5j)
-        mu_in = np.sqrt(2.0) * np.column_stack((amps.real, amps.imag)).reshape(-1)
-        means = s @ (mu_in + np.sqrt(0.5 / samples) * g)
-        np.testing.assert_allclose(emp.means.reshape(-1), means, rtol=0, atol=1e-14)
+        config = SampleConfig(samples, 11, 0.5j)
+        emp = simulate(transform, layout, config)
+        want = oracles.wishart_simulate(transform, layout, config,
+                                        oracles.stream_4_factor)
+        np.testing.assert_allclose(emp.covariances, want.covariances, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(emp.means, want.means, rtol=0, atol=1e-14)
 
     def test_panels_need_no_full_size_temporaries(self):
-        # At K = 606, S is 11.8 MB.  The certificates of a fresh map and a
-        # sampling run with them cached each trace one 2K x K pair (X and Y,
-        # or the factor F) and panels or tiles; a full-size product traced
-        # 2 S.
+        # At K = 606, S is 11.8 MB.  The certificates of a fresh map trace
+        # one 2K x K pair (X and Y) and tiles; a full-size product traced
+        # 2 S.  A sampling run traces the stages' probes and one panel of F
+        # with its FFT copies, never F itself, which is S's size here.
         transform, layout = build_machine(CloningConfig(4, 4, 300))
         s = transform.quadrature_image.matrix
         tracemalloc.start()
@@ -289,7 +322,7 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert residual_peak < 1.6 * s.nbytes
-        assert sampling_peak < 1.6 * s.nbytes
+        assert sampling_peak < 0.25 * s.nbytes
 
     @pytest.mark.parametrize("counts, samples", [((2, 2, 6), 100), ((4, 4, 40), 60)])
     def test_stages_and_pair_sample_alike(self, counts, samples):
@@ -318,9 +351,9 @@ class TestSimulate:
 
     def test_verify_path_never_builds_the_image(self):
         # At K = 606, S would be 11.8 MB.  Certifying reads (M, L) and
-        # holds X and Y (S's size together); sampling pushes F (S's size
-        # for n - 1 >= 2K) through the stages one panel of columns at a
-        # time.  Holding S as well traced about 2.2 S.
+        # holds X and Y (S's size together); sampling draws F (S's size
+        # for n - 1 >= 2K) one panel of columns at a time as it pushes it
+        # through the stages.  Holding S as well traced about 2.2 S.
         warm, warm_layout = build_machine(CloningConfig(2, 2, 130))
         simulate(warm, warm_layout, SampleConfig(600, 1))  # first-use imports
         transform, layout = build_machine(CloningConfig(4, 4, 300))
@@ -336,15 +369,14 @@ class TestSimulate:
         assert peak <= 1.2 * s_nbytes
 
     def test_stream_version_3_definition(self):
-        # A run draws g, then F's chi^2 diagonal, then its normals row by
-        # row, all from default_rng(seed).  The draws are pinned exactly;
-        # the moments, which also pass through BLAS products, to 1e-12.
-        # The 4 x 4 values are stream version 2's: v3 draws as v2 did for
-        # n - 1 >= d.
-        assert montecarlo.STREAM_VERSION == 3
+        # Stream version 3 drew g, then F's chi^2 diagonal, then its
+        # normals row by row, all from default_rng(seed).  Its draws are
+        # pinned exactly through the oracle; its moments, which also pass
+        # through BLAS products, to 1e-12.  The 4 x 4 values are stream
+        # version 2's: v3 drew as v2 did for n - 1 >= d.
         gen = np.random.default_rng(2**64 - 1)
         assert gen.standard_normal(4)[0] == 0.7213364570768727
-        assert montecarlo._wishart_factor(gen, 4, 5).tolist() == [
+        assert oracles.stream_3_factor(gen, 4, 5).tolist() == [
             [2.0641360507387065, 0.0, 0.0, 0.0],
             [-0.09459650306552869, 2.605615103482924, 0.0, 0.0],
             [1.2536647840795245, 0.6841898002396202, 1.2639938612658754, 0.0],
@@ -352,13 +384,16 @@ class TestSimulate:
              1.710015929726313],
         ]
         # dof = 3 < d = 4: a 4 x 3 trapezoid, zero above the diagonal only.
-        assert montecarlo._wishart_factor(gen, 4, 3).tolist() == [
+        assert oracles.stream_3_factor(gen, 4, 3).tolist() == [
             [1.5246612470388643, 0.0, 0.0],
             [-0.32018285515557876, 1.3507958664789792, 0.0],
             [-0.23469822790137987, 0.061965466718244044, 0.09365075000135907],
             [0.38644051036869487, -0.3086178209353126, -0.6593333036010385],
         ]
-        _, _, emp = run(CloningConfig(1, 1, 2), 64, 2**64 - 1, 0.5j)
+        transform, layout = build_machine(CloningConfig(1, 1, 2))
+        emp = oracles.wishart_simulate(transform, layout,
+                                       SampleConfig(64, 2**64 - 1, 0.5j),
+                                       oracles.stream_3_factor)
         np.testing.assert_allclose(
             emp.means[0], [0.04779638119409085, 0.5886777870605474], rtol=1e-12
         )
@@ -366,6 +401,46 @@ class TestSimulate:
             emp.covariances[0].ravel(),
             [0.569616332272427, -0.04183663786231095, -0.04183663786231095,
              0.5424262529344104],
+            rtol=1e-12,
+        )
+
+    def test_stream_version_4_definition(self):
+        # A run draws g and F's chi^2 diagonal as stream version 3 did,
+        # then each panel of F in one standard_normal call over its rows
+        # from mode c/2 down, x before p, zeroed above the diagonal.  The
+        # draws are pinned exactly; the moments, which also pass through
+        # FFTs and BLAS products, to 1e-12.
+        assert montecarlo.STREAM_VERSION == 4
+        assert montecarlo._PANEL == 32
+        gen = np.random.default_rng(2**64 - 1)
+        assert gen.standard_normal(4)[0] == 0.7213364570768727
+        chi = np.sqrt(gen.chisquare(5 - np.arange(4)))
+        # The diagonal is stream version 3's.
+        assert chi.tolist() == [2.0641360507387065, 2.605615103482924,
+                                1.2639938612658754, 1.710015929726313]
+        # Modes 0 and 1 hold quadrature rows (0, 1) and (2, 3).
+        assert montecarlo._factor_panel(gen, chi, 0, 2, 4).tolist() == [
+            [2.0641360507387065 + 1.2536647840795245j, 2.605615103482924j, 0j, 0j],
+            [-1.3596516040885636 - 0.6924759508929184j,
+             0.6232872266157287 - 0.32018285515557876j,
+             1.2639938612658754 + 0.061965466718244044j, 1.710015929726313j],
+        ]
+        # dof = 3 < d = 4: a 4 x 3 trapezoid, one panel of odd width.
+        chi = np.sqrt(gen.chisquare(3 - np.arange(3)))
+        assert montecarlo._factor_panel(gen, chi, 0, 2, 3).tolist() == [
+            [1.0858948548299283 + 0.06980663299334089j, 0.9895304803719931j, 0j],
+            [-0.855437214694838 - 0.19027621016958876j,
+             -1.150566230886884 + 0.6468239522273848j,
+             0.18342991622500493 + 1.0767999615952877j],
+        ]
+        _, _, emp = run(CloningConfig(1, 1, 2), 64, 2**64 - 1, 0.5j)
+        np.testing.assert_allclose(
+            emp.means[0], [0.04779638119409086, 0.5886777870605475], rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            emp.covariances[0].ravel(),
+            [0.5407442602139919, 0.10066737729718096, 0.10066737729718096,
+             0.5523514261228483],
             rtol=1e-12,
         )
 
@@ -398,6 +473,27 @@ class TestSimulate:
             cov = emp.covariances[mode]
             assert cov[0, 1] == cov[1, 0]
             assert cov[0, 0] > 0 and cov[1, 1] > 0
+
+    def test_linked_transform_is_gated_on_its_stages(self, monkeypatch):
+        # A transform from build_machine pushes its panels through the
+        # stages it links, so their probe bound gates it, and the exact
+        # residuals of (M, L) are not computed.
+        calls = []
+        real = canonical._omega_residuals
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(canonical, "_omega_residuals", spy)
+        transform, layout = build_machine(CloningConfig(2, 2, 6))
+        simulate(transform, layout, SampleConfig(100, 0))
+        assert calls == []
+        assert "_probe_bound" in vars(transform._network)
+        assert "_residuals" not in vars(transform)
+        # A bare transform keeps the exact gate.
+        simulate(dataclasses.replace(transform), layout, SampleConfig(100, 0))
+        assert len(calls) == 1
 
     def test_non_canonical_transform_rejected(self):
         bad = CanonicalTransform(
