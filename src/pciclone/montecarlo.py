@@ -42,8 +42,7 @@ and BLAS products may round in a build- and thread-dependent way.
 Stream version 3 drew the same law's F whole before the first push,
 its normals row by row; it agrees with version 4 in law, not in bits,
 and its draws live on as the test oracle
-``tests/oracles.py::stream_3_factor``.  Stream version 2 drew as version
-3 for n - 1 >= d.
+``tests/oracles.py::stream_3_factor``.
 
 Stream version 1 drew every sample: block b of BLOCK_SIZE samples took
 its standard normals from a Philox generator keyed (seed, b), one (rows,

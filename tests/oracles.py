@@ -68,8 +68,8 @@ from pciclone.errors import DomainError
 from pciclone.gaussian import GaussianState, fidelity_with_coherent, symplectic_form
 from pciclone.machine import _machine_layout, asymmetry_gain, gain_from_counts
 from pciclone.montecarlo import (
-    _PANEL,
     BLOCK_SIZE,
+    _PANEL,
     ComparisonSummary,
     EmpiricalMoments,
     block_normals,
