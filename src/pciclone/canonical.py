@@ -16,7 +16,6 @@ builds S.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -64,14 +63,15 @@ class CanonicalTransform:
     def mode_count(self) -> int:
         return self.m_matrix.shape[0]
 
-    def _push(self, a: np.ndarray) -> None:
+    def _push(self, a: np.ndarray, first: int = 0) -> None:
         """Turn each column alpha of the (K, cols) complex array ``a`` into
         M alpha + L conj(alpha) in place: S acting on the quadratures
         (Re alpha, Im alpha).  Through the machine's stages at O(K log K)
-        a column if the pair was assembled from them, else through
-        (M, L)."""
+        a column if the pair was assembled from them, which skip the
+        stages whose rows lie above ``first``, the first row on which
+        ``a`` can be nonzero; else through (M, L), ignoring ``first``."""
         if self._network is not None:
-            self._network._push(a)
+            self._network._push(a, first=first)
         else:
             a[...] = self.m_matrix @ a + self.l_matrix @ a.conj()
 
@@ -227,34 +227,35 @@ def dft_transform(mode_count: int, inverse: bool = False) -> CanonicalTransform:
 
 
 def _apply_dft(
-    arrays: np.ndarray | Sequence[np.ndarray],
-    rows: Sequence[int] | slice,
-    inverse: bool = False,
+    a: np.ndarray, rows: slice, inverse: bool = False, port: int | None = None
 ) -> None:
-    """Act with the K-mode ``dft_transform(K, inverse)`` on the K rows
-    ``rows`` (indices, or a slice) of ``arrays``, in place, as one
-    orthonormal FFT along the rows.  ``arrays`` is an array or a list of
-    arrays, such as column views of M and L, that share those rows.  A
-    (B, K) index array acts on B blocks of K rows with one batched FFT.
+    """Act in place with the K-mode ``dft_transform(K, inverse)`` on K rows
+    of ``a``: the run of rows ``rows``, or, given ``port``, the port's row
+    followed by that run.  The port's row is copied into the row just
+    before the run, whose own row is kept aside, so one orthonormal FFT
+    runs along one contiguous view of ``a`` and is assigned back to it,
+    with no gathered copy; the transformed first row then goes back to
+    the port and the borrowed row is restored.
 
     The forward M_lk = exp(2 pi i l k / K)/sqrt(K) is numpy's ``ifft`` and
     its conjugate transpose numpy's ``fft``, both with ``norm="ortho"``,
     so no K x K matrix is built.  Fewer than two rows are left as they are.
     """
-    if isinstance(arrays, np.ndarray):
-        arrays = [arrays]
-    idx = rows if isinstance(rows, slice) else np.asarray(rows, dtype=np.intp)
-    blocks = [a[idx] for a in arrays]
-    if blocks[0].shape[-2] < 2:
+    start, stop = rows.start, rows.stop
+    if port is not None:
+        start -= 1
+    if stop - start < 2:
         return
-    fft = np.fft.fft if inverse else np.fft.ifft
-    # One array's rows are transformed as they are, with no joined copy.
-    whole = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
-    out = fft(whole, axis=-2, norm="ortho")
-    start = 0
-    for a, block in zip(arrays, blocks):
-        a[idx] = out[..., start : start + block.shape[-1]]
-        start += block.shape[-1]
+    # Row copies by basic indexing: a fancy-indexed swap costs five
+    # times as much, which shows at a few modes.
+    borrowed = a[start].copy() if port not in (None, start) else None
+    if borrowed is not None:
+        a[start] = a[port]
+    view = a[start:stop]
+    view[...] = (np.fft.fft if inverse else np.fft.ifft)(view, axis=0, norm="ortho")
+    if borrowed is not None:
+        a[port] = a[start]
+        a[start] = borrowed
 
 
 def pcia_transform(gain: float) -> CanonicalTransform:

@@ -20,7 +20,10 @@ explicit transform is tested against.
 One private description of the stages serves both routes:
 :func:`build_machine` assembles the explicit K x K pair (M, L) from it,
 and the ``verify`` path pushes columns through it at O(K log K) each and
-certifies it with Gaussian probes, holding no K x K array.
+certifies it with Gaussian probes, holding no K x K array.  The layout
+gives each distribution block as its port plus one run of vacua, so
+every DFT block is transformed in place on one contiguous run of rows;
+a push skips the stages whose rows are all zero.
 """
 
 from __future__ import annotations
@@ -453,20 +456,21 @@ class _Network:
     """The machine's five stages on ``mode_count`` modes, in order: a
     concentration DFT on each replica block of ``concentration``, the
     ``amplifier`` on its two ``ports``, and an inverse DFT distributing
-    each port over its slots in ``distribution`` (clones, then
-    anticlones).  :func:`build_machine` assembles (M, L) from it;
-    :meth:`_push` applies it to columns at O(K log K) each, and its
-    certificates read E = S Omega S^T - Omega off probes pushed through
-    it, so the verify path holds no K x K array.
+    each port over itself and the run of vacua that follows it, the
+    (port, run) pairs of ``distribution`` (clones, then anticlones).
+    :func:`build_machine` assembles (M, L) from it; :meth:`_push` applies
+    it to columns at O(K log K) each, and its certificates read
+    E = S Omega S^T - Omega off probes pushed through it, so the verify
+    path holds no K x K array.
     """
 
     mode_count: int
     concentration: tuple[slice, slice]
     ports: tuple[int, int]
     amplifier: CanonicalTransform
-    distribution: tuple[np.ndarray, np.ndarray]
+    distribution: tuple[tuple[int, slice], tuple[int, slice]]
 
-    def _push(self, a: np.ndarray, transpose: bool = False) -> None:
+    def _push(self, a: np.ndarray, transpose: bool = False, first: int = 0) -> None:
         """Turn each column alpha of the (K, cols) complex array ``a`` into
         M alpha + L conj(alpha) in place, which is S acting on the
         quadratures (Re alpha, Im alpha).  With ``transpose`` S^T acts
@@ -474,30 +478,31 @@ class _Network:
         other direction, since the DFT matrix and the amplifier's
         quadrature matrix are symmetric (a passive U's image transposes
         to that of its conjugate transpose).
-        """
-        conc, dist = self._stages
-        concentrate = [(rows, transpose) for rows in conc]
-        distribute = [(rows, not transpose) for rows in dist]
-        first, last = (distribute, concentrate) if transpose else (concentrate, distribute)
-        for rows, inverse in first:
-            _apply_dft(a, rows, inverse)
-        ports = list(self.ports)
-        x = a[ports]
-        a[ports] = self.amplifier.m_matrix @ x + self.amplifier.l_matrix @ x.conj()
-        for rows, inverse in last:
-            _apply_dft(a, rows, inverse)
 
-    @cached_property
-    def _stages(self) -> tuple:
-        """The concentration and distribution row sets :meth:`_push`
-        transforms: a stage's two blocks, or, if they have one length,
-        one (2, length) index array, so one batched FFT does both."""
-        modes = np.arange(self.mode_count)
-        groups = []
-        for blocks in (self.concentration, self.distribution):
-            rows = [modes[b] for b in blocks]
-            groups.append((np.stack(rows),) if len(rows[0]) == len(rows[1]) else blocks)
-        return tuple(groups)
+        Each block is transformed in place by
+        :func:`~pciclone.canonical._apply_dft`, a distribution block
+        through its port's row copied next to its run.  ``first`` is the
+        first row on which ``a``'s columns can be nonzero: the forward
+        push skips the concentration DFTs and the amplifier when every
+        replica row, 0 up to the first clone vacuum, lies above it, and a
+        distribution block whose rows all do, since those stages would
+        map zeros to zeros.  The transposed push never skips.
+        """
+        if transpose:
+            first = 0
+        amplify = first < self.distribution[0][1].start
+        conc = [(rows, None, transpose) for rows in self.concentration] if amplify else []
+        dist = [(run, port, not transpose) for port, run in self.distribution
+                if first < run.stop]
+        before, after = (dist, conc) if transpose else (conc, dist)
+        for rows, port, inverse in before:
+            _apply_dft(a, rows, inverse, port)
+        if amplify:
+            ports = list(self.ports)
+            x = a[ports]
+            a[ports] = self.amplifier.m_matrix @ x + self.amplifier.l_matrix @ x.conj()
+        for rows, port, inverse in after:
+            _apply_dft(a, rows, inverse, port)
 
     @cached_property
     @np.errstate(invalid="ignore", over="ignore")  # a NaN or inf is the refusal
@@ -533,14 +538,15 @@ class _Network:
 def _network(config: CloningConfig) -> tuple[_Network, MachineLayout]:
     """The machine's stages and its layout."""
     layout = _machine_layout(config)
-    a2 = _block_starts(config)[0]
-    slots = (layout.clone_slots, layout.anticlone_slots)
+    a2, dist_start, anti_start, k = _block_starts(config)
+    # A port with no run (M = 1 or M' <= 1) is a one-mode DFT: the
+    # identity.  At M' = 0 port a2 is a residual mode, left so too.
     network = _Network(
-        mode_count=layout.total_modes,
+        mode_count=k,
         concentration=(slice(0, config.n_inputs), slice(a2, a2 + config.n_conj)),
         ports=(0, a2),
         amplifier=pcia_transform(gain_from_counts(config)),
-        distribution=tuple(np.array(s, dtype=np.intp) for s in slots),
+        distribution=((0, slice(dist_start, anti_start)), (a2, slice(anti_start, k))),
     )
     return network, layout
 
@@ -549,10 +555,14 @@ def _working_set(config: CloningConfig, samples: int | None = None) -> int:
     """Bytes a run on ``config`` holds at its peak, known before anything
     is allocated: the slots of the layout and the stages, plus (M, L),
     32 K^2 bytes, for :func:`build_machine` (``samples`` None), or for a
-    ``verify`` run one panel of the Wishart factor F with the sample mean
-    and the probes, each with three FFT copies: 64 K (_PANEL + 1 +
-    _PROBES) bytes whatever the sample count, since F is drawn one panel
-    at a time.
+    ``verify`` run three arrays the size of one panel of the Wishart
+    factor F with the sample mean and three the size of the probes:
+    48 K (_PANEL + 1 + _PROBES) bytes whatever the sample count.  F is
+    drawn one panel at a time and each DFT block is transformed in place,
+    so sampling holds at most three panel-sized arrays (the drawn panel,
+    its copy with the mean, one block's FFT output) and the certificate,
+    run before it, at most four probe-sized ones (the probes, their
+    image and two temporaries of its norm); the sum bounds both.
     """
     # montecarlo, which defines the panel width, imports this module.
     from .montecarlo import _PANEL
@@ -561,7 +571,7 @@ def _working_set(config: CloningConfig, samples: int | None = None) -> int:
     if samples is None:
         held = 32 * k * k
     else:
-        held = 64 * k * (_PANEL + 1 + _PROBES)
+        held = 48 * k * (_PANEL + 1 + _PROBES)
     return _SLOT_BYTES * k + held
 
 
@@ -592,10 +602,11 @@ def build_machine(config: CloningConfig) -> tuple[CanonicalTransform, MachineLay
     replica blocks, the amplifier couples the two concentrated ports, and
     inverse DFTs distribute each port over its output block.  Each stage
     updates only the rows of (M, L) it touches, and each DFT, an
-    orthonormal FFT, only the columns those rows can reach, so assembly
-    costs O(M log M (N + N' + M) + M' log M' (N + N' + M')) beyond
-    allocating the K x K pair, which :func:`_require_memory` refuses
-    beyond physical memory.  The transform keeps the stages as a private
+    orthonormal FFT run in place on a contiguous run of rows as
+    :meth:`_Network._push` runs it, only on the column views of (M, L)
+    those rows can reach, so assembly costs O(M log M (N + N' + M) +
+    M' log M' (N + N' + M')) beyond allocating the K x K pair, which
+    :func:`_require_memory` refuses beyond physical memory.  The transform keeps the stages as a private
     link, so :func:`~pciclone.montecarlo.simulate` pushes through them.
     Feeding the layout's input state yields clones of mean exactly psi and
     anticlones of mean exactly psi*.
@@ -615,8 +626,9 @@ def build_machine(config: CloningConfig) -> tuple[CanonicalTransform, MachineLay
     # of L.  The clone vacua dist_start:anti_start follow the inputs.
     inputs = slice(0, dist_start)
     m_cols = ([slice(0, anti_start)], [inputs, slice(anti_start, k)])
-    for rows, cols in zip(network.distribution, m_cols):
-        _apply_dft([mm[:, c] for c in cols] + [ll[:, inputs]], rows, inverse=True)
+    for (port, run), cols in zip(network.distribution, m_cols):
+        for view in [mm[:, c] for c in cols] + [ll[:, inputs]]:
+            _apply_dft(view, run, True, port)
     # Read-only hands both matrices over to the transform uncopied.
     mm.setflags(write=False)
     ll.setflags(write=False)

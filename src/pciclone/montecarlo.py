@@ -23,10 +23,17 @@ and F's columns, read as complex amplitudes x + ip, are pushed through
 the machine's stages (two concentration DFTs as orthonormal FFTs, the
 two-mode amplifier, two distribution DFTs), which turn alpha into
 M alpha + L conj(alpha), S's action, at O(K log K) a column; a run costs
-O(K log K min(n, d)) whatever n.  A bare transform pushes them through
-(M, L) in the same loop, at O(K^2) a column.  F is drawn one _PANEL-column
-panel at a time, as the panel is pushed, so a run holds one panel of F
-and never the whole factor.
+O(K log K min(n, d)) whatever n.  Each DFT block is transformed in place
+on one contiguous run of rows.  F is lower trapezoidal, so the panel
+from column c is zero in the modes above c/2, and its push skips the
+stages that act on those modes alone: the concentration DFTs and the
+amplifier once c/2 passes every replica slot, and the clone
+distribution once c/2 reaches the anticlone vacua.  A skipped stage
+would map zeros to zeros, so the moments keep their bits.  A bare
+transform pushes the panels through (M, L) in the same loop, at O(K^2)
+a column, and skips nothing.  F is drawn one _PANEL-column panel at a
+time, as the panel is pushed, so a run holds one panel of F and never
+the whole factor.
 
 One generator, ``np.random.default_rng(seed)``, draws g, then F's chi^2
 diagonal (numpy's gamma sampler), then one ``standard_normal`` call per
@@ -34,10 +41,13 @@ panel: the panel from column c, w columns wide, takes the (K - c/2, w)
 complex amplitudes of modes c/2 on in row order, x before p, and keeps
 those on and below F's diagonal, putting the chi values on it.  _PANEL
 = 32 is part of that definition.  The same arguments give the same
-moments under one numpy version, platform and BLAS build and thread
-count: numpy does not promise that its samplers keep their output
-across versions, they call the platform's math library, and the FFTs
-and BLAS products may round in a build- and thread-dependent way.
+moments under one numpy version, platform and BLAS build: numpy does
+not promise that its samplers keep their output across versions, they
+call the platform's math library, and the FFTs and BLAS products may
+round in a build-dependent way.  Through the machine's stages the one
+BLAS product is the 2 x 2 amplifier, and ``verify`` printed the same
+bytes under 1 and 2 OpenBLAS threads (more were not tried); a bare
+transform's (M, L) products may also round by thread count.
 
 Stream version 3 drew the same law's F whole before the first push,
 its normals row by row; it agrees with version 4 in law, not in bits,
@@ -208,12 +218,13 @@ def simulate(
     panel of F, drawn when it is reached, are pushed through it as complex
     amplitudes x + ip, each panel reduced into the modes' 2 x 2 sums and
     dropped, so F is never held.  The machine's stages (also linked from
-    the transforms ``build_machine`` returns) push a column through FFTs
-    at O(K log K); a bare transform through (M, L).  No K x K array is
-    formed.  The route the panels take is the one gated: a transform
-    whose commutation residual (for the stages, and a transform linked to
-    them, the stages' probe bound) is above ``CANONICAL_TOL`` is refused,
-    as
+    the transforms ``build_machine`` returns) push a column through
+    in-place FFTs at O(K log K), told that a panel from column c is zero
+    above mode c/2 so that they skip the stages it leaves at zero; a bare
+    transform pushes through (M, L).  No K x K array is formed.  The
+    route the panels take is the one gated: a transform whose commutation
+    residual (for the stages, and a transform linked to them, the stages'
+    probe bound) is above ``CANONICAL_TOL`` is refused, as
     :func:`~pciclone.canonical.to_symplectic` refuses it, and so is an
     amplitude whose float spacing exceeds the vacuum noise's standard
     deviation, both by :class:`DomainError`.
@@ -253,7 +264,8 @@ def simulate(
         lead = 1 if c == 0 else 0
         if lead:
             panel = np.column_stack((means, panel))
-        transform._push(panel)
+        # F is lower trapezoidal: the panel's modes above c/2 are zero.
+        transform._push(panel, first=c // 2)
         if lead:
             means[:] = panel[:, 0]
         x, p = panel.real[:, lead:], panel.imag[:, lead:]

@@ -18,6 +18,11 @@ The assembly oracle builds the machine the dense way, embedding every
 stage, the DFTs as the explicit matrices of :func:`dft_transform`, in a
 K x K transform and composing them, where the library updates only the
 rows each stage touches and applies the DFTs as orthonormal FFTs.
+The gathered-DFT oracles take each DFT block's rows by index into a
+copy, FFT blocks of one length in one batched call and scatter the
+result back, both for the stages' pushes and for assembly, where the
+library transforms each block in place on one contiguous run of rows;
+the two agree bit for bit.
 
 The asymmetry oracle finds the best conjugate fraction by brute force, a
 grid scan sharpened by golden-section search, where the library uses a
@@ -66,7 +71,14 @@ from pciclone.canonical import (
 )
 from pciclone.errors import DomainError
 from pciclone.gaussian import GaussianState, fidelity_with_coherent, symplectic_form
-from pciclone.machine import _machine_layout, asymmetry_gain, gain_from_counts
+from pciclone.machine import (
+    _apply_stage,
+    _block_starts,
+    _machine_layout,
+    _network,
+    asymmetry_gain,
+    gain_from_counts,
+)
 from pciclone.montecarlo import (
     BLOCK_SIZE,
     _PANEL,
@@ -180,6 +192,75 @@ def dense_build_machine(config):
     for stage in stages:
         transform = compose(transform, stage)
     return transform, layout
+
+
+def gathered_dft(arrays, rows, inverse=False):
+    """Act with ``dft_transform(len(rows), inverse)`` on the rows ``rows``
+    (indices, or a slice) of ``arrays``, an array or a list of arrays
+    sharing those rows, in place: the rows are gathered into one copy
+    (the arrays' columns joined), FFTed into a new array and scattered
+    back.  A (B, K) index array acts on B blocks of K rows with one
+    batched FFT.  Fewer than two rows are left as they are."""
+    if isinstance(arrays, np.ndarray):
+        arrays = [arrays]
+    idx = rows if isinstance(rows, slice) else np.asarray(rows, dtype=np.intp)
+    blocks = [a[idx] for a in arrays]
+    if blocks[0].shape[-2] < 2:
+        return
+    fft = np.fft.fft if inverse else np.fft.ifft
+    whole = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
+    out = fft(whole, axis=-2, norm="ortho")
+    start = 0
+    for a, block in zip(arrays, blocks):
+        a[idx] = out[..., start : start + block.shape[-1]]
+        start += block.shape[-1]
+
+
+def _gathered_stage(blocks):
+    """A DFT stage's two row lists as :func:`gathered_dft` takes them:
+    one (2, length) index array if both have one length, else the two."""
+    rows = [np.asarray(b, dtype=np.intp) for b in blocks]
+    return [np.stack(rows)] if len(rows[0]) == len(rows[1]) else rows
+
+
+def gathered_push(config, a, transpose=False):
+    """:meth:`~pciclone.machine._Network._push` of the machine of
+    ``config`` by :func:`gathered_dft`, its distribution rows read off
+    the layout's clone and anticlone slots, never skipping a stage."""
+    network, layout = _network(config)
+    modes = np.arange(layout.total_modes)
+    conc = _gathered_stage([modes[b] for b in network.concentration])
+    dist = _gathered_stage([layout.clone_slots, layout.anticlone_slots])
+    first = [(rows, transpose) for rows in conc]
+    last = [(rows, not transpose) for rows in dist]
+    if transpose:
+        first, last = last, first
+    for rows, inverse in first:
+        gathered_dft(a, rows, inverse)
+    ports = list(network.ports)
+    x = a[ports]
+    amp = network.amplifier
+    a[ports] = amp.m_matrix @ x + amp.l_matrix @ x.conj()
+    for rows, inverse in last:
+        gathered_dft(a, rows, inverse)
+
+
+def gathered_build_machine(config):
+    """The (M, L) of :func:`~pciclone.machine.build_machine` by
+    :func:`gathered_dft`: each distribution block's rows, read off the
+    layout, gathered with the columns they reach joined."""
+    network, layout = _network(config)
+    _, dist_start, anti_start, k = _block_starts(config)
+    mm = np.eye(k, dtype=complex)
+    ll = np.zeros((k, k), dtype=complex)
+    for block in network.concentration:
+        gathered_dft(mm[:, block], block)
+    _apply_stage(mm, ll, list(network.ports), network.amplifier)
+    inputs = slice(0, dist_start)
+    m_cols = ([slice(0, anti_start)], [inputs, slice(anti_start, k)])
+    for rows, cols in zip((layout.clone_slots, layout.anticlone_slots), m_cols):
+        gathered_dft([mm[:, c] for c in cols] + [ll[:, inputs]], rows, inverse=True)
+    return mm, ll
 
 
 def dense_commutation_residual(m, l):

@@ -505,7 +505,7 @@ class TestDftTransform:
         # argument 2 pi l k / K, not of the FFT.
         for k in [*range(1, 65), 509, 512, 1021, 1024]:
             a = np.eye(k, dtype=complex)
-            canonical._apply_dft(a, range(k), inverse)
+            canonical._apply_dft(a, slice(0, k), inverse)
             want = dft_transform(k, inverse).m_matrix
             assert np.max(np.abs(a - want)) <= 1e-13, k
 
@@ -515,7 +515,7 @@ class TestDftTransform:
         a = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
         before = a.copy()
         rows = (4, 0, 2)
-        canonical._apply_dft(a, rows, inverse)
+        oracles.gathered_dft(a, rows, inverse)
         want = dft_transform(3, inverse).m_matrix @ before[list(rows)]
         np.testing.assert_allclose(a[list(rows)], want, atol=1e-14)
         np.testing.assert_array_equal(a[[1, 3, 5]], before[[1, 3, 5]])
@@ -524,8 +524,30 @@ class TestDftTransform:
     def test_fft_of_fewer_than_two_rows_is_a_no_op(self, rows):
         a = np.arange(12.0).reshape(4, 3) + 1j
         before = a.copy()
-        canonical._apply_dft(a, rows)
+        oracles.gathered_dft(a, rows)
         np.testing.assert_array_equal(a, before)
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("port, run", [(1, slice(5, 8)), (4, slice(5, 8)),
+                                           (0, slice(2, 2)), (None, slice(2, 6)),
+                                           (None, slice(3, 4))])
+    def test_fft_in_place_on_a_port_and_its_run(self, inverse, port, run):
+        # The port's row, then the run: the row borrowed before the run
+        # (or none, where the port precedes it) is restored, and the
+        # result is the gathered route's to the bit.
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4))
+        before = a.copy()
+        rows = ([] if port is None else [port]) + list(range(9)[run])
+        canonical._apply_dft(a, run, inverse, port)
+        want = before.copy()
+        oracles.gathered_dft(want, rows, inverse)
+        assert a.tobytes() == want.tobytes()
+        np.testing.assert_allclose(
+            a[rows], dft_transform(len(rows), inverse).m_matrix @ before[rows],
+            atol=1e-14)
+        others = [i for i in range(9) if i not in rows]
+        np.testing.assert_array_equal(a[others], before[others])
 
 
 class TestPciaTransform:

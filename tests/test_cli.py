@@ -296,9 +296,9 @@ class TestVerify:
         def spy(*args):
             calls.append(args)
 
-        def push_spy(self, a, transpose=False):
+        def push_spy(self, a, transpose=False, first=0):
             pushes.append((a.shape, transpose))
-            real(self, a, transpose)
+            real(self, a, transpose, first)
 
         monkeypatch.setattr(pciclone.canonical, "_omega_residuals", spy)
         monkeypatch.setattr(pciclone.gaussian, "_omega_residuals", spy)
@@ -351,10 +351,10 @@ class TestVerify:
     def test_verify_holds_only_the_factor(self, capsys, monkeypatch):
         # At K = 606 and n - 1 >= 2K, F is 2K x 2K, 11.8 MB.  Only the
         # stages are built, no (M, L), and F is drawn one panel at a time
-        # as it is pushed: a run holds the layout and one panel with its
-        # FFT copies, or the probes, within its planned working set and
-        # far below F.  Holding F traced just above F; the (M, L) pair
-        # alone would be another F.
+        # as it is pushed: a run holds the layout and one panel with one
+        # block's FFT output, or the probes, within its planned working
+        # set and far below F.  Holding F traced just above F; the (M, L)
+        # pair alone would be another F.
         def unreachable(config):
             raise AssertionError("build_machine called on the verify path")
 
@@ -563,6 +563,24 @@ def test_out_of_memory_exit_code(argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: Unable to allocate")
     assert proc.stderr.count("\n") == 1
+
+
+def test_verify_bytes_do_not_depend_on_blas_threads():
+    # The verify path's one BLAS product is the 2 x 2 amplifier: the
+    # DFTs are FFTs and the reductions numpy loops.  Only 1 and 2
+    # threads were tried, on a 2-CPU machine.
+    src = str(Path(pciclone.__file__).resolve().parents[1])
+    docs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pciclone", "verify", "4", "4", "64", "4096", "3"],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        doc = json.loads(proc.stdout)
+        del doc["timings"]
+        docs.append(json.dumps(doc))
+    assert docs[0] == docs[1]
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

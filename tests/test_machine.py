@@ -708,9 +708,10 @@ class TestStages:
         assert alone == layout
         assert network.concentration == transform._network.concentration
         assert network.ports == transform._network.ports == (0, 3)
-        for got, want in zip(network.distribution, transform._network.distribution):
-            assert got.tolist() == list(want)
-        assert [s.tolist() for s in network.distribution] == [
+        assert network.distribution == transform._network.distribution
+        # Each distribution block is its port, then one run of vacua.
+        modes = range(layout.total_modes)
+        assert [[port, *modes[run]] for port, run in network.distribution] == [
             list(layout.clone_slots), list(layout.anticlone_slots)]
 
     def test_amplifier_residual_is_caught(self):
@@ -733,6 +734,93 @@ class TestStages:
         assert math.isnan(bad.commutation_residual)
 
 
+def same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestInPlaceBlocks:
+    """The in-place route, each distribution block on its port's row
+    copied next to its run, equals the gathered one of
+    ``oracles.gathered_dft`` bit for bit."""
+
+    @staticmethod
+    def check(cfg):
+        network, layout = machine._network(cfg)
+        _, dist_start, anti_start, k = machine._block_starts(cfg)
+        rng = np.random.default_rng(k)
+        a = rng.standard_normal((k, 14)).view(complex)
+        for transpose in (False, True):
+            got, want = a.copy(), a.copy()
+            network._push(got, transpose)
+            oracles.gathered_push(cfg, want, transpose)
+            same_bytes(got, want)
+        # The transposed push never skips.
+        got, want = a.copy(), a.copy()
+        network._push(got, True, first=k - 1)
+        oracles.gathered_push(cfg, want, True)
+        same_bytes(got, want)
+        # Rows above ``first`` are zero, as in F's panel from column
+        # 2 first: the stages the push then skips would map zeros to zeros.
+        for first in {1, dist_start - 1, dist_start, anti_start - 1, anti_start, k - 1}:
+            top = a.copy()
+            top[:first] = 0.0
+            got, want = top.copy(), top.copy()
+            network._push(got, first=first)
+            oracles.gathered_push(cfg, want)
+            same_bytes(got, want)
+        transform, _ = build_machine(cfg)
+        mm, ll = oracles.gathered_build_machine(cfg)
+        same_bytes(transform.m_matrix, mm)
+        same_bytes(transform.l_matrix, ll)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 6), st.integers(1, 40))
+    # N = 0, N' = 0, M = 1, M' = 0 (N' = 0, M = N) and M' = 1; N' <= 1,
+    # where the clone block borrows the conjugate port's row; M = 1 with
+    # N' <= 1, where the anticlone run follows its port (no row borrowed).
+    @example(0, 3, 5)
+    @example(3, 0, 7)
+    @example(2, 3, 2)
+    @example(1, 2, 1)
+    @example(4, 0, 4)
+    @example(2, 0, 3)
+    @example(3, 1, 6)
+    @example(1, 1, 1)
+    @example(1, 0, 1)
+    @example(0, 1, 1)
+    def test_push_and_assembly_match_the_gathered_route(self, n, nc, m):
+        if n + nc == 0 or m < n:
+            return
+        self.check(CloningConfig(n, nc, m))
+
+    def test_skipped_stages_leave_the_moments(self):
+        # (4, 4, 60), K = 126, at n = 4096: the panels from column 32 on
+        # skip the concentration DFTs and the amplifier, from column 160
+        # on the clone block too; unskipped pushes of the same draws give
+        # the same bits.
+        cfg = CloningConfig(4, 4, 60)
+        network, layout = machine._network(cfg)
+        sample = montecarlo.SampleConfig(4096, 7, 0.3 + 0.2j)
+        firsts = []
+
+        class Unskipped:
+            mode_count = network.mode_count
+            _network = network
+
+            @staticmethod
+            def _push(a, first=0):
+                firsts.append(first)
+                network._push(a)
+
+        got = montecarlo.simulate(network, layout, sample)
+        want = montecarlo.simulate(Unskipped, layout, sample)
+        assert firsts == [c // 2 for c in range(0, 2 * network.mode_count, 32)]
+        assert firsts[-1] >= machine._block_starts(cfg)[2]
+        for name in ("means", "covariances", "mean_se", "var_se"):
+            same_bytes(getattr(got, name), getattr(want, name))
+
+
 class TestMemoryGuard:
     def test_working_set_counts_slots_and_arrays(self):
         cfg = CloningConfig(1, 0, 50_000)
@@ -747,10 +835,10 @@ class TestMemoryGuard:
         slots = machine._SLOT_BYTES * k
         assert 0.8 * slots < slots_peak <= slots
         assert machine._working_set(cfg) == slots + 32 * k * k
-        # A verify run holds one panel of F with the sample mean, or the
-        # probes, each with three FFT copies, whatever the sample count.
-        panel = 4 * 16 * k * (montecarlo._PANEL + 1)
-        probes = 4 * 16 * k * machine._PROBES
+        # A verify run plans three copies of one panel of F with the
+        # sample mean and of the probes, whatever the sample count.
+        panel = 3 * 16 * k * (montecarlo._PANEL + 1)
+        probes = 3 * 16 * k * machine._PROBES
         for samples in (2, 100, 2 * k + 1, 10**9):
             assert machine._working_set(cfg, samples) == slots + panel + probes
         # (M, L)'s bytes, and a panel's, as the arrays hold them.
