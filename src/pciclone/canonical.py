@@ -45,7 +45,7 @@ class CanonicalTransform:
     m_matrix: np.ndarray
     l_matrix: np.ndarray
     # The stages (M, L) was assembled from, if any, set by
-    # :func:`~pciclone.machine.build_machine` alone: :meth:`_push` runs
+    # :func:`~pciclone.machine.build_machine` alone: the sampler pushes
     # through them.  Not an init field, so dataclasses.replace drops it.
     _network: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -63,17 +63,18 @@ class CanonicalTransform:
     def mode_count(self) -> int:
         return self.m_matrix.shape[0]
 
-    def _push(self, a: np.ndarray, first: int = 0) -> None:
+    def _push(
+        self, a: np.ndarray, first: int = 0, stop: int | None = None
+    ) -> tuple[slice, ...]:
         """Turn each column alpha of the (K, cols) complex array ``a`` into
         M alpha + L conj(alpha) in place: S acting on the quadratures
-        (Re alpha, Im alpha).  Through the machine's stages at O(K log K)
-        a column if the pair was assembled from them, which skip the
-        stages whose rows lie above ``first``, the first row on which
-        ``a`` can be nonzero; else through (M, L), ignoring ``first``."""
-        if self._network is not None:
-            self._network._push(a, first=first)
-        else:
-            a[...] = self.m_matrix @ a + self.l_matrix @ a.conj()
+        (Re alpha, Im alpha), through (M, L).  The rows ``first`` to
+        ``stop`` in which ``a`` can be nonzero are not used: every row is
+        changed, and the one run returned says so, as
+        :meth:`~pciclone.machine._Network._push` returns the rows it
+        changes."""
+        a[...] = self.m_matrix @ a + self.l_matrix @ a.conj()
+        return (slice(0, self.mode_count),)
 
     @property
     def commutation_residual(self) -> float:
@@ -227,7 +228,11 @@ def dft_transform(mode_count: int, inverse: bool = False) -> CanonicalTransform:
 
 
 def _apply_dft(
-    a: np.ndarray, rows: slice, inverse: bool = False, port: int | None = None
+    a: np.ndarray,
+    rows: slice,
+    inverse: bool = False,
+    port: int | None = None,
+    batch: int = 1,
 ) -> None:
     """Act in place with the K-mode ``dft_transform(K, inverse)`` on K rows
     of ``a``: the run of rows ``rows``, or, given ``port``, the port's row
@@ -235,7 +240,9 @@ def _apply_dft(
     before the run, whose own row is kept aside, so one orthonormal FFT
     runs along one contiguous view of ``a`` and is assigned back to it,
     with no gathered copy; the transformed first row then goes back to
-    the port and the borrowed row is restored.
+    the port and the borrowed row is restored.  With ``batch`` > 1 (and
+    no port) the run is cut into that many equal runs, each transformed
+    on its own, in one batched FFT.
 
     The forward M_lk = exp(2 pi i l k / K)/sqrt(K) is numpy's ``ifft`` and
     its conjugate transpose numpy's ``fft``, both with ``norm="ortho"``,
@@ -244,7 +251,7 @@ def _apply_dft(
     start, stop = rows.start, rows.stop
     if port is not None:
         start -= 1
-    if stop - start < 2:
+    if stop - start < 2 * batch:
         return
     # Row copies by basic indexing: a fancy-indexed swap costs five
     # times as much, which shows at a few modes.
@@ -252,7 +259,11 @@ def _apply_dft(
     if borrowed is not None:
         a[start] = a[port]
     view = a[start:stop]
-    view[...] = (np.fft.fft if inverse else np.fft.ifft)(view, axis=0, norm="ortho")
+    if batch > 1:
+        # Splitting the leading axis keeps a view of ``a``.
+        view = view.reshape(batch, -1, *view.shape[1:])
+    fft = np.fft.fft if inverse else np.fft.ifft
+    view[...] = fft(view, axis=view.ndim - a.ndim, norm="ortho")
     if borrowed is not None:
         a[port] = a[start]
         a[start] = borrowed

@@ -458,6 +458,10 @@ class _Network:
     ``amplifier`` on its two ``ports``, and an inverse DFT distributing
     each port over itself and the run of vacua that follows it, the
     (port, run) pairs of ``distribution`` (clones, then anticlones).
+    ``blocks`` cuts the modes into the replica block R, 0 up to the first
+    clone vacuum, which holds both ports, and the two runs C and A of
+    vacua: every output row is supported on R and C or on R and A, so the
+    sampler draws the Wishart factor in these blocks.
     :func:`build_machine` assembles (M, L) from it; :meth:`_push` applies
     it to columns at O(K log K) each, and its certificates read
     E = S Omega S^T - Omega off probes pushed through it, so the verify
@@ -469,40 +473,70 @@ class _Network:
     ports: tuple[int, int]
     amplifier: CanonicalTransform
     distribution: tuple[tuple[int, slice], tuple[int, slice]]
+    blocks: tuple[slice, slice, slice]
 
-    def _push(self, a: np.ndarray, transpose: bool = False, first: int = 0) -> None:
+    @cached_property
+    def _concentration_runs(self) -> list[tuple[slice, int]]:
+        """The concentration DFTs as (run, batch) for
+        :func:`~pciclone.canonical._apply_dft`: one batch of two when the
+        replica blocks are adjacent and of one length (N = N'), else each
+        block alone."""
+        signal, conjugate = self.concentration
+        length = signal.stop - signal.start
+        if conjugate.start == signal.stop and conjugate.stop - conjugate.start == length:
+            return [(slice(signal.start, conjugate.stop), 2)]
+        return [(rows, 1) for rows in self.concentration]
+
+    def _push(
+        self,
+        a: np.ndarray,
+        transpose: bool = False,
+        first: int = 0,
+        stop: int | None = None,
+    ) -> tuple[slice, ...]:
         """Turn each column alpha of the (K, cols) complex array ``a`` into
         M alpha + L conj(alpha) in place, which is S acting on the
         quadratures (Re alpha, Im alpha).  With ``transpose`` S^T acts
         instead: the stages run in reverse order and each DFT in the
         other direction, since the DFT matrix and the amplifier's
         quadrature matrix are symmetric (a passive U's image transposes
-        to that of its conjugate transpose).
+        to that of its conjugate transpose).  Returns the runs of rows the
+        push may have changed, which hold every row of ``first`` to
+        ``stop``.
 
         Each block is transformed in place by
         :func:`~pciclone.canonical._apply_dft`, a distribution block
-        through its port's row copied next to its run.  ``first`` is the
-        first row on which ``a``'s columns can be nonzero: the forward
-        push skips the concentration DFTs and the amplifier when every
-        replica row, 0 up to the first clone vacuum, lies above it, and a
-        distribution block whose rows all do, since those stages would
-        map zeros to zeros.  The transposed push never skips.
+        through its port's row copied next to its run.  ``a``'s columns
+        can be nonzero only in the rows ``first`` to ``stop`` (None: to
+        the end): the forward push skips the concentration DFTs and the
+        amplifier when every replica row, 0 up to the first clone vacuum,
+        lies outside them, and a distribution block whose rows all do,
+        since those stages would map zeros to zeros.  The transposed push
+        never skips.
         """
+        k = self.mode_count
+        if transpose or stop is None:
+            stop = k
         if transpose:
             first = 0
         amplify = first < self.distribution[0][1].start
-        conc = [(rows, None, transpose) for rows in self.concentration] if amplify else []
-        dist = [(run, port, not transpose) for port, run in self.distribution
-                if first < run.stop]
-        before, after = (dist, conc) if transpose else (conc, dist)
-        for rows, port, inverse in before:
-            _apply_dft(a, rows, inverse, port)
+        dist = [(port, run) for port, run in self.distribution
+                if amplify or first < run.stop and run.start < stop]
+        conc = [(rows, None, transpose, batch)
+                for rows, batch in self._concentration_runs] if amplify else []
+        spread = [(run, port, not transpose, 1) for port, run in dist]
+        before, after = (spread, conc) if transpose else (conc, spread)
+        for rows, port, inverse, batch in before:
+            _apply_dft(a, rows, inverse, port, batch)
         if amplify:
             ports = list(self.ports)
             x = a[ports]
             a[ports] = self.amplifier.m_matrix @ x + self.amplifier.l_matrix @ x.conj()
-        for rows, port, inverse in after:
-            _apply_dft(a, rows, inverse, port)
+        for rows, port, inverse, batch in after:
+            _apply_dft(a, rows, inverse, port, batch)
+        if amplify:
+            return (slice(0, k),)
+        return tuple(r for port, run in dist for r in (slice(port, port + 1), run))
 
     @cached_property
     @np.errstate(invalid="ignore", over="ignore")  # a NaN or inf is the refusal
@@ -547,6 +581,8 @@ def _network(config: CloningConfig) -> tuple[_Network, MachineLayout]:
         ports=(0, a2),
         amplifier=pcia_transform(gain_from_counts(config)),
         distribution=((0, slice(dist_start, anti_start)), (a2, slice(anti_start, k))),
+        blocks=(slice(0, dist_start), slice(dist_start, anti_start),
+                slice(anti_start, k)),
     )
     return network, layout
 
@@ -555,14 +591,15 @@ def _working_set(config: CloningConfig, samples: int | None = None) -> int:
     """Bytes a run on ``config`` holds at its peak, known before anything
     is allocated: the slots of the layout and the stages, plus (M, L),
     32 K^2 bytes, for :func:`build_machine` (``samples`` None), or for a
-    ``verify`` run three arrays the size of one panel of the Wishart
-    factor F with the sample mean and three the size of the probes:
-    48 K (_PANEL + 1 + _PROBES) bytes whatever the sample count.  F is
-    drawn one panel at a time and each DFT block is transformed in place,
-    so sampling holds at most three panel-sized arrays (the drawn panel,
-    its copy with the mean, one block's FFT output) and the certificate,
-    run before it, at most four probe-sized ones (the probes, their
-    image and two temporaries of its norm); the sum bounds both.
+    ``verify`` run two arrays the size of one panel of the Wishart
+    factor with the sample mean and three the size of the probes:
+    16 K (2 (_PANEL + 1) + 3 _PROBES) bytes whatever the sample count.
+    Every panel is drawn into one reused buffer and each DFT block is
+    transformed in place, so sampling holds the buffer and at most one
+    other panel-sized array (a block's part of a panel drawn apart, or
+    one block's FFT output), and the certificate, run before it, at most
+    four probe-sized ones (the probes, their image and two temporaries of
+    its norm); the sum bounds both.
     """
     # montecarlo, which defines the panel width, imports this module.
     from .montecarlo import _PANEL
@@ -571,7 +608,7 @@ def _working_set(config: CloningConfig, samples: int | None = None) -> int:
     if samples is None:
         held = 32 * k * k
     else:
-        held = 48 * k * (_PANEL + 1 + _PROBES)
+        held = 16 * k * (2 * (_PANEL + 1) + 3 * _PROBES)
     return _SLOT_BYTES * k + held
 
 

@@ -42,12 +42,13 @@ where the library scores all modes as whole arrays.
 The sampling oracle is stream version 1: it draws every sample, block
 by block with :func:`block_normals`, pushes each block through S by one
 product and merges the block moments in order, where the library draws
-the moments themselves from their exact law (stream version 4).  The
+the moments themselves from their exact law (stream version 5).  The
 two agree in law, not in bits.  Stream version 3, which drew the same
 law's Wishart factor F whole and row by row, is an oracle too, and so
-is stream version 4's F assembled whole from its panels: both feed one
-product with the whole S, where the library pushes one panel of F at a
-time through the machine's stages.
+is stream version 5's block factor F' assembled whole from its panels
+(stream version 4's F where it has one block): both feed one product
+with the whole S, where the library pushes one panel of F' at a time
+through the machine's stages.
 
 The added-noise oracle evaluates n_th = (G - 1)/M and (G - 1)/M' in
 60-digit decimal arithmetic.  The symplectic-image oracle fills S from
@@ -460,19 +461,45 @@ def stream_3_factor(gen, d, dof):
     return f
 
 
-def stream_4_factor(gen, d, dof):
-    """Stream version 4's d x r factor F, assembled whole: the chi^2
-    diagonal as in stream version 3, then for each _PANEL-column panel
-    from column c one (d/2 - c/2, w, 2) draw of modes c/2 on, each
-    mode's column entries as (x, p), kept on and below the diagonal."""
-    r = min(d, dof)
-    chi = np.sqrt(gen.chisquare(dof - np.arange(r)))
-    f = np.zeros((d, r))
-    for c in range(0, r, _PANEL):
-        w = min(_PANEL, r - c)
-        z = gen.standard_normal(((d - c) // 2, w, 2))
-        f[c:, c : c + w] = np.tril(z.transpose(0, 2, 1).reshape(d - c, w))
-    f[np.arange(r), np.arange(r)] = chi
+def stream_5_factor(gen, d, dof, blocks=None):
+    """Stream version 5's block factor F', assembled whole as a d x r
+    array.  ``blocks`` are runs of modes tiling range(d/2), the first
+    shared; None is one block, for which F' is stream version 4's F.
+    The shared block takes r_0 = min(d_0, dof) columns, each other block
+    b r_b = min(d_b, dof - r_0), d_b being its quadrature rows, in block
+    order.  The chi^2 diagonal comes first, from one ``chisquare`` call
+    over every column's degrees of freedom (dof - i in the shared block,
+    dof - r_0 - i in the others).  Then each _PANEL-column panel from
+    column c takes, block by block, one (rows, w_b, 2) draw of its
+    columns in that block, each mode's column entries as (x, p), over the
+    modes from the block's column j0 (mode start + j0/2) down to the end
+    of every block (shared) or of its own; F' keeps the draws on and below
+    each block's diagonal, puts chi on it and is zero elsewhere."""
+    blocks = blocks or (slice(0, d // 2),)
+    d0 = 2 * (blocks[0].stop - blocks[0].start)
+    r0 = min(d0, dof)
+    # (first quadrature row, last row + 1 of the draws, first column,
+    # width, degrees of freedom of the first column) per block.
+    parts = [(2 * blocks[0].start, d, 0, r0, dof)]
+    col = r0
+    for rows in blocks[1:]:
+        width = min(2 * (rows.stop - rows.start), dof - r0)
+        parts.append((2 * rows.start, 2 * rows.stop, col, width, dof - r0))
+        col += width
+    chi = np.sqrt(gen.chisquare(np.concatenate(
+        [top_dof - np.arange(width) for _, _, _, width, top_dof in parts])))
+    f = np.zeros((d, col))
+    for c in range(0, col, _PANEL):
+        for start, end, first, width, _ in parts:
+            lo, hi = max(c, first), min(c + _PANEL, first + width)
+            if lo < hi:
+                top = start + (lo - first) // 2 * 2
+                z = gen.standard_normal(((end - top) // 2, hi - lo, 2))
+                f[top:end, lo:hi] = z.transpose(0, 2, 1).reshape(end - top, hi - lo)
+    for start, _, first, width, _ in parts:
+        for j in range(width):
+            f[: start + j, first + j] = 0.0
+            f[start + j, first + j] = chi[first + j]
     return f
 
 

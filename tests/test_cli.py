@@ -296,9 +296,9 @@ class TestVerify:
         def spy(*args):
             calls.append(args)
 
-        def push_spy(self, a, transpose=False, first=0):
+        def push_spy(self, a, transpose=False, first=0, stop=None):
             pushes.append((a.shape, transpose))
-            real(self, a, transpose, first)
+            return real(self, a, transpose, first, stop)
 
         monkeypatch.setattr(pciclone.canonical, "_omega_residuals", spy)
         monkeypatch.setattr(pciclone.gaussian, "_omega_residuals", spy)
@@ -427,7 +427,7 @@ class TestVerify:
         assert list(doc)[-2:] == ["meta", "timings"]
         assert doc["meta"] == {
             "version": pciclone.__version__,
-            "stream_version": 4,
+            "stream_version": 5,
             "block_size": montecarlo.BLOCK_SIZE,
             "seed": 5,
             "certificate": {
@@ -444,7 +444,7 @@ class TestVerify:
 
     def test_memory_error_in_a_block_exits_2(self, capsys, monkeypatch):
         # The allocation fails in the draw of a panel of F.
-        def exhausted(gen, chi, c, k, w):
+        def exhausted(*args):
             raise MemoryError
 
         monkeypatch.setattr(montecarlo, "_factor_panel", exhausted)
@@ -492,7 +492,7 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_golden.json").read
 
 @pytest.mark.parametrize("golden", GOLDEN, ids=lambda g: " ".join(g["argv"][1:]))
 def test_verify_golden(capsys, golden):
-    # Every field but the timings, as stream version 4 printed it:
+    # Every field but the timings, as stream version 5 prints it:
     # counts, flags, verdicts, roles and meta exactly, residuals to 1e-14
     # and z-scores to 1e-9.
     code, out = run_cli(capsys, *golden["argv"])

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -760,15 +761,26 @@ class TestInPlaceBlocks:
         network._push(got, True, first=k - 1)
         oracles.gathered_push(cfg, want, True)
         same_bytes(got, want)
-        # Rows above ``first`` are zero, as in F's panel from column
-        # 2 first: the stages the push then skips would map zeros to zeros.
-        for first in {1, dist_start - 1, dist_start, anti_start - 1, anti_start, k - 1}:
-            top = a.copy()
-            top[:first] = 0.0
-            got, want = top.copy(), top.copy()
-            network._push(got, first=first)
+        # Rows outside ``first`` to ``stop`` are zero, as in a panel of F'
+        # whose columns lie in R, in C or in A: the stages the push then
+        # skips would map zeros to zeros, and the rows it changes lie in
+        # the runs it returns.
+        for first, stop in {(1, k), (dist_start - 1, k), (dist_start, k),
+                            (dist_start, anti_start), (anti_start - 1, anti_start),
+                            (anti_start - 1, k), (anti_start, k), (k - 1, k)}:
+            if not 0 <= first < stop:
+                continue
+            part = np.zeros_like(a)
+            part[first:stop] = a[first:stop]
+            got, want = part.copy(), part.copy()
+            reach = network._push(got, first=first, stop=stop)
             oracles.gathered_push(cfg, want)
             same_bytes(got, want)
+            untouched = np.ones(k, dtype=bool)
+            for rows in reach:
+                untouched[rows] = False
+            assert not np.any(untouched[first:stop])
+            same_bytes(got[untouched], part[untouched])
         transform, _ = build_machine(cfg)
         mm, ll = oracles.gathered_build_machine(cfg)
         same_bytes(transform.m_matrix, mm)
@@ -794,31 +806,66 @@ class TestInPlaceBlocks:
             return
         self.check(CloningConfig(n, nc, m))
 
-    def test_skipped_stages_leave_the_moments(self):
-        # (4, 4, 60), K = 126, at n = 4096: the panels from column 32 on
-        # skip the concentration DFTs and the amplifier, from column 160
-        # on the clone block too; unskipped pushes of the same draws give
-        # the same bits.
+    def test_skipped_stages_leave_the_moments(self, monkeypatch):
+        # (4, 4, 60), K = 126, at n = 4096: F' has R's 16 columns, then the
+        # 118 of C (modes 8:67) and the 118 of A (modes 67:126).  The first
+        # panel holds the sample mean and reaches every row; the next three
+        # lie in C and run only the clone distribution, the fifth spans C's
+        # last columns and A's first, and the last three lie in A and run
+        # only the anticlone distribution.  Unskipped pushes of the same
+        # draws, reduced over every row, give the same bits.
         cfg = CloningConfig(4, 4, 60)
         network, layout = machine._network(cfg)
         sample = montecarlo.SampleConfig(4096, 7, 0.3 + 0.2j)
-        firsts = []
+        windows = []
+        real = machine._Network._push
 
-        class Unskipped:
-            mode_count = network.mode_count
-            _network = network
-
-            @staticmethod
-            def _push(a, first=0):
-                firsts.append(first)
-                network._push(a)
+        def unskipped(self, a, transpose=False, first=0, stop=None):
+            windows.append((first, stop))
+            real(self, a, transpose)
+            return (slice(0, self.mode_count),)
 
         got = montecarlo.simulate(network, layout, sample)
-        want = montecarlo.simulate(Unskipped, layout, sample)
-        assert firsts == [c // 2 for c in range(0, 2 * network.mode_count, 32)]
-        assert firsts[-1] >= machine._block_starts(cfg)[2]
+        monkeypatch.setattr(machine._Network, "_push", unskipped)
+        want = montecarlo.simulate(network, layout, sample)
+        assert windows == [(0, 126), (16, 67), (32, 67), (48, 67), (64, 126),
+                           (80, 126), (96, 126), (112, 126)]
         for name in ("means", "covariances", "mean_se", "var_se"):
             same_bytes(getattr(got, name), getattr(want, name))
+
+
+class TestFactorBlocks:
+    """Every output row of the machine is supported on R and C or on R and
+    A, the premise of stream version 5's block factor."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 6), st.integers(1, 40))
+    # N = 0, N' = 0, M = 1, M' = 0 (N' = 0, M = N) and M' = 1.
+    @example(0, 3, 5)
+    @example(3, 0, 7)
+    @example(1, 2, 1)
+    @example(0, 1, 1)
+    @example(4, 0, 4)
+    @example(2, 0, 3)
+    def test_no_output_row_reaches_both_vacuum_runs(self, n, nc, m):
+        if n + nc == 0 or m < n:
+            return
+        cfg = CloningConfig(n, nc, m)
+        _, dist_start, anti_start, k = machine._block_starts(cfg)
+        transform, layout = build_machine(cfg)
+        network, _ = machine._network(cfg)
+        blocks = (slice(0, dist_start), slice(dist_start, anti_start),
+                  slice(anti_start, k))
+        assert network.blocks == transform._network.blocks == blocks
+        reach = (transform.m_matrix != 0) | (transform.l_matrix != 0)
+        clone_vacua, anticlone_vacua = reach[:, blocks[1]], reach[:, blocks[2]]
+        assert not np.any(clone_vacua.any(axis=1) & anticlone_vacua.any(axis=1))
+        # simulate draws F' in the stages' blocks, linked or alone.
+        with mock.patch.object(montecarlo, "_factor_blocks",
+                               wraps=montecarlo._factor_blocks) as spy:
+            montecarlo.simulate(transform, layout, montecarlo.SampleConfig(4, 0))
+            montecarlo.simulate(network, layout, montecarlo.SampleConfig(4, 0))
+        assert [call.args[0] for call in spy.call_args_list] == [blocks, blocks]
 
 
 class TestMemoryGuard:
@@ -835,21 +882,29 @@ class TestMemoryGuard:
         slots = machine._SLOT_BYTES * k
         assert 0.8 * slots < slots_peak <= slots
         assert machine._working_set(cfg) == slots + 32 * k * k
-        # A verify run plans three copies of one panel of F with the
-        # sample mean and of the probes, whatever the sample count.
-        panel = 3 * 16 * k * (montecarlo._PANEL + 1)
+        # A verify run plans two copies of one panel of F' with the sample
+        # mean and three of the probes, whatever the sample count.
+        panel = 2 * 16 * k * (montecarlo._PANEL + 1)
         probes = 3 * 16 * k * machine._PROBES
         for samples in (2, 100, 2 * k + 1, 10**9):
             assert machine._working_set(cfg, samples) == slots + panel + probes
-        # (M, L)'s bytes, and a panel's, as the arrays hold them.
+        # (M, L)'s bytes as the arrays hold them.
         small = CloningConfig(2, 1, 4)
         transform, layout = build_machine(small)
         ks = layout.total_modes
         assert transform.m_matrix.nbytes + transform.l_matrix.nbytes == 32 * ks * ks
-        width = montecarlo._PANEL
-        cols = montecarlo._factor_panel(np.random.default_rng(0), np.ones(width), 0,
-                                        40, width)
-        assert cols.nbytes == 16 * 40 * width
+        # Sampling at K = 606 traces the reused panel buffer, one more
+        # panel-sized array at most and vectors of K: within two panels.
+        network, layout = machine._network(CloningConfig(4, 4, 300))
+        sample = montecarlo.SampleConfig(4096, 1)
+        montecarlo.simulate(network, layout, sample)  # first-use imports
+        tracemalloc.start()
+        try:
+            montecarlo.simulate(network, layout, sample)
+            sampling_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sampling_peak <= 2 * 16 * 606 * (montecarlo._PANEL + 1)
 
     def test_refused_before_anything_is_built(self, monkeypatch):
         def unreachable(config):

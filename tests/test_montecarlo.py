@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import logging
 import operator
@@ -290,19 +291,50 @@ class TestSimulate:
             ((1, 3, 300), 700),
             ((0, 3, 64), 300),
             ((3, 0, 64), 3000),
+            # n - 1 < d_R = 16: the shared block's trapezoid alone; and a
+            # block split by a panel on a p row (d = 812 at n = 300, where
+            # the anticlone block's columns start at 299).
+            ((4, 4, 200), 10),
+            ((4, 4, 200), 300),
         ],
     )
     def test_matches_the_full_product(self, counts, samples):
-        # The same draws, F assembled whole from its panels, through the
-        # whole S F and the whole S, upper zeros included; the panels sum
+        # The same draws, F' assembled whole from its panels, through the
+        # whole S F' and the whole S, upper zeros included; the panels sum
         # in another order, within 1e-14.
         transform, layout = build_machine(CloningConfig(*counts))
         config = SampleConfig(samples, 11, 0.5j)
         emp = simulate(transform, layout, config)
-        want = oracles.wishart_simulate(transform, layout, config,
-                                        oracles.stream_4_factor)
+        want = oracles.wishart_simulate(
+            transform, layout, config,
+            functools.partial(oracles.stream_5_factor, blocks=transform._network.blocks))
         np.testing.assert_allclose(emp.covariances, want.covariances, rtol=0, atol=1e-14)
         np.testing.assert_allclose(emp.means, want.means, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("counts", [(1, 1, 3), (2, 2, 6)])
+    def test_cross_mode_variances_keep_their_joint_law(self, counts):
+        # Modes i and j have x variances a^T W a and b^T W b (a and b their
+        # x-rows of S, up to one scale), and for W ~ Wishart(I, nu)
+        # Cov(a^T W a, b^T W b) = 2 nu (a^T b)^2: the two correlate as
+        # (a^T b)^2 / (|a|^2 |b|^2).  Block factor F' must keep that for
+        # every pair, clone-anticlone pairs (whose rows share only the
+        # replica block R) included, as well as clone-clone and, at (2, 2,
+        # 6), clone-residual pairs: within 5 standard errors of the
+        # correlation, (1 - rho^2)/sqrt(runs), over 3000 runs at n = 64.
+        # Were R's factor drawn apart for each private block, the clone-
+        # anticlone correlations, 0.132 at (1, 1, 3), would read 0.
+        transform, layout = build_machine(CloningConfig(*counts))
+        x_rows = to_symplectic(transform).matrix[0::2]
+        gram = x_rows @ x_rows.T
+        want = gram**2 / np.outer(np.diag(gram), np.diag(gram))
+        runs = 3000
+        x_var = np.array([
+            simulate(transform, layout, SampleConfig(64, seed, 0.5j)).covariances[:, 0, 0]
+            for seed in range(runs)
+        ])
+        got = np.corrcoef(x_var.T)
+        assert layout.clone_slots and layout.anticlone_slots
+        assert np.all(np.abs(got - want) <= 5 * (1 - want**2) / np.sqrt(runs) + 1e-12)
 
     def test_panels_need_no_full_size_temporaries(self):
         # At K = 606, S is 11.8 MB.  The certificates of a fresh map trace
@@ -326,20 +358,25 @@ class TestSimulate:
 
     @pytest.mark.parametrize("counts, samples", [((2, 2, 6), 100), ((4, 4, 40), 60)])
     def test_stages_and_pair_sample_alike(self, counts, samples):
-        # One loop: the stages (alone or linked from the transform) and a
-        # bare pair push the same panels, the pair through (M, L).
+        # One loop: the stages (alone or linked from the transform) push
+        # the same panels, and so do a bare pair, through (M, L), and the
+        # stages given its one block.
         cfg = CloningConfig(*counts)
         transform, layout = build_machine(cfg)
         network, _ = machine._network(cfg)
         bare = dataclasses.replace(transform)
+        one_block = dataclasses.replace(network, blocks=(slice(0, layout.total_modes),))
         assert bare._network is None and transform._network is not None
         sample = SampleConfig(samples, 4, 0.3 + 0.2j)
-        linked, alone, dense = (simulate(t, layout, sample)
-                                for t in (transform, network, bare))
+        linked, alone, dense, single = (simulate(t, layout, sample)
+                                        for t in (transform, network, bare, one_block))
         for name in ("means", "covariances"):
             assert getattr(linked, name).tobytes() == getattr(alone, name).tobytes()
-            np.testing.assert_allclose(getattr(dense, name), getattr(linked, name),
+            np.testing.assert_allclose(getattr(dense, name), getattr(single, name),
                                        rtol=0, atol=1e-14)
+        # The sample mean is drawn first, whatever the blocks.
+        np.testing.assert_allclose(dense.means, linked.means, rtol=0, atol=1e-14)
+        assert np.max(np.abs(dense.covariances - linked.covariances)) > 1e-3
 
     def test_non_canonical_stages_rejected(self):
         network, layout = machine._network(CloningConfig(1, 1, 2))
@@ -405,12 +442,12 @@ class TestSimulate:
         )
 
     def test_stream_version_4_definition(self):
-        # A run draws g and F's chi^2 diagonal as stream version 3 did,
-        # then each panel of F in one standard_normal call over its rows
-        # from mode c/2 down, x before p, zeroed above the diagonal.  The
-        # draws are pinned exactly; the moments, which also pass through
-        # FFTs and BLAS products, to 1e-12.
-        assert montecarlo.STREAM_VERSION == 4
+        # Stream version 4 drew g and F's chi^2 diagonal as stream version 3
+        # did, then each panel of F in one standard_normal call over its
+        # rows from mode c/2 down, x before p, zeroed above the diagonal:
+        # stream version 5 with one block, as a bare pair draws.  The draws
+        # are pinned exactly; the moments, which also pass through FFTs and
+        # BLAS products, to 1e-12.
         assert montecarlo._PANEL == 32
         gen = np.random.default_rng(2**64 - 1)
         assert gen.standard_normal(4)[0] == 0.7213364570768727
@@ -419,7 +456,10 @@ class TestSimulate:
         assert chi.tolist() == [2.0641360507387065, 2.605615103482924,
                                 1.2639938612658754, 1.710015929726313]
         # Modes 0 and 1 hold quadrature rows (0, 1) and (2, 3).
-        assert montecarlo._factor_panel(gen, chi, 0, 2, 4).tolist() == [
+        panel = np.empty((2, 4), dtype=complex)
+        one_block = montecarlo._factor_blocks((slice(0, 2),), 5)
+        assert montecarlo._factor_panel(gen, chi, one_block, 0, panel) == (0, 2)
+        assert panel.tolist() == [
             [2.0641360507387065 + 1.2536647840795245j, 2.605615103482924j, 0j, 0j],
             [-1.3596516040885636 - 0.6924759508929184j,
              0.6232872266157287 - 0.32018285515557876j,
@@ -427,13 +467,18 @@ class TestSimulate:
         ]
         # dof = 3 < d = 4: a 4 x 3 trapezoid, one panel of odd width.
         chi = np.sqrt(gen.chisquare(3 - np.arange(3)))
-        assert montecarlo._factor_panel(gen, chi, 0, 2, 3).tolist() == [
+        panel = np.empty((2, 3), dtype=complex)
+        one_block = montecarlo._factor_blocks((slice(0, 2),), 3)
+        montecarlo._factor_panel(gen, chi, one_block, 0, panel)
+        assert panel.tolist() == [
             [1.0858948548299283 + 0.06980663299334089j, 0.9895304803719931j, 0j],
             [-0.855437214694838 - 0.19027621016958876j,
              -1.150566230886884 + 0.6468239522273848j,
              0.18342991622500493 + 1.0767999615952877j],
         ]
-        _, _, emp = run(CloningConfig(1, 1, 2), 64, 2**64 - 1, 0.5j)
+        transform, layout = build_machine(CloningConfig(1, 1, 2))
+        emp = simulate(dataclasses.replace(transform), layout,
+                       SampleConfig(64, 2**64 - 1, 0.5j))
         np.testing.assert_allclose(
             emp.means[0], [0.04779638119409086, 0.5886777870605475], rtol=1e-12
         )
@@ -441,6 +486,62 @@ class TestSimulate:
             emp.covariances[0].ravel(),
             [0.5407442602139919, 0.10066737729718096, 0.10066737729718096,
              0.5523514261228483],
+            rtol=1e-12,
+        )
+
+    def test_stream_version_5_definition(self):
+        # (1, 0, 2) has K = 3 modes in two blocks, R = modes 0:2 and the
+        # clone vacuum C = mode 2 (no anticlone vacua).  At n = 64 F' has
+        # R's 4 columns, then C's 2 with 63 - 4 degrees of freedom.  A run
+        # draws g, the chi^2 diagonal of every column in one call, then
+        # each panel block by block: R's columns over every mode from 0,
+        # C's over mode 2 alone.  The draws are pinned exactly; the
+        # moments to 1e-12.
+        assert montecarlo.STREAM_VERSION == 5
+        network, layout = machine._network(CloningConfig(1, 0, 2))
+        assert network.blocks == (slice(0, 2), slice(2, 3), slice(3, 3))
+        factor = montecarlo._factor_blocks(network.blocks, 63)
+        assert factor == [(slice(0, 2), 0, 4, 63, 3), (slice(2, 3), 4, 2, 59, 3),
+                          (slice(3, 3), 6, 0, 59, 3)]
+        gen = np.random.default_rng(2**64 - 1)
+        assert gen.standard_normal(6)[0] == 0.7213364570768727
+        chi = np.sqrt(gen.chisquare([63, 62, 61, 60, 59, 58]))
+        assert chi.tolist() == [8.639208810391008, 7.561381826484871,
+                                7.612432096077316, 8.60608007262899,
+                                6.964823897683522, 7.562136470895576]
+        panel = np.empty((3, 6), dtype=complex)
+        assert montecarlo._factor_panel(gen, chi, factor, 0, panel) == (0, 3)
+        assert panel.tolist() == [
+            [8.639208810391008 - 1.3596516040885636j, 7.561381826484871j, 0j, 0j,
+             0j, 0j],
+            [-0.3086178209353126 - 0.6593333036010385j,
+             0.033597464252352556 + 0.7919315757477682j,
+             7.612432096077316 + 0.505151857031185j, 8.60608007262899j, 0j, 0j],
+            [-0.7049124964390987 - 0.23416331721468459j,
+             -0.5617484882420268 - 0.33160488709308605j,
+             -0.855437214694838 - 0.19027621016958876j,
+             -1.150566230886884 + 0.6468239522273848j,
+             6.964823897683522 + 1.0767999615952877j, 7.562136470895576j],
+        ]
+        # The oracle draws the same F'.
+        gen = np.random.default_rng(2**64 - 1)
+        gen.standard_normal(6)
+        f = oracles.stream_5_factor(gen, 6, 63, network.blocks)
+        np.testing.assert_array_equal(f[0::2] + 1j * f[1::2], panel)
+        transform, _ = build_machine(CloningConfig(1, 0, 2))
+        emp = simulate(transform, layout, SampleConfig(64, 2**64 - 1, 0.5j))
+        np.testing.assert_allclose(
+            emp.means.ravel(),
+            [0.06653276803810297, 0.5792088646388021, 0.07241105064668837,
+             -0.6583726726867363, 0.06963602014810234, 0.7004635199579814],
+            rtol=1e-12,
+        )
+        np.testing.assert_allclose(
+            emp.covariances.ravel(),
+            [0.8781809859946733, -0.03919075938326585, -0.03919075938326585,
+             0.8571597152414658, 1.4538549982271667, 0.08642174188523655,
+             0.08642174188523655, 1.5104286263916888, 1.115096576522257,
+             -0.050414872616656635, -0.050414872616656635, 0.9914138766476337],
             rtol=1e-12,
         )
 
