@@ -7,11 +7,10 @@ the commutation relations requires
     M L^T - L M^T = 0        and        M M^H - L L^H = I,
 
 and every such transform has an exact image as a symplectic matrix S on the
-quadrature moments (see :func:`to_symplectic`).  Both constraints are read
-off the 2 x 2 blocks of E = S Omega S^T - Omega, by the identity that
-:meth:`~pciclone.gaussian.SymplecticMap.residual` states, with S's x and
-p columns written straight from (M, L): checking a transform never
-builds S.
+quadrature moments (see :func:`to_symplectic`).  Both constraints are
+certified by one upper bound on E = S Omega S^T - Omega, the probe bound
+of :data:`~pciclone.gaussian._CERTIFICATE`, read through (M, L): checking
+a transform never builds S.
 """
 
 from __future__ import annotations
@@ -22,12 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, require_finite, require_integer
-from .gaussian import (
-    SymplecticMap,
-    _omega_residuals,
-    _support_plan,
-    frozen_array,
-)
+from .gaussian import SymplecticMap, _probe_bound, frozen_array
 
 # Residual above which a transform is refused as non-canonical.
 CANONICAL_TOL = 1e-8
@@ -64,60 +58,48 @@ class CanonicalTransform:
         return self.m_matrix.shape[0]
 
     def _push(
-        self, a: np.ndarray, first: int = 0, stop: int | None = None
+        self,
+        a: np.ndarray,
+        transpose: bool = False,
+        first: int = 0,
+        stop: int | None = None,
     ) -> tuple[slice, ...]:
         """Turn each column alpha of the (K, cols) complex array ``a`` into
         M alpha + L conj(alpha) in place: S acting on the quadratures
-        (Re alpha, Im alpha), through (M, L).  The rows ``first`` to
-        ``stop`` in which ``a`` can be nonzero are not used: every row is
-        changed, and the one run returned says so, as
+        (Re alpha, Im alpha), through (M, L).  With ``transpose`` S^T
+        acts instead, as (M^H, L^T).  The rows ``first`` to ``stop`` in
+        which ``a`` can be nonzero are not used: every row is changed,
+        and the one run returned says so, as
         :meth:`~pciclone.machine._Network._push` returns the rows it
         changes."""
-        a[...] = self.m_matrix @ a + self.l_matrix @ a.conj()
+        m, l = self.m_matrix, self.l_matrix
+        if transpose:
+            # M^H alpha = conj(M^T conj(alpha)), with no K x K copy.
+            c = a.conj()
+            a[...] = (m.T @ c).conj() + l.T @ c
+        else:
+            a[...] = m @ a + l @ a.conj()
         return (slice(0, self.mode_count),)
+
+    @cached_property
+    def _bound(self) -> float:
+        return _probe_bound(self.mode_count, self._push)
 
     @property
     def commutation_residual(self) -> float:
-        """Max-norm violation of the two commutation constraints; 0 when
-        exact, NaN if M or L holds a NaN.  Read with
-        :attr:`symplectic_residual` off the blocks of E = S Omega S^T - Omega
-        of the image S that is sampled, as
-        :meth:`~pciclone.gaussian.SymplecticMap.residual` states.
-        """
-        return self._residuals[1]
+        """Upper bound on the max-norm violation of the two commutation
+        constraints, the probe bound of
+        :data:`~pciclone.gaussian._CERTIFICATE` read through (M, L);
+        NaN or inf if M or L holds one.  Equal to
+        :attr:`symplectic_residual`."""
+        return self._bound
 
     @property
     def symplectic_residual(self) -> float:
-        """Max-norm deviation of S Omega S^T from Omega for the image S,
-        the :meth:`~pciclone.gaussian.SymplecticMap.residual` of
-        :attr:`quadrature_image`, computed without building S."""
-        return self._residuals[0]
-
-    @cached_property
-    def _plan(self) -> tuple:
-        """:func:`~pciclone.gaussian._support_plan` of the image S, from the
-        mode-level reach of (M, L): S's 2 x 2 block (i, j) is nonzero iff
-        (M_ij, L_ij) != (0, 0), NaN included, as :func:`_image_blocks`
-        writes it.  Read by both exact certificates."""
-        # A complex number is true iff it is nonzero; NaN is true.
-        return _support_plan(np.logical_or(self.m_matrix, self.l_matrix))
-
-    @cached_property
-    def _residuals(self) -> tuple[float, float]:
-        """(symplectic, commutation) residuals of the image S, read off
-        (M, L): the x and p columns X and Y of S are written only over each
-        panel's runs of the plan and dropped once both are known."""
-        m, l = self.m_matrix, self.l_matrix
-        x, y = np.empty((2, 2 * self.mode_count, self.mode_count))
-        for r0, r1, runs in self._plan:
-            rows = slice(r0 // 2, r1 // 2)
-            for a, b in runs:
-                _image_blocks(
-                    m[rows, a:b], l[rows, a:b],
-                    x[r0:r1:2, a:b], y[r0:r1:2, a:b],
-                    x[r0 + 1 : r1 : 2, a:b], y[r0 + 1 : r1 : 2, a:b],
-                )
-        return _omega_residuals(x, y, self._plan)
+        """Upper bound on max|S Omega S^T - Omega| for the image S, the
+        same bound as :attr:`commutation_residual`, computed without
+        building S."""
+        return self._bound
 
     @cached_property
     def quadrature_image(self) -> SymplecticMap:
@@ -131,39 +113,27 @@ class CanonicalTransform:
 
         which satisfies S Omega S^T = Omega exactly when the transform is
         canonical.  Each block of S is written in place from the real and
-        imaginary views of M and L by :func:`_image_blocks`, with no K x K
-        temporary.  The map's residuals are the transform's, read on
-        demand and never recomputed from S.  Neither the certificates nor
-        :func:`~pciclone.montecarlo.simulate` build S.
+        imaginary views of M and L, with no K x K temporary; signed zeros
+        are kept, and inf - inf or an overflow writes NaN or inf quietly,
+        which the bound refuses.  The map reports the transform's bound,
+        read on demand and never recomputed from S.  Neither the
+        certificates nor :func:`~pciclone.montecarlo.simulate` build S.
         """
         k = self.mode_count
+        m, l = self.m_matrix, self.l_matrix
         s = np.empty((2 * k, 2 * k))
-        _image_blocks(self.m_matrix, self.l_matrix,
-                      s[0::2, 0::2], s[0::2, 1::2], s[1::2, 0::2], s[1::2, 1::2])
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.add(m.real, l.real, out=s[0::2, 0::2])
+            # Negated after the difference, as -(M-L).imag: l.imag - m.imag
+            # would give +0 where the image has -0.
+            np.subtract(m.imag, l.imag, out=s[0::2, 1::2])
+            np.negative(s[0::2, 1::2], out=s[0::2, 1::2])
+            np.add(m.imag, l.imag, out=s[1::2, 0::2])
+            np.subtract(m.real, l.real, out=s[1::2, 1::2])
         s.setflags(write=False)  # hands s over to the map uncopied
         smap = SymplecticMap(s)
         object.__setattr__(smap, "_transform", self)
         return smap
-
-
-# inf - inf and overflow give NaN and inf quietly: the certificates read
-# them as a refusal.
-@np.errstate(invalid="ignore", over="ignore")
-def _image_blocks(m, l, xx, xp, px, pp) -> None:
-    """Write the four quadrature blocks of the image of b = M a + L a*
-    for the entries ``m``, ``l`` (equal-shape complex views of M and L):
-    xx = Re(M+L), xp = -Im(M-L), px = Im(M+L) and pp = Re(M-L), each
-    output a real view of that shape.  The one rule behind
-    :attr:`CanonicalTransform.quadrature_image` and the x and p columns
-    the certificates read; signed zeros are kept, so both hold the same
-    bits."""
-    np.add(m.real, l.real, out=xx)
-    # Negated after the difference, as -(M-L).imag: l.imag - m.imag would
-    # give +0 where the image has -0.
-    np.subtract(m.imag, l.imag, out=xp)
-    np.negative(xp, out=xp)
-    np.add(m.imag, l.imag, out=px)
-    np.subtract(m.real, l.real, out=pp)
 
 
 def compose(
@@ -185,13 +155,14 @@ def compose(
 
 def commutation_residual(transform: CanonicalTransform) -> float:
     """The transform's :attr:`~CanonicalTransform.commutation_residual`,
-    computed once per transform: later checks cost nothing."""
+    an upper bound computed once per transform: later checks cost
+    nothing."""
     return transform.commutation_residual
 
 
 def _require_canonical(transform: CanonicalTransform) -> None:
-    """Refuse a transform whose commutation residual exceeds CANONICAL_TOL
-    or is NaN."""
+    """Refuse a transform whose commutation residual, an upper bound,
+    exceeds CANONICAL_TOL or is NaN."""
     res = commutation_residual(transform)
     if not res <= CANONICAL_TOL:
         raise DomainError(
@@ -201,7 +172,10 @@ def _require_canonical(transform: CanonicalTransform) -> None:
 
 def to_symplectic(transform: CanonicalTransform) -> SymplecticMap:
     """The transform's :attr:`~CanonicalTransform.quadrature_image`,
-    refused as :func:`_require_canonical` decides."""
+    refused as :func:`_require_canonical` decides.  The gate reads an
+    upper bound, so a transform whose exact residual is above
+    CANONICAL_TOL passes only with the miss probability of
+    :data:`~pciclone.gaussian._CERTIFICATE`."""
     _require_canonical(transform)
     return transform.quadrature_image
 

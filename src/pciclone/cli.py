@@ -35,8 +35,8 @@ import numpy as np
 from . import __version__
 from .canonical import commutation_residual
 from .errors import ConvergenceError, DomainError, _require_tolerance, require_finite
+from .gaussian import _CERTIFICATE
 from .machine import (
-    _CERTIFICATE,
     CloningConfig,
     _network,
     _require_memory,

@@ -10,6 +10,7 @@ All objects are immutable after construction; every function is pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -23,11 +24,23 @@ STRUCTURAL_TOL = 1e-10
 
 VACUUM_VARIANCE = 0.5
 
-# Most rows of a panel of S in _support_plan, read by _omega_residuals; 128
-# to 384 ran within noise of each other, and 512 slower, for K = 1030 modes
-# on a 2-CPU Xeon.  Diagonal strips of _TILE // 2 rows ran faster there
-# than _TILE // 4 or whole diagonal tiles.
-_TILE = 256
+# Every canonicity certificate reads E = S Omega S^T - Omega off Gaussian
+# probes v (Freivalds, IFIP Congress 1977; Halko, Martinsson & Tropp, SIAM
+# Rev. 53, 217 (2011)): along E's top right singular vector v has a
+# standard normal part, so ||E v|| < eps ||E||_2 with probability at most
+# eps sqrt(2/pi), and the largest of _PROBES probe norms over eps bounds
+# ||E||_2 except with probability (eps sqrt(2/pi))^_PROBES, below 1e-35.
+# The probes come from a generator of their own, seeded by _PROBE_SEED,
+# so one map always gets the same certificate.
+_PROBES = 32
+_PROBE_EPSILON = 0.1
+_PROBE_SEED = 2001
+_CERTIFICATE = {
+    "method": "gaussian_probes",
+    "probes": _PROBES,
+    "epsilon": _PROBE_EPSILON,
+    "miss_probability": (_PROBE_EPSILON * math.sqrt(2.0 / math.pi)) ** _PROBES,
+}
 
 
 def symplectic_form(mode_count: int) -> np.ndarray:
@@ -39,162 +52,29 @@ def symplectic_form(mode_count: int) -> np.ndarray:
     return np.kron(np.eye(mode_count), block)
 
 
-def _even_cuts(start: int, stop: int, most: int) -> list[int]:
-    """Edges that split the even range [start, stop) into the fewest
-    pieces of at most ``most`` (even) rows, all even and within one mode
-    (two rows) of each other in size."""
-    modes = (stop - start) // 2
-    count = max(-(-2 * modes // most), 1)
-    return [start + 2 * (modes * i // count) for i in range(count + 1)]
+@np.errstate(invalid="ignore", over="ignore")  # a NaN or inf is the refusal
+def _probe_bound(mode_count: int, push) -> float:
+    """max_j ||E v_j|| / eps over the probes v_j of :data:`_CERTIFICATE`,
+    an upper bound on the canonicity residuals of a map S of
+    ``mode_count`` modes; NaN or inf if S holds one or overflows.
 
-
-def _runs(reach: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """The (start, stop) runs of True in one row of mode columns."""
-    edges = np.flatnonzero(np.diff(reach, prepend=False, append=False))
-    return tuple(zip(edges[0::2].tolist(), edges[1::2].tolist()))
-
-
-def _support_plan(reach: np.ndarray) -> tuple:
-    """Row panels of a 2K x 2K map S with the mode columns they reach: a
-    tuple of (start, stop, runs), runs the (start, stop) mode-column ranges
-    outside which every entry of rows start:stop is exactly zero.  Row
-    edges are even, so each panel holds whole modes.  ``reach`` is the
-    K x K mode-level reach, True where S's 2 x 2 block (i, j) holds a
-    nonzero entry: :func:`_block_reach` of S, or the same matrix read off
-    the (M, L) that S is the image of.
-
-    A block of consecutive mode rows that reach the same mode columns is
-    cut into the fewest even panels of at most _TILE rows.  Blocks of
-    fewer than _TILE // 8 rows, such as a machine's input ports and
-    residual modes, are packed together into panels of at most _TILE rows
-    reaching the union of their columns: a narrower panel would read the
-    columns it shares with others for too few rows to pay for the pass.
-    An S of at most _TILE rows is one panel with one full run, whatever
-    ``reach`` holds.
+    ``push(a, transpose)`` turns each column alpha of a (K, cols) complex
+    array into S (S^T with ``transpose``) acting on the quadratures
+    (Re alpha, Im alpha), in place.  E v = S Omega S^T v - Omega v is one
+    transposed and one forward push of all probes, Omega acting on
+    alpha = x + ip as -i.  It bounds max|E_ij| and every |A_ij| and
+    |B_ij| of the transform S is the image of (with A = M M^H - L L^H - I
+    and B = M L^T - L M^T), since |A_ij| + |B_ij| is the spectral norm of
+    E's (i, j) 2 x 2 block.
     """
-    dim = 2 * reach.shape[0]
-    if dim <= _TILE:
-        return ((0, dim, ((0, dim // 2),)),)
-    edges = np.flatnonzero((reach[1:] != reach[:-1]).any(axis=1)) + 1
-    bounds = [0, *edges.tolist(), reach.shape[0]]
-    groups = []  # [first mode, stop mode, first mode of each block, short]
-    for m0, m1 in zip(bounds[:-1], bounds[1:]):
-        short = 2 * (m1 - m0) < _TILE // 8
-        if short and groups and groups[-1][3] and 2 * (m1 - groups[-1][0]) <= _TILE:
-            groups[-1][1] = m1
-            groups[-1][2].append(m0)
-        else:
-            groups.append([m0, m1, [m0], short])
-    panels = []
-    for m0, m1, firsts, _ in groups:
-        runs = _runs(np.logical_or.reduce(reach[firsts]))
-        cuts = _even_cuts(2 * m0, 2 * m1, _TILE)
-        panels += [(a, b, runs) for a, b in zip(cuts[:-1], cuts[1:])]
-    return tuple(panels)
-
-
-def _block_reach(s: np.ndarray) -> np.ndarray:
-    """The mode-level reach of S: True where its 2 x 2 block (i, j) holds
-    a nonzero entry.  NaN != 0, so a non-finite entry counts as reached."""
-    # x and p columns are a pair of bytes of one uint16.
-    nz = (s != 0).view(np.uint16)
-    return (nz[0::2] | nz[1::2]) != 0
-
-
-def _shared(runs, others) -> tuple[tuple[int, int], ...]:
-    """The column ranges that two sorted run lists both cover."""
-    out = []
-    for a0, a1 in runs:
-        for b0, b1 in others:
-            lo, hi = max(a0, b0), min(a1, b1)
-            if lo < hi:
-                out.append((lo, hi))
-    return tuple(out)
-
-
-def _reduce_tile(e: np.ndarray) -> tuple[float, float]:
-    """(max|e|, max over e's 2 x 2 blocks of max(|A_ij|, |B_ij|)) of a tile
-    of E whose row and column edges are even, by the identity stated in
-    :meth:`SymplecticMap.residual`; e is overwritten.  The hypot pairs are
-    the parts of complex numbers, whose modulus numpy takes as hypot does,
-    inf and NaN included, and several times faster; the two are formed
-    one after the other in one array of a quarter of e's size."""
-    xx, xp, px, pp = e[0::2, 0::2], e[0::2, 1::2], e[1::2, 0::2], e[1::2, 1::2]
-    pair = np.empty(xx.shape, dtype=complex)
-    np.add(xx, pp, out=pair.real)
-    np.subtract(xp, px, out=pair.imag)
-    first = np.max(np.abs(pair))
-    np.subtract(xx, pp, out=pair.real)
-    np.add(xp, px, out=pair.imag)
-    # np.maximum, unlike max, keeps a NaN in either place.
-    both = np.maximum(first, np.max(np.abs(pair)))
-    return np.max(np.abs(e, out=e)), 0.5 * both
-
-
-# A non-finite S gives NaN quietly: that NaN is the refusal.
-@np.errstate(invalid="ignore", over="ignore")
-def _omega_residuals(x: np.ndarray, y: np.ndarray, plan) -> tuple[float, float]:
-    """(max|E|, commutation residual) of E = S Omega S^T - Omega, as
-    :meth:`SymplecticMap.residual` states; NaN if E holds a NaN.
-
-    E = X Y^T - Y X^T - Omega, X and Y the 2K x K x and p columns of S.
-    Only the entries of X and Y in each panel's runs of ``plan``
-    (:func:`_support_plan` of S) are read: the rest may hold anything.
-    E is antisymmetric, so only its tiles E[I, J], J >= I, over the row
-    panels are formed, each reduced before the next.  E[I, J] is summed
-    only over the mode columns that panels I and J both reach, since every
-    other product is of exact zeros, and neighbouring J with the same
-    shared runs go into one product.  The diagonal tile is formed in
-    strips of at most _TILE // 2 rows from the diagonal on, Omega
-    subtracted there; strips are even, so each mode's own 2 x 2 block is
-    formed whole.  A non-finite entry of panel I is in I's runs, so it
-    reaches the diagonal tile and both residuals read NaN.  No array
-    larger than one tile is made.
-    """
-
-    def reduced_tile(t0, t1, c0, c1, shared):
-        # E[t0:t1, c0:c1] over the shared runs, reduced and dropped; a
-        # diagonal strip (c0 == t0) has Omega subtracted first.
-        e = None
-        for a, b in shared:
-            part = x[t0:t1, a:b] @ y[c0:c1, a:b].T
-            part -= y[t0:t1, a:b] @ x[c0:c1, a:b].T
-            if e is None:
-                e = part
-            else:
-                e += part
-        if e is None:
-            e = np.zeros((t1 - t0, c1 - c0))
-        if c0 == t0:
-            # Omega's entries e[d, d + 1] = 1 and e[d + 1, d] = -1, d even,
-            # lie 2 (width + 1) apart in the contiguous tile.
-            width = e.shape[1]
-            flat = e.reshape(-1)
-            flat[1 : (t1 - t0) * width : 2 * (width + 1)] -= 1.0
-            flat[width : (t1 - t0) * width : 2 * (width + 1)] += 1.0
-        return _reduce_tile(e)
-
-    results = []
-    for i, (r0, r1, runs) in enumerate(plan):
-        # Neighbouring J panels with the same shared runs: the first
-        # group starts at the diagonal tile, which shares all of I's runs.
-        groups = [[r1, runs]]  # [stop row, shared runs]
-        for _, c1, other in plan[i + 1 :]:
-            shared = _shared(runs, other)
-            if groups[-1][1] == shared:
-                groups[-1][0] = c1
-            else:
-                groups.append([c1, shared])
-        # The diagonal group in strips, each from its diagonal on.
-        cuts = _even_cuts(r0, r1, _TILE // 2)
-        for t0, t1 in zip(cuts[:-1], cuts[1:]):
-            results.append(reduced_tile(t0, t1, t0, groups[0][0], runs))
-        for (c0, _), (c1, shared) in zip(groups, groups[1:]):
-            if shared:
-                results.append(reduced_tile(r0, r1, c0, c1, shared))
-    residual, commutation = np.max(results, axis=0)
-    # hypot(inf, nan) is inf, so a NaN in E reaches both through max|E|.
-    return float(residual), float(residual if np.isnan(residual) else commutation)
+    gen = np.random.default_rng(_PROBE_SEED)
+    v = gen.standard_normal((mode_count, 2 * _PROBES)).view(complex)
+    e = v.copy()
+    push(e, True)
+    e *= -1j
+    push(e, False)
+    e += 1j * v
+    return float(np.max(np.linalg.norm(e, axis=0))) / _PROBE_EPSILON
 
 
 def _quadratures(amplitudes) -> np.ndarray:
@@ -267,7 +147,7 @@ class SymplecticMap:
 
     matrix: np.ndarray
     # The CanonicalTransform whose quadrature image S is, if any, set by
-    # that transform alone: its residuals, read off (M, L), are the map's.
+    # that transform alone: its bound, read off (M, L), is the map's.
     # Not an init field, so dataclasses.replace drops it.
     _transform: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -281,51 +161,37 @@ class SymplecticMap:
     def mode_count(self) -> int:
         return self.matrix.shape[0] // 2
 
-    @cached_property
-    def _plan(self) -> tuple:
-        """:func:`_support_plan` of S, read by :attr:`_residuals`."""
-        return _support_plan(_block_reach(self.matrix))
+    def _push(self, a: np.ndarray, transpose: bool = False) -> None:
+        """Turn each column of the (K, cols) complex array ``a`` into S
+        (S^T with ``transpose``) acting on it as interleaved quadratures
+        (Re a_1, Im a_1, ..., Re a_K, Im a_K), in place."""
+        k = self.mode_count
+        q = np.stack((a.real, a.imag), axis=1).reshape(2 * k, -1)
+        q = (self.matrix.T if transpose else self.matrix) @ q
+        a.real, a.imag = q[0::2], q[1::2]
 
     @cached_property
-    def _residuals(self) -> tuple[float, float]:
+    def _bound(self) -> float:
         if self._transform is not None:
-            return self._transform._residuals
-        s, plan = self.matrix, self._plan
-        # X and Y, written only in each panel's runs: a tile reads only
-        # the runs its two panels share.
-        x, y = np.empty((2, s.shape[0], s.shape[1] // 2))
-        for r0, r1, runs in plan:
-            for a, b in runs:
-                x[r0:r1, a:b] = s[r0:r1, 2 * a : 2 * b : 2]
-                y[r0:r1, a:b] = s[r0:r1, 2 * a + 1 : 2 * b : 2]
-        return _omega_residuals(x, y, plan)
+            return self._transform._bound
+        return _probe_bound(self.mode_count, self._push)
 
     def residual(self) -> float:
-        """Max-norm deviation of S Omega S^T from Omega, computed on first
-        use with the commutation residual of the transform S encodes; a
-        transform's :attr:`~pciclone.canonical.CanonicalTransform.quadrature_image`
-        reads both off the transform, which computed them without S.
-
-        S Omega S^T = X Y^T - Y X^T, X and Y the columns of S acting on x
-        and p, is antisymmetric: its tiles are formed from the diagonal on,
-        over the row panels of S's support plan and only over the mode
-        columns both panels reach, and each tile is read and dropped;
-        Omega is never built.  A dense S costs about 4K^3 multiply-adds;
-        a machine's, whose clone and anticlone rows share only the input
-        columns, about a quarter of that.  Besides X and Y, which together
-        are the size of S, no array larger than one tile is made.
-        For the image of b = M a + L a*, with A = M M^H - L L^H - I and
-        B = M L^T - L M^T, E = S Omega S^T - Omega holds Exx = Im(A + B),
-        Exp = Re(A - B), Epx = -Re(A + B) and Epp = Im(A - B) in its (i, j)
-        block: |A_ij| = hypot(Exx + Epp, Exp - Epx)/2 and |B_ij| =
-        hypot(Exx - Epp, Exp + Epx)/2, whose maximum is the commutation one.
+        """Upper bound on the max-norm deviation of S Omega S^T from
+        Omega, the probe bound of :data:`_CERTIFICATE`, computed on first
+        use; NaN or inf for a map holding one.  A transform's
+        :attr:`~pciclone.canonical.CanonicalTransform.quadrature_image`
+        reports its transform's bound, read off (M, L) without S.
+        Omega is never built.
         """
-        return self._residuals[0]
+        return self._bound
 
     def validate(self, tol: float = STRUCTURAL_TOL) -> None:
+        """Refuse S, by :class:`DomainError`, unless the upper bound
+        :meth:`residual` is at most ``tol``; NaN and inf are refused."""
         _require_tolerance(tol)
         res = self.residual()
-        if not res <= tol:  # a NaN residual is refused too
+        if not res <= tol:
             raise DomainError(f"symplectic residual {res:.3e} exceeds {tol:.1e}")
 
 

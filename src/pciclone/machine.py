@@ -38,33 +38,21 @@ import numpy as np
 
 from .canonical import CanonicalTransform, _apply_dft, pcia_transform
 from .errors import DomainError, require_finite, require_integer
-from .gaussian import GaussianState, coherent_state
+from .gaussian import _PROBES, GaussianState, _probe_bound, coherent_state
 
 # Smallest sum of square roots in _gain_and_excess whose rounding still
 # absorbs the error of a root of an underflowed product.
 _MIN_ROOTS = 2.0 * math.sqrt(sys.float_info.min) / sys.float_info.epsilon
 
-# The verify path's certificates read E = S Omega S^T - Omega off Gaussian
-# probes v (Halko, Martinsson & Tropp, SIAM Rev. 53, 217 (2011)): along
-# E's top right singular vector v has a standard normal part, so
-# ||E v|| < eps ||E||_2 with probability at most eps sqrt(2/pi), and the
-# largest of _PROBES probe norms over eps bounds ||E||_2 except with
-# probability (eps sqrt(2/pi))^_PROBES, below 1e-35.  The probes come from
-# a generator of their own, seeded by _PROBE_SEED, so one machine always
-# gets the same certificate.
-_PROBES = 32
-_PROBE_EPSILON = 0.1
-_PROBE_SEED = 2001
-_CERTIFICATE = {
-    "method": "gaussian_probes",
-    "probes": _PROBES,
-    "epsilon": _PROBE_EPSILON,
-    "miss_probability": (_PROBE_EPSILON * math.sqrt(2.0 / math.pi)) ** _PROBES,
-}
 # Bytes per mode of the layout's slot tuples while they are built and
 # checked (112 to 116 traced at K = 6e5 to 2e6) and of the stages' slot
 # arrays (8).
 _SLOT_BYTES = 128
+# Bytes a `pciclone verify` run holds whatever K: the argument parser
+# (about 47 KB) and the output document.  A warmed run of main() traced
+# 51.2 KB at K = 2 and 49.6 KB at K = 4 beyond the K-sized part of
+# _working_set (Python 3.11, numpy 2.4).
+_VERIFY_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -539,34 +527,22 @@ class _Network:
         return tuple(r for port, run in dist for r in (slice(port, port + 1), run))
 
     @cached_property
-    @np.errstate(invalid="ignore", over="ignore")  # a NaN or inf is the refusal
-    def _probe_bound(self) -> float:
-        """max_j ||E v_j|| / eps over the probes v_j of :data:`_CERTIFICATE`:
-        E v = S Omega S^T v - Omega v, one transposed and one forward push
-        of all probes, Omega acting on alpha = x + ip as -i.  It bounds
-        max|E_ij| and, by the identity in
-        :meth:`~pciclone.gaussian.SymplecticMap.residual`, every |A_ij| and
-        |B_ij|, since |A_ij| + |B_ij| is the spectral norm of E's (i, j)
-        block; NaN if the stages hold one."""
-        gen = np.random.default_rng(_PROBE_SEED)
-        v = gen.standard_normal((self.mode_count, 2 * _PROBES)).view(complex)
-        e = v.copy()
-        self._push(e, transpose=True)
-        e *= -1j
-        self._push(e)
-        e += 1j * v
-        return float(np.max(np.linalg.norm(e, axis=0))) / _PROBE_EPSILON
+    def _bound(self) -> float:
+        """The probe bound of :data:`~pciclone.gaussian._CERTIFICATE`,
+        read through the stages."""
+        return _probe_bound(self.mode_count, self._push)
 
     @property
     def commutation_residual(self) -> float:
-        """Bound on the commutation residual of the (M, L) the stages
-        compose, as :attr:`_probe_bound` states."""
-        return self._probe_bound
+        """Upper bound on the commutation residual of the (M, L) the
+        stages compose, as :attr:`_bound` states."""
+        return self._bound
 
     @property
     def symplectic_residual(self) -> float:
-        """Bound on max|S Omega S^T - Omega|, as :attr:`_probe_bound` states."""
-        return self._probe_bound
+        """Upper bound on max|S Omega S^T - Omega|, as :attr:`_bound`
+        states."""
+        return self._bound
 
 
 def _network(config: CloningConfig) -> tuple[_Network, MachineLayout]:
@@ -591,8 +567,8 @@ def _working_set(config: CloningConfig, samples: int | None = None) -> int:
     """Bytes a run on ``config`` holds at its peak, known before anything
     is allocated: the slots of the layout and the stages, plus (M, L),
     32 K^2 bytes, for :func:`build_machine` (``samples`` None), or for a
-    ``verify`` run two arrays the size of one panel of the Wishart
-    factor with the sample mean and three the size of the probes:
+    ``verify`` run _VERIFY_BYTES, two arrays the size of one panel of the
+    Wishart factor with the sample mean and three the size of the probes:
     16 K (2 (_PANEL + 1) + 3 _PROBES) bytes whatever the sample count.
     Every panel is drawn into one reused buffer and each DFT block is
     transformed in place, so sampling holds the buffer and at most one
@@ -608,7 +584,7 @@ def _working_set(config: CloningConfig, samples: int | None = None) -> int:
     if samples is None:
         held = 32 * k * k
     else:
-        held = 16 * k * (2 * (_PANEL + 1) + 3 * _PROBES)
+        held = _VERIFY_BYTES + 16 * k * (2 * (_PANEL + 1) + 3 * _PROBES)
     return _SLOT_BYTES * k + held
 
 

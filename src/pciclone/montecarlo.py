@@ -317,9 +317,9 @@ def simulate(
     nonzero so that they skip the stages it leaves at zero; a bare
     transform is one block and pushes through (M, L).  No K x K array is
     formed.  The route the panels take is the one gated: a transform
-    whose commutation residual (for the stages, and a transform linked
-    to them, the stages' probe bound) is above ``CANONICAL_TOL`` is
-    refused, as :func:`~pciclone.canonical.to_symplectic` refuses it, and
+    whose commutation residual, the probe bound read through that route,
+    is above ``CANONICAL_TOL`` is refused, as
+    :func:`~pciclone.canonical.to_symplectic` refuses it, and
     so is an amplitude whose float spacing exceeds the vacuum noise's
     standard deviation, both by :class:`DomainError`.
     """

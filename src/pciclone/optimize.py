@@ -128,6 +128,9 @@ class SearchResult:
     read off unchanged.  ``multiplier`` is the constraint's lambda and
     ``min_curvature`` the smallest eigenvalue of A + lambda*C; a
     non-negative value certifies the point as the global minimum.
+    ``full_residual`` is an upper bound on the commutation residual of
+    the row completed to a three-mode transform, the probe bound of
+    :data:`~pciclone.gaussian._CERTIFICATE` read through its (M, L).
     ``iterations`` counts evaluations of the secular function.
     """
 

@@ -30,8 +30,9 @@ closed form.
 
 The certificate oracles evaluate the commutation and symplectic
 residuals from their defining dense products, with the dense symplectic
-form, where the library reads both off one product of the symplectic
-image.
+form, where the library bounds both from Gaussian probes pushed through
+the map, never forming E = S Omega S^T - Omega.  The dense probe oracle
+applies the whole E to the same probes.
 The amplitude-gain oracle is the closed form without the library's
 power-of-two rescaling.
 
@@ -63,6 +64,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+from pciclone import gaussian
 from pciclone.canonical import (
     CanonicalTransform,
     compose,
@@ -276,6 +278,23 @@ def dense_symplectic_residual(s):
     """Max-norm of S Omega S^T - Omega with the dense 2K x 2K Omega."""
     omega = symplectic_form(s.shape[0] // 2)
     return float(np.max(np.abs(s @ omega @ s.T - omega)))
+
+
+def probe_quadratures(k):
+    """The probes of :func:`~pciclone.gaussian._probe_bound` for K modes,
+    as a real (2K, probes) array of interleaved quadratures."""
+    gen = np.random.default_rng(gaussian._PROBE_SEED)
+    v = gen.standard_normal((k, 2 * gaussian._PROBES)).view(complex)
+    return np.stack((v.real, v.imag), axis=1).reshape(2 * k, -1)
+
+
+def dense_probe_bound(s):
+    """max_j ||E v_j|| / eps with the dense E = S Omega S^T - Omega and
+    the library's probes v_j; NaN or inf if E holds one."""
+    omega = symplectic_form(s.shape[0] // 2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        e = (s @ omega @ s.T - omega) @ probe_quadratures(s.shape[0] // 2)
+        return float(np.max(np.linalg.norm(e, axis=0))) / gaussian._PROBE_EPSILON
 
 
 def commutation_scale(m, l):

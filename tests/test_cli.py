@@ -288,24 +288,27 @@ class TestVerify:
 
     def test_certificates_take_one_product(self, capsys, monkeypatch):
         # Both residuals and simulate's gate read one probe pass through
-        # the machine's stages, its only transposed push; no exact
-        # certificate runs, at either call site of _omega_residuals.
+        # the machine's stages, its only transposed push; no other map is
+        # certified.
         calls, pushes = [], []
         real = machine._Network._push
+        real_bound = machine._probe_bound
 
-        def spy(*args):
-            calls.append(args)
+        def spy(k, push):
+            calls.append(k)
+            return real_bound(k, push)
 
         def push_spy(self, a, transpose=False, first=0, stop=None):
             pushes.append((a.shape, transpose))
             return real(self, a, transpose, first, stop)
 
-        monkeypatch.setattr(pciclone.canonical, "_omega_residuals", spy)
-        monkeypatch.setattr(pciclone.gaussian, "_omega_residuals", spy)
+        monkeypatch.setattr(pciclone.canonical, "_probe_bound", spy)
+        monkeypatch.setattr(pciclone.gaussian, "_probe_bound", spy)
+        monkeypatch.setattr(machine, "_probe_bound", spy)
         monkeypatch.setattr(machine._Network, "_push", push_spy)
         code, out = run_cli(capsys, "verify", 2, 1, 5, 1000, 3)
         assert code == 0
-        assert calls == []
+        assert calls == [10]
         probes = machine._PROBES
         # K = 10: the probes back and forth, then one panel of F's 20
         # columns after the sample mean.
@@ -347,6 +350,25 @@ class TestVerify:
         code, out = run_cli(capsys, "verify", 2, 2, 6, 1000, 3, "--format", "csv")
         assert code == 1
         assert out == "mode,role,z_mean_x,z_mean_p,z_var_x,z_var_p,z_fidelity\n"
+
+    @pytest.mark.parametrize("counts, k", [((1, 1, 2), 4), ((2, 2, 6), 14),
+                                           ((4, 4, 300), 606)])
+    def test_verify_peak_within_plan(self, capsys, counts, k):
+        # A warmed run traces its K-sized arrays and the parser and output
+        # document, _VERIFY_BYTES whatever K: within the plan at small K
+        # as at large.
+        argv = ("verify", *counts, 100_000, 3)
+        config = machine.CloningConfig(*counts)
+        assert machine._block_starts(config)[3] == k
+        run_cli(capsys, *argv)
+        tracemalloc.start()
+        try:
+            code, _ = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= machine._working_set(config, 100_000)
 
     def test_verify_holds_only_the_factor(self, capsys, monkeypatch):
         # At K = 606 and n - 1 >= 2K, F is 2K x 2K, 11.8 MB.  Only the

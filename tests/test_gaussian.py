@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pciclone import gaussian
-from pciclone.canonical import dft_transform, pcia_transform, to_symplectic
+from pciclone.canonical import (
+    CanonicalTransform,
+    dft_transform,
+    pcia_transform,
+    to_symplectic,
+)
 from pciclone.errors import DomainError
 from pciclone.gaussian import (
     GaussianState,
@@ -32,6 +37,8 @@ from pciclone.montecarlo import (
     simulate,
 )
 from pciclone.optimize import solve_amplifier
+
+import oracles
 
 amplitudes = st.complex_numbers(
     max_magnitude=10.0, allow_nan=False, allow_infinity=False
@@ -338,64 +345,6 @@ class TestFrozenArray:
         assert frozen_array(arr, complex).dtype == complex
 
 
-def certificate_macs(plan):
-    """Multiply-adds of the residual tiles E[I, J], J >= I, each over the
-    columns its panels share; diagonal tiles counted whole, so the strips
-    of the kernel do fewer."""
-    return sum(
-        2 * (r1 - r0) * (c1 - c0) * sum(b - a for a, b in gaussian._shared(runs, other))
-        for i, (r0, r1, runs) in enumerate(plan)
-        for c0, c1, other in plan[i:]
-    )
-
-
-def sampler_macs(plan, cols):
-    """Multiply-adds of S F in simulate for a square factor of ``cols``
-    columns: row panel I times each column panel of F from its first
-    nonzero row on, over I's runs."""
-    tile = gaussian._TILE
-    return sum(
-        (r1 - r0) * (2 * b - max(2 * a, c)) * (min(c + tile, cols) - c)
-        for r0, r1, runs in plan
-        for c in range(0, cols, tile)
-        for a, b in runs
-        if 2 * b > c
-    )
-
-
-class TestSupportPlan:
-    def test_small_map_is_one_full_panel(self):
-        transform, _ = build_machine(CloningConfig(2, 2, 6))
-        assert transform.quadrature_image._plan == ((0, 28, ((0, 14),)),)
-
-    def test_wide_machine(self):
-        cfg = CloningConfig(4, 4, 512)
-        transform, layout = build_machine(cfg)
-        smap = transform.quadrature_image
-        s, plan, dim = smap.matrix, smap._plan, smap.matrix.shape[0]
-        assert [p[0] for p in plan[1:]] == [p[1] for p in plan[:-1]]
-        assert plan[0][0] == 0 and plan[-1][1] == dim
-        inputs = cfg.n_inputs + cfg.n_conj
-        widths = {"clone": [], "anticlone": []}
-        for r0, r1, runs in plan:
-            assert r0 % 2 == 0 and r1 % 2 == 0 and r1 - r0 <= gaussian._TILE
-            reached = np.zeros(dim, dtype=bool)
-            for a, b in runs:
-                reached[2 * a : 2 * b] = True
-            assert not s[r0:r1, ~reached].any()
-            for role, slots in (("clone", layout.clone_slots),
-                                ("anticlone", layout.anticlone_slots)):
-                if set(range(r0 // 2, r1 // 2)) <= set(slots):
-                    widths[role].append(sum(b - a for a, b in runs))
-        assert len(widths["clone"]) >= 4 and len(widths["anticlone"]) >= 4
-        assert max(widths["clone"]) <= cfg.m_clones + inputs
-        assert max(widths["anticlone"]) <= cfg.m_anticlones + inputs
-        cuts = gaussian._even_cuts(0, dim, gaussian._TILE)
-        dense = tuple((a, b, ((0, dim // 2),)) for a, b in zip(cuts[:-1], cuts[1:]))
-        assert certificate_macs(plan) <= 0.35 * certificate_macs(dense)
-        assert sampler_macs(plan, dim) <= 0.55 * sampler_macs(dense, dim)
-
-
 class TestValidation:
     def test_asymmetric_covariance_rejected(self):
         s = GaussianState(1, np.zeros(2), np.array([[0.5, 0.2], [0.0, 0.5]]))
@@ -424,15 +373,23 @@ class TestValidation:
         with pytest.raises(DomainError):
             SymplecticMap(s).validate()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowed_product_reads_nan_in_both(self):
-        # A finite S whose W = X Y^T overflows: E's (0, 1) block holds
-        # Exx = inf - inf = NaN next to Exp = inf, where both hypot terms
-        # read inf, so the NaN must reach the commutation value via max|E|.
+        # A finite S whose S Omega S^T overflows: E's (0, 1) block holds
+        # inf - inf = NaN next to inf.  Both routes, S and the (M, L) that
+        # S is the image of, read a non-finite bound and refuse it.
         a = 1e200
         s = np.array([[a, 0, 0, a], [0, 0, 0, 0], [0, a, a, 0], [0, a, 0, 0]])
         with np.errstate(over="ignore", invalid="ignore"):
-            residual, commutation = SymplecticMap(s)._residuals
-        assert np.isnan(residual) and np.isnan(commutation)
+            assert not np.isfinite(oracles.dense_symplectic_residual(s))
+        xx, xp, px, pp = s[0::2, 0::2], s[0::2, 1::2], s[1::2, 0::2], s[1::2, 1::2]
+        pair = CanonicalTransform((xx + pp + 1j * (px - xp)) / 2,
+                                  (xx - pp + 1j * (px + xp)) / 2)
+        np.testing.assert_array_equal(pair.quadrature_image.matrix, s)
+        for got in (SymplecticMap(s).residual(), pair.commutation_residual):
+            assert not np.isfinite(got)
+        with pytest.raises(DomainError):
+            SymplecticMap(s).validate()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["mean", "diagonal", "off-diagonal"])
@@ -452,8 +409,10 @@ class TestValidation:
             raise AssertionError("residual built the dense symplectic form")
 
         monkeypatch.setattr(gaussian, "symplectic_form", dense_omega)
+        # Every probe passes through S = I exactly: the bound is 0.
         assert SymplecticMap(np.eye(6)).residual() == 0.0
-        assert SymplecticMap(2.0 * np.eye(2)).residual() == 3.0
+        s = 2.0 * np.eye(2)
+        assert SymplecticMap(s).residual() >= oracles.dense_symplectic_residual(s) == 3.0
 
     def test_states_are_immutable(self):
         s = vacuum_state(1)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from pciclone import gaussian, machine, montecarlo
+from pciclone import machine, montecarlo
 from pciclone.canonical import commutation_residual, to_symplectic
 from pciclone.errors import DomainError
 from pciclone.gaussian import apply_map, marginal, quadrature_variance
@@ -613,10 +613,14 @@ class TestRowwiseAssembly:
         assert stages == [([0, 3], 2)]
 
     def test_wide_machine_certificates(self):
-        # Dense DFT products leave about 4.4e-14 in both here, FFTs about 1e-15.
+        # Dense DFT products leave about 4.4e-14 in the exact residual
+        # here, FFTs about 1e-15; the probe bound reads about 8e-13.
         transform, _ = build_machine(CloningConfig(4, 4, 512))
-        assert commutation_residual(transform) <= 1e-14
-        assert to_symplectic(transform).residual() <= 1e-14
+        m, l = transform.m_matrix, transform.l_matrix
+        exact = oracles.dense_commutation_residual(m, l)
+        assert exact <= 1e-14
+        assert exact <= commutation_residual(transform) <= 1e-11
+        assert to_symplectic(transform).residual() == commutation_residual(transform)
 
     def test_matches_dense_oracle(self):
         for cfg in oracle_configs():
@@ -631,20 +635,6 @@ class TestRowwiseAssembly:
             transform, _ = build_machine(cfg)
             want = oracles.quadrature_image_from_sums(transform)
             assert transform.quadrature_image.matrix.tobytes() == want.tobytes(), cfg
-
-    def test_plan_read_off_the_pair(self):
-        # (M_ij, L_ij) != (0, 0) is S's 2 x 2 block reach, so the plan read
-        # off (M, L) is the plan of S, tuple for tuple.  The last three
-        # machines have several panels.
-        wide = [(2, 2, 130), (1, 3, 300), (4, 4, 300)]
-        for cfg in [*oracle_configs(), *(CloningConfig(*c) for c in wide)]:
-            transform, _ = build_machine(cfg)
-            m, l = transform.m_matrix, transform.l_matrix
-            reach = gaussian._block_reach(oracles.quadrature_image_from_sums(transform))
-            np.testing.assert_array_equal((m != 0) | (l != 0), reach)
-            assert transform._plan == gaussian._support_plan(reach), cfg
-            assert "quadrature_image" not in vars(transform)
-        assert len(transform._plan) > 1
 
     def test_quadrature_image_needs_no_temporaries(self):
         transform, _ = build_machine(CloningConfig(4, 4, 512))
@@ -678,7 +668,9 @@ def check_stages(cfg):
     np.testing.assert_allclose(pushed_image(network), s, rtol=0, atol=1e-14)
     np.testing.assert_allclose(pushed_image(network, True), s.T, rtol=0, atol=1e-14)
     # The probe bound holds every exact residual of the assembled pair.
-    exact = max(transform.symplectic_residual, transform.commutation_residual)
+    exact = max(oracles.dense_symplectic_residual(s),
+                oracles.dense_commutation_residual(transform.m_matrix,
+                                                   transform.l_matrix))
     assert exact <= network.symplectic_residual == network.commutation_residual
     assert network.commutation_residual <= 1e-12
 
@@ -882,12 +874,14 @@ class TestMemoryGuard:
         slots = machine._SLOT_BYTES * k
         assert 0.8 * slots < slots_peak <= slots
         assert machine._working_set(cfg) == slots + 32 * k * k
-        # A verify run plans two copies of one panel of F' with the sample
-        # mean and three of the probes, whatever the sample count.
+        # A verify run plans its fixed part, two copies of one panel of F'
+        # with the sample mean and three of the probes, whatever the
+        # sample count.
         panel = 2 * 16 * k * (montecarlo._PANEL + 1)
         probes = 3 * 16 * k * machine._PROBES
         for samples in (2, 100, 2 * k + 1, 10**9):
-            assert machine._working_set(cfg, samples) == slots + panel + probes
+            assert machine._working_set(cfg, samples) == (
+                slots + machine._VERIFY_BYTES + panel + probes)
         # (M, L)'s bytes as the arrays hold them.
         small = CloningConfig(2, 1, 4)
         transform, layout = build_machine(small)

@@ -577,24 +577,24 @@ class TestSimulate:
 
     def test_linked_transform_is_gated_on_its_stages(self, monkeypatch):
         # A transform from build_machine pushes its panels through the
-        # stages it links, so their probe bound gates it, and the exact
-        # residuals of (M, L) are not computed.
+        # stages it links, so their probe bound gates it, and no bound is
+        # read through (M, L).
         calls = []
-        real = canonical._omega_residuals
+        real = canonical._probe_bound
 
-        def spy(*args):
-            calls.append(args)
-            return real(*args)
+        def spy(k, push):
+            calls.append(k)
+            return real(k, push)
 
-        monkeypatch.setattr(canonical, "_omega_residuals", spy)
+        monkeypatch.setattr(canonical, "_probe_bound", spy)
         transform, layout = build_machine(CloningConfig(2, 2, 6))
         simulate(transform, layout, SampleConfig(100, 0))
         assert calls == []
-        assert "_probe_bound" in vars(transform._network)
-        assert "_residuals" not in vars(transform)
-        # A bare transform keeps the exact gate.
+        assert "_bound" in vars(transform._network)
+        assert "_bound" not in vars(transform)
+        # A bare transform is gated on the bound through its own (M, L).
         simulate(dataclasses.replace(transform), layout, SampleConfig(100, 0))
-        assert len(calls) == 1
+        assert calls == [14]
 
     def test_non_canonical_transform_rejected(self):
         bad = CanonicalTransform(
@@ -604,20 +604,21 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(bad, layout, SampleConfig(100, 0))
         # A residual already computed and cached is still checked.
-        assert commutation_residual(bad) == pytest.approx(3.0)
+        want = oracles.dense_commutation_residual(bad.m_matrix, bad.l_matrix)
+        assert commutation_residual(bad) >= want == 3.0
         with pytest.raises(DomainError):
             simulate(bad, layout, SampleConfig(100, 0))
 
     def test_mode_count_mismatch_rejected(self, monkeypatch):
         # Refused before the certificates of the fresh transform are paid.
         calls = []
-        real = canonical._omega_residuals
+        real = canonical._probe_bound
 
-        def spy(*args):
-            calls.append(args)
-            return real(*args)
+        def spy(k, push):
+            calls.append(k)
+            return real(k, push)
 
-        monkeypatch.setattr(canonical, "_omega_residuals", spy)
+        monkeypatch.setattr(canonical, "_probe_bound", spy)
         transform, _ = build_machine(CloningConfig(1, 0, 1))
         _, layout = build_machine(CloningConfig(1, 1, 2))
         with pytest.raises(DomainError, match="layout expects"):
