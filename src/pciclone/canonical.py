@@ -9,7 +9,7 @@ the commutation relations requires
 and every such transform has an exact image as a symplectic matrix S on the
 quadrature moments (see :func:`to_symplectic`).  Both constraints are
 certified by one upper bound on E = S Omega S^T - Omega, the probe bound
-of :data:`~pciclone.gaussian._CERTIFICATE`, read through (M, L): checking
+of :func:`~pciclone.gaussian._certificate`, read through (M, L): checking
 a transform never builds S.
 """
 
@@ -89,7 +89,7 @@ class CanonicalTransform:
     def commutation_residual(self) -> float:
         """Upper bound on the max-norm violation of the two commutation
         constraints, the probe bound of
-        :data:`~pciclone.gaussian._CERTIFICATE` read through (M, L);
+        :func:`~pciclone.gaussian._certificate` read through (M, L);
         NaN or inf if M or L holds one.  Equal to
         :attr:`symplectic_residual`."""
         return self._bound
@@ -175,7 +175,7 @@ def to_symplectic(transform: CanonicalTransform) -> SymplecticMap:
     refused as :func:`_require_canonical` decides.  The gate reads an
     upper bound, so a transform whose exact residual is above
     CANONICAL_TOL passes only with the miss probability of
-    :data:`~pciclone.gaussian._CERTIFICATE`."""
+    :func:`~pciclone.gaussian._certificate`."""
     _require_canonical(transform)
     return transform.quadrature_image
 

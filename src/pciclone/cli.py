@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .canonical import commutation_residual
 from .errors import ConvergenceError, DomainError, _require_tolerance, require_finite
-from .gaussian import _CERTIFICATE
+from .gaussian import _certificate
 from .machine import (
     CloningConfig,
     _network,
@@ -197,11 +197,11 @@ def cmd_verify(args) -> int:
     if structural_pass:
         emp = simulate(network, layout, sampling)
         t_sampled = time.perf_counter()
-        summary = compare_to_analytic(emp, noise_report(config), layout).to_dict()
+        summary = compare_to_analytic(emp, noise_report(config), layout)
         t_scored = time.perf_counter()
-    passed = structural_pass and summary["passed"]
+    passed = structural_pass and summary.passed
     if args.format == "csv":
-        rows = summary["rows"] if summary else []
+        rows = summary.rows if summary else []
         _write(rows, "csv", args.out, ["mode", "role", *_Z_COLUMNS])
     else:
         doc = {
@@ -216,14 +216,14 @@ def cmd_verify(args) -> int:
             "symplectic_residual": symplectic,
             "structural_tol": tol,
             "structural_pass": structural_pass,
-            "comparison": summary,
+            "comparison": summary.to_dict() if summary else None,
             "passed": passed,
             "meta": {
                 "version": __version__,
                 "stream_version": STREAM_VERSION,
                 "block_size": BLOCK_SIZE,
                 "seed": args.seed,
-                "certificate": _CERTIFICATE,
+                "certificate": _certificate(network.mode_count),
             },
             "timings": {
                 "build_s": t_built - t_start,

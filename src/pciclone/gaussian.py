@@ -26,21 +26,31 @@ VACUUM_VARIANCE = 0.5
 
 # Every canonicity certificate reads E = S Omega S^T - Omega off Gaussian
 # probes v (Freivalds, IFIP Congress 1977; Halko, Martinsson & Tropp, SIAM
-# Rev. 53, 217 (2011)): along E's top right singular vector v has a
-# standard normal part, so ||E v|| < eps ||E||_2 with probability at most
-# eps sqrt(2/pi), and the largest of _PROBES probe norms over eps bounds
-# ||E||_2 except with probability (eps sqrt(2/pi))^_PROBES, below 1e-35.
+# Rev. 53, 217 (2011)), mode by mode.  Mode i's part of E v is R_i v for
+# E's 2 x 2K row block R_i, and along R_i's top right singular vector v
+# has a standard normal part, so |(E v)_i| < eps ||R_i||_2 with
+# probability at most eps sqrt(2/pi).  The largest of _PROBES values
+# |(E v)_i| over eps bounds ||R_i||_2 except with probability
+# _MODE_MISS = (eps sqrt(2/pi))^_PROBES, below 1e-35, and the largest over
+# K modes bounds every one of them except with probability K _MODE_MISS.
 # The probes come from a generator of their own, seeded by _PROBE_SEED,
 # so one map always gets the same certificate.
 _PROBES = 32
 _PROBE_EPSILON = 0.1
 _PROBE_SEED = 2001
-_CERTIFICATE = {
-    "method": "gaussian_probes",
-    "probes": _PROBES,
-    "epsilon": _PROBE_EPSILON,
-    "miss_probability": (_PROBE_EPSILON * math.sqrt(2.0 / math.pi)) ** _PROBES,
-}
+_MODE_MISS = (_PROBE_EPSILON * math.sqrt(2.0 / math.pi)) ** _PROBES
+
+
+def _certificate(mode_count: int) -> dict:
+    """How the probe bound of a map of ``mode_count`` modes is read, and
+    the probability that it misses a residual."""
+    return {
+        "method": "gaussian_probes",
+        "probes": _PROBES,
+        "epsilon": _PROBE_EPSILON,
+        "modes": mode_count,
+        "miss_probability": mode_count * _MODE_MISS,
+    }
 
 
 def symplectic_form(mode_count: int) -> np.ndarray:
@@ -54,18 +64,20 @@ def symplectic_form(mode_count: int) -> np.ndarray:
 
 @np.errstate(invalid="ignore", over="ignore")  # a NaN or inf is the refusal
 def _probe_bound(mode_count: int, push) -> float:
-    """max_j ||E v_j|| / eps over the probes v_j of :data:`_CERTIFICATE`,
-    an upper bound on the canonicity residuals of a map S of
-    ``mode_count`` modes; NaN or inf if S holds one or overflows.
+    """max_{i,j} |(E v_j)_i| / eps over the modes i and the probes v_j of
+    :func:`_certificate`, an upper bound on the canonicity residuals of a
+    map S of ``mode_count`` modes; NaN or inf if S holds one or
+    overflows.
 
     ``push(a, transpose)`` turns each column alpha of a (K, cols) complex
     array into S (S^T with ``transpose``) acting on the quadratures
     (Re alpha, Im alpha), in place.  E v = S Omega S^T v - Omega v is one
     transposed and one forward push of all probes, Omega acting on
-    alpha = x + ip as -i.  It bounds max|E_ij| and every |A_ij| and
-    |B_ij| of the transform S is the image of (with A = M M^H - L L^H - I
-    and B = M L^T - L M^T), since |A_ij| + |B_ij| is the spectral norm of
-    E's (i, j) 2 x 2 block.
+    alpha = x + ip as -i, and |(E v)_i| is the modulus of its amplitude
+    i.  It bounds ||R_i||_2 for every 2 x 2K row block R_i of E, and so
+    max|E_ij| and every |A_ij| and |B_ij| of the transform S is the image
+    of (with A = M M^H - L L^H - I and B = M L^T - L M^T), since
+    |A_ij| + |B_ij| is the spectral norm of E's (i, j) 2 x 2 block.
     """
     gen = np.random.default_rng(_PROBE_SEED)
     v = gen.standard_normal((mode_count, 2 * _PROBES)).view(complex)
@@ -73,8 +85,9 @@ def _probe_bound(mode_count: int, push) -> float:
     push(e, True)
     e *= -1j
     push(e, False)
-    e += 1j * v
-    return float(np.max(np.linalg.norm(e, axis=0))) / _PROBE_EPSILON
+    v *= 1j
+    e += v
+    return float(np.max(np.abs(e))) / _PROBE_EPSILON
 
 
 def _quadratures(amplitudes) -> np.ndarray:
@@ -178,7 +191,7 @@ class SymplecticMap:
 
     def residual(self) -> float:
         """Upper bound on the max-norm deviation of S Omega S^T from
-        Omega, the probe bound of :data:`_CERTIFICATE`, computed on first
+        Omega, the probe bound of :func:`_certificate`, computed on first
         use; NaN or inf for a map holding one.  A transform's
         :attr:`~pciclone.canonical.CanonicalTransform.quadrature_image`
         reports its transform's bound, read off (M, L) without S.

@@ -528,7 +528,7 @@ class _Network:
 
     @cached_property
     def _bound(self) -> float:
-        """The probe bound of :data:`~pciclone.gaussian._CERTIFICATE`,
+        """The probe bound of :func:`~pciclone.gaussian._certificate`,
         read through the stages."""
         return _probe_bound(self.mode_count, self._push)
 

@@ -6,7 +6,7 @@ sigma^2 I, sigma^2 = 1/2, pushed through the machine's symplectic matrix
 S and reduced to each output mode's sample means, variances and x-p
 covariance.  The map is linear and the inputs Gaussian, so the joint law
 of those statistics is known exactly, and :func:`simulate` draws them
-from it (stream version 5) instead of drawing the samples.  With d = 2K
+from it (stream version 6) instead of drawing the samples.  With d = 2K
 quadratures, the input sample mean is mu_in + sigma g / sqrt(n) with
 g ~ N(0, I_d), and (n - 1) / sigma^2 times the input sample covariance
 is W ~ Wishart(I_d, nu), nu = n - 1, independent of the mean.  The output
@@ -61,30 +61,36 @@ moments keep their bits.  A bare transform is one block, R being every
 mode; it pushes its panels through (M, L) in the same loop, at O(K^2) a
 column, and skips nothing.
 
-One generator, ``np.random.default_rng(seed)``, draws g, then the chi^2
-diagonal of every column of F' in one ``chisquare`` call (numpy's gamma
-sampler; nu - i in R's column i, nu - r_R - i in C's or A's), then each
-panel block by block: the part of the panel in a block's columns, from
-its block column j on, takes one ``standard_normal`` call over the
-complex amplitudes of its modes from the block's mode j/2 down, to the
-last mode for R and to the block's end for C and A, in row order, x
-before p, and keeps those on and below the block's diagonal, putting
-the chi values on it.  _PANEL = 32 is part of that definition.  The same
-arguments give the same moments under one numpy version, platform and
-BLAS build: numpy does not promise that its samplers keep their output
-across versions, they call the platform's math library, and the FFTs
-and BLAS products may round in a build-dependent way.  Through the
-machine's stages the one BLAS product is the 2 x 2 amplifier, and
-``verify`` printed the same bytes under 1 and 2 OpenBLAS threads (more
-were not tried); a bare transform's (M, L) products may also round by
-thread count.
+One generator, numpy's SFC64 seeded by ``seed`` (Small Fast Chaotic,
+Doty-Humphrey's PractRand), draws g, then the chi^2 diagonal of every
+column of F' in one ``chisquare`` call (numpy's gamma sampler; nu - i in
+R's column i, nu - r_R - i in C's or A's), then each panel block by
+block: the part of the panel in a block's columns, from its block column
+j on, takes the normals of the complex amplitudes of its modes from the
+block's mode j/2 down, to the last mode for R and to the block's end for
+C and A, in row order, x before p, and keeps those on and below the
+block's diagonal, putting the chi values on it.  A panel's parts take
+their normals from one ``standard_normal`` call, in block order.
+_PANEL = 32 is part of that definition.  The same arguments give the
+same moments under one numpy version, platform and BLAS build: numpy
+does not promise that its samplers keep their output across versions,
+they call the platform's math library, and the FFTs and BLAS products
+may round in a build-dependent way.  Through the machine's stages the
+one BLAS product is the 2 x 2 amplifier, and ``verify`` printed the same
+bytes under 1 and 2 OpenBLAS threads (more were not tried); a bare
+transform's (M, L) products may also round by thread count.  This is
+stream version 6.
 
-Stream version 4 drew W's whole d x min(d, nu) factor F this way as one
-block, through the machine's stages too; a bare transform still draws
-it, bit for bit.  ``tests/oracles.py::stream_5_factor`` assembles F',
-and so F, whole.  Stream version 3 drew F whole before the first push,
-its normals row by row; it agrees with versions 4 and 5 in law, not in
-bits, and its draws live on as the test oracle
+Stream version 5 is the same draw from ``np.random.default_rng(seed)``,
+numpy's PCG64; its panels took one ``standard_normal`` call per block
+part, which a generator's sequential draws make the same normals.
+SFC64 draws a standard normal in about 10 ns against PCG64's 13 ns
+(numpy 2.4, a 2-vCPU Xeon).  Stream version 4 drew W's whole
+d x min(d, nu) factor F this way as one block, from PCG64, through the
+machine's stages too.  ``tests/oracles.py::stream_5_factor`` assembles
+F', and so F, whole, from any generator.  Stream version 3 drew F whole
+before the first push, its normals row by row; it agrees with versions
+4 to 6 in law, not in bits, and its draws live on as the test oracle
 ``tests/oracles.py::stream_3_factor``.
 
 Stream version 1 drew every sample: block b of BLOCK_SIZE samples took
@@ -115,10 +121,10 @@ from .machine import MachineLayout, NoiseReport, _Network
 # Samples per block of stream version 1.
 BLOCK_SIZE = 1 << 17
 # Columns of F' drawn and pushed through the machine at once, part of
-# the definition of stream versions 4 and 5.  16 to 128 ran within noise
+# the definition of stream versions 4 to 6.  16 to 128 ran within noise
 # of each other for K = 1030 modes on a 2-CPU Xeon.
 _PANEL = 32
-STREAM_VERSION = 5
+STREAM_VERSION = 6
 # Quadrature row i = 2r + q - o of a block's part of a panel, indexed
 # (o, r, q, j) against its column j, o = 1 if the part starts on a p row:
 # strictly above the block's diagonal, and on it.
@@ -130,6 +136,11 @@ _DIAGONAL = _ROWS == np.arange(_PANEL)
 Z_FLAG = 5.0
 
 _log = logging.getLogger(__name__)
+
+
+def _generator(seed: int) -> np.random.Generator:
+    """The generator of stream version 6: numpy's SFC64 seeded by ``seed``."""
+    return np.random.Generator(np.random.SFC64(seed))
 
 
 def block_normals(seed: int, block_index: int, rows: int, cols: int) -> np.ndarray:
@@ -211,16 +222,16 @@ class EmpiricalMoments:
 def _factor_blocks(
     blocks: tuple[slice, ...], dof: int
 ) -> list[tuple[slice, int, int, int, int]]:
-    """The layout of stream version 5's block factor F' over ``blocks``,
-    runs of modes that tile range(K), the first of them shared: one
-    (rows, col, width, dof_b, stop) per block, its modes ``rows``, its
-    first column of F', its r_b = min(2 len(rows), dof_b) columns and
-    their degrees of freedom dof_b, and the mode below the last row those
-    columns can be nonzero in.  The shared block has dof_b = dof and its
-    columns reach every mode below it; each other block has dof - r_0 and
-    its columns reach its own modes only.  The columns run block by block;
-    with one block F' is the 2K x min(2K, dof) factor F of Wishart(I_2K,
-    dof).
+    """The layout of the block factor F' of stream versions 5 and 6 over
+    ``blocks``, runs of modes that tile range(K), the first of them
+    shared: one (rows, col, width, dof_b, stop) per block, its modes
+    ``rows``, its first column of F', its r_b = min(2 len(rows), dof_b)
+    columns and their degrees of freedom dof_b, and the mode below the
+    last row those columns can be nonzero in.  The shared block has
+    dof_b = dof and its columns reach every mode below it; each other
+    block has dof - r_0 and its columns reach its own modes only.  The
+    columns run block by block; with one block F' is the 2K x min(2K, dof)
+    factor F of Wishart(I_2K, dof).
     """
     shared, *private = blocks
     width = min(2 * (shared.stop - shared.start), dof)
@@ -255,37 +266,49 @@ def _factor_panel(
     G_2 Q^T are normals, Q being orthogonal and independent of G_2, so
     F F^T has the law of G G^T.
 
-    Stream version 5 fills the panel block by block: the part of the
-    panel in a block's columns, from its block-local column j on, takes
-    one ``standard_normal`` call over its rows from mode rows.start + j/2
-    down to the block's stop, in row order, x before p; then zeros above
-    the diagonal and chi on it.  With one block that is stream version
-    4's panel.
+    The panel is filled block by block: the part of the panel in a
+    block's columns, from its block-local column j on, takes its normals
+    over its rows from mode rows.start + j/2 down to the block's stop, in
+    row order, x before p; then zeros above the diagonal and chi on it.
+    With one block that is stream version 4's panel.  Every part's
+    normals come from one ``standard_normal`` call, parts in block order;
+    a generator's draws are sequential, so that is the same normals as
+    stream version 5's one call per part.
     """
     k, w = out.shape
-    first, stop = k, 0
+    # (first column, end column, first mode, stop mode, o) of each part,
+    # o = 1 if the part starts on a p row.
+    parts = []
     for rows, col, width, _, bottom in factor:
         lo, hi = max(c, col), min(c + w, col + width)
-        if lo >= hi:
-            continue
-        j = lo - col
-        top = rows.start + j // 2
+        if lo < hi:
+            parts.append((lo, hi, rows.start + (lo - col) // 2, bottom, (lo - col) % 2))
+    # The draws as (mode, column, quadrature): in place where one part
+    # covers a contiguous run of the panel's rows, else drawn apart, each
+    # part's run of the one call copied to its place.
+    lo, hi, top, bottom, _ = parts[0]
+    whole = out[top:bottom, lo - c : hi - c]
+    apart = len(parts) > 1 or not whole.flags.c_contiguous
+    if apart:
+        flat = gen.standard_normal(sum(
+            (bottom - top) * (hi - lo) * 2 for lo, hi, top, bottom, _ in parts))
+    else:
+        flat = whole.view(float).reshape(-1)
+        gen.standard_normal(out=flat)
+    first, stop, offset = k, 0, 0
+    for lo, hi, top, bottom, o in parts:
         seg = out[:, lo - c : hi - c]
         if top:
             seg[:top] = 0.0
         if bottom < k:
             seg[bottom:] = 0.0
-        # The draws as (mode, column, quadrature), in place where the
-        # block's rows of the panel are contiguous, else apart and copied.
         drawn = seg[top:bottom]
         shape = (bottom - top, hi - lo, 2)
-        apart = not drawn.flags.c_contiguous
-        z = np.empty(shape) if apart else drawn.view(float).reshape(shape)
-        gen.standard_normal(out=z)
+        z = flat[offset : offset + math.prod(shape)].reshape(shape)
+        offset += z.size
         # The diagonal runs through the block's first drawn modes: read as
         # (mode, quadrature, column), block quadrature row 2 (top - rows.start)
         # + i meets block column j + i - j % 2.
-        o = j % 2
         h = (hi - lo + o + 1) // 2
         corner = z[:h].transpose(0, 2, 1)
         corner[_ABOVE[o, :h, :, : hi - lo]] = 0.0
@@ -344,7 +367,7 @@ def simulate(
     blocks = stages.blocks if isinstance(stages, _Network) else (slice(0, k),)
     factor = _factor_blocks(blocks, n - 1)
     r = sum(width for _, _, width, _, _ in factor)
-    gen = np.random.default_rng(config.seed)
+    gen = _generator(config.seed)
     g = gen.standard_normal(2 * k)
     chi = np.sqrt(gen.chisquare(np.concatenate(
         [dof - np.arange(width) for _, _, width, dof, _ in factor])))
@@ -441,7 +464,11 @@ class ComparisonSummary:
         ]
 
     def to_dict(self) -> dict:
-        return {"rows": self.rows, "threshold": self.threshold,
+        """The table as ``columns`` (the z names), ``roles`` (one per mode,
+        the mode its index) and ``z`` (one list of floats per mode), then
+        the verdict."""
+        return {"columns": list(_Z_COLUMNS), "roles": list(self.roles),
+                "z": self.z.tolist(), "threshold": self.threshold,
                 "max_abs_z": self.max_abs_z, "worst": self.worst,
                 "passed": self.passed}
 

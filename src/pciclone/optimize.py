@@ -130,7 +130,7 @@ class SearchResult:
     non-negative value certifies the point as the global minimum.
     ``full_residual`` is an upper bound on the commutation residual of
     the row completed to a three-mode transform, the probe bound of
-    :data:`~pciclone.gaussian._CERTIFICATE` read through its (M, L).
+    :func:`~pciclone.gaussian._certificate` read through its (M, L).
     ``iterations`` counts evaluations of the secular function.
     """
 

@@ -32,7 +32,7 @@ The certificate oracles evaluate the commutation and symplectic
 residuals from their defining dense products, with the dense symplectic
 form, where the library bounds both from Gaussian probes pushed through
 the map, never forming E = S Omega S^T - Omega.  The dense probe oracle
-applies the whole E to the same probes.
+applies the whole E to the same probes and reads them mode by mode.
 The amplitude-gain oracle is the closed form without the library's
 power-of-two rescaling.
 
@@ -43,13 +43,14 @@ where the library scores all modes as whole arrays.
 The sampling oracle is stream version 1: it draws every sample, block
 by block with :func:`block_normals`, pushes each block through S by one
 product and merges the block moments in order, where the library draws
-the moments themselves from their exact law (stream version 5).  The
+the moments themselves from their exact law (stream version 6).  The
 two agree in law, not in bits.  Stream version 3, which drew the same
 law's Wishart factor F whole and row by row, is an oracle too, and so
-is stream version 5's block factor F' assembled whole from its panels
-(stream version 4's F where it has one block): both feed one product
-with the whole S, where the library pushes one panel of F' at a time
-through the machine's stages.
+is the block factor F' of stream versions 5 and 6 assembled whole from
+its panels (stream version 4's F where it has one block): both feed one
+product with the whole S, from the library's generator or from PCG64,
+where the library pushes one panel of F' at a time through the
+machine's stages.
 
 The added-noise oracle evaluates n_th = (G - 1)/M and (G - 1)/M' in
 60-digit decimal arithmetic.  The symplectic-image oracle fills S from
@@ -87,6 +88,7 @@ from pciclone.montecarlo import (
     _PANEL,
     ComparisonSummary,
     EmpiricalMoments,
+    _generator,
     block_normals,
 )
 
@@ -289,12 +291,15 @@ def probe_quadratures(k):
 
 
 def dense_probe_bound(s):
-    """max_j ||E v_j|| / eps with the dense E = S Omega S^T - Omega and
-    the library's probes v_j; NaN or inf if E holds one."""
-    omega = symplectic_form(s.shape[0] // 2)
+    """max_{i,j} ||(E v_j)_i|| / eps over the modes i, (E v_j)_i being
+    mode i's (x, p) pair of E v_j, with the dense E = S Omega S^T - Omega
+    and the library's probes v_j; NaN or inf if E holds one."""
+    k = s.shape[0] // 2
+    omega = symplectic_form(k)
     with np.errstate(invalid="ignore", over="ignore"):
-        e = (s @ omega @ s.T - omega) @ probe_quadratures(s.shape[0] // 2)
-        return float(np.max(np.linalg.norm(e, axis=0))) / gaussian._PROBE_EPSILON
+        e = (s @ omega @ s.T - omega) @ probe_quadratures(k)
+        pairs = np.linalg.norm(e.reshape(k, 2, -1), axis=1)
+        return float(np.max(pairs)) / gaussian._PROBE_EPSILON
 
 
 def commutation_scale(m, l):
@@ -522,15 +527,17 @@ def stream_5_factor(gen, d, dof, blocks=None):
     return f
 
 
-def wishart_simulate(transform, layout, config, factor):
+def wishart_simulate(transform, layout, config, factor,
+                     generator=_generator):
     """EmpiricalMoments of a run that draws g ~ N(0, I_2K) and then
-    F = factor(gen, 2K, n - 1) from ``default_rng(seed)``, through the
-    whole S: means S (mu_in + g / sqrt(2 n)) and covariances the 2 x 2
-    diagonal blocks of S F (S F)^T / (2 (n - 1))."""
+    F = factor(gen, 2K, n - 1) from ``gen = generator(seed)`` (by default
+    stream version 6's SFC64; ``np.random.default_rng``, PCG64, for
+    streams 3 to 5), through the whole S: means S (mu_in + g / sqrt(2 n))
+    and covariances the 2 x 2 diagonal blocks of S F (S F)^T / (2 (n - 1))."""
     n = config.sample_count
     k = layout.total_modes
     s = to_symplectic(transform).matrix
-    gen = np.random.default_rng(config.seed)
+    gen = generator(config.seed)
     g = gen.standard_normal(2 * k)
     sf = s @ factor(gen, 2 * k, n - 1)
     amps = layout.input_amplitudes(config.psi)

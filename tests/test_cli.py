@@ -318,6 +318,15 @@ class TestVerify:
         assert doc["commutation_residual"] == doc["symplectic_residual"]
         assert 0.0 < doc["commutation_residual"] <= 1e-13
 
+    def test_large_machine_certifies_at_the_default_tol(self):
+        # K = 99,999 modes: a bound on the whole of E grows with sqrt(2K)
+        # (it read 3.2e-10), the per-mode bound does not (1.3e-12).  The
+        # certificate is asserted, not the exit code: 500k z-scores at
+        # n = 100 cross 5 now and then by chance.
+        network, _ = machine._network(machine.CloningConfig(1, 0, 50000))
+        assert network.mode_count == 99_999
+        assert pciclone.canonical.commutation_residual(network) <= 1e-10
+
     def test_certificates_repeat_whatever_the_seed(self, capsys):
         # The probes come from a generator of their own, not the sampling
         # stream: two runs, and runs of other seeds, certify alike.
@@ -447,19 +456,22 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out)
         assert list(doc)[-2:] == ["meta", "timings"]
+        # (1, 0, 1) has K = 2 modes; the probe bound misses a mode's
+        # residual with probability (eps sqrt(2/pi))^32, a run's K times that.
         assert doc["meta"] == {
             "version": pciclone.__version__,
-            "stream_version": 5,
+            "stream_version": 6,
             "block_size": montecarlo.BLOCK_SIZE,
             "seed": 5,
             "certificate": {
                 "method": "gaussian_probes",
                 "probes": 32,
                 "epsilon": 0.1,
-                "miss_probability": (0.1 * math.sqrt(2 / math.pi)) ** 32,
+                "modes": 2,
+                "miss_probability": 2 * (0.1 * math.sqrt(2 / math.pi)) ** 32,
             },
         }
-        assert doc["meta"]["certificate"]["miss_probability"] < 1e-35
+        assert doc["meta"]["certificate"]["miss_probability"] < 1e-34
         timings = doc["timings"]
         assert list(timings) == ["build_s", "certificates_s", "sampling_s", "scoring_s"]
         assert all(0.0 <= t < 60.0 for t in timings.values())
@@ -490,23 +502,26 @@ class TestVerify:
         assert len(lines) == 5  # four modes
 
     def test_comparison_keys_and_csv_rows(self, capsys):
-        # JSON and CSV carry the same z table: the CSV fields are the JSON
-        # keys in order, and its 17-digit floats round-trip exactly.
+        # JSON and CSV carry the same z table: JSON as columns, roles and
+        # one z list per mode, CSV as one row per mode under mode, role and
+        # the JSON columns, and its 17-digit floats round-trip exactly.
         argv = ("verify", 2, 1, 3, 5000, 4)
         _, out = run_cli(capsys, *argv)
         comparison = json.loads(out)["comparison"]
-        assert list(comparison) == ["rows", "threshold", "max_abs_z", "worst", "passed"]
-        want = comparison["rows"]
-        columns = ["mode", "role", "z_mean_x", "z_mean_p", "z_var_x", "z_var_p",
-                   "z_fidelity"]
-        assert [list(row) for row in want] == [columns] * 6
+        assert list(comparison) == ["columns", "roles", "z", "threshold", "max_abs_z",
+                                    "worst", "passed"]
+        z_columns = ["z_mean_x", "z_mean_p", "z_var_x", "z_var_p", "z_fidelity"]
+        assert comparison["columns"] == z_columns
+        assert len(comparison["roles"]) == len(comparison["z"]) == 6
+        assert all(len(row) == 5 for row in comparison["z"])
         _, out = run_cli(capsys, *argv, "--format", "csv")
         got = list(csv.DictReader(io.StringIO(out)))
-        assert [list(row) for row in got] == [columns] * 6
-        for got_row, want_row in zip(got, want):
-            assert int(got_row.pop("mode")) == want_row.pop("mode")
-            assert got_row.pop("role") == want_row.pop("role")
-            assert {k: float(v) for k, v in got_row.items()} == want_row
+        assert [list(row) for row in got] == [["mode", "role", *z_columns]] * 6
+        for mode, (got_row, role, z) in enumerate(
+                zip(got, comparison["roles"], comparison["z"])):
+            assert int(got_row.pop("mode")) == mode
+            assert got_row.pop("role") == role
+            assert [float(got_row[c]) for c in z_columns] == z
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_golden.json").read_text())
@@ -514,9 +529,9 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_golden.json").read
 
 @pytest.mark.parametrize("golden", GOLDEN, ids=lambda g: " ".join(g["argv"][1:]))
 def test_verify_golden(capsys, golden):
-    # Every field but the timings, as stream version 5 prints it:
-    # counts, flags, verdicts, roles and meta exactly, residuals to 1e-14
-    # and z-scores to 1e-9.
+    # Every field but the timings, as stream version 6 prints it:
+    # counts, flags, verdicts, columns, roles and meta exactly, residuals
+    # to 1e-14 and z-scores to 1e-9.
     code, out = run_cli(capsys, *golden["argv"])
     assert code == golden["exit_code"]
     doc = json.loads(out)
@@ -527,23 +542,23 @@ def test_verify_golden(capsys, golden):
     for key in ("commutation_residual", "symplectic_residual"):
         assert doc.pop(key) == pytest.approx(want.pop(key), rel=0, abs=1e-14)
     assert doc == want
-    rows = comparison["rows"]
-    assert [row["mode"] for row in rows] == list(range(len(golden["roles"])))
-    assert [row["role"] for row in rows] == golden["roles"]
-    columns = ["z_mean_x", "z_mean_p", "z_var_x", "z_var_p", "z_fidelity"]
-    z = [[row[c] for c in columns] for row in rows]
-    np.testing.assert_allclose(z, golden["z"], rtol=0, atol=1e-9)
-    assert comparison["threshold"] == want_comparison["threshold"]
+    assert list(comparison) == list(want_comparison)
+    for key in ("columns", "roles", "threshold"):
+        assert comparison[key] == want_comparison[key]
+    z = comparison["z"]
+    np.testing.assert_allclose(z, want_comparison["z"], rtol=0, atol=1e-9)
     assert comparison["passed"] is want_comparison["passed"]
     assert comparison["max_abs_z"] == pytest.approx(want_comparison["max_abs_z"],
                                                     rel=0, abs=1e-9)
-    flagged = [j for j, zs in enumerate(golden["z"])
-               if max(map(abs, zs)) > want_comparison["threshold"]]
-    assert [j for j, zs in enumerate(z)
-            if max(map(abs, zs)) > comparison["threshold"]] == flagged
+    threshold = want_comparison["threshold"]
+    flagged = [j for j, zs in enumerate(want_comparison["z"])
+               if max(map(abs, zs)) > threshold]
+    assert [j for j, zs in enumerate(z) if max(map(abs, zs)) > threshold] == flagged
     worst = comparison["worst"]
+    assert {k: worst[k] for k in ("mode", "role", "column")} == {
+        k: want_comparison["worst"][k] for k in ("mode", "role", "column")}
     assert abs(worst["z"]) == comparison["max_abs_z"]
-    assert rows[worst["mode"]][worst["column"]] == worst["z"]
+    assert z[worst["mode"]][comparison["columns"].index(worst["column"])] == worst["z"]
 
 
 @pytest.mark.parametrize("env", ["abc", "nan", "inf", "-1"])

@@ -430,7 +430,7 @@ class TestSimulate:
         transform, layout = build_machine(CloningConfig(1, 1, 2))
         emp = oracles.wishart_simulate(transform, layout,
                                        SampleConfig(64, 2**64 - 1, 0.5j),
-                                       oracles.stream_3_factor)
+                                       oracles.stream_3_factor, np.random.default_rng)
         np.testing.assert_allclose(
             emp.means[0], [0.04779638119409085, 0.5886777870605474], rtol=1e-12
         )
@@ -445,9 +445,10 @@ class TestSimulate:
         # Stream version 4 drew g and F's chi^2 diagonal as stream version 3
         # did, then each panel of F in one standard_normal call over its
         # rows from mode c/2 down, x before p, zeroed above the diagonal:
-        # stream version 5 with one block, as a bare pair draws.  The draws
-        # are pinned exactly; the moments, which also pass through FFTs and
-        # BLAS products, to 1e-12.
+        # stream version 5 with one block.  The draws are pinned exactly
+        # through _factor_panel; the moments, which also pass through BLAS
+        # products, to 1e-12 through the oracle run of the same draws from
+        # PCG64 (simulate draws stream version 6).
         assert montecarlo._PANEL == 32
         gen = np.random.default_rng(2**64 - 1)
         assert gen.standard_normal(4)[0] == 0.7213364570768727
@@ -477,8 +478,9 @@ class TestSimulate:
              0.18342991622500493 + 1.0767999615952877j],
         ]
         transform, layout = build_machine(CloningConfig(1, 1, 2))
-        emp = simulate(dataclasses.replace(transform), layout,
-                       SampleConfig(64, 2**64 - 1, 0.5j))
+        emp = oracles.wishart_simulate(transform, layout,
+                                       SampleConfig(64, 2**64 - 1, 0.5j),
+                                       oracles.stream_5_factor, np.random.default_rng)
         np.testing.assert_allclose(
             emp.means[0], [0.04779638119409086, 0.5886777870605475], rtol=1e-12
         )
@@ -496,8 +498,8 @@ class TestSimulate:
         # draws g, the chi^2 diagonal of every column in one call, then
         # each panel block by block: R's columns over every mode from 0,
         # C's over mode 2 alone.  The draws are pinned exactly; the
-        # moments to 1e-12.
-        assert montecarlo.STREAM_VERSION == 5
+        # moments to 1e-12, through the oracle run of the same draws from
+        # PCG64 (simulate draws stream version 6).
         network, layout = machine._network(CloningConfig(1, 0, 2))
         assert network.blocks == (slice(0, 2), slice(2, 3), slice(3, 3))
         factor = montecarlo._factor_blocks(network.blocks, 63)
@@ -529,7 +531,10 @@ class TestSimulate:
         f = oracles.stream_5_factor(gen, 6, 63, network.blocks)
         np.testing.assert_array_equal(f[0::2] + 1j * f[1::2], panel)
         transform, _ = build_machine(CloningConfig(1, 0, 2))
-        emp = simulate(transform, layout, SampleConfig(64, 2**64 - 1, 0.5j))
+        emp = oracles.wishart_simulate(
+            transform, layout, SampleConfig(64, 2**64 - 1, 0.5j),
+            functools.partial(oracles.stream_5_factor, blocks=network.blocks),
+            np.random.default_rng)
         np.testing.assert_allclose(
             emp.means.ravel(),
             [0.06653276803810297, 0.5792088646388021, 0.07241105064668837,
@@ -542,6 +547,52 @@ class TestSimulate:
              0.8571597152414658, 1.4538549982271667, 0.08642174188523655,
              0.08642174188523655, 1.5104286263916888, 1.115096576522257,
              -0.050414872616656635, -0.050414872616656635, 0.9914138766476337],
+            rtol=1e-12,
+        )
+
+    def test_stream_version_6_definition(self):
+        # Stream version 6 is stream version 5's draw from numpy's SFC64
+        # seeded by the seed, each panel's block parts from one
+        # standard_normal call.  (1, 0, 2) as in the version 5 test: the
+        # draws are pinned exactly, and the moments of simulate to 1e-12.
+        assert montecarlo.STREAM_VERSION == 6
+        network, layout = machine._network(CloningConfig(1, 0, 2))
+        factor = montecarlo._factor_blocks(network.blocks, 63)
+        gen = montecarlo._generator(2**64 - 1)
+        assert isinstance(gen.bit_generator, np.random.SFC64)
+        assert gen.standard_normal(6)[0] == 0.21728240006079313
+        chi = np.sqrt(gen.chisquare([63, 62, 61, 60, 59, 58]))
+        assert chi.tolist() == [7.881454728158118, 7.985206208374803,
+                                7.845187043753923, 7.285339973135244,
+                                7.54997316899557, 6.6257430809540026]
+        panel = np.empty((3, 6), dtype=complex)
+        assert montecarlo._factor_panel(gen, chi, factor, 0, panel) == (0, 3)
+        assert panel.tolist() == [
+            [7.881454728158118 + 3.3021115085599018j, 7.985206208374803j, 0j, 0j,
+             0j, 0j],
+            [1.399951398368141 - 1.5363264509192882j,
+             1.4885654126643488 + 1.6823682997335367j,
+             7.845187043753923 + 2.4278446056975485j, 7.285339973135244j, 0j, 0j],
+            [0.6560889180429631 + 0.156634205860302j,
+             -0.9792140073250882 - 0.14093539060709204j,
+             -0.20503440502613063 + 0.7967575196869127j,
+             -1.2029746926462845 + 0.7343144884131172j,
+             7.54997316899557 + 1.188724806939439j, 6.6257430809540026j],
+        ]
+        transform, _ = build_machine(CloningConfig(1, 0, 2))
+        emp = simulate(transform, layout, SampleConfig(64, 2**64 - 1, 0.5j))
+        np.testing.assert_allclose(
+            emp.means.ravel(),
+            [-0.04487890895693126, 0.8533926795037939, -0.008246884552782652,
+             -0.8742330320933258, 0.05583725671858301, 0.8266069923816147],
+            rtol=1e-12,
+        )
+        np.testing.assert_allclose(
+            emp.covariances.ravel(),
+            [1.1562542514120788, 0.36992104724385483, 0.36992104724385483,
+             0.877170278991396, 1.7838929760516662, -0.2198114747629683,
+             -0.2198114747629683, 1.4233468169955066, 1.0742678737381057,
+             0.27524565076445623, 0.27524565076445623, 0.9988603793151971],
             rtol=1e-12,
         )
 
@@ -867,19 +918,24 @@ class TestCompareToAnalytic:
         transform, layout, emp = run(cfg, 10**4, 12, 0j)
         summary = compare_to_analytic(emp, noise_report(cfg), layout)
         doc = summary.to_dict()
-        assert list(doc) == ["rows", "threshold", "max_abs_z", "worst", "passed"]
-        assert [list(row) for row in doc["rows"]] == [[
-            "mode", "role", "z_mean_x", "z_mean_p",
-            "z_var_x", "z_var_p", "z_fidelity",
-        ]] * 4
-        assert [row["mode"] for row in doc["rows"]] == [0, 1, 2, 3]
-        assert [list(row.values())[2:] for row in doc["rows"]] == summary.z.tolist()
+        assert list(doc) == ["columns", "roles", "z", "threshold", "max_abs_z",
+                             "worst", "passed"]
+        columns = ["z_mean_x", "z_mean_p", "z_var_x", "z_var_p", "z_fidelity"]
+        assert doc["columns"] == columns
+        assert doc["roles"] == list(summary.roles) == [
+            "clone", "anticlone", "clone", "anticlone"]
+        assert doc["z"] == summary.z.tolist()
         assert doc["max_abs_z"] == np.max(np.abs(summary.z))
         worst = doc["worst"]
         assert list(worst) == ["mode", "role", "column", "z"]
         assert abs(worst["z"]) == doc["max_abs_z"]
-        assert doc["rows"][worst["mode"]][worst["column"]] == worst["z"]
-        assert worst["role"] == doc["rows"][worst["mode"]]["role"]
+        assert doc["z"][worst["mode"]][columns.index(worst["column"])] == worst["z"]
+        assert worst["role"] == doc["roles"][worst["mode"]]
+        # The rows CSV writes carry the same table, one dict per mode.
+        assert [list(row) for row in summary.rows] == [["mode", "role", *columns]] * 4
+        assert [[row["mode"], row["role"], *(row[c] for c in columns)]
+                for row in summary.rows] == [
+            [mode, role, *z] for mode, (role, z) in enumerate(zip(doc["roles"], doc["z"]))]
         assert doc["passed"] is summary.passed is True
         with pytest.raises(ValueError):
             summary.z[0, 0] = 0.0
