@@ -6,11 +6,11 @@ The core of every machine here is a two-mode amplifier whose gain has a
 closed form in the input amplitudes (alpha, beta, gamma).  This demo
 does not assume that form: it minimizes the output noise over a general
 row of couplings under the commutation constraint, by solving for the
-constraint's multiplier lambda, and shows that the minimum lands on the
-formula every time, with all the couplings a two-mode amplifier would
-not have collapsing to zero.  Each solution comes with its certificate:
-lambda, and the smallest curvature of the Lagrangian, which is never
-negative, so the point is the global minimum.
+constraint's multiplier lambda in closed form, and shows that the
+minimum lands on the formula every time, with all the couplings a
+two-mode amplifier would not have collapsing to zero.  Each solution
+comes with its certificate: lambda, and the smallest curvature of the
+Lagrangian, which is never negative, so the point is the global minimum.
 """
 
 import numpy as np
@@ -40,7 +40,7 @@ for _ in range(20):
     alpha = rng.uniform(0.0, 2.0)
     beta = rng.uniform(0.1, 2.0)
     gamma = alpha + rng.uniform(0.0, 2.0)
-    res = solve_amplifier(alpha, beta, gamma, seed=1)
+    res = solve_amplifier(alpha, beta, gamma)
     exact = gain_from_amplitudes(alpha, beta, gamma)
     worst = max(worst, abs(res.gain - exact) / exact)
 print(f"\n20 random triples: worst relative gain error {worst:.2e}")

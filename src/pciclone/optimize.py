@@ -10,16 +10,16 @@ the closed form of :func:`pciclone.machine.gain_from_amplitudes`.
 Objective and constraint are both quadratic with diagonal Hessians A and
 C, so the search is a generalized trust-region subproblem (Moré, 1993):
 the global minimum is the Karush-Kuhn-Tucker point whose multiplier
-lambda keeps A + lambda*C positive semidefinite.  On that window of
-lambda the stationary point x(lambda) = -(a + lambda*c) / (A + lambda*C)
-is taken per coordinate, and the constraint along it, the secular
-function phi(lambda), does not increase; its root is the solution.
-When phi has no root in the window (the hard case) lambda sits at the
-window's end and the missing constraint mass goes onto the first
-coordinate whose curvature vanishes there.  Each result carries its
-certificate: the constraint residual, the multiplier, which must make
-the point stationary, and the smallest curvature of A + lambda*C, which
-must not be negative.
+lambda keeps A + lambda*C positive semidefinite.  Only m11 has a linear
+term, so the stationary point for a given lambda is zero in every other
+coordinate, and the constraint along it, the secular function, is a
+quadratic in mu = 1/2 - lambda whose root has a closed form (see
+:func:`solve_amplifier`).  At alpha = 0 (the hard case) the root sits at
+lambda = -1/2, where m11 has no curvature left and takes the constraint
+mass.  Each result carries its certificate, read off the problem's own
+constraint and gradients rather than the closed form: the constraint
+residual, the multiplier, which must make the point stationary, and the
+smallest curvature of A + lambda*C, which must not be negative.
 
 The best conjugate fraction a of a fixed input budget n at given M has
 a closed form, the stationary point of the gain or the edge of the
@@ -110,14 +110,6 @@ class AmplifierSearchProblem:
             ]
         )
 
-    def objective_hess(self) -> np.ndarray:
-        s = 1.0 + self.alpha**2
-        return np.diag([s, s, 1.0, 1.0])
-
-    def constraint_hess(self) -> np.ndarray:
-        t = 1.0 - self.alpha**2
-        return np.diag([2.0 * t, -2.0 * t, 2.0, -2.0])
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -131,7 +123,8 @@ class SearchResult:
     ``full_residual`` is an upper bound on the commutation residual of
     the row completed to a three-mode transform, the probe bound of
     :func:`~pciclone.gaussian._certificate` read through its (M, L).
-    ``iterations`` counts evaluations of the secular function.
+    ``iterations`` counts evaluations of the secular function; the
+    closed form takes none, so it is 0.
     """
 
     alpha: float
@@ -195,27 +188,40 @@ def solve_amplifier(
 ) -> SearchResult:
     """Global minimum of the output noise over the row couplings.
 
-    Takes the quadratic data of :class:`AmplifierSearchProblem` (Hessians
-    A and C, linear terms a and c, constant of the constraint) and solves
-    the secular equation phi(lambda) = 0 by Brent's method on the window
-    where A + lambda*C is positive semidefinite.  There phi does not
-    increase; for alpha > 0 it changes sign between the window's ends.
-    At alpha = 0 it is negative throughout (the hard case): lambda is the
-    lower end and the first coordinate whose curvature vanishes there,
-    m11, takes the constraint mass.  One exact step along the constraint
-    gradient then closes the gap that rounding leaves in x(lambda), and
-    lambda is refitted to the final point.  The search is deterministic:
-    ``seed`` has no effect and is kept only because existing callers,
-    such as the benchmark's design-scan workload, pass it.
+    In the data of :class:`AmplifierSearchProblem` (alpha and gamma in
+    units of beta) and mu = 1/2 - lambda, the Lagrangian is stationary at
+    m11 = mu*alpha*gamma/D, l12 = gamma*(1 - mu)/D with
+    D = (1 - mu) + mu*alpha^2 and the other couplings 0.  With
+    h = gamma^2 - alpha^2 + 1 the constraint there fixes
+
+        mu = (gamma^2 + 1) / (h + alpha*gamma*sqrt(h)),
+        1 - mu = mu * alpha*(gamma - alpha)*(gamma + alpha)
+                 / (gamma*sqrt(h) + alpha),
+
+    and mu cancels from both couplings:
+
+        m11 = (gamma*sqrt(h) + alpha) / (gamma + alpha*sqrt(h)),
+        l12 = (gamma - alpha)*(gamma + alpha) / (gamma + alpha*sqrt(h)).
+
+    Every term is positive, so neither quotient cancels, and none exceeds
+    (gamma/beta)^2, while the products that form mu and 1 - mu overflow
+    once gamma/beta passes about 1e60.  At alpha = 0 (the hard case) D
+    vanishes at mu = 1, and m11 = sqrt(1 + gamma^2) takes the constraint
+    mass.  The multiplier is refitted to the final point by least
+    squares, and the curvatures of A + lambda*C, 2D,
+    2alpha^2 - 2mu(alpha^2 - 1), 2(1 - mu) and 2mu, are read at it.
+    The solve is exact and deterministic: ``seed`` has no effect and is
+    kept only because existing callers, such as the benchmark's
+    design-scan workload, pass it.
 
     Raises :class:`ConvergenceError` when the certificate fails, i.e.
-    -min_curvature, the constraint residual over the largest square of a
-    term that forms it or the stationarity residual over the largest
-    objective-gradient entry (each scale at least 1) exceeds ``tol``, and
-    :class:`DomainError` for non-finite input, ``tol`` < 0, outside
-    |gamma| >= |alpha|, when beta = 0 (the scaling gauge needs a
-    conjugate-port coupling) or when |gamma/beta| > 1e150, where the
-    search's quadratic terms would overflow.
+    -min_curvature, the constraint residual over the square of the
+    largest of 1, m11, l12, gamma and alpha*m11 (the terms that form it)
+    or the stationarity residual over the largest objective-gradient
+    entry (at least 1) exceeds ``tol``, and :class:`DomainError` for
+    non-finite input, ``tol`` < 0, outside |gamma| >= |alpha|, when
+    beta = 0 (the scaling gauge needs a conjugate-port coupling) or when
+    |gamma/beta| > 1e150, where the constraint's terms would overflow.
     """
     _require_tolerance(tol)
     require_finite(alpha=alpha, beta=beta, gamma=gamma)
@@ -226,80 +232,36 @@ def solve_amplifier(
         raise DomainError(
             f"|gamma|={c} < |alpha|={a} is the attenuation regime, not supported"
         )
-    # The search's terms grow like (gamma/beta)^2 and overflow past this.
+    # The constraint's terms grow like (gamma/beta)^2 and overflow past this.
     if c / b > 1e150:
         raise DomainError(f"|gamma/beta|={c / b} is beyond the float range")
-    # Imported here: scipy.optimize would quadruple the package's import time.
-    from scipy.optimize import brentq
 
     problem = AmplifierSearchProblem(alpha=a / b, gamma=c / b)
-    zero = np.zeros(4)
-    hess_f = np.diag(problem.objective_hess())
-    hess_g = np.diag(problem.constraint_hess())
-    grad_f = problem.objective_grad(zero)
-    grad_g = problem.constraint_grad(zero)
-    # Lower and upper bounds on lambda keeping every curvature >= 0.
-    up, down = hess_g > 0, hess_g < 0
-    lam_lo = float(np.max(-hess_f[up] / hess_g[up]))
-    lam_hi = float(np.min(-hess_f[down] / hess_g[down]))
-
-    def curvature(lam: float) -> np.ndarray:
-        return hess_f + lam * hess_g
-
-    def stationary(lam: float) -> np.ndarray:
-        curv = curvature(lam)
-        # A coordinate with no curvature left is the hard case's free
-        # direction; it starts at 0.
-        return np.divide(
-            -(grad_f + lam * grad_g), curv, out=np.zeros(4), where=curv > 0
-        )
-
-    evaluations = 0
-
-    def phi(lam: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return problem.constraint(stationary(lam))
-
-    phi_lo, phi_hi = phi(lam_lo), phi(lam_hi)
-    if phi_lo >= 0.0 >= phi_hi:
-        # Near-zero xtol: bracket the root down to brentq's 4-ulp rtol.
-        lam = brentq(phi, lam_lo, lam_hi, xtol=1e-300, disp=False)
+    al, ga = problem.alpha, problem.gamma
+    if al == 0.0:
+        m11, l12 = math.sqrt(1.0 + ga * ga), ga
     else:
-        lam = lam_lo if phi_lo < 0.0 else lam_hi
-    x = stationary(lam)
+        root = math.sqrt((ga - al) * (ga + al) + 1.0)
+        m11 = (ga * root + al) / (ga + al * root)
+        l12 = (ga - al) * (ga + al) / (ga + al * root)
+    x = (m11, 0.0, 0.0, 0.0)
 
-    # Close the constraint gap along one line: the constraint gradient, or
-    # in the hard case, where it vanishes, the first coordinate without
-    # curvature.  The constraint is quadratic along the line; take the
-    # root nearest x, in the form that does not cancel.
-    grad = problem.constraint_grad(x)
-    if grad.any():
-        d = grad / np.max(np.abs(grad))
-    else:
-        d = np.eye(4)[np.argmin(curvature(lam))]
-    gap, slope, bend = problem.constraint(x), grad @ d, d @ (hess_g * d)
-    root = math.sqrt(max(slope * slope - 2.0 * bend * gap, 0.0))
-    denom = slope + math.copysign(root, slope)
-    if denom:
-        x = x - 2.0 * gap / denom * d
     # The multiplier that best fits stationarity at the final point.
     grad, obj_grad = problem.constraint_grad(x), problem.objective_grad(x)
     lam = -float(obj_grad @ grad) / float(grad @ grad)
+    mu = 0.5 - lam
+    d = (1.0 - mu) + mu * al * al
+    curvature = 2.0 * np.array([d, al * al - mu * (al * al - 1.0), 1.0 - mu, mu])
 
-    m11, m12, m13, l11, l12, l13 = problem.coefficients(x)
     constraint_residual = abs(problem.constraint(x))
     # Residuals are judged as ratios, which cannot overflow, to the terms
-    # that make them; the constraint's grow like (gamma/beta)^2.  Its
-    # rounding starts in l12 = gamma - alpha*m11 and (1 - alpha^2) l11^2,
-    # so the squares of gamma, alpha*m11, l11 and alpha*l11 scale it too.
-    al = problem.alpha
-    terms = (m11**2, l12**2, problem.gamma**2, (al * m11) ** 2, l11**2,
-             (al * l11) ** 2, m13**2, l13**2)
-    min_curvature = float(np.min(curvature(lam)))
+    # that make them; the constraint's rounding starts in
+    # l12 = gamma - alpha*m11 and grows like (gamma/beta)^2.
+    scale = max(1.0, m11, l12, ga, al * m11) ** 2
+    min_curvature = float(np.min(curvature))
     stationarity = np.max(np.abs(obj_grad + lam * grad))
     if not (
-        constraint_residual / max(1.0, *terms) <= tol
+        constraint_residual / scale <= tol
         and min_curvature >= -tol
         and stationarity / max(1.0, np.max(np.abs(obj_grad))) <= tol
     ):
@@ -315,21 +277,18 @@ def solve_amplifier(
         beta=b,
         gamma=c,
         m11=m11,
-        m12=m12,
-        m13=m13,
-        l11=l11,
+        m12=0.0,
+        m13=0.0,
+        l11=0.0,
         l12=l12,
-        l13=l13,
-        objective=0.5
-        * (m11**2 + m12**2 + m13**2 + l11**2 + l12**2 + l13**2),
+        l13=0.0,
+        objective=0.5 * (m11 * m11 + l12 * l12),
         constraint_residual=constraint_residual,
-        full_residual=_full_completion_residual(
-            (m11, m12, m13, l11, l12, l13)
-        ),
+        full_residual=_full_completion_residual((m11, 0.0, 0.0, 0.0, l12, 0.0)),
         gain=m11 * m11,
-        multiplier=float(lam),
+        multiplier=lam,
         min_curvature=min_curvature,
-        iterations=evaluations,
+        iterations=0,
         converged=True,
     )
 

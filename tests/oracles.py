@@ -26,7 +26,9 @@ the two agree bit for bit.
 
 The asymmetry oracle finds the best conjugate fraction by brute force, a
 grid scan sharpened by golden-section search, where the library uses a
-closed form.
+closed form.  The amplifier oracle finds the search's multiplier
+iteratively, by Brent's method on the secular function, where the
+library solves the secular equation in closed form.
 
 The certificate oracles evaluate the commutation and symplectic
 residuals from their defining dense products, with the dense symplectic
@@ -63,7 +65,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from pciclone import gaussian
 from pciclone.canonical import (
@@ -91,6 +93,7 @@ from pciclone.montecarlo import (
     _generator,
     block_normals,
 )
+from pciclone.optimize import AmplifierSearchProblem
 
 
 def operator_means(m, l, psi):
@@ -145,6 +148,65 @@ def scan_asymmetry(n, m, grid_step=1e-3, refine_tol=1e-9):
         )
         a = float(min(max(res.x, grid[idx - 1]), grid[idx + 1]))
     return a, asymmetry_gain(n, m, a)
+
+
+def secular_amplifier(alpha, beta, gamma):
+    """(couplings (m11, m12, m13, l11, l12, l13), multiplier) of the
+    amplifier search, found by Brent's method (Moré, 1993).
+
+    With the diagonal Hessians A, C and linear terms a, c of
+    :class:`AmplifierSearchProblem`, the stationary point
+    x(lambda) = -(a + lambda*c) / (A + lambda*C) is taken per coordinate
+    on the window of lambda where A + lambda*C is positive semidefinite.
+    The constraint along it, the secular function phi(lambda), does not
+    increase there; its root is the solution.  When phi has no root in
+    the window (the hard case alpha = 0), lambda sits at the window's
+    lower end and m11, whose curvature vanishes there, takes the
+    constraint mass.  One exact step along the constraint gradient
+    closes the gap rounding leaves, and lambda is refitted to the final
+    point by least squares.
+    """
+    a, b, c = abs(alpha), abs(beta), abs(gamma)
+    problem = AmplifierSearchProblem(alpha=a / b, gamma=c / b)
+    a2 = problem.alpha**2
+    hess_f = np.array([1.0 + a2, 1.0 + a2, 1.0, 1.0])
+    hess_g = 2.0 * np.array([1.0 - a2, a2 - 1.0, 1.0, -1.0])
+    zero = np.zeros(4)
+    grad_f, grad_g = problem.objective_grad(zero), problem.constraint_grad(zero)
+    up, down = hess_g > 0, hess_g < 0
+    lam_lo = float(np.max(-hess_f[up] / hess_g[up]))
+    lam_hi = float(np.min(-hess_f[down] / hess_g[down]))
+
+    def stationary(lam):
+        curv = hess_f + lam * hess_g
+        return np.divide(
+            -(grad_f + lam * grad_g), curv, out=np.zeros(4), where=curv > 0
+        )
+
+    def phi(lam):
+        return problem.constraint(stationary(lam))
+
+    phi_lo, phi_hi = phi(lam_lo), phi(lam_hi)
+    if phi_lo >= 0.0 >= phi_hi:
+        lam = brentq(phi, lam_lo, lam_hi, xtol=1e-300, disp=False)
+    else:
+        lam = lam_lo if phi_lo < 0.0 else lam_hi
+    x = stationary(lam)
+
+    # The constraint is quadratic along the line; take the root nearest x.
+    grad = problem.constraint_grad(x)
+    if grad.any():
+        d = grad / np.max(np.abs(grad))
+    else:
+        d = np.eye(4)[np.argmin(hess_f + lam * hess_g)]
+    gap, slope, bend = problem.constraint(x), grad @ d, d @ (hess_g * d)
+    root = math.sqrt(max(slope * slope - 2.0 * bend * gap, 0.0))
+    denom = slope + math.copysign(root, slope)
+    if denom:
+        x = x - 2.0 * gap / denom * d
+    grad, obj_grad = problem.constraint_grad(x), problem.objective_grad(x)
+    lam = -float(obj_grad @ grad) / float(grad @ grad)
+    return problem.coefficients(x), lam
 
 
 def identity_transform(mode_count):

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import pciclone
 import pciclone.cli
-from pciclone import machine, montecarlo
+from pciclone import gain_from_amplitudes, machine, montecarlo
 from pciclone.cli import SWEEP_HEADER, build_parser, main
 from pciclone.errors import ConvergenceError
 
@@ -258,6 +258,17 @@ class TestSolve:
         doc = json.loads(out)
         assert -0.5 < doc["multiplier"] < 0.5
         assert doc["min_curvature"] >= 0.0
+
+    def test_large_alpha_over_beta_is_certified(self, capsys):
+        # The secular search refused this point with constraint residual
+        # 19 and min curvature -2e9, and exited 3.
+        code, out = run_cli(capsys, "solve", 0.001, 1e-12, 100)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["gain"] == pytest.approx(
+            gain_from_amplitudes(0.001, 1e-12, 100), rel=1e-12
+        )
+        assert doc["iterations"] == 0
 
     def test_non_finite_exit_code(self, capsys):
         code, out = run_cli(capsys, "solve", 0, 1, "nan")
@@ -630,8 +641,8 @@ def test_cli_import_leaves_concurrent_futures_unloaded():
 
 
 def test_cli_import_loads_no_scipy_and_no_fft():
-    # scipy loads only with the amplifier search and numpy.fft only at
-    # the first FFT, so neither adds to a verify run's start-up.
+    # The package needs no scipy, and numpy.fft loads only at the first
+    # FFT, so neither adds to a verify run's start-up.
     src = str(Path(pciclone.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, pciclone.cli; "

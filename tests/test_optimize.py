@@ -80,9 +80,10 @@ class TestSolveAmplifier:
         assert res.gain == pytest.approx(res.m11**2 + res.m12**2 + res.m13**2,
                                          rel=1e-10)
 
-    def test_deterministic_for_fixed_seed(self):
+    def test_seed_has_no_effect(self):
+        # The solve is exact; ``seed`` stays only for existing callers.
         a = solve_amplifier(0.3, 0.8, 1.2, seed=17)
-        b = solve_amplifier(0.3, 0.8, 1.2, seed=17)
+        b = solve_amplifier(0.3, 0.8, 1.2)
         assert a.to_dict() == b.to_dict()
 
     def test_random_triples_recover_formula(self):
@@ -96,6 +97,7 @@ class TestSolveAmplifier:
             assert abs(res.gain - expect) / expect < 1e-6
             assert res.aux_norm < 1e-6
             assert res.full_residual < 1e-8
+            assert_matches_secular_oracle(alpha, beta, gamma)
 
     def test_normalization_invariance(self):
         base = solve_amplifier(0.5, 1.0, 1.5)
@@ -111,10 +113,12 @@ class TestSolveAmplifier:
             solve_amplifier(2.0, 1.0, 1.0)
 
     def test_convergence_failure_raises(self):
-        # At beta/alpha = 1e-6 rounding leaves the final point 1.3e-9 off
-        # the constraint, small beside (alpha*m11)^2 ~ 9e12, one of the
-        # terms that form it.  A zero tolerance demands an exact
-        # constraint, so that point must be refused.
+        # At beta/alpha = 1e-6 the problem's own l12 = gamma - alpha*m11
+        # rounds, leaving the closed-form point 1.3e-9 off the constraint,
+        # small beside (alpha*m11)^2 ~ 9e12, one of the terms that form
+        # it.  A zero tolerance demands an exact constraint, so that point
+        # must be refused.
+        assert solve_amplifier(1.0, 1e-6, 3.0).constraint_residual > 0.0
         with pytest.raises(ConvergenceError, match="constraint residual"):
             solve_amplifier(1.0, 1e-6, 3.0, tol=0.0)
 
@@ -132,14 +136,25 @@ class TestSolveAmplifier:
         with pytest.raises(DomainError, match="float range"):
             solve_amplifier(1.0, 1.0, 1e200)
 
-    def test_unconverged_bracket_is_judged_by_the_certificate(self):
-        # Brent's method runs out of iterations here; the point it leaves
-        # is closed onto the constraint and certified, not refused for the
-        # bracket or escaping as a RuntimeError.
+    def test_closed_form_takes_no_secular_evaluations(self):
+        # Brent's method on the secular function ran out of iterations
+        # here; the closed form evaluates it not at all.
         res = solve_amplifier(1.0, 1.0, 2e13)
-        assert res.iterations > 100
+        assert res.iterations == 0
         want = gain_from_amplitudes(1.0, 1.0, 2e13)
         assert res.gain == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.25, 0.5, 0.999, 1.0])
+    def test_certified_on_the_half_decade_grid(self, alpha):
+        # beta from 1e-12 to 1 and gamma from 1 to 1e12 in half decades,
+        # alpha/beta up to 1e12.  The secular search refused 351 of these
+        # 3,125 points, all with alpha/beta >= 1e8.
+        for kb in range(-24, 1):
+            for kc in range(0, 25):
+                beta, gamma = 10.0 ** (kb / 2), 10.0 ** (kc / 2)
+                want = gain_from_amplitudes(alpha, beta, gamma)
+                res = solve_amplifier(alpha, beta, gamma)
+                assert res.gain == pytest.approx(want, rel=1e-12), (beta, gamma)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.999, 1.0])
     def test_certified_across_the_gauge_range(self, alpha):
@@ -156,7 +171,7 @@ class TestSolveAmplifier:
         res = solve_amplifier(0.5, 1.0, 1.5)
         assert -0.5 < res.multiplier < 0.5
         assert res.min_curvature > 0.0
-        assert res.iterations >= 3
+        assert res.iterations == 0
         # Hard case: the multiplier sits at the window's end.
         hard = solve_amplifier(0.0, 1.0, 1.0)
         assert hard.multiplier == -0.5
@@ -169,6 +184,25 @@ class TestSolveAmplifier:
     def test_non_finite_rejected(self, args):
         with pytest.raises(DomainError, match="finite"):
             solve_amplifier(*args)
+
+
+def assert_matches_secular_oracle(alpha, beta, gamma):
+    res = solve_amplifier(alpha, beta, gamma)
+    couplings, multiplier = oracles.secular_amplifier(alpha, beta, gamma)
+    got = (res.m11, res.m12, res.m13, res.l11, res.l12, res.l13)
+    assert res.gain == pytest.approx(couplings[0] ** 2, rel=1e-13)
+    assert res.multiplier == pytest.approx(multiplier, abs=1e-13)
+    np.testing.assert_allclose(got, couplings, rtol=1e-13, atol=1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(0.0, 2.0),
+    beta=st.floats(0.05, 2.0),
+    excess=st.floats(0.0, 2.0),
+)
+def test_closed_form_matches_secular_oracle(alpha, beta, excess):
+    assert_matches_secular_oracle(alpha, beta, alpha + excess)
 
 
 @settings(max_examples=200, deadline=None)
