@@ -14,8 +14,6 @@ import logging
 from .canonical import (
     CanonicalTransform,
     commutation_residual,
-    compose,
-    dft_transform,
     pcia_transform,
     to_symplectic,
 )
@@ -83,8 +81,6 @@ __all__ = [
     "coherent_state",
     "commutation_residual",
     "compare_to_analytic",
-    "compose",
-    "dft_transform",
     "fidelity_with_coherent",
     "gain_from_amplitudes",
     "gain_from_counts",

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, require_finite, require_integer
+from .errors import DomainError, require_finite
 from .gaussian import SymplecticMap, _probe_bound, frozen_array
 
 # Residual above which a transform is refused as non-canonical.
@@ -136,23 +136,6 @@ class CanonicalTransform:
         return smap
 
 
-def compose(
-    first: CanonicalTransform, second: CanonicalTransform
-) -> CanonicalTransform:
-    """Transform acting as ``second`` after ``first``.
-
-    Substituting b = M1 a + L1 a* into c = M2 b + L2 b* gives
-    M = M2 M1 + L2 conj(L1) and L = M2 L1 + L2 conj(M1).
-    """
-    if first.mode_count != second.mode_count:
-        raise DomainError(
-            f"mode counts differ: {first.mode_count} vs {second.mode_count}"
-        )
-    m1, l1 = first.m_matrix, first.l_matrix
-    m2, l2 = second.m_matrix, second.l_matrix
-    return CanonicalTransform(m2 @ m1 + l2 @ l1.conj(), m2 @ l1 + l2 @ m1.conj())
-
-
 def commutation_residual(transform: CanonicalTransform) -> float:
     """The transform's :attr:`~CanonicalTransform.commutation_residual`,
     an upper bound computed once per transform: later checks cost
@@ -180,27 +163,6 @@ def to_symplectic(transform: CanonicalTransform) -> SymplecticMap:
     return transform.quadrature_image
 
 
-def dft_transform(mode_count: int, inverse: bool = False) -> CanonicalTransform:
-    """Passive discrete-Fourier mixing of K modes (L = 0).
-
-    The forward direction concentrates: its first row is uniformly
-    1/sqrt(K), so K equal coherent amplitudes psi merge into a single mode
-    of amplitude sqrt(K) psi while the other K-1 outputs are left in the
-    vacuum.  With ``inverse=True`` the conjugate transpose distributes one
-    mode evenly over K outputs (first column uniformly 1/sqrt(K)).
-
-    Entries follow the unitary convention M_lk = exp(2 pi i l k / K)/sqrt(K).
-    """
-    require_integer(mode_count=mode_count)
-    if mode_count < 1:
-        raise DomainError(f"mode_count must be >= 1, got {mode_count}")
-    idx = np.arange(mode_count)
-    m = np.exp(2j * np.pi * np.outer(idx, idx) / mode_count) / np.sqrt(mode_count)
-    return CanonicalTransform(
-        m.conj().T if inverse else m, np.zeros((mode_count, mode_count))
-    )
-
-
 def _apply_dft(
     a: np.ndarray,
     rows: slice,
@@ -208,19 +170,22 @@ def _apply_dft(
     port: int | None = None,
     batch: int = 1,
 ) -> None:
-    """Act in place with the K-mode ``dft_transform(K, inverse)`` on K rows
-    of ``a``: the run of rows ``rows``, or, given ``port``, the port's row
-    followed by that run.  The port's row is copied into the row just
-    before the run, whose own row is kept aside, so one orthonormal FFT
-    runs along one contiguous view of ``a`` and is assigned back to it,
-    with no gathered copy; the transformed first row then goes back to
-    the port and the borrowed row is restored.  With ``batch`` > 1 (and
-    no port) the run is cut into that many equal runs, each transformed
-    on its own, in one batched FFT.
+    """Act in place with the K x K unitary DFT on K rows of ``a``: the run
+    of rows ``rows``, or, given ``port``, the port's row followed by that
+    run.  The forward matrix M_lk = exp(2 pi i l k / K)/sqrt(K) has a
+    first row of 1/sqrt(K), so K equal amplitudes merge into one mode;
+    ``inverse`` applies its conjugate transpose, which spreads one mode
+    evenly over K.  The port's row is copied into the row just before the
+    run, whose own row is kept aside, so one orthonormal FFT runs along
+    one contiguous view of ``a`` and is assigned back to it, with no
+    gathered copy; the transformed first row then goes back to the port
+    and the borrowed row is restored.  With ``batch`` > 1 (and no port)
+    the run is cut into that many equal runs, each transformed on its
+    own, in one batched FFT.
 
-    The forward M_lk = exp(2 pi i l k / K)/sqrt(K) is numpy's ``ifft`` and
-    its conjugate transpose numpy's ``fft``, both with ``norm="ortho"``,
-    so no K x K matrix is built.  Fewer than two rows are left as they are.
+    The forward matrix is numpy's ``ifft`` and its conjugate transpose
+    numpy's ``fft``, both with ``norm="ortho"``, so no K x K matrix is
+    built.  Fewer than two rows are left as they are.
     """
     start, stop = rows.start, rows.stop
     if port is not None:
@@ -265,8 +230,6 @@ __all__ = [
     "CANONICAL_TOL",
     "CanonicalTransform",
     "commutation_residual",
-    "compose",
-    "dft_transform",
     "pcia_transform",
     "to_symplectic",
 ]

@@ -17,13 +17,14 @@ mode; anticlones carry psi* with (G-1)/M'.  The closed-form evaluators
 here (gains, noise, fidelities, comparison baselines) are what the
 explicit transform is tested against.
 
-One private description of the stages serves both routes:
-:func:`build_machine` assembles the explicit K x K pair (M, L) from it,
-and the ``verify`` path pushes columns through it at O(K log K) each and
-certifies it with Gaussian probes, holding no K x K array.  The layout
-gives each distribution block as its port plus one run of vacua, so
-every DFT block is transformed in place on one contiguous run of rows;
-a push skips the stages whose rows are all zero.
+The stages run in one place, :meth:`_Network._push`, which pushes
+columns through them at O(K log K) each.  The ``verify`` path samples
+and certifies through it, holding no K x K array, and
+:func:`build_machine` reads the explicit K x K pair (M, L) off identity
+columns pushed through it.  The layout gives each distribution block as
+its port plus one run of vacua, so every DFT block is transformed in
+place on one contiguous run of rows; a push skips the stages whose rows
+are all zero.
 """
 
 from __future__ import annotations
@@ -425,20 +426,6 @@ def _machine_layout(config: CloningConfig) -> MachineLayout:
     )
 
 
-def _apply_stage(
-    mm: np.ndarray, ll: np.ndarray, rows: list[int], stage: CanonicalTransform
-) -> None:
-    """Act with ``stage`` on modes ``rows`` of b = mm a + ll a*, in place.
-
-    This is :func:`~pciclone.canonical.compose` with the stage embedded
-    on ``rows``, restricted to the rows the stage changes.
-    """
-    sm, sl = stage.m_matrix, stage.l_matrix
-    m_rows, l_rows = mm[rows], ll[rows]
-    mm[rows] = sm @ m_rows + sl @ l_rows.conj()
-    ll[rows] = sm @ l_rows + sl @ m_rows.conj()
-
-
 @dataclass(frozen=True, eq=False)
 class _Network:
     """The machine's five stages on ``mode_count`` modes, in order: a
@@ -449,11 +436,11 @@ class _Network:
     ``blocks`` cuts the modes into the replica block R, 0 up to the first
     clone vacuum, which holds both ports, and the two runs C and A of
     vacua: every output row is supported on R and C or on R and A, so the
-    sampler draws the Wishart factor in these blocks.
-    :func:`build_machine` assembles (M, L) from it; :meth:`_push` applies
-    it to columns at O(K log K) each, and its certificates read
-    E = S Omega S^T - Omega off probes pushed through it, so the verify
-    path holds no K x K array.
+    sampler draws the Wishart factor in these blocks.  :meth:`_push`
+    applies the stages to columns at O(K log K) each: it is the only
+    code that runs them.  :func:`build_machine` reads (M, L) off pushed
+    identity columns, and the certificates read E = S Omega S^T - Omega
+    off pushed probes, so the verify path holds no K x K array.
     """
 
     mode_count: int
@@ -534,8 +521,8 @@ class _Network:
 
     @property
     def commutation_residual(self) -> float:
-        """Upper bound on the commutation residual of the (M, L) the
-        stages compose, as :attr:`_bound` states."""
+        """Upper bound on the commutation residual of the stages' (M, L),
+        as :attr:`_bound` states."""
         return self._bound
 
     @property
@@ -611,37 +598,36 @@ def _require_memory(config: CloningConfig, samples: int | None = None) -> None:
 def build_machine(config: CloningConfig) -> tuple[CanonicalTransform, MachineLayout]:
     """Explicit K-mode canonical transform of the machine plus its layout.
 
-    The stages of :func:`_network` in order: concentration DFTs act on the
-    replica blocks, the amplifier couples the two concentrated ports, and
-    inverse DFTs distribute each port over its output block.  Each stage
-    updates only the rows of (M, L) it touches, and each DFT, an
-    orthonormal FFT run in place on a contiguous run of rows as
-    :meth:`_Network._push` runs it, only on the column views of (M, L)
-    those rows can reach, so assembly costs O(M log M (N + N' + M) +
-    M' log M' (N + N' + M')) beyond allocating the K x K pair, which
-    :func:`_require_memory` refuses beyond physical memory.  The transform keeps the stages as a private
+    (M, L) is read off identity columns pushed through the stages of
+    :func:`_network` by :meth:`_Network._push`.  A vacuum column of the
+    clone or anticlone block meets only that block's distribution DFT,
+    so M's columns there are pushed in place and L's stay zero.  A
+    replica column e_j is pushed as P = e_j and as Q = i e_j, giving
+    P = (M + L) e_j and Q = i (M - L) e_j, so L e_j = (P + i Q)/2 and
+    M e_j = (P - i Q)/2.  :func:`_require_memory` refuses the K x K pair
+    beyond physical memory.  The transform keeps the stages as a private
     link, so :func:`~pciclone.montecarlo.simulate` pushes through them.
     Feeding the layout's input state yields clones of mean exactly psi and
     anticlones of mean exactly psi*.
     """
     _require_memory(config)
     network, layout = _network(config)
-    _, dist_start, anti_start, k = _block_starts(config)
+    replicas, *vacua = network.blocks
+    k = network.mode_count
     mm = np.eye(k, dtype=complex)
     ll = np.zeros((k, k), dtype=complex)
-    # L stays zero until the amplifier, and each replica block of M is
-    # the identity, so concentration acts on that block of M alone.
-    for block in network.concentration:
-        _apply_dft(mm[:, block], block)
-    _apply_stage(mm, ll, list(network.ports), network.amplifier)
-    # The ports' rows now reach the inputs 0:dist_start; a distribution
-    # block's other rows are its vacua, identity rows of M and zero rows
-    # of L.  The clone vacua dist_start:anti_start follow the inputs.
-    inputs = slice(0, dist_start)
-    m_cols = ([slice(0, anti_start)], [inputs, slice(anti_start, k)])
-    for (port, run), cols in zip(network.distribution, m_cols):
-        for view in [mm[:, c] for c in cols] + [ll[:, inputs]]:
-            _apply_dft(view, run, True, port)
+    for block in vacua:
+        network._push(mm[:, block], first=block.start, stop=block.stop)
+    # Each replica column reaches one amplifier port, so every pushed
+    # entry is an M term or an L term alone, and the halves are exact.
+    p = mm[:, replicas]
+    q = 1j * np.eye(k, replicas.stop)
+    network._push(p)
+    network._push(q)
+    q *= 1j
+    ll[:, replicas] = 0.5 * (p + q)
+    p -= q
+    p *= 0.5
     # Read-only hands both matrices over to the transform uncopied.
     mm.setflags(write=False)
     ll.setflags(write=False)

@@ -96,8 +96,8 @@ before the first push, its normals row by row; it agrees with versions
 Stream version 1 drew every sample: block b of BLOCK_SIZE samples took
 its standard normals from a Philox generator keyed (seed, b), one (rows,
 2K) array per block with mode m's x and p in columns 2m and 2m + 1.
-:func:`block_normals` is its definition, and the test oracle
-``tests/oracles.py::serial_simulate`` runs it.
+Its generator and the test oracle ``tests/oracles.py::serial_simulate``
+that runs it live on in the tests.
 """
 
 from __future__ import annotations
@@ -141,12 +141,6 @@ _log = logging.getLogger(__name__)
 def _generator(seed: int) -> np.random.Generator:
     """The generator of stream version 6: numpy's SFC64 seeded by ``seed``."""
     return np.random.Generator(np.random.SFC64(seed))
-
-
-def block_normals(seed: int, block_index: int, rows: int, cols: int) -> np.ndarray:
-    """Standard normals of block ``block_index`` under stream version 1."""
-    key = np.array([seed, block_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).standard_normal((rows, cols))
 
 
 @dataclass(frozen=True)
@@ -554,7 +548,6 @@ __all__ = [
     "ComparisonSummary",
     "EmpiricalMoments",
     "SampleConfig",
-    "block_normals",
     "compare_to_analytic",
     "simulate",
 ]

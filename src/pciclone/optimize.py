@@ -16,10 +16,11 @@ coordinate, and the constraint along it, the secular function, is a
 quadratic in mu = 1/2 - lambda whose root has a closed form (see
 :func:`solve_amplifier`).  At alpha = 0 (the hard case) the root sits at
 lambda = -1/2, where m11 has no curvature left and takes the constraint
-mass.  Each result carries its certificate, read off the problem's own
-constraint and gradients rather than the closed form: the constraint
-residual, the multiplier, which must make the point stationary, and the
-smallest curvature of A + lambda*C, which must not be negative.
+mass.  Each result carries its certificate, read off the problem's
+constraints and gradients at the closed-form point: the residuals of
+the row normalization and of the mean constraint, the multiplier, which
+must make the point stationary, and the smallest curvature of
+A + lambda*C, which must not be negative.
 
 The best conjugate fraction a of a fixed input budget n at given M has
 a closed form, the stationary point of the gain or the edge of the
@@ -122,7 +123,9 @@ class SearchResult:
     non-negative value certifies the point as the global minimum.
     ``full_residual`` is an upper bound on the commutation residual of
     the row completed to a three-mode transform, the probe bound of
-    :func:`~pciclone.gaussian._certificate` read through its (M, L).
+    :func:`~pciclone.gaussian._certificate` read through its (M, L),
+    relative to the largest squared row norm of [M L], which grows like
+    (gamma/beta)^2.  ``constraint_residual`` is absolute.
     ``iterations`` counts evaluations of the secular function; the
     closed form takes none, so it is 0.
     """
@@ -171,11 +174,13 @@ class AsymmetryResult:
 def _full_completion_residual(coeffs: tuple[float, ...]) -> float:
     # Mirror the searched row into the standard two-mode amplifier shape
     # plus an untouched auxiliary; any coupling outside that shape shows
-    # up as a commutation violation of the completed transform.
+    # up as a commutation violation of the completed transform.  Its
+    # rounding is relative to the largest squared row norm of [M L].
     m11, m12, m13, l11, l12, l13 = coeffs
     m = np.array([[m11, m12, m13], [0.0, m11, 0.0], [0.0, 0.0, 1.0]])
     l = np.array([[l11, l12, l13], [l12, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    return commutation_residual(CanonicalTransform(m, l))
+    scale = float(np.max(np.sum(m * m + l * l, axis=1)))
+    return commutation_residual(CanonicalTransform(m, l)) / scale
 
 
 def solve_amplifier(
@@ -208,17 +213,19 @@ def solve_amplifier(
     once gamma/beta passes about 1e60.  At alpha = 0 (the hard case) D
     vanishes at mu = 1, and m11 = sqrt(1 + gamma^2) takes the constraint
     mass.  The multiplier is refitted to the final point by least
-    squares, and the curvatures of A + lambda*C, 2D,
-    2alpha^2 - 2mu(alpha^2 - 1), 2(1 - mu) and 2mu, are read at it.
+    squares, through the problem's gradients with this l12, and the
+    curvatures of A + lambda*C, 2D, 2alpha^2 - 2mu(alpha^2 - 1),
+    2(1 - mu) and 2mu, are read at it.
     The solve is exact and deterministic: ``seed`` has no effect and is
     kept only because existing callers, such as the benchmark's
     design-scan workload, pass it.
 
     Raises :class:`ConvergenceError` when the certificate fails, i.e.
-    -min_curvature, the constraint residual over the square of the
-    largest of 1, m11, l12, gamma and alpha*m11 (the terms that form it)
-    or the stationarity residual over the largest objective-gradient
-    entry (at least 1) exceeds ``tol``, and :class:`DomainError` for
+    -min_curvature, the residual of m11^2 - l12^2 = 1 over the square of
+    the largest of 1, m11 and l12, the residual of the mean constraint
+    l12 + alpha*m11 = gamma over the largest of 1, l12, alpha*m11 and
+    gamma, or the stationarity residual over the objective gradient
+    (at least 1) exceeds ``tol``, and :class:`DomainError` for
     non-finite input, ``tol`` < 0, outside |gamma| >= |alpha|, when
     beta = 0 (the scaling gauge needs a conjugate-port coupling) or when
     |gamma/beta| > 1e150, where the constraint's terms would overflow.
@@ -236,39 +243,42 @@ def solve_amplifier(
     if c / b > 1e150:
         raise DomainError(f"|gamma/beta|={c / b} is beyond the float range")
 
-    problem = AmplifierSearchProblem(alpha=a / b, gamma=c / b)
-    al, ga = problem.alpha, problem.gamma
+    al, ga = a / b, c / b
     if al == 0.0:
         m11, l12 = math.sqrt(1.0 + ga * ga), ga
     else:
         root = math.sqrt((ga - al) * (ga + al) + 1.0)
         m11 = (ga * root + al) / (ga + al * root)
         l12 = (ga - al) * (ga + al) / (ga + al * root)
-    x = (m11, 0.0, 0.0, 0.0)
 
-    # The multiplier that best fits stationarity at the final point.
-    grad, obj_grad = problem.constraint_grad(x), problem.objective_grad(x)
-    lam = -float(obj_grad @ grad) / float(grad @ grad)
+    # At x = (m11, 0, 0, 0) only the m11 entries of the problem's
+    # gradients are nonzero.  They and the constraints are read with the
+    # closed form's l12: the problem's own gamma - alpha*m11 cancels once
+    # alpha/beta reaches about 1e16, so the mean constraint it stands for
+    # is checked apart.
+    obj_grad, grad = m11 - al * l12, 2.0 * (m11 + al * l12)
+    lam = -obj_grad / grad
     mu = 0.5 - lam
     d = (1.0 - mu) + mu * al * al
     curvature = 2.0 * np.array([d, al * al - mu * (al * al - 1.0), 1.0 - mu, mu])
 
-    constraint_residual = abs(problem.constraint(x))
+    constraint_residual = abs(m11 * m11 - l12 * l12 - 1.0)
+    mean_residual = abs(l12 + al * m11 - ga)
     # Residuals are judged as ratios, which cannot overflow, to the terms
-    # that make them; the constraint's rounding starts in
-    # l12 = gamma - alpha*m11 and grows like (gamma/beta)^2.
-    scale = max(1.0, m11, l12, ga, al * m11) ** 2
+    # that form them; those of the mean grow like gamma/beta.
     min_curvature = float(np.min(curvature))
-    stationarity = np.max(np.abs(obj_grad + lam * grad))
+    stationarity = abs(obj_grad + lam * grad)
     if not (
-        constraint_residual / scale <= tol
+        constraint_residual / max(1.0, m11, l12) ** 2 <= tol
+        and mean_residual / max(1.0, l12, al * m11, ga) <= tol
         and min_curvature >= -tol
-        and stationarity / max(1.0, np.max(np.abs(obj_grad))) <= tol
+        and stationarity / max(1.0, abs(obj_grad)) <= tol
     ):
         raise ConvergenceError(
             f"no certified amplifier for (alpha, beta, gamma)="
             f"({alpha}, {beta}, {gamma}): constraint residual "
-            f"{constraint_residual:.3g}, min curvature {min_curvature:.3g}, "
+            f"{constraint_residual:.3g}, mean residual {mean_residual:.3g}, "
+            f"min curvature {min_curvature:.3g}, "
             f"stationarity residual {stationarity:.3g}"
         )
 

@@ -16,13 +16,14 @@ coherent-state overlap kernel exp(-|xi - psi|^2) radially.
 
 The assembly oracle builds the machine the dense way, embedding every
 stage, the DFTs as the explicit matrices of :func:`dft_transform`, in a
-K x K transform and composing them, where the library updates only the
-rows each stage touches and applies the DFTs as orthonormal FFTs.
-The gathered-DFT oracles take each DFT block's rows by index into a
-copy, FFT blocks of one length in one batched call and scatter the
-result back, both for the stages' pushes and for assembly, where the
-library transforms each block in place on one contiguous run of rows;
-the two agree bit for bit.
+K x K transform and composing them with :func:`compose`, where the
+library pushes identity columns through the stages and applies the DFTs
+as orthonormal FFTs.  The gathered-DFT oracles take each DFT block's
+rows by index into a copy, FFT blocks of one length in one batched call
+and scatter the result back, both for the stages' pushes and for
+assembly, which updates the rows of (M, L) stage by stage, each DFT on
+the columns its rows can reach, where the library transforms each block
+in place on one contiguous run of rows; the two agree bit for bit.
 
 The asymmetry oracle finds the best conjugate fraction by brute force, a
 grid scan sharpened by golden-section search, where the library uses a
@@ -68,17 +69,10 @@ from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
 from pciclone import gaussian
-from pciclone.canonical import (
-    CanonicalTransform,
-    compose,
-    dft_transform,
-    pcia_transform,
-    to_symplectic,
-)
-from pciclone.errors import DomainError
+from pciclone.canonical import CanonicalTransform, pcia_transform, to_symplectic
+from pciclone.errors import DomainError, require_integer
 from pciclone.gaussian import GaussianState, fidelity_with_coherent, symplectic_form
 from pciclone.machine import (
-    _apply_stage,
     _block_starts,
     _machine_layout,
     _network,
@@ -91,7 +85,6 @@ from pciclone.montecarlo import (
     ComparisonSummary,
     EmpiricalMoments,
     _generator,
-    block_normals,
 )
 from pciclone.optimize import AmplifierSearchProblem
 
@@ -235,6 +228,44 @@ def embed(transform, targets, total_modes):
     return CanonicalTransform(m, l)
 
 
+def compose(
+    first: CanonicalTransform, second: CanonicalTransform
+) -> CanonicalTransform:
+    """Transform acting as ``second`` after ``first``.
+
+    Substituting b = M1 a + L1 a* into c = M2 b + L2 b* gives
+    M = M2 M1 + L2 conj(L1) and L = M2 L1 + L2 conj(M1).
+    """
+    if first.mode_count != second.mode_count:
+        raise DomainError(
+            f"mode counts differ: {first.mode_count} vs {second.mode_count}"
+        )
+    m1, l1 = first.m_matrix, first.l_matrix
+    m2, l2 = second.m_matrix, second.l_matrix
+    return CanonicalTransform(m2 @ m1 + l2 @ l1.conj(), m2 @ l1 + l2 @ m1.conj())
+
+
+def dft_transform(mode_count: int, inverse: bool = False) -> CanonicalTransform:
+    """Passive discrete-Fourier mixing of K modes (L = 0).
+
+    The forward direction concentrates: its first row is uniformly
+    1/sqrt(K), so K equal coherent amplitudes psi merge into a single mode
+    of amplitude sqrt(K) psi while the other K-1 outputs are left in the
+    vacuum.  With ``inverse=True`` the conjugate transpose distributes one
+    mode evenly over K outputs (first column uniformly 1/sqrt(K)).
+
+    Entries follow the unitary convention M_lk = exp(2 pi i l k / K)/sqrt(K).
+    """
+    require_integer(mode_count=mode_count)
+    if mode_count < 1:
+        raise DomainError(f"mode_count must be >= 1, got {mode_count}")
+    idx = np.arange(mode_count)
+    m = np.exp(2j * np.pi * np.outer(idx, idx) / mode_count) / np.sqrt(mode_count)
+    return CanonicalTransform(
+        m.conj().T if inverse else m, np.zeros((mode_count, mode_count))
+    )
+
+
 def dense_build_machine(config):
     """(transform, layout) of the machine from dense K x K stages composed
     in order: concentrate, amplify, distribute."""
@@ -322,7 +353,12 @@ def gathered_build_machine(config):
     ll = np.zeros((k, k), dtype=complex)
     for block in network.concentration:
         gathered_dft(mm[:, block], block)
-    _apply_stage(mm, ll, list(network.ports), network.amplifier)
+    # The amplifier on the ports' rows of b = mm a + ll a*.
+    ports = list(network.ports)
+    amp = network.amplifier
+    m_rows, l_rows = mm[ports], ll[ports]
+    mm[ports] = amp.m_matrix @ m_rows + amp.l_matrix @ l_rows.conj()
+    ll[ports] = amp.m_matrix @ l_rows + amp.l_matrix @ m_rows.conj()
     inputs = slice(0, dist_start)
     m_cols = ([slice(0, anti_start)], [inputs, slice(anti_start, k)])
     for rows, cols in zip((layout.clone_slots, layout.anticlone_slots), m_cols):
@@ -477,6 +513,12 @@ def quadrature_image_from_sums(transform):
     s[1::2, 0::2] = plus.imag
     s[1::2, 1::2] = minus.real
     return s
+
+
+def block_normals(seed: int, block_index: int, rows: int, cols: int) -> np.ndarray:
+    """Standard normals of block ``block_index`` under stream version 1."""
+    key = np.array([seed, block_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal((rows, cols))
 
 
 def _merge_blocks(acc, block):

@@ -24,12 +24,12 @@ from pciclone.montecarlo import (
     ComparisonSummary,
     EmpiricalMoments,
     SampleConfig,
-    block_normals,
     compare_to_analytic,
     simulate,
 )
 
 import oracles
+from oracles import block_normals
 
 
 def run(cfg, samples, seed, psi):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -113,18 +114,17 @@ class TestSolveAmplifier:
             solve_amplifier(2.0, 1.0, 1.0)
 
     def test_convergence_failure_raises(self):
-        # At beta/alpha = 1e-6 the problem's own l12 = gamma - alpha*m11
-        # rounds, leaving the closed-form point 1.3e-9 off the constraint,
-        # small beside (alpha*m11)^2 ~ 9e12, one of the terms that form
-        # it.  A zero tolerance demands an exact constraint, so that point
-        # must be refused.
+        # At beta/alpha = 1e-6 rounding leaves the closed-form point
+        # 8.9e-16 off the row normalization m11^2 - l12^2 = 1.  A zero
+        # tolerance demands an exact constraint, so that point must be
+        # refused.
         assert solve_amplifier(1.0, 1e-6, 3.0).constraint_residual > 0.0
         with pytest.raises(ConvergenceError, match="constraint residual"):
             solve_amplifier(1.0, 1e-6, 3.0, tol=0.0)
 
     def test_certified_as_beta_vanishes(self):
-        # The rounding of l12 = gamma - alpha*m11 grows like (alpha/beta)^2;
-        # judged against (alpha*m11)^2, no beta down to 1e-8 is refused.
+        # The mean constraint's terms, alpha*m11 and gamma, grow like
+        # alpha/beta; judged against them, no beta down to 1e-8 is refused.
         for k in range(0, 33):
             beta = 10.0 ** (-k / 4)
             want = gain_from_amplitudes(1.0, beta, 3.0)
@@ -158,7 +158,7 @@ class TestSolveAmplifier:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.999, 1.0])
     def test_certified_across_the_gauge_range(self, alpha):
-        # The constraint's terms grow like (gamma/beta)^2 and its residual
+        # The mean constraint's terms grow like gamma/beta and its residual
         # with them; judged against them, no gamma up to 1e150 is refused.
         for k in range(0, 601, 5):
             gamma = 10.0 ** (k / 4)
@@ -177,6 +177,22 @@ class TestSolveAmplifier:
         assert hard.multiplier == -0.5
         assert hard.min_curvature == 0.0
 
+    @pytest.mark.parametrize("ratio", [1e14, 1e16, 1e20, 1e120])
+    def test_multiplier_at_large_gauge_ratios(self, ratio):
+        # The problem's own l12 = gamma - alpha*m11 cancels once alpha/beta
+        # reaches about 1e16, where a refit through it read the hard
+        # case's -1/2; the closed form's lambda is 1/2 - mu.
+        res = solve_amplifier(ratio, 1.0, 1.5 * ratio)
+        assert res.gain == pytest.approx(2.25, rel=1e-15)
+        assert abs(Decimal(res.multiplier) - half_minus_mu(ratio, 1.5 * ratio)) <= 1e-16
+        assert res.min_curvature >= 0.0
+
+    @pytest.mark.parametrize("args", [(1.0, 1.0, 1e150), (0.001, 1e-12, 100.0)])
+    def test_full_residual_is_relative(self, args):
+        # Unscaled, the bound read 27.3 and 1.06e-4 for these correct
+        # amplifiers, whose couplings reach 5e149 and 1e5.
+        assert solve_amplifier(*args).full_residual <= 1e-13
+
     @pytest.mark.parametrize(
         "args",
         [(math.nan, 1.0, 2.0), (0.0, math.inf, 1.0), (0.0, 1.0, math.nan)],
@@ -184,6 +200,16 @@ class TestSolveAmplifier:
     def test_non_finite_rejected(self, args):
         with pytest.raises(DomainError, match="finite"):
             solve_amplifier(*args)
+
+
+def half_minus_mu(alpha, gamma):
+    """1/2 - mu at beta = 1, mu = (gamma^2 + 1)/(h + alpha gamma sqrt(h))
+    with h = gamma^2 - alpha^2 + 1, in 80-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        a, g = Decimal(alpha), Decimal(gamma)
+        h = (g - a) * (g + a) + 1
+        return Decimal("0.5") - (g * g + 1) / (h + a * g * h.sqrt())
 
 
 def assert_matches_secular_oracle(alpha, beta, gamma):

@@ -1,6 +1,7 @@
 """Packaging: the version is written once, in ``pciclone.__version__``,
 and the package runs on numpy alone; scipy is a test dependency."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import pciclone
+
+import oracles
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -42,3 +45,26 @@ def test_amplifier_search_loads_no_scipy():
             "assert not [m for m in sys.modules if m == 'scipy' "
             "or m.startswith('scipy.')], sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize("name", ["pciclone", "pciclone.canonical",
+                                  "pciclone.machine", "pciclone.montecarlo",
+                                  "pciclone.optimize"])
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    exported = module.__all__
+    assert len(exported) == len(set(exported))
+    assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+@pytest.mark.parametrize("module, attr", [
+    ("canonical", "compose"),
+    ("canonical", "dft_transform"),
+    ("montecarlo", "block_normals"),
+])
+def test_reference_routes_live_only_in_the_tests(module, attr):
+    # The explicit-matrix composition, the DFT matrix and stream version
+    # 1's generator are test oracles, not package API.
+    assert not hasattr(pciclone, attr)
+    assert not hasattr(importlib.import_module(f"pciclone.{module}"), attr)
+    assert callable(getattr(oracles, attr))
