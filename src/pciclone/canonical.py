@@ -8,9 +8,8 @@ the commutation relations requires
 
 and every such transform has an exact image as a symplectic matrix S on the
 quadrature moments (see :func:`to_symplectic`).  Both constraints are
-certified by one upper bound on E = S Omega S^T - Omega, the probe bound
-of :func:`~pciclone.gaussian._certificate`, read through (M, L): checking
-a transform never builds S.
+certified by one number, :attr:`CanonicalTransform.commutation_residual`,
+a probe bound on E = S Omega S^T - Omega read once through (M, L).
 """
 
 from __future__ import annotations
@@ -82,24 +81,12 @@ class CanonicalTransform:
         return (slice(0, self.mode_count),)
 
     @cached_property
-    def _bound(self) -> float:
-        return _probe_bound(self.mode_count, self._push)
-
-    @property
     def commutation_residual(self) -> float:
-        """Upper bound on the max-norm violation of the two commutation
-        constraints, the probe bound of
-        :func:`~pciclone.gaussian._certificate` read through (M, L);
-        NaN or inf if M or L holds one.  Equal to
-        :attr:`symplectic_residual`."""
-        return self._bound
-
-    @property
-    def symplectic_residual(self) -> float:
-        """Upper bound on max|S Omega S^T - Omega| for the image S, the
-        same bound as :attr:`commutation_residual`, computed without
-        building S."""
-        return self._bound
+        """Upper bound on max|S Omega S^T - Omega| for the image S, and so
+        on both commutation residuals: the probe bound of
+        :func:`~pciclone.gaussian._certificate` read once through (M, L),
+        without building S; NaN or inf if M or L holds one."""
+        return _probe_bound(self.mode_count, self._push)
 
     @cached_property
     def quadrature_image(self) -> SymplecticMap:
@@ -117,7 +104,7 @@ class CanonicalTransform:
         are kept, and inf - inf or an overflow writes NaN or inf quietly,
         which the bound refuses.  The map reports the transform's bound,
         read on demand and never recomputed from S.  Neither the
-        certificates nor :func:`~pciclone.montecarlo.simulate` build S.
+        certificate nor :func:`~pciclone.montecarlo.simulate` build S.
         """
         k = self.mode_count
         m, l = self.m_matrix, self.l_matrix
@@ -137,9 +124,8 @@ class CanonicalTransform:
 
 
 def commutation_residual(transform: CanonicalTransform) -> float:
-    """The transform's :attr:`~CanonicalTransform.commutation_residual`,
-    an upper bound computed once per transform: later checks cost
-    nothing."""
+    """``transform.commutation_residual``, cached on a transform or on a
+    machine's stages: later checks cost nothing."""
     return transform.commutation_residual
 
 

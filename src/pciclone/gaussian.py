@@ -186,7 +186,7 @@ class SymplecticMap:
     @cached_property
     def _bound(self) -> float:
         if self._transform is not None:
-            return self._transform._bound
+            return self._transform.commutation_residual
         return _probe_bound(self.mode_count, self._push)
 
     def residual(self) -> float:
@@ -298,3 +298,11 @@ def fidelity_with_coherent(
     require_finite(target=target)
     sub = marginal(state, [mode])
     return float(coherent_fidelity(sub.mean, sub.covariance, target))
+
+
+__all__ = [
+    "STRUCTURAL_TOL", "VACUUM_VARIANCE", "GaussianState", "SymplecticMap",
+    "apply_map", "coherent_fidelity", "coherent_state",
+    "fidelity_with_coherent", "frozen_array", "marginal",
+    "quadrature_variance", "symplectic_form", "vacuum_state",
+]

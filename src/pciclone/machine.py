@@ -82,6 +82,9 @@ class CloningConfig:
             raise DomainError(
                 f"M={m} < N={n} is the attenuation regime, not supported"
             )
+        # Python ints, whose products cannot wrap past 2^63 as numpy's do.
+        for name in ("n_inputs", "n_conj", "m_clones"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     @property
     def m_anticlones(self) -> int:
@@ -439,7 +442,7 @@ class _Network:
     sampler draws the Wishart factor in these blocks.  :meth:`_push`
     applies the stages to columns at O(K log K) each: it is the only
     code that runs them.  :func:`build_machine` reads (M, L) off pushed
-    identity columns, and the certificates read E = S Omega S^T - Omega
+    identity columns, and the certificate reads E = S Omega S^T - Omega
     off pushed probes, so the verify path holds no K x K array.
     """
 
@@ -514,22 +517,11 @@ class _Network:
         return tuple(r for port, run in dist for r in (slice(port, port + 1), run))
 
     @cached_property
-    def _bound(self) -> float:
-        """The probe bound of :func:`~pciclone.gaussian._certificate`,
-        read through the stages."""
-        return _probe_bound(self.mode_count, self._push)
-
-    @property
     def commutation_residual(self) -> float:
-        """Upper bound on the commutation residual of the stages' (M, L),
-        as :attr:`_bound` states."""
-        return self._bound
-
-    @property
-    def symplectic_residual(self) -> float:
-        """Upper bound on max|S Omega S^T - Omega|, as :attr:`_bound`
-        states."""
-        return self._bound
+        """Upper bound on the commutation residual of the stages' (M, L)
+        and on max|S Omega S^T - Omega|, the probe bound of
+        :func:`~pciclone.gaussian._certificate` read once through them."""
+        return _probe_bound(self.mode_count, self._push)
 
 
 def _network(config: CloningConfig) -> tuple[_Network, MachineLayout]:

@@ -28,8 +28,10 @@ in place on one contiguous run of rows; the two agree bit for bit.
 The asymmetry oracle finds the best conjugate fraction by brute force, a
 grid scan sharpened by golden-section search, where the library uses a
 closed form.  The amplifier oracle finds the search's multiplier
-iteratively, by Brent's method on the secular function, where the
-library solves the secular equation in closed form.
+iteratively, by Brent's method on the secular function of the reduced
+problem :class:`AmplifierSearchProblem`, where the library solves the
+secular equation in closed form and reads its certificate without the
+problem's functions.
 
 The certificate oracles evaluate the commutation and symplectic
 residuals from their defining dense products, with the dense symplectic
@@ -62,6 +64,7 @@ in place.
 """
 
 import math
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -86,7 +89,6 @@ from pciclone.montecarlo import (
     EmpiricalMoments,
     _generator,
 )
-from pciclone.optimize import AmplifierSearchProblem
 
 
 def operator_means(m, l, psi):
@@ -141,6 +143,79 @@ def scan_asymmetry(n, m, grid_step=1e-3, refine_tol=1e-9):
         )
         a = float(min(max(res.x, grid[idx - 1]), grid[idx + 1]))
     return a, asymmetry_gain(n, m, a)
+
+
+@dataclass(frozen=True)
+class AmplifierSearchProblem:
+    """Reduced minimization after gauge fixing and mean-constraint elimination.
+
+    All row coefficients are taken real (phases gauged away) and beta is
+    scaled to 1, leaving alpha and gamma rescaled accordingly.  The mean
+    constraint <b> = gamma*psi for every psi forces
+
+        l12 = gamma - alpha*m11        m12 = -alpha*l11,
+
+    so the free variables are x = (m11, l11, m13, l13).  The objective is
+    the output noise (half the sum of squared coefficients) and the
+    constraint is the row normalization sum(M^2) - sum(L^2) = 1.
+    """
+
+    alpha: float
+    gamma: float
+
+    def coefficients(self, x: np.ndarray) -> tuple[float, ...]:
+        """(m11, m12, m13, l11, l12, l13) implied by the free variables."""
+        m11, l11, m13, l13 = x
+        return (
+            float(m11),
+            float(-self.alpha * l11),
+            float(m13),
+            float(l11),
+            float(self.gamma - self.alpha * m11),
+            float(l13),
+        )
+
+    def objective(self, x: np.ndarray) -> float:
+        m11, l11, m13, l13 = x
+        l12 = self.gamma - self.alpha * m11
+        return 0.5 * (
+            m11 * m11
+            + l12 * l12
+            + (1.0 + self.alpha**2) * l11 * l11
+            + m13 * m13
+            + l13 * l13
+        )
+
+    def objective_grad(self, x: np.ndarray) -> np.ndarray:
+        m11, l11, m13, l13 = x
+        l12 = self.gamma - self.alpha * m11
+        return np.array(
+            [m11 - self.alpha * l12, (1.0 + self.alpha**2) * l11, m13, l13]
+        )
+
+    def constraint(self, x: np.ndarray) -> float:
+        m11, l11, m13, l13 = x
+        l12 = self.gamma - self.alpha * m11
+        return (
+            m11 * m11
+            - l12 * l12
+            - (1.0 - self.alpha**2) * l11 * l11
+            + m13 * m13
+            - l13 * l13
+            - 1.0
+        )
+
+    def constraint_grad(self, x: np.ndarray) -> np.ndarray:
+        m11, l11, m13, l13 = x
+        l12 = self.gamma - self.alpha * m11
+        return np.array(
+            [
+                2.0 * m11 + 2.0 * self.alpha * l12,
+                -2.0 * (1.0 - self.alpha**2) * l11,
+                2.0 * m13,
+                -2.0 * l13,
+            ]
+        )
 
 
 def secular_amplifier(alpha, beta, gamma):

@@ -158,8 +158,7 @@ def assert_certificates_match_dense(t):
     s = np.array(t.quadrature_image.matrix)
     exact = [oracles.dense_commutation_residual(m, l),
              oracles.dense_symplectic_residual(s)]
-    assert commutation_residual(t) == t.symplectic_residual
-    assert t.quadrature_image.residual() == t.symplectic_residual
+    assert t.quadrature_image.residual() == commutation_residual(t)
     assert_bound_reads(commutation_residual(t), s, exact)
     assert_bound_reads(SymplecticMap(s).residual(), s, exact)
 
@@ -443,8 +442,13 @@ class TestToSymplectic:
         transform, _ = build_machine(CloningConfig(4, 4, 130))
         image = to_symplectic(transform)
         assert image._transform is transform
-        assert image.residual() == transform.symplectic_residual
+        assert image.residual() == transform.commutation_residual
         assert calls == [transform.mode_count]
+        # That cached bound is the one residual member of a transform
+        # and of its stages.
+        for owner in (transform, transform._network):
+            assert not hasattr(owner, "symplectic_residual")
+            assert not hasattr(owner, "_bound")
         s = np.array(image.matrix)
         exact = max(oracles.dense_commutation_residual(transform.m_matrix,
                                                        transform.l_matrix),

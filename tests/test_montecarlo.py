@@ -641,8 +641,8 @@ class TestSimulate:
         transform, layout = build_machine(CloningConfig(2, 2, 6))
         simulate(transform, layout, SampleConfig(100, 0))
         assert calls == []
-        assert "_bound" in vars(transform._network)
-        assert "_bound" not in vars(transform)
+        assert "commutation_residual" in vars(transform._network)
+        assert "commutation_residual" not in vars(transform)
         # A bare transform is gated on the bound through its own (M, L).
         simulate(dataclasses.replace(transform), layout, SampleConfig(100, 0))
         assert calls == [14]

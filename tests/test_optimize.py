@@ -10,16 +10,12 @@ import oracles
 from pciclone import machine
 from pciclone.errors import ConvergenceError, DomainError
 from pciclone.machine import asymmetry_gain, gain_from_amplitudes
-from pciclone.optimize import (
-    AmplifierSearchProblem,
-    minimize_asymmetry,
-    solve_amplifier,
-)
+from pciclone.optimize import minimize_asymmetry, solve_amplifier
 
 
 class TestAmplifierSearchProblem:
     def test_gradients_match_finite_differences(self):
-        problem = AmplifierSearchProblem(alpha=0.6, gamma=1.4)
+        problem = oracles.AmplifierSearchProblem(alpha=0.6, gamma=1.4)
         rng = np.random.default_rng(11)
         x = rng.normal(size=4)
         eps = 1e-6
@@ -38,7 +34,7 @@ class TestAmplifierSearchProblem:
         # The eliminated entries enforce <b> = gamma*psi for every psi:
         # the psi coefficient equals gamma, the conj(psi) coefficient
         # vanishes (beta = 1 gauge).
-        problem = AmplifierSearchProblem(alpha=0.5, gamma=2.0)
+        problem = oracles.AmplifierSearchProblem(alpha=0.5, gamma=2.0)
         m11, m12, m13, l11, l12, l13 = problem.coefficients(
             np.array([1.3, -0.2, 0.4, 0.1])
         )
@@ -121,6 +117,16 @@ class TestSolveAmplifier:
         assert solve_amplifier(1.0, 1e-6, 3.0).constraint_residual > 0.0
         with pytest.raises(ConvergenceError, match="constraint residual"):
             solve_amplifier(1.0, 1e-6, 3.0, tol=0.0)
+
+    def test_mean_check_refuses_alone(self):
+        # At (1e-6, 1, 1) the point meets the row normalization exactly
+        # and has positive curvature, but l12 + alpha*m11 rounds 2.2e-16
+        # off gamma: a zero tolerance is refused by the mean check alone.
+        res = solve_amplifier(1e-6, 1.0, 1.0)
+        assert res.constraint_residual == 0.0 and res.min_curvature > 0.0
+        assert res.l12 + res.alpha * res.m11 != res.gamma
+        with pytest.raises(ConvergenceError, match="mean residual 2.22e-16"):
+            solve_amplifier(1e-6, 1.0, 1.0, tol=0.0)
 
     def test_certified_as_beta_vanishes(self):
         # The mean constraint's terms, alpha*m11 and gamma, grow like
@@ -240,7 +246,7 @@ def test_closed_form_matches_secular_oracle(alpha, beta, excess):
 )
 def test_solution_is_global_minimum(alpha, beta, excess, free):
     res = solve_amplifier(alpha, beta, alpha + excess)
-    problem = AmplifierSearchProblem(
+    problem = oracles.AmplifierSearchProblem(
         alpha=res.alpha / res.beta, gamma=res.gamma / res.beta
     )
     x = np.array([res.m11, res.l11, res.m13, res.l13])

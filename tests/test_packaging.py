@@ -48,8 +48,8 @@ def test_amplifier_search_loads_no_scipy():
 
 
 @pytest.mark.parametrize("name", ["pciclone", "pciclone.canonical",
-                                  "pciclone.machine", "pciclone.montecarlo",
-                                  "pciclone.optimize"])
+                                  "pciclone.gaussian", "pciclone.machine",
+                                  "pciclone.montecarlo", "pciclone.optimize"])
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     exported = module.__all__
@@ -61,10 +61,12 @@ def test_every_exported_name_resolves(name):
     ("canonical", "compose"),
     ("canonical", "dft_transform"),
     ("montecarlo", "block_normals"),
+    ("optimize", "AmplifierSearchProblem"),
 ])
 def test_reference_routes_live_only_in_the_tests(module, attr):
-    # The explicit-matrix composition, the DFT matrix and stream version
-    # 1's generator are test oracles, not package API.
+    # The explicit-matrix composition, the DFT matrix, stream version
+    # 1's generator and the amplifier search problem are test oracles,
+    # not package API.
     assert not hasattr(pciclone, attr)
     assert not hasattr(importlib.import_module(f"pciclone.{module}"), attr)
     assert callable(getattr(oracles, attr))
