@@ -3,7 +3,7 @@
 Subcommands and the options each one reads:
 
     report    closed-form noise report for counts (N, N', M); --split
-              reads (n, a, M) instead; --tol
+              reads (n, a, M) instead
     sweep     noise-vs-asymmetry table for fixed n over several M;
               --a-steps
     optimize  best conjugate fraction a* for (n, M)
@@ -13,8 +13,8 @@ Subcommands and the options each one reads:
 
 Every subcommand takes --out (write to a file) and --format (json or
 csv; sweep defaults to csv, the others to json).  The PCICLONE_TOL
-environment variable supplies the tolerance wherever --tol is accepted
-but not given.
+environment variable supplies the certificate tolerance of solve and
+verify when --tol is not given.
 
 Exit codes: 0 success, 1 failed verification, 2 domain error or an
 input too large for memory, 3 non-convergence, 4 output could not be
@@ -56,6 +56,7 @@ from .optimize import minimize_asymmetry, solve_amplifier
 
 SWEEP_HEADER = "n,M,a,N,Nc,G,n_th,sqrt_n_th"
 SWEEP_COLUMNS = SWEEP_HEADER.split(",")
+DEFAULT_TOL = 1e-10
 
 
 class OutputError(Exception):
@@ -73,12 +74,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _resolve_tol(args, fallback: float) -> float:
+def _resolve_tol(args) -> float:
     tol = args.tol
     if tol is None:
         env = os.environ.get("PCICLONE_TOL")
         if not env:
-            return fallback
+            return DEFAULT_TOL
         try:
             tol = float(env)
         except ValueError:
@@ -109,34 +110,27 @@ def _write(rows, fmt: str, out_path: str | None, columns=None):
         raise OutputError(f"cannot write output: {exc}") from exc
 
 
-def _as_count(value: float, label: str, tol: float) -> int:
+def _as_count(value: float, label: str, slack: float = 0.0) -> int:
     require_finite(**{label: value})
     rounded = round(value)
-    if abs(value - rounded) > tol:
+    if abs(value - rounded) > slack:
         raise DomainError(f"{label} must be an integer, got {value}")
-    return int(rounded)
-
-
-def _config_from_args(args, tol: float) -> CloningConfig:
-    x1, x2, x3 = args.x1, args.x2, args.x3
-    if args.split:
-        n = _as_count(x1, "n", tol)
-        a = x2
-        if not 0.0 <= a <= 1.0:
-            raise DomainError(f"conjugate fraction must lie in [0, 1], got {a}")
-        n_conj = _as_count(a * n, "a*n", tol)
-        return CloningConfig(n - n_conj, n_conj, _as_count(x3, "M", tol))
-    return CloningConfig(
-        _as_count(x1, "N", tol), _as_count(x2, "Nc", tol), _as_count(x3, "M", tol)
-    )
+    return rounded
 
 
 def cmd_report(args) -> int:
-    tol = _resolve_tol(args, 1e-9)
-    # From 0.5 on, every float lies within tol of an integer.
-    if tol >= 0.5:
-        raise DomainError(f"count tolerance must be < 0.5, got {tol}")
-    _write(noise_report(_config_from_args(args, tol)).to_dict(), args.format, args.out)
+    if args.split:
+        n, a = _as_count(args.x1, "n"), args.x2
+        if not 0.0 <= a <= 1.0:
+            raise DomainError(f"conjugate fraction must lie in [0, 1], got {a}")
+        # a*n is one rounded product of a <= 1 and n, and a the nearest
+        # float to the intended fraction: together off by at most |n| eps.
+        n_conj = _as_count(a * n, "a*n", abs(n) * sys.float_info.epsilon)
+        n_sig = n - n_conj
+    else:
+        n_sig, n_conj = _as_count(args.x1, "N"), _as_count(args.x2, "Nc")
+    config = CloningConfig(n_sig, n_conj, _as_count(args.x3, "M"))
+    _write(noise_report(config).to_dict(), args.format, args.out)
     return 0
 
 
@@ -170,15 +164,13 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    result = solve_amplifier(
-        args.alpha, args.beta, args.gamma, tol=_resolve_tol(args, 1e-10)
-    )
+    result = solve_amplifier(args.alpha, args.beta, args.gamma, tol=_resolve_tol(args))
     _write(result.to_dict(), args.format, args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    tol = _resolve_tol(args, 1e-10)
+    tol = _resolve_tol(args)
     config = CloningConfig(args.n_sig, args.n_con, args.m)
     sampling = SampleConfig(sample_count=args.samples, seed=args.seed, psi=args.psi)
     _require_memory(config, sampling.sample_count)
@@ -242,8 +234,8 @@ def _add_output(sub, default_format: str):
 
 def _add_tol(sub):
     sub.add_argument("--tol", type=float, default=None,
-                     help="numeric tolerance (default per command; "
-                          "PCICLONE_TOL overrides)")
+                     help="certificate tolerance (default PCICLONE_TOL, "
+                          f"else {DEFAULT_TOL:g})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x3", type=float, help="M")
     p.add_argument("--split", action="store_true",
                    help="interpret arguments as (n, a, M) with Nc = a*n")
-    _add_tol(p)
     _add_output(p, "json")
     p.set_defaults(func=cmd_report)
 

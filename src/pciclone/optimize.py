@@ -21,7 +21,8 @@ lambda = -1/2, where m11 has no curvature left and takes the constraint
 mass.  lambda is fitted to the point's only nonzero gradient entries, so
 the point is stationary by construction; its certificate is the
 residuals of the row normalization and of the mean constraint, and the
-smallest curvature of A + lambda*C, which must not be negative.
+smallest curvature of A + lambda*C, which must not be negative.  The
+completed transform's commutation residual is the normalization's.
 
 The best conjugate fraction a of a fixed input budget n at given M has
 a closed form, the stationary point of the gain or the edge of the
@@ -35,7 +36,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .canonical import CanonicalTransform, commutation_residual
 from .errors import ConvergenceError, DomainError, _require_tolerance, require_finite
 from .machine import _split_gain_noise
 
@@ -49,10 +49,12 @@ class SearchResult:
     read off unchanged.  ``multiplier`` is the constraint's lambda and
     ``min_curvature`` the smallest eigenvalue of A + lambda*C; a
     non-negative value certifies the point as the global minimum.
-    ``full_residual`` is an upper bound on the commutation residual of
-    the row completed to a three-mode transform, the probe bound of
-    :func:`~pciclone.gaussian._certificate` read through its (M, L),
-    relative to the largest squared row norm of [M L], which grows like
+    ``full_residual`` is the exact commutation residual of the row
+    completed to a three-mode transform, M = diag(m11, m11, 1) and L
+    pairing the first two modes through l12: ML^T - LM^T vanishes by
+    symmetry and MM^H - LL^H - I is diag(d, d, 0) with
+    d = m11^2 - l12^2 - 1, so it is ``constraint_residual`` relative to
+    the largest squared row norm of [M L], which grows like
     (gamma/beta)^2.  ``constraint_residual`` is absolute.
     ``iterations`` counts evaluations of the secular function; the
     closed form takes none, so it is 0.
@@ -97,17 +99,6 @@ class AsymmetryResult:
 
     def to_dict(self) -> dict:
         return {"M" if k == "m" else k: v for k, v in asdict(self).items()}
-
-
-def _full_completion_residual(m11: float, l12: float) -> float:
-    # Complete the row to the standard two-mode amplifier plus an
-    # untouched auxiliary; a row off its normalization shows up as a
-    # commutation violation of the completed transform.  Its rounding
-    # is relative to the largest squared row norm of [M L].
-    m = np.array([[m11, 0.0, 0.0], [0.0, m11, 0.0], [0.0, 0.0, 1.0]])
-    l = np.array([[0.0, l12, 0.0], [l12, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    scale = float(np.max(np.sum(m * m + l * l, axis=1)))
-    return commutation_residual(CanonicalTransform(m, l)) / scale
 
 
 def solve_amplifier(
@@ -216,7 +207,7 @@ def solve_amplifier(
         l13=0.0,
         objective=0.5 * (m11 * m11 + l12 * l12),
         constraint_residual=constraint_residual,
-        full_residual=_full_completion_residual(m11, l12),
+        full_residual=constraint_residual / max(1.0, m11 * m11 + l12 * l12),
         gain=m11 * m11,
         multiplier=lam,
         min_curvature=min_curvature,

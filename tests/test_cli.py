@@ -76,6 +76,19 @@ class TestReport:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "n, a, n_conj",
+        [(10**8, 0.29, 29_000_000), (10**10, 0.07, 700_000_000),
+         (10**10, 0.41, 4_100_000_000)],
+    )
+    def test_split_count_within_one_rounded_product(self, capsys, n, a, n_conj):
+        # 0.29 * 1e8 reads 28999999.999999996: a and the product each
+        # round once, which no absolute count tolerance follows as n grows.
+        code, split_out = run_cli(capsys, "report", f"{n:.0e}", a, n, "--split")
+        assert code == 0
+        _, count_out = run_cli(capsys, "report", n - n_conj, n_conj, n)
+        assert json.loads(split_out) == json.loads(count_out)
+
+    @pytest.mark.parametrize(
         "argv", [("nan", 1, 2), (1, "inf", 2), (1, 1, "inf"), ("nan", 0.5, 4, "--split")]
     )
     def test_non_finite_count_exit_code(self, capsys, argv):
@@ -83,18 +96,16 @@ class TestReport:
         assert code == 2
         assert out == ""
 
-    @pytest.mark.parametrize("via_env", [False, True])
-    @pytest.mark.parametrize("tol, want", [("0.45", 0), ("0.5", 2), ("0.75", 2)])
-    def test_count_tolerance_below_a_half(self, capsys, monkeypatch, via_env, tol, want):
-        # From 0.5 on every float rounds within tol, so 1.4 would pass as 1.
-        argv = ("report", 1.4, 1, 2)
-        if via_env:
-            monkeypatch.setenv("PCICLONE_TOL", tol)
-        else:
-            argv += ("--tol", tol)
-        code, out = run_cli(capsys, *argv)
-        assert code == want
-        assert (out == "") == (want == 2)
+    @pytest.mark.parametrize("env", [None, "0.45"])
+    @pytest.mark.parametrize("count", ["1.4", "1.0000000001"])
+    def test_counts_must_be_exact_integers(self, capsys, monkeypatch, count, env):
+        # PCICLONE_TOL is the certificate tolerance of solve and verify;
+        # report reads no tolerance at all.
+        if env is not None:
+            monkeypatch.setenv("PCICLONE_TOL", env)
+        code, out = run_cli(capsys, "report", count, 1, 2)
+        assert code == 2
+        assert out == ""
 
 
 class TestSweep:
@@ -575,7 +586,7 @@ def test_verify_golden(capsys, golden):
 @pytest.mark.parametrize("env", ["abc", "nan", "inf", "-1"])
 def test_bad_tol_env_exit_code(capsys, monkeypatch, env):
     monkeypatch.setenv("PCICLONE_TOL", env)
-    code, out = run_cli(capsys, "report", 1, 1, 2)
+    code, out = run_cli(capsys, "solve", 0, 1, 1)
     assert code == 2
     assert out == ""
 
@@ -690,6 +701,7 @@ def test_unknown_command_rejected(capsys):
         ("verify", 1, 0, 1, 100, "--seed", 3),
         ("sweep", 8, 16, "--tol", "1e-9"),
         ("optimize", 8, 16, "--tol", "1e-9"),
+        ("report", 1, 1, 2, "--tol", "0.45"),
     ],
 )
 def test_unread_flag_rejected(capsys, argv):
@@ -708,8 +720,9 @@ def test_option_count():
         name: [a.dest for a in sub._actions if a.dest != "help"]
         for name, sub in subs.choices.items()
     }
-    assert sum(map(len, dests.values())) == 31
+    assert sum(map(len, dests.values())) == 30
     assert "seed" not in dests["solve"] and "tol" not in dests["sweep"]
+    assert "tol" not in dests["report"]
 
 
 @pytest.mark.parametrize(
@@ -778,7 +791,7 @@ ARITY = {"report": 3, "sweep": 3, "optimize": 2, "solve": 3}
 def test_fuzz_closed_form_commands(command, values, fmt, split, a_steps, tol):
     argv = [command, "--format", fmt]
     if command == "report":
-        argv += ["--split"] * split + [f"--tol={tol!r}"]
+        argv += ["--split"] * split
     if command == "sweep":
         argv += ["--a-steps", a_steps]
     if command == "solve":

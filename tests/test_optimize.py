@@ -207,6 +207,30 @@ class TestSolveAmplifier:
         with pytest.raises(DomainError, match="finite"):
             solve_amplifier(*args)
 
+    def test_full_residual_is_the_completions_dense_residual(self):
+        # The grids of the two certified-range tests above, alpha = 0 added
+        # to the first.  The completion's ML^T - LM^T is 0 by symmetry and
+        # MM^H - LL^H - I is diag(d, d, 0), so the closed form is exact.
+        half_decade = [
+            (alpha, 10.0 ** (kb / 2), 10.0 ** (kc / 2))
+            for alpha in (0.0, 1e-3, 0.25, 0.5, 0.999, 1.0)
+            for kb in range(-24, 1)
+            for kc in range(0, 25)
+        ]
+        gauge = [
+            (alpha, 1.0, 10.0 ** (k / 4))
+            for alpha in (0.0, 0.25, 0.5, 0.999, 1.0)
+            for k in range(0, 601, 5)
+        ]
+        for args in half_decade + gauge:
+            res = solve_amplifier(*args)
+            m = np.diag([res.m11, res.m11, 1.0])
+            l = np.zeros((3, 3))
+            l[0, 1] = l[1, 0] = res.l12
+            dense = oracles.dense_commutation_residual(m, l)
+            want = dense / oracles.commutation_scale(m, l)
+            assert res.full_residual == want, args
+
 
 def half_minus_mu(alpha, gamma):
     """1/2 - mu at beta = 1, mu = (gamma^2 + 1)/(h + alpha gamma sqrt(h))
