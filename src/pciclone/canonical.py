@@ -154,7 +154,6 @@ def _apply_dft(
     rows: slice,
     inverse: bool = False,
     port: int | None = None,
-    batch: int = 1,
 ) -> None:
     """Act in place with the K x K unitary DFT on K rows of ``a``: the run
     of rows ``rows``, or, given ``port``, the port's row followed by that
@@ -163,11 +162,10 @@ def _apply_dft(
     ``inverse`` applies its conjugate transpose, which spreads one mode
     evenly over K.  The port's row is copied into the row just before the
     run, whose own row is kept aside, so one orthonormal FFT runs along
-    one contiguous view of ``a`` and is assigned back to it, with no
-    gathered copy; the transformed first row then goes back to the port
-    and the borrowed row is restored.  With ``batch`` > 1 (and no port)
-    the run is cut into that many equal runs, each transformed on its
-    own, in one batched FFT.
+    one contiguous view of ``a`` and writes its result into that view
+    (``out=``), with no gathered copy and no block-sized output; the
+    transformed first row then goes back to the port and the borrowed
+    row is restored.
 
     The forward matrix is numpy's ``ifft`` and its conjugate transpose
     numpy's ``fft``, both with ``norm="ortho"``, so no K x K matrix is
@@ -176,7 +174,7 @@ def _apply_dft(
     start, stop = rows.start, rows.stop
     if port is not None:
         start -= 1
-    if stop - start < 2 * batch:
+    if stop - start < 2:
         return
     # Row copies by basic indexing: a fancy-indexed swap costs five
     # times as much, which shows at a few modes.
@@ -184,11 +182,8 @@ def _apply_dft(
     if borrowed is not None:
         a[start] = a[port]
     view = a[start:stop]
-    if batch > 1:
-        # Splitting the leading axis keeps a view of ``a``.
-        view = view.reshape(batch, -1, *view.shape[1:])
     fft = np.fft.fft if inverse else np.fft.ifft
-    view[...] = fft(view, axis=view.ndim - a.ndim, norm="ortho")
+    fft(view, axis=0, norm="ortho", out=view)
     if borrowed is not None:
         a[port] = a[start]
         a[start] = borrowed

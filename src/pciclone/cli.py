@@ -292,19 +292,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_error(message: str) -> None:
+    """Print ``message`` on stderr, ignoring a failed write as argparse
+    does, so that the exit code stays the handler's."""
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        pass
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, MemoryError) as exc:
         # numpy names the allocation that failed; a bare MemoryError is empty.
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        _report_error(str(exc) or "out of memory")
         return 2
     except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report_error(str(exc))
         return 3
     except OutputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report_error(str(exc))
         return 4
 
 

@@ -440,9 +440,10 @@ class _Network:
     clone vacuum, which holds both ports, and the two runs C and A of
     vacua: every output row is supported on R and C or on R and A, so the
     sampler draws the Wishart factor in these blocks.  :meth:`_push`
-    applies the stages to columns at O(K log K) each: it is the only
-    code that runs them.  :func:`build_machine` reads (M, L) off pushed
-    identity columns, and the certificate reads E = S Omega S^T - Omega
+    applies the stages to columns at O(K log K) each, every DFT block as
+    one FFT call written into its own rows: it is the only code that
+    runs them.  :func:`build_machine` reads (M, L) off pushed identity
+    columns, and the certificate reads E = S Omega S^T - Omega
     off pushed probes, so the verify path holds no K x K array.
     """
 
@@ -452,18 +453,6 @@ class _Network:
     amplifier: CanonicalTransform
     distribution: tuple[tuple[int, slice], tuple[int, slice]]
     blocks: tuple[slice, slice, slice]
-
-    @cached_property
-    def _concentration_runs(self) -> list[tuple[slice, int]]:
-        """The concentration DFTs as (run, batch) for
-        :func:`~pciclone.canonical._apply_dft`: one batch of two when the
-        replica blocks are adjacent and of one length (N = N'), else each
-        block alone."""
-        signal, conjugate = self.concentration
-        length = signal.stop - signal.start
-        if conjugate.start == signal.stop and conjugate.stop - conjugate.start == length:
-            return [(slice(signal.start, conjugate.stop), 2)]
-        return [(rows, 1) for rows in self.concentration]
 
     def _push(
         self,
@@ -482,7 +471,7 @@ class _Network:
         push may have changed, which hold every row of ``first`` to
         ``stop``.
 
-        Each block is transformed in place by
+        Each block, for every (N, N'), is one in-place FFT call of
         :func:`~pciclone.canonical._apply_dft`, a distribution block
         through its port's row copied next to its run.  ``a``'s columns
         can be nonzero only in the rows ``first`` to ``stop`` (None: to
@@ -500,18 +489,17 @@ class _Network:
         amplify = first < self.distribution[0][1].start
         dist = [(port, run) for port, run in self.distribution
                 if amplify or first < run.stop and run.start < stop]
-        conc = [(rows, None, transpose, batch)
-                for rows, batch in self._concentration_runs] if amplify else []
-        spread = [(run, port, not transpose, 1) for port, run in dist]
+        conc = [(rows, None, transpose) for rows in self.concentration if amplify]
+        spread = [(run, port, not transpose) for port, run in dist]
         before, after = (spread, conc) if transpose else (conc, spread)
-        for rows, port, inverse, batch in before:
-            _apply_dft(a, rows, inverse, port, batch)
+        for rows, port, inverse in before:
+            _apply_dft(a, rows, inverse, port)
         if amplify:
             ports = list(self.ports)
             x = a[ports]
             a[ports] = self.amplifier.m_matrix @ x + self.amplifier.l_matrix @ x.conj()
-        for rows, port, inverse, batch in after:
-            _apply_dft(a, rows, inverse, port, batch)
+        for rows, port, inverse in after:
+            _apply_dft(a, rows, inverse, port)
         if amplify:
             return (slice(0, k),)
         return tuple(r for port, run in dist for r in (slice(port, port + 1), run))
@@ -549,12 +537,12 @@ def _working_set(config: CloningConfig, samples: int | None = None) -> int:
     ``verify`` run _VERIFY_BYTES, two arrays the size of one panel of the
     Wishart factor with the sample mean and three the size of the probes:
     16 K (2 (_PANEL + 1) + 3 _PROBES) bytes whatever the sample count.
-    Every panel is drawn into one reused buffer and each DFT block is
-    transformed in place, so sampling holds the buffer and at most one
-    other panel-sized array (a block's part of a panel drawn apart, or
-    one block's FFT output), and the certificate, run before it, at most
-    four probe-sized ones (the probes, their image and two temporaries of
-    its norm); the sum bounds both.
+    Every panel is drawn into one reused buffer and each DFT block's FFT
+    writes into the block's own rows, so sampling holds the buffer and at
+    most one other panel-sized array (a panel's normals drawn apart from
+    it), and the certificate, run before it, at most four probe-sized ones
+    (the probes, their image and two temporaries of its norm); the sum
+    bounds both.
     """
     # montecarlo, which defines the panel width, imports this module.
     from .montecarlo import _PANEL

@@ -128,7 +128,9 @@ def solve_amplifier(
 
     Every term is positive, so neither quotient cancels, and none exceeds
     (gamma/beta)^2, while the products that form mu and 1 - mu overflow
-    once gamma/beta passes about 1e60.  At alpha = 0 (the hard case) D
+    once gamma/beta passes about 1e60.  gamma - alpha is taken before the
+    division by beta, exact (Sterbenz) where the two are close, so l12
+    keeps its digits as gamma -> alpha.  At alpha = 0 (the hard case) D
     vanishes at mu = 1, and m11 = sqrt(1 + gamma^2) takes the constraint
     mass.  The multiplier is fitted to the final point, through the
     gradients' m11 entries with this l12, and the curvatures of
@@ -164,9 +166,10 @@ def solve_amplifier(
     if al == 0.0:
         m11, l12 = math.sqrt(1.0 + ga * ga), ga
     else:
-        root = math.sqrt((ga - al) * (ga + al) + 1.0)
+        excess = (c - a) / b
+        root = math.sqrt(excess * (ga + al) + 1.0)
         m11 = (ga * root + al) / (ga + al * root)
-        l12 = (ga - al) * (ga + al) / (ga + al * root)
+        l12 = excess * (ga + al) / (ga + al * root)
 
     # At x = (m11, 0, 0, 0) only the m11 entries of the problem's
     # gradients are nonzero, and lambda makes their combination vanish.

@@ -57,6 +57,13 @@ product with the whole S, from the library's generator or from PCG64,
 where the library pushes one panel of F' at a time through the
 machine's stages.
 
+The Fock oracle works outside phase space, where every other check
+shares its conventions (a = (x + ip)/sqrt(2), vacuum variance 1/2, the
+quadrature image and the coherent-fidelity formula): it squeezes the
+concentrated inputs as truncated Fock vectors and reads each clone's
+and anticlone's fidelity off a density matrix sent through a loss
+channel, where the library propagates Gaussian moments.
+
 The added-noise oracle evaluates n_th = (G - 1)/M and (G - 1)/M' in
 60-digit decimal arithmetic.  The symplectic-image oracle fills S from
 the complex sums M + L and M - L, where the library writes each block
@@ -68,8 +75,10 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
+from scipy.sparse.linalg import expm_multiply
 
 from pciclone import gaussian
 from pciclone.canonical import CanonicalTransform, pcia_transform, to_symplectic
@@ -222,9 +231,14 @@ def secular_amplifier(alpha, beta, gamma):
     """(couplings (m11, m12, m13, l11, l12, l13), multiplier) of the
     amplifier search, found by Brent's method (Moré, 1993).
 
-    With the diagonal Hessians A, C and linear terms a, c of
-    :class:`AmplifierSearchProblem`, the stationary point
-    x(lambda) = -(a + lambda*c) / (A + lambda*C) is taken per coordinate
+    The problem is :class:`AmplifierSearchProblem`'s, in coordinates
+    y = (m11 - 1, l11, m13, l13) that keep the digits of l12 near
+    gamma = alpha: with the excess delta = (gamma - alpha)/beta, formed
+    exactly (Sterbenz) before the division, l12 = delta - alpha*y_0, and
+    the constraint is -delta^2 + g.y + y.C.y/2, with no cancelling
+    gamma - alpha*m11 or m11^2 - 1.  Objective and constraint have the
+    diagonal Hessians A, C and linear terms f, g, and the stationary point
+    y(lambda) = -(f + lambda*g) / (A + lambda*C) is taken per coordinate
     on the window of lambda where A + lambda*C is positive semidefinite.
     The constraint along it, the secular function phi(lambda), does not
     increase there; its root is the solution.  When phi has no root in
@@ -235,46 +249,48 @@ def secular_amplifier(alpha, beta, gamma):
     point by least squares.
     """
     a, b, c = abs(alpha), abs(beta), abs(gamma)
-    problem = AmplifierSearchProblem(alpha=a / b, gamma=c / b)
-    a2 = problem.alpha**2
+    al, delta = a / b, (c - a) / b
+    a2 = al * al
     hess_f = np.array([1.0 + a2, 1.0 + a2, 1.0, 1.0])
     hess_g = 2.0 * np.array([1.0 - a2, a2 - 1.0, 1.0, -1.0])
-    zero = np.zeros(4)
-    grad_f, grad_g = problem.objective_grad(zero), problem.constraint_grad(zero)
+    lin_f = np.array([1.0 - al * delta, 0.0, 0.0, 0.0])
+    lin_g = np.array([2.0 + 2.0 * al * delta, 0.0, 0.0, 0.0])
     up, down = hess_g > 0, hess_g < 0
     lam_lo = float(np.max(-hess_f[up] / hess_g[up]))
     lam_hi = float(np.min(-hess_f[down] / hess_g[down]))
 
+    def constraint(y):
+        return float(lin_g @ y + 0.5 * (y @ (hess_g * y)) - delta * delta)
+
     def stationary(lam):
         curv = hess_f + lam * hess_g
-        return np.divide(
-            -(grad_f + lam * grad_g), curv, out=np.zeros(4), where=curv > 0
-        )
+        return np.divide(-(lin_f + lam * lin_g), curv, out=np.zeros(4), where=curv > 0)
 
     def phi(lam):
-        return problem.constraint(stationary(lam))
+        return constraint(stationary(lam))
 
     phi_lo, phi_hi = phi(lam_lo), phi(lam_hi)
     if phi_lo >= 0.0 >= phi_hi:
         lam = brentq(phi, lam_lo, lam_hi, xtol=1e-300, disp=False)
     else:
         lam = lam_lo if phi_lo < 0.0 else lam_hi
-    x = stationary(lam)
+    y = stationary(lam)
 
-    # The constraint is quadratic along the line; take the root nearest x.
-    grad = problem.constraint_grad(x)
+    # The constraint is quadratic along the line; take the root nearest y.
+    grad = lin_g + hess_g * y
     if grad.any():
         d = grad / np.max(np.abs(grad))
     else:
         d = np.eye(4)[np.argmin(hess_f + lam * hess_g)]
-    gap, slope, bend = problem.constraint(x), grad @ d, d @ (hess_g * d)
+    gap, slope, bend = constraint(y), grad @ d, d @ (hess_g * d)
     root = math.sqrt(max(slope * slope - 2.0 * bend * gap, 0.0))
     denom = slope + math.copysign(root, slope)
     if denom:
-        x = x - 2.0 * gap / denom * d
-    grad, obj_grad = problem.constraint_grad(x), problem.objective_grad(x)
+        y = y - 2.0 * gap / denom * d
+    grad, obj_grad = lin_g + hess_g * y, lin_f + hess_f * y
     lam = -float(obj_grad @ grad) / float(grad @ grad)
-    return problem.coefficients(x), lam
+    v, l11, m13, l13 = (float(t) for t in y)
+    return (1.0 + v, -al * l11, m13, l11, delta - al * v, l13), lam
 
 
 def identity_transform(mode_count):
@@ -565,6 +581,68 @@ def exact_added_noise(n, nc, m):
         root_gain = Decimal(m + nc) / (Decimal(n * m).sqrt() + Decimal(nc * mc).sqrt())
         excess = root_gain * root_gain - 1
         return +(excess / m), (+(excess / mc) if mc >= 1 else None)
+
+
+def _fock_coherent(amplitude, cutoff):
+    """The coherent state |amplitude> on Fock levels 0 to cutoff - 1."""
+    c = np.empty(cutoff, dtype=complex)
+    c[0] = math.exp(-abs(amplitude) ** 2 / 2.0)
+    for n in range(1, cutoff):
+        c[n] = c[n - 1] * amplitude / math.sqrt(n)
+    return c
+
+
+def _fock_loss(rho, eta):
+    """A one-mode density matrix sent through the loss channel of
+    transmissivity ``eta``, through its Kraus operators
+    E_k |n> = sqrt(C(n, k) eta^(n-k) (1 - eta)^k) |n - k>."""
+    cutoff = rho.shape[0]
+    out = np.zeros_like(rho)
+    for k in range(cutoff):
+        n = np.arange(k, cutoff)
+        kraus = np.zeros((cutoff, cutoff))
+        kraus[n - k, n] = np.sqrt(
+            [math.comb(j, k) * eta ** (j - k) * (1.0 - eta) ** k for j in n])
+        out += kraus @ rho @ kraus.T
+    return out
+
+
+def fock_fidelities(config, psi, cutoff):
+    """(clone fidelity with psi, anticlone fidelity with conj(psi)) of the
+    machine of ``config``, in Fock space truncated to ``cutoff`` levels
+    a mode.
+
+    Once concentrated, the inputs are |sqrt(N) psi> on the first
+    amplifier port and |sqrt(N') conj(psi)> on the second.  The amplifier
+    is the two-mode squeezer exp(r (a1^+ a2^+ - a1 a2)), cosh r = sqrt(G),
+    applied by ``expm_multiply``; G is the gain that takes the ports' means
+    to sqrt(M) psi and sqrt(M') conj(psi).  The distribution DFT spreads a
+    port evenly over its block, the other inputs vacua, so each clone's
+    marginal is the first port's reduced state through a loss channel of
+    transmissivity 1/M, and each anticlone's the second's at 1/M'
+    (M' >= 1).  The levels the cutoff drops must hold a negligible mass.
+    """
+    n, nc, m, mc = config.n_inputs, config.n_conj, config.m_clones, config.m_anticlones
+    root_gain = (m + nc) / (math.sqrt(n * m) + math.sqrt(nc * mc))
+    r = math.acosh(root_gain)
+    state = np.outer(_fock_coherent(math.sqrt(n) * psi, cutoff),
+                     _fock_coherent(math.sqrt(nc) * np.conj(psi), cutoff))
+    # a1^+ a2^+ |j, l> = sqrt((j + 1)(l + 1)) |j + 1, l + 1>, flat index
+    # j * cutoff + l.
+    j, l = np.divmod(np.arange(cutoff * cutoff), cutoff)
+    keep = (j < cutoff - 1) & (l < cutoff - 1)
+    src = np.flatnonzero(keep)
+    raise_both = sparse.csr_matrix(
+        (r * np.sqrt((j[keep] + 1.0) * (l[keep] + 1.0)), (src + cutoff + 1, src)),
+        shape=(cutoff * cutoff,) * 2)
+    out = expm_multiply(raise_both - raise_both.T, state.reshape(-1))
+    out = out.reshape(cutoff, cutoff)
+    fidelities = []
+    for rho, eta, target in ((out @ out.conj().T, 1.0 / m, psi),
+                             (out.T @ out.conj(), 1.0 / mc, np.conj(psi))):
+        ket = _fock_coherent(target, cutoff)
+        fidelities.append(float((ket.conj() @ _fock_loss(rho, eta) @ ket).real))
+    return tuple(fidelities)
 
 
 def ulps_from(got, want):

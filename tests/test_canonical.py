@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -613,6 +614,28 @@ class TestDftTransform:
             atol=1e-14)
         others = [i for i in range(9) if i not in rows]
         np.testing.assert_array_equal(a[others], before[others])
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_fft_writes_into_the_block(self, inverse):
+        # A 2049 x 32 block (1.0 MB) inside a larger array: the FFT writes
+        # into the block's rows, so the call allocates far less than the
+        # block.
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(2060, 40)) + 1j * rng.normal(size=(2060, 40))
+        rows, cols = slice(5, 2054), slice(3, 35)
+        canonical._apply_dft(a.copy()[:, cols], rows, inverse)  # first-use set-up
+        block = a[:, cols]
+        want = a.copy()
+        want[rows, cols] = (np.fft.fft if inverse else np.fft.ifft)(
+            a[rows, cols], axis=0, norm="ortho")
+        tracemalloc.start()
+        try:
+            canonical._apply_dft(block, rows, inverse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * block[rows].nbytes
+        assert a.tobytes() == want.tobytes()
 
 
 class TestPciaTransform:

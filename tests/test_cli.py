@@ -404,10 +404,9 @@ class TestVerify:
     def test_verify_holds_only_the_factor(self, capsys, monkeypatch):
         # At K = 606 and n - 1 >= 2K, F is 2K x 2K, 11.8 MB.  Only the
         # stages are built, no (M, L), and F is drawn one panel at a time
-        # as it is pushed: a run holds the layout and one panel with one
-        # block's FFT output, or the probes, within its planned working
-        # set and far below F.  Holding F traced just above F; the (M, L)
-        # pair alone would be another F.
+        # as it is pushed: a run holds the layout and one panel, or the
+        # probes, within its planned working set and far below F.  Holding
+        # F traced just above F; the (M, L) pair alone would be another F.
         def unreachable(config):
             raise AssertionError("build_machine called on the verify path")
 
@@ -622,6 +621,28 @@ def test_out_of_memory_exit_code(argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: Unable to allocate")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, stdout, stderr, want",
+    [
+        (("report", 3, 0, 2), os.devnull, "/dev/full", 2),
+        (("solve", 1, 1e-6, 3, "--tol", 0), os.devnull, "/dev/full", 3),
+        (("report", 1, 1, 2), "/dev/full", "/dev/full", 4),
+        (("report", 1, 1, 2), "/dev/full", os.devnull, 4),
+    ],
+)
+def test_exit_code_survives_an_unwritable_stream(argv, stdout, stderr, want):
+    # Every write to /dev/full fails: a failed write of the error message
+    # must not turn the handler's code into a traceback's 1.
+    src = str(Path(pciclone.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    with open(stdout, "w") as out, open(stderr, "w") as err:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pciclone", *map(str, argv)],
+            env=env, stdout=out, stderr=err, timeout=120,
+        )
+    assert proc.returncode == want
 
 
 def test_verify_bytes_do_not_depend_on_blas_threads():

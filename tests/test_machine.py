@@ -13,7 +13,12 @@ from scipy.integrate import quad
 from pciclone import machine, montecarlo
 from pciclone.canonical import commutation_residual, to_symplectic
 from pciclone.errors import DomainError
-from pciclone.gaussian import apply_map, marginal, quadrature_variance
+from pciclone.gaussian import (
+    apply_map,
+    fidelity_with_coherent,
+    marginal,
+    quadrature_variance,
+)
 from pciclone.machine import (
     CloningConfig,
     asymmetry_gain,
@@ -450,6 +455,25 @@ class TestNoiseReport:
         clone, anti = oracles.exact_added_noise(n, 0, n + 1)
         assert oracles.ulps_from(rep.n_th_clone, clone) <= 16
         assert oracles.ulps_from(rep.n_th_anticlone, anti) <= 16
+
+    @pytest.mark.parametrize("counts", [(1, 1, 2), (1, 0, 2), (0, 1, 1), (2, 1, 4),
+                                        (1, 2, 3), (2, 2, 4), (0, 2, 3), (2, 0, 4),
+                                        (1, 1, 4)])
+    def test_fidelities_match_truncated_fock_space(self, counts):
+        # Outside phase space: squeezed Fock vectors and a Kraus loss
+        # channel, at a cutoff whose dropped levels hold far less than
+        # 1e-12 (at 60 levels, (0, 2, 3) still missed by 7e-13).
+        cfg, psi = CloningConfig(*counts), 0.7 - 0.4j
+        f_clone, f_anti = oracles.fock_fidelities(cfg, psi, cutoff=70)
+        rep = noise_report(cfg)
+        assert abs(f_clone - rep.f_clone) <= 1e-12
+        assert abs(f_anti - rep.f_anticlone) <= 1e-12
+        transform, layout = build_machine(cfg)
+        state = apply_map(layout.input_state(psi), to_symplectic(transform))
+        for slots, target, want in ((layout.clone_slots, psi, f_clone),
+                                    (layout.anticlone_slots, np.conj(psi), f_anti)):
+            for mode in slots:
+                assert abs(fidelity_with_coherent(state, mode, target) - want) <= 1e-12
 
     @given(st.integers(0, 8), st.integers(0, 8), st.integers(1, 64))
     def test_noise_duality_bit_exact(self, n, nc, m):

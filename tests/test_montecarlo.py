@@ -339,8 +339,8 @@ class TestSimulate:
     def test_panels_need_no_full_size_temporaries(self):
         # At K = 606, S is 11.8 MB.  The certificates of a fresh map trace
         # one 2K x K pair (X and Y) and tiles; a full-size product traced
-        # 2 S.  A sampling run traces the stages' probes and one panel of F
-        # with one block's FFT output, never F itself, which is S's size here.
+        # 2 S.  A sampling run traces the stages' probes and one panel of F,
+        # never F itself, which is S's size here.
         transform, layout = build_machine(CloningConfig(4, 4, 300))
         s = transform.quadrature_image.matrix
         tracemalloc.start()

@@ -3,7 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -257,6 +257,9 @@ def assert_matches_secular_oracle(alpha, beta, gamma):
     beta=st.floats(0.05, 2.0),
     excess=st.floats(0.0, 2.0),
 )
+# gamma near alpha with beta << alpha: the excess gamma - alpha must keep
+# its digits through the division by beta, in both solvers.
+@example(alpha=1.5, beta=0.05, excess=1.3757091069155528e-07)
 def test_closed_form_matches_secular_oracle(alpha, beta, excess):
     assert_matches_secular_oracle(alpha, beta, alpha + excess)
 
