@@ -69,9 +69,14 @@ block: the part of the panel in a block's columns, from its block column
 j on, takes the normals of the complex amplitudes of its modes from the
 block's mode j/2 down, to the last mode for R and to the block's end for
 C and A, in row order, x before p, and keeps those on and below the
-block's diagonal, putting the chi values on it.  A panel's parts take
-their normals from one ``standard_normal`` call, in block order.
-_PANEL = 32 is part of that definition.  The same arguments give the
+block's diagonal, putting the chi values on it.  The stream is defined
+by that sequence of normals, not by the calls that draw it, since a
+generator's draws are sequential: a part that covers a contiguous run
+of a panel's rows is drawn there by one ``standard_normal`` call, and
+any other, in a panel that straddles the block boundaries or shares the
+buffer with the sample mean, in row chunks of at most _CHUNK amplitudes
+through one reused array, which draw the same normals.  _PANEL = 32 is
+part of that definition.  The same arguments give the
 same moments under one numpy version, platform and BLAS build: numpy
 does not promise that its samplers keep their output across versions,
 they call the platform's math library, and the FFTs and BLAS products
@@ -124,6 +129,8 @@ BLOCK_SIZE = 1 << 17
 # the definition of stream versions 4 to 6.  16 to 128 ran within noise
 # of each other for K = 1030 modes on a 2-CPU Xeon.
 _PANEL = 32
+# Amplitudes of a panel drawn at once where it cannot be drawn in place.
+_CHUNK = 1 << 12
 STREAM_VERSION = 6
 # Quadrature row i = 2r + q - o of a block's part of a panel, indexed
 # (o, r, q, j) against its column j, o = 1 if the part starts on a p row:
@@ -264,10 +271,15 @@ def _factor_panel(
     block's columns, from its block-local column j on, takes its normals
     over its rows from mode rows.start + j/2 down to the block's stop, in
     row order, x before p; then zeros above the diagonal and chi on it.
-    With one block that is stream version 4's panel.  Every part's
-    normals come from one ``standard_normal`` call, parts in block order;
-    a generator's draws are sequential, so that is the same normals as
-    stream version 5's one call per part.
+    With one block that is stream version 4's panel.  The stream is
+    defined by that sequence of normals, not by the calls that draw it:
+    a generator's draws are sequential.  A part that covers a contiguous
+    run of ``out``'s rows is drawn there in one ``standard_normal`` call.
+    Any other part, in a panel that straddles a block boundary or next to
+    the sample mean, is drawn in row chunks of at most _CHUNK amplitudes
+    through one reused array, its diagonal's corner rows in the first
+    chunk, and each chunk copied to its place: the same normals as one
+    call per panel, or per part as stream version 5 drew them.
     """
     k, w = out.shape
     # (first column, end column, first mode, stop mode, o) of each part,
@@ -277,40 +289,73 @@ def _factor_panel(
         lo, hi = max(c, col), min(c + w, col + width)
         if lo < hi:
             parts.append((lo, hi, rows.start + (lo - col) // 2, bottom, (lo - col) % 2))
-    # The draws as (mode, column, quadrature): in place where one part
-    # covers a contiguous run of the panel's rows, else drawn apart, each
-    # part's run of the one call copied to its place.
     lo, hi, top, bottom, _ = parts[0]
     whole = out[top:bottom, lo - c : hi - c]
-    apart = len(parts) > 1 or not whole.flags.c_contiguous
-    if apart:
-        flat = gen.standard_normal(sum(
-            (bottom - top) * (hi - lo) * 2 for lo, hi, top, bottom, _ in parts))
+    in_place = len(parts) == 1 and whole.flags.c_contiguous
+    if in_place:
+        chunk = whole.view(float).reshape(-1)
     else:
-        flat = whole.view(float).reshape(-1)
-        gen.standard_normal(out=flat)
-    first, stop, offset = k, 0, 0
+        chunk = np.empty(2 * min(_CHUNK, max(
+            (bottom - top) * (hi - lo) for lo, hi, top, bottom, _ in parts)))
+    first, stop = k, 0
     for lo, hi, top, bottom, o in parts:
         seg = out[:, lo - c : hi - c]
         if top:
             seg[:top] = 0.0
         if bottom < k:
             seg[bottom:] = 0.0
-        drawn = seg[top:bottom]
-        shape = (bottom - top, hi - lo, 2)
-        z = flat[offset : offset + math.prod(shape)].reshape(shape)
-        offset += z.size
-        # The diagonal runs through the block's first drawn modes: read as
-        # (mode, quadrature, column), block quadrature row 2 (top - rows.start)
-        # + i meets block column j + i - j % 2.
-        h = (hi - lo + o + 1) // 2
-        corner = z[:h].transpose(0, 2, 1)
-        corner[_ABOVE[o, :h, :, : hi - lo]] = 0.0
-        corner[_DIAGONAL[o, :h, :, : hi - lo]] = chi[lo:hi]
-        if apart:
-            drawn[...] = z.view(complex)[..., 0]
+        step = chunk.size // (2 * (hi - lo))
+        for row in range(top, bottom, step):
+            shape = (min(step, bottom - row), hi - lo, 2)
+            z = chunk[: math.prod(shape)].reshape(shape)
+            gen.standard_normal(out=z)
+            if row == top:
+                # The diagonal runs through the block's first drawn modes:
+                # read as (mode, quadrature, column), block quadrature row
+                # 2 (top - rows.start) + i meets block column j + i - j % 2.
+                h = (hi - lo + o + 1) // 2
+                corner = z[:h].transpose(0, 2, 1)
+                corner[_ABOVE[o, :h, :, : hi - lo]] = 0.0
+                corner[_DIAGONAL[o, :h, :, : hi - lo]] = chi[lo:hi]
+            if not in_place:
+                seg[row : row + shape[0]] = z.view(complex)[..., 0]
         first, stop = min(first, top), max(stop, bottom)
     return first, stop
+
+
+def _panel_sums(stages, gen, chi, factor, means) -> np.ndarray:
+    """The modes' x x, x p and p p sums, a (3, K) array, over the columns
+    of ``stages``'s image of the block factor F' of ``factor``, whose
+    diagonal ``chi`` holds, each _PANEL-column panel drawn from ``gen``
+    by :func:`_factor_panel`.  The complex sample mean ``means`` rides
+    in the first panel and is pushed in place.
+
+    Mode m's quadratures (x, p) are the amplitude x + ip of a complex
+    view.  A panel's columns are F''s columns c, c + 1, ... as
+    amplitudes, after the mean in the first panel.  Pushed, they are S's
+    image of the mean and those columns of S F', whose parts add to the
+    sums.  Every panel is drawn into one buffer, and only the rows its
+    push reaches are read back; the buffer goes when the sums are done.
+    """
+    k, r = means.size, chi.size
+    sums = np.zeros((3, k))
+    buffer = np.empty(k * (_PANEL + 1), dtype=complex)
+    for c in range(0, r, _PANEL):
+        lead = 1 if c == 0 else 0
+        w = min(_PANEL, r - c)
+        panel = buffer[: k * (lead + w)].reshape(k, lead + w)
+        first, stop = _factor_panel(gen, chi, factor, c, panel[:, lead:])
+        if lead:
+            panel[:, 0] = means
+            first, stop = 0, k
+        reached = stages._push(panel, first=first, stop=stop)
+        if lead:
+            means[:] = panel[:, 0]
+        for rows in reached:
+            x, p = panel.real[rows, lead:], panel.imag[rows, lead:]
+            for row, (u, v) in zip(sums[:, rows], ((x, x), (x, p), (p, p))):
+                row += np.einsum("ij,ij->i", u, v)
+    return sums
 
 
 def simulate(
@@ -360,44 +405,22 @@ def simulate(
     n = config.sample_count
     blocks = stages.blocks if isinstance(stages, _Network) else (slice(0, k),)
     factor = _factor_blocks(blocks, n - 1)
-    r = sum(width for _, _, width, _, _ in factor)
     gen = _generator(config.seed)
-    g = gen.standard_normal(2 * k)
+    # The input sample mean mu_in + sigma g / sqrt(n), with no g kept.
+    means = (sigma / math.sqrt(n)) * gen.standard_normal(2 * k)
+    means += mu_in
     chi = np.sqrt(gen.chisquare(np.concatenate(
         [dof - np.arange(width) for _, _, width, dof, _ in factor])))
     _log.debug("sampling %d samples of %d modes from a %d x %d Wishart factor",
-               n, k, 2 * k, r)
-    # Mode m's quadratures (x, p) are the amplitude x + ip of a complex
-    # view.  A panel's columns are F''s columns c, c + 1, ... as amplitudes,
-    # after the input sample mean in the first panel.  Pushed, they are
-    # S's image of the mean and those columns of S F', whose parts add to
-    # the modes' x x, x p and p p sums.  Every panel is drawn into one
-    # buffer, and only the rows its push reaches are read back.
-    means = (mu_in + (sigma / math.sqrt(n)) * g).view(complex)
-    sums = np.zeros((3, k))
-    buffer = np.empty(k * (_PANEL + 1), dtype=complex)
-    for c in range(0, r, _PANEL):
-        lead = 1 if c == 0 else 0
-        w = min(_PANEL, r - c)
-        panel = buffer[: k * (lead + w)].reshape(k, lead + w)
-        first, stop = _factor_panel(gen, chi, factor, c, panel[:, lead:])
-        if lead:
-            panel[:, 0] = means
-            first, stop = 0, k
-        reached = stages._push(panel, first=first, stop=stop)
-        if lead:
-            means[:] = panel[:, 0]
-        for rows in reached:
-            x, p = panel.real[rows, lead:], panel.imag[rows, lead:]
-            for row, (u, v) in zip(sums[:, rows], ((x, x), (x, p), (p, p))):
-                row += np.einsum("ij,ij->i", u, v)
+               n, k, 2 * k, chi.size)
+    sums = _panel_sums(stages, gen, chi, factor, means.view(complex))
     xx, xp, pp = sums * (VACUUM_VARIANCE / (n - 1))
     covariances = np.stack((xx, xp, xp, pp), axis=-1).reshape(k, 2, 2)
     var_pairs = np.stack((xx, pp), axis=-1)
     return EmpiricalMoments(
         sample_count=n,
         psi=config.psi,
-        means=means.view(float).reshape(k, 2),
+        means=means.reshape(k, 2),
         covariances=covariances,
         mean_se=np.sqrt(var_pairs / n),
         var_se=var_pairs * math.sqrt(2.0 / (n - 1)),

@@ -37,7 +37,10 @@ The certificate oracles evaluate the commutation and symplectic
 residuals from their defining dense products, with the dense symplectic
 form, where the library bounds both from Gaussian probes pushed through
 the map, never forming E = S Omega S^T - Omega.  The dense probe oracle
-applies the whole E to the same probes and reads them mode by mode.
+applies the whole E to the same probes and reads them mode by mode.  The
+one-pass probe oracle pushes all the probes through the map at once, as
+the library did before it pushed them in batches, and must read the
+library's bits.
 The amplitude-gain oracle is the closed form without the library's
 power-of-two rescaling.
 
@@ -489,6 +492,22 @@ def dense_probe_bound(s):
         e = (s @ omega @ s.T - omega) @ probe_quadratures(k)
         pairs = np.linalg.norm(e.reshape(k, 2, -1), axis=1)
         return float(np.max(pairs)) / gaussian._PROBE_EPSILON
+
+
+@np.errstate(invalid="ignore", over="ignore")  # a NaN or inf is the refusal
+def one_pass_probe_bound(mode_count, push):
+    """The probe bound of :func:`~pciclone.gaussian._probe_bound` with
+    every probe pushed in one pass: the probes, their image and |E v|
+    held at once."""
+    gen = np.random.default_rng(gaussian._PROBE_SEED)
+    v = gen.standard_normal((mode_count, 2 * gaussian._PROBES)).view(complex)
+    e = v.copy()
+    push(e, True)
+    e *= -1j
+    push(e, False)
+    v *= 1j
+    e += v
+    return float(np.max(np.abs(e))) / gaussian._PROBE_EPSILON
 
 
 def commutation_scale(m, l):

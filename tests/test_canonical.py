@@ -329,6 +329,66 @@ class TestRouteAgreement:
         with pytest.raises(DomainError):
             SymplecticMap(s).validate()
 
+    @pytest.mark.parametrize("counts, k, cols", [
+        ((2, 2, 6), 14, 32), ((4, 4, 64), 134, 32),
+        ((4, 4, 130), 266, 8), ((1, 3, 300), 604, 8)])
+    def test_batches_read_the_one_pass_bits(self, counts, k, cols):
+        # Up to 2^13 probe amplitudes (K <= 256) the 32 probes go in one
+        # batch, above it 8 at a time; through the stages, (M, L) and S
+        # the bound has the bits of one pass of all 32.
+        transform, _ = build_machine(CloningConfig(*counts))
+        image = SymplecticMap(np.array(transform.quadrature_image.matrix))
+        assert transform.mode_count == k
+        for push in (transform._network._push, transform._push, image._push):
+            shapes = []
+
+            def spy(a, transpose):
+                shapes.append(a.shape)
+                return push(a, transpose)
+
+            got = gaussian._probe_bound(k, spy)
+            assert shapes == [(k, cols)] * (2 * 32 // cols)
+            assert got == oracles.one_pass_probe_bound(k, push)
+            assert 0.0 < got <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_batches_read_the_one_pass_non_finite_bound(self, bad):
+        # K = 266: a map holding a NaN or an inf reads the one pass's
+        # non-finite bound through (M, L) and through S.
+        transform, layout = build_machine(CloningConfig(4, 4, 130))
+        k = transform.mode_count
+        m = np.array(transform.m_matrix)
+        m[layout.clone_slots[-1], layout.anticlone_slots[-1]] = bad
+        pair = CanonicalTransform(m, transform.l_matrix)
+        s = np.array(transform.quadrature_image.matrix)
+        s[2 * layout.clone_slots[-1], 2 * layout.anticlone_slots[-1] + 1] = bad
+        for push in (pair._push, SymplecticMap(s)._push):
+            got = gaussian._probe_bound(k, push)
+            want = oracles.one_pass_probe_bound(k, push)
+            assert not np.isfinite(got)
+            np.testing.assert_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("batch", [0, 3])
+    def test_non_finite_batch_carries_to_the_bound(self, bad, batch):
+        # A NaN or inf in any one of the four batches of K = 300, the
+        # first or the last, is the bound: the batches' maxima are
+        # combined by np.maximum, which keeps a NaN where max drops it.
+        network, _ = machine._network(CloningConfig(4, 4, 147))
+        k = network.mode_count
+        assert k == 300
+        calls = []
+
+        def push(a, transpose):
+            network._push(a, transpose)
+            calls.append(transpose)
+            if len(calls) == 2 * batch + 2:
+                a[k // 2, -1] = bad
+
+        got = gaussian._probe_bound(k, push)
+        assert len(calls) == 8
+        np.testing.assert_equal(got, bad)
+
 
 class TestOneProductResidual:
     # Each constraint alone, violated: the bound holds the dense oracle's

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from pciclone import machine, montecarlo
+from pciclone import gaussian, machine, montecarlo
 from pciclone.canonical import commutation_residual, to_symplectic
 from pciclone.errors import DomainError
 from pciclone.gaussian import (
@@ -930,6 +930,24 @@ class TestMemoryGuard:
         finally:
             tracemalloc.stop()
         assert sampling_peak <= 2 * 16 * 606 * (montecarlo._PANEL + 1)
+
+    def test_probe_pass_holds_the_probes_and_two_batches(self):
+        # K = 4102: the 32 probes are 2.1 MB.  They are pushed 8 at a time
+        # through one reused array, with one array of the batch's moduli;
+        # one pass held the probes, their image and its moduli, 5.2 MB.
+        network, _ = machine._network(CloningConfig(4, 4, 2048))
+        k = network.mode_count
+        assert k == 4102
+        machine._probe_bound(k, network._push)  # first-use set-up
+        tracemalloc.start()
+        try:
+            machine._probe_bound(k, network._push)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        batch = gaussian._PROBE_BATCH
+        assert batch == 8
+        assert peak <= 16 * k * (machine._PROBES + 2 * batch) + 64 * 1024
 
     def test_refused_before_anything_is_built(self, monkeypatch):
         def unreachable(config):

@@ -356,6 +356,28 @@ class TestSimulate:
         assert residual_peak < 1.6 * s.nbytes
         assert sampling_peak < 0.25 * s.nbytes
 
+    def test_straddling_panels_drawn_in_row_chunks(self):
+        # K = 7999 at n = 100: the first panel holds R's 4 columns, whose
+        # normals run over every mode, and 28 of C's, 2.3 MB of normals in
+        # all, next to the 4.2 MB panel buffer.  They are drawn in chunks
+        # of at most 2^12 amplitudes through one array, so sampling holds
+        # the buffer, one chunk and the mean and sums, 7 doubles a mode.
+        network, layout = machine._network(CloningConfig(1, 0, 4000))
+        k = network.mode_count
+        assert k == 7999
+        sample = SampleConfig(100, 1)
+        simulate(network, layout, sample)  # first-use set-up and the bound
+        tracemalloc.start()
+        try:
+            simulate(network, layout, sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffer = 16 * k * (montecarlo._PANEL + 1)
+        chunk = 16 * montecarlo._CHUNK
+        assert chunk == 64 * 1024
+        assert peak <= buffer + chunk + 7 * 8 * k + 64 * 1024
+
     @pytest.mark.parametrize("counts, samples", [((2, 2, 6), 100), ((4, 4, 40), 60)])
     def test_stages_and_pair_sample_alike(self, counts, samples):
         # One loop: the stages (alone or linked from the transform) push
