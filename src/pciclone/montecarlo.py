@@ -6,7 +6,7 @@ sigma^2 I, sigma^2 = 1/2, pushed through the machine's symplectic matrix
 S and reduced to each output mode's sample means, variances and x-p
 covariance.  The map is linear and the inputs Gaussian, so the joint law
 of those statistics is known exactly, and :func:`simulate` draws them
-from it (stream version 6) instead of drawing the samples.  With d = 2K
+from it (stream version 7) instead of drawing the samples.  With d = 2K
 quadratures, the input sample mean is mu_in + sigma g / sqrt(n) with
 g ~ N(0, I_d), and (n - 1) / sigma^2 times the input sample covariance
 is W ~ Wishart(I_d, nu), nu = n - 1, independent of the mean.  The output
@@ -69,34 +69,53 @@ block: the part of the panel in a block's columns, from its block column
 j on, takes the normals of the complex amplitudes of its modes from the
 block's mode j/2 down, to the last mode for R and to the block's end for
 C and A, in row order, x before p, and keeps those on and below the
-block's diagonal, putting the chi values on it.  The stream is defined
-by that sequence of normals, not by the calls that draw it, since a
-generator's draws are sequential: a part that covers a contiguous run
-of a panel's rows is drawn there by one ``standard_normal`` call, and
-any other, in a panel that straddles the block boundaries or shares the
-buffer with the sample mean, in row chunks of at most _CHUNK amplitudes
-through one reused array, which draw the same normals.  _PANEL = 32 is
-part of that definition.  The same arguments give the
-same moments under one numpy version, platform and BLAS build: numpy
-does not promise that its samplers keep their output across versions,
-they call the platform's math library, and the FFTs and BLAS products
-may round in a build-dependent way.  Through the machine's stages the
-one BLAS product is the 2 x 2 amplifier, and ``verify`` printed the same
-bytes under 1 and 2 OpenBLAS threads (more were not tried); a bare
-transform's (M, L) products may also round by thread count.  This is
-stream version 6.
+block's diagonal, putting the chi values on it.  Every normal, g's and
+F''s, comes from Box-Muller's polar form (Box & Muller, Ann. Math.
+Statist. 29, 610 (1958)): an amplitude's (x, p) is (r cos t, r sin t)
+for the next two ``random`` uniforms (u, v), with r = sqrt(-2 log(1 -
+u)) in float64 and the angle t = 2 pi v rounded to float32, its cosine
+and sine taken by numpy's float32 SIMD loops (:func:`_normals`).  The
+float32 angle is the one place where precision is traded for speed:
+each normal lies within 1e-6 r of float64 Box-Muller on the same
+uniforms (2.6e-7 r at most over 2^22 draws), and the tails stop at
+r = sqrt(106 log 2) = 8.57, where u's 53 bits end, a radius a pair
+of independent normals passes with probability 2^-53.  The kernel
+draws a normal in about 6.5 ns against SFC64's ziggurat
+``standard_normal``'s 9.7 ns (numpy 2.4, a 2-vCPU Xeon with AVX-512),
+a third of it the uniforms.
+The stream is defined by that sequence of normals, not by the calls
+that draw it, since a generator's draws are sequential and each
+amplitude takes its own pair of uniforms: a part that covers a
+contiguous run of a panel's rows is drawn there by one call, the parts
+of any other panel, one that straddles the block boundaries or shares
+the buffer with the sample mean, by one call into one array when they
+hold at most _CHUNK amplitudes in all and otherwise in row chunks of at
+most _CHUNK amplitudes through one reused array, which draw the same
+normals.  _PANEL = 32 is part of that definition.  The same arguments
+give the same moments under one numpy version, platform and BLAS build:
+numpy does not promise that its samplers keep their output across
+versions, they call the platform's math library, and the FFTs and BLAS
+products may round in a build-dependent way.  numpy's float32 cosine
+and sine gave the same bits on its AVX2 (X86_V3) and AVX-512 (X86_V4)
+paths, and its float64 log differed between them in the last bit only,
+up to 3e-14 on a z-score; its X86_V2 baseline and non-x86 platforms
+round the cosine and sine otherwise and do not repeat the bits.
+Through the machine's stages the one BLAS product is the 2 x 2
+amplifier, and ``verify`` printed the same bytes under 1 and 2 OpenBLAS
+threads (more were not tried); a bare transform's (M, L) products may
+also round by thread count.  This is stream version 7.
 
-Stream version 5 is the same draw from ``np.random.default_rng(seed)``,
-numpy's PCG64; its panels took one ``standard_normal`` call per block
-part, which a generator's sequential draws make the same normals.
-SFC64 draws a standard normal in about 10 ns against PCG64's 13 ns
-(numpy 2.4, a 2-vCPU Xeon).  Stream version 4 drew W's whole
+Stream version 6 is the same draw with numpy's ziggurat
+``standard_normal`` for every normal, and stream version 5 that draw
+from ``np.random.default_rng(seed)``, numpy's PCG64; its panels took one
+``standard_normal`` call per block part, which a generator's sequential
+draws make the same normals.  Stream version 4 drew W's whole
 d x min(d, nu) factor F this way as one block, from PCG64, through the
 machine's stages too.  ``tests/oracles.py::stream_5_factor`` assembles
-F', and so F, whole, from any generator.  Stream version 3 drew F whole
-before the first push, its normals row by row; it agrees with versions
-4 to 6 in law, not in bits, and its draws live on as the test oracle
-``tests/oracles.py::stream_3_factor``.
+F', and so F, whole, from any generator and either normal source.
+Stream version 3 drew F whole before the first push, its normals row by
+row; it agrees with versions 4 to 7 in law, not in bits, and its draws
+live on as the test oracle ``tests/oracles.py::stream_3_factor``.
 
 Stream version 1 drew every sample: block b of BLOCK_SIZE samples took
 its standard normals from a Philox generator keyed (seed, b), one (rows,
@@ -126,12 +145,14 @@ from .machine import MachineLayout, NoiseReport, _Network
 # Samples per block of stream version 1.
 BLOCK_SIZE = 1 << 17
 # Columns of F' drawn and pushed through the machine at once, part of
-# the definition of stream versions 4 to 6.  16 to 128 ran within noise
+# the definition of stream versions 4 to 7.  16 to 128 ran within noise
 # of each other for K = 1030 modes on a 2-CPU Xeon.
 _PANEL = 32
-# Amplitudes of a panel drawn at once where it cannot be drawn in place.
+# Amplitudes of a panel drawn at once where it cannot be drawn in place,
+# and normal pairs :func:`_normals` turns at once.
 _CHUNK = 1 << 12
-STREAM_VERSION = 6
+STREAM_VERSION = 7
+_TWO_PI = 2.0 * math.pi
 # Quadrature row i = 2r + q - o of a block's part of a panel, indexed
 # (o, r, q, j) against its column j, o = 1 if the part starts on a p row:
 # strictly above the block's diagonal, and on it.
@@ -146,8 +167,48 @@ _log = logging.getLogger(__name__)
 
 
 def _generator(seed: int) -> np.random.Generator:
-    """The generator of stream version 6: numpy's SFC64 seeded by ``seed``."""
+    """The generator of stream versions 6 and 7: numpy's SFC64 seeded by
+    ``seed``."""
     return np.random.Generator(np.random.SFC64(seed))
+
+
+def _normals(gen: np.random.Generator, out: np.ndarray) -> None:
+    """Fill the contiguous float64 array ``out``, of even size, with the
+    standard normals of stream version 7, by Box-Muller's polar form (Box
+    & Muller, Ann. Math. Statist. 29, 610 (1958)): each consecutive pair
+    of ``gen.random`` uniforms (u, v) gives the pair (r cos t, r sin t),
+    r = sqrt(-2 log(1 - u)) in float64 and t = 2 pi v rounded to float32,
+    whose cosine and sine are float32.  The pairs are turned _CHUNK at a
+    time in place of their uniforms, through 16 bytes of scratch a pair
+    (r, t and the cosine), so two calls draw the same normals as one
+    over both arrays.
+    """
+    n = out.size // 2
+    m = min(_CHUNK, n)
+    r = np.empty(m)
+    t = np.empty(m, np.float32)
+    cos = np.empty(m, np.float32)
+    for start in range(0, 2 * n, 2 * m):
+        uv = out[start : start + 2 * m]
+        if uv.size < 2 * m:
+            w = uv.size // 2
+            r, t, cos = r[:w], t[:w], cos[:w]
+        gen.random(out=uv)
+        u, v = uv[0::2], uv[1::2]
+        np.subtract(1.0, u, out=r)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        v *= _TWO_PI
+        t[...] = v
+        np.cos(t, out=cos)
+        np.sin(t, out=t)
+        # Widened in place before the products, so that no ufunc call
+        # takes a buffer for a mixed-type operand.
+        u[...] = cos
+        u *= r
+        v[...] = t
+        v *= r
 
 
 @dataclass(frozen=True)
@@ -223,7 +284,7 @@ class EmpiricalMoments:
 def _factor_blocks(
     blocks: tuple[slice, ...], dof: int
 ) -> list[tuple[slice, int, int, int, int]]:
-    """The layout of the block factor F' of stream versions 5 and 6 over
+    """The layout of the block factor F' of stream versions 5 to 7 over
     ``blocks``, runs of modes that tile range(K), the first of them
     shared: one (rows, col, width, dof_b, stop) per block, its modes
     ``rows``, its first column of F', its r_b = min(2 len(rows), dof_b)
@@ -273,13 +334,17 @@ def _factor_panel(
     row order, x before p; then zeros above the diagonal and chi on it.
     With one block that is stream version 4's panel.  The stream is
     defined by that sequence of normals, not by the calls that draw it:
-    a generator's draws are sequential.  A part that covers a contiguous
-    run of ``out``'s rows is drawn there in one ``standard_normal`` call.
-    Any other part, in a panel that straddles a block boundary or next to
-    the sample mean, is drawn in row chunks of at most _CHUNK amplitudes
-    through one reused array, its diagonal's corner rows in the first
-    chunk, and each chunk copied to its place: the same normals as one
-    call per panel, or per part as stream version 5 drew them.
+    a generator's draws are sequential, and :func:`_normals` turns each
+    amplitude's (x, p) from its own pair of uniforms.  A part that covers
+    a contiguous run of ``out``'s rows is drawn there in one
+    :func:`_normals` call.  The parts of any other panel, one that
+    straddles a block boundary or sits next to the sample mean, are drawn
+    together by one call into one array when they hold at most _CHUNK
+    amplitudes in all, and otherwise part by part in row chunks of at
+    most _CHUNK amplitudes through one reused array, its diagonal's
+    corner rows in the first chunk; each part or chunk is then copied to
+    its place.  Either way the normals are those of one call per panel,
+    or per part as stream version 5 drew them.
     """
     k, w = out.shape
     # (first column, end column, first mode, stop mode, o) of each part,
@@ -292,12 +357,17 @@ def _factor_panel(
     lo, hi, top, bottom, _ = parts[0]
     whole = out[top:bottom, lo - c : hi - c]
     in_place = len(parts) == 1 and whole.flags.c_contiguous
+    sizes = [(bottom - top) * (hi - lo) for lo, hi, top, bottom, _ in parts]
+    # A panel drawn in place, or whose parts fit in one chunk together,
+    # takes all its normals in one call, and each part then reads its own.
+    at_once = in_place or sum(sizes) <= _CHUNK
     if in_place:
         chunk = whole.view(float).reshape(-1)
     else:
-        chunk = np.empty(2 * min(_CHUNK, max(
-            (bottom - top) * (hi - lo) for lo, hi, top, bottom, _ in parts)))
-    first, stop = k, 0
+        chunk = np.empty(2 * (sum(sizes) if at_once else min(_CHUNK, max(sizes))))
+    if at_once:
+        _normals(gen, chunk)
+    first, stop, drawn = k, 0, 0
     for lo, hi, top, bottom, o in parts:
         seg = out[:, lo - c : hi - c]
         if top:
@@ -307,8 +377,12 @@ def _factor_panel(
         step = chunk.size // (2 * (hi - lo))
         for row in range(top, bottom, step):
             shape = (min(step, bottom - row), hi - lo, 2)
-            z = chunk[: math.prod(shape)].reshape(shape)
-            gen.standard_normal(out=z)
+            size = math.prod(shape)
+            if not at_once:
+                drawn = 0
+                _normals(gen, chunk[:size])
+            z = chunk[drawn : drawn + size].reshape(shape)
+            drawn += size
             if row == top:
                 # The diagonal runs through the block's first drawn modes:
                 # read as (mode, quadrature, column), block quadrature row
@@ -406,8 +480,10 @@ def simulate(
     blocks = stages.blocks if isinstance(stages, _Network) else (slice(0, k),)
     factor = _factor_blocks(blocks, n - 1)
     gen = _generator(config.seed)
-    # The input sample mean mu_in + sigma g / sqrt(n), with no g kept.
-    means = (sigma / math.sqrt(n)) * gen.standard_normal(2 * k)
+    # The input sample mean mu_in + sigma g / sqrt(n), formed in g's array.
+    means = np.empty(2 * k)
+    _normals(gen, means)
+    means *= sigma / math.sqrt(n)
     means += mu_in
     chi = np.sqrt(gen.chisquare(np.concatenate(
         [dof - np.arange(width) for _, _, width, dof, _ in factor])))

@@ -51,14 +51,18 @@ where the library scores all modes as whole arrays.
 The sampling oracle is stream version 1: it draws every sample, block
 by block with :func:`block_normals`, pushes each block through S by one
 product and merges the block moments in order, where the library draws
-the moments themselves from their exact law (stream version 6).  The
+the moments themselves from their exact law (stream version 7).  The
 two agree in law, not in bits.  Stream version 3, which drew the same
 law's Wishart factor F whole and row by row, is an oracle too, and so
-is the block factor F' of stream versions 5 and 6 assembled whole from
+is the block factor F' of stream versions 5 to 7 assembled whole from
 its panels (stream version 4's F where it has one block): both feed one
 product with the whole S, from the library's generator or from PCG64,
 where the library pushes one panel of F' at a time through the
-machine's stages.
+machine's stages.  The normals of stream versions 1 to 6 are numpy's
+``standard_normal``, those of stream version 7 the library's
+Box-Muller kernel; :func:`box_muller` is that kernel's float64
+reference, its angle and cosine and sine in float64 where the kernel
+takes them in float32.
 
 The Fock oracle works outside phase space, where every other check
 shares its conventions (a = (x + ip)/sqrt(2), vacuum variance 1/2, the
@@ -100,6 +104,7 @@ from pciclone.montecarlo import (
     ComparisonSummary,
     EmpiricalMoments,
     _generator,
+    _normals,
 )
 
 
@@ -761,9 +766,34 @@ def stream_3_factor(gen, d, dof):
     return f
 
 
-def stream_5_factor(gen, d, dof, blocks=None):
+def standard_normals(gen, shape):
+    """The normals of stream versions 1 to 6: numpy's ``standard_normal``."""
+    return gen.standard_normal(shape)
+
+
+def stream_7_normals(gen, shape):
+    """The normals of stream version 7, from the library's kernel."""
+    z = np.empty(shape)
+    _normals(gen, z.reshape(-1))
+    return z
+
+
+def box_muller(gen, size):
+    """``size`` normals, and the radius of each, by Box-Muller in float64
+    from consecutive pairs (u, v) of ``gen.random``: (r cos t, r sin t)
+    with r = sqrt(-2 log(1 - u)) and t = 2 pi v, all in float64."""
+    u, v = gen.random((size // 2, 2)).T
+    r = np.sqrt(-2.0 * np.log(1.0 - u))
+    t = 2.0 * np.pi * v
+    return (np.column_stack((r * np.cos(t), r * np.sin(t))).reshape(-1),
+            np.repeat(r, 2))
+
+
+def stream_5_factor(gen, d, dof, blocks=None, normals=standard_normals):
     """Stream version 5's block factor F', assembled whole as a d x r
-    array.  ``blocks`` are runs of modes tiling range(d/2), the first
+    array, its normals drawn by ``normals(gen, shape)``: numpy's for
+    stream versions 4 to 6, :func:`stream_7_normals` for stream version
+    7.  ``blocks`` are runs of modes tiling range(d/2), the first
     shared; None is one block, for which F' is stream version 4's F.
     The shared block takes r_0 = min(d_0, dof) columns, each other block
     b r_b = min(d_b, dof - r_0), d_b being its quadrature rows, in block
@@ -794,7 +824,7 @@ def stream_5_factor(gen, d, dof, blocks=None):
             lo, hi = max(c, first), min(c + _PANEL, first + width)
             if lo < hi:
                 top = start + (lo - first) // 2 * 2
-                z = gen.standard_normal(((end - top) // 2, hi - lo, 2))
+                z = normals(gen, ((end - top) // 2, hi - lo, 2))
                 f[top:end, lo:hi] = z.transpose(0, 2, 1).reshape(end - top, hi - lo)
     for start, _, first, width, _ in parts:
         for j in range(width):
@@ -804,17 +834,18 @@ def stream_5_factor(gen, d, dof, blocks=None):
 
 
 def wishart_simulate(transform, layout, config, factor,
-                     generator=_generator):
-    """EmpiricalMoments of a run that draws g ~ N(0, I_2K) and then
-    F = factor(gen, 2K, n - 1) from ``gen = generator(seed)`` (by default
-    stream version 6's SFC64; ``np.random.default_rng``, PCG64, for
-    streams 3 to 5), through the whole S: means S (mu_in + g / sqrt(2 n))
-    and covariances the 2 x 2 diagonal blocks of S F (S F)^T / (2 (n - 1))."""
+                     generator=_generator, normals=standard_normals):
+    """EmpiricalMoments of a run that draws g ~ N(0, I_2K) by
+    ``normals(gen, 2K)`` and then F = factor(gen, 2K, n - 1) from
+    ``gen = generator(seed)`` (by default stream versions 6 and 7's
+    SFC64; ``np.random.default_rng``, PCG64, for streams 3 to 5), through
+    the whole S: means S (mu_in + g / sqrt(2 n)) and covariances the
+    2 x 2 diagonal blocks of S F (S F)^T / (2 (n - 1))."""
     n = config.sample_count
     k = layout.total_modes
     s = to_symplectic(transform).matrix
     gen = generator(config.seed)
-    g = gen.standard_normal(2 * k)
+    g = normals(gen, 2 * k)
     sf = s @ factor(gen, 2 * k, n - 1)
     amps = layout.input_amplitudes(config.psi)
     mu_in = np.sqrt(2.0) * np.column_stack((amps.real, amps.imag)).reshape(-1)

@@ -481,7 +481,7 @@ class TestVerify:
         # residual with probability (eps sqrt(2/pi))^32, a run's K times that.
         assert doc["meta"] == {
             "version": pciclone.__version__,
-            "stream_version": 6,
+            "stream_version": 7,
             "block_size": montecarlo.BLOCK_SIZE,
             "seed": 5,
             "certificate": {
@@ -550,7 +550,7 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_golden.json").read
 
 @pytest.mark.parametrize("golden", GOLDEN, ids=lambda g: " ".join(g["argv"][1:]))
 def test_verify_golden(capsys, golden):
-    # Every field but the timings, as stream version 6 prints it:
+    # Every field but the timings, as stream version 7 prints it:
     # counts, flags, verdicts, columns, roles and meta exactly, residuals
     # to 1e-14 and z-scores to 1e-9.
     code, out = run_cli(capsys, *golden["argv"])
@@ -661,6 +661,60 @@ def test_verify_bytes_do_not_depend_on_blas_threads():
         del doc["timings"]
         docs.append(json.dumps(doc))
     assert docs[0] == docs[1]
+
+
+def test_verify_z_table_does_not_depend_on_avx512():
+    # Stream version 7's normals take numpy's SIMD float64 log and float32
+    # cosine and sine.  Their AVX2 (X86_V3) and AVX-512 (X86_V4) paths
+    # give the same cosines and sines and logs that differ at most in the
+    # last bit, so the z table agrees to 1e-9 with the AVX-512 paths
+    # switched off.  On a machine without X86_V4 both runs take the same
+    # path.  numpy's X86_V2 baseline and non-x86 platforms round the
+    # float32 cosine and sine differently and do not repeat stream
+    # version 7's bits.
+    src = str(Path(pciclone.__file__).resolve().parents[1])
+    tables = []
+    for disabled in (None, "X86_V4 AVX512_ICL AVX512_SPR"):
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        env.pop("NPY_ENABLE_CPU_FEATURES", None)
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        proc = subprocess.run(
+            [sys.executable, "-m", "pciclone", "verify", "2", "2", "6", "4096", "3"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        tables.append(json.loads(proc.stdout)["comparison"]["z"])
+    np.testing.assert_allclose(tables[1], tables[0], rtol=0, atol=1e-9)
+
+
+def test_fresh_verify_samples_within_its_certificate_peak():
+    # K = 99,999 at n = 100: the certificate's probe pass sets a fresh
+    # verify's peak, about 119.3 MB on a 2-CPU Xeon with numpy 2.4, and
+    # the whole run's 119.7 MB.  Sampling, run after it as verify runs
+    # it, holds one panel buffer, one draw chunk and the normal kernel's
+    # scratch of at most 2^12 pairs, and must not raise the process's
+    # peak by more than 1 MB; a kernel whose scratch grew with the panel
+    # part it turned fails this.
+    src = str(Path(pciclone.__file__).resolve().parents[1])
+    code = (
+        "import resource\n"
+        "from pciclone import machine, montecarlo\n"
+        "from pciclone.canonical import commutation_residual\n"
+        "def peak():\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "network, layout = machine._network(machine.CloningConfig(1, 0, 50000))\n"
+        "commutation_residual(network)\n"
+        "certificate = peak()\n"
+        "montecarlo.simulate(network, layout, montecarlo.SampleConfig(100, 1))\n"
+        "print(certificate, peak())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    certificate_kb, sampled_kb = map(int, proc.stdout.split())
+    assert sampled_kb - certificate_kb <= 1024
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

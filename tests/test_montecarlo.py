@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import logging
+import math
 import operator
 import tracemalloc
 
@@ -96,6 +97,56 @@ class TestBlockNormals:
         a = block_normals(9, 0, 64, 3)
         b = block_normals(9, 1, 64, 3)
         assert np.max(np.abs(a - b)) > 0.1
+
+
+class TestNormals:
+    # Stream version 7's kernel: Box-Muller from SFC64's uniform pairs,
+    # its angle, cosine and sine in float32.
+    def test_within_a_millionth_of_r_of_float64_box_muller(self):
+        z = np.empty(1 << 20)
+        montecarlo._normals(montecarlo._generator(5), z)
+        want, r = oracles.box_muller(montecarlo._generator(5), z.size)
+        assert np.all(np.abs(z - want) <= 1e-6 * r)
+
+    def test_chunk_invariant(self):
+        # Two calls draw what one call over both arrays draws, whatever
+        # the split, across the kernel's passes of _CHUNK pairs too.
+        size = 2 * (2 * montecarlo._CHUNK + 5)
+        whole = np.empty(size)
+        montecarlo._normals(montecarlo._generator(9), whole)
+        for splits in ((2,), (2 * montecarlo._CHUNK,), (6, 8192, 8200), (size - 2,)):
+            gen = montecarlo._generator(9)
+            parts = np.split(np.empty(size), splits)
+            for part in parts:
+                montecarlo._normals(gen, part)
+            assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+    def test_radius_from_zero_to_the_tail_cut(self):
+        # u = 0 gives r = 0, and u's largest value, 1 - 2^-53, the
+        # largest radius, sqrt(106 log 2) = 8.57: no normal lies beyond.
+        class Uniforms:
+            def random(self, out):
+                out[...] = np.reshape([0.0, 0.3, 1 - 2.0**-53, 0.0], out.shape)
+
+        z = np.empty(4)
+        montecarlo._normals(Uniforms(), z)
+        assert z[:2].tolist() == [0.0, 0.0]
+        assert z[2] == pytest.approx(math.sqrt(106 * math.log(2)), rel=1e-15)
+        assert 8.57 < z[2] < 8.58
+        assert z[3] == 0.0
+
+    def test_moments_within_five_standard_errors(self):
+        # Over 2^20 draws: mean 0, variance 1, third moment 0, fourth 3,
+        # and x and p of a pair uncorrelated, each within 5 standard
+        # errors (the roots of 1, 2, 15, 96 and 2 over the count).
+        n = 1 << 20
+        z = np.empty(n)
+        montecarlo._normals(montecarlo._generator(2), z)
+        for got, want, var in ((z.mean(), 0.0, 1), (z.var(), 1.0, 2),
+                               (np.mean(z**3), 0.0, 15), (np.mean(z**4), 3.0, 96),
+                               (np.mean(z[0::2] * z[1::2]), 0.0, 2)):
+            assert abs(got - want) <= 5 * math.sqrt(var / n)
+
 
 class TestSimulate:
     def test_identity_vacuum(self):
@@ -299,15 +350,17 @@ class TestSimulate:
         ],
     )
     def test_matches_the_full_product(self, counts, samples):
-        # The same draws, F' assembled whole from its panels, through the
-        # whole S F' and the whole S, upper zeros included; the panels sum
-        # in another order, within 1e-14.
+        # The same draws, stream version 7's, F' assembled whole from its
+        # panels, through the whole S F' and the whole S, upper zeros
+        # included; the panels sum in another order, within 1e-14.
         transform, layout = build_machine(CloningConfig(*counts))
         config = SampleConfig(samples, 11, 0.5j)
         emp = simulate(transform, layout, config)
         want = oracles.wishart_simulate(
             transform, layout, config,
-            functools.partial(oracles.stream_5_factor, blocks=transform._network.blocks))
+            functools.partial(oracles.stream_5_factor, blocks=transform._network.blocks,
+                              normals=oracles.stream_7_normals),
+            normals=oracles.stream_7_normals)
         np.testing.assert_allclose(emp.covariances, want.covariances, rtol=0, atol=1e-14)
         np.testing.assert_allclose(emp.means, want.means, rtol=0, atol=1e-14)
 
@@ -361,7 +414,8 @@ class TestSimulate:
         # normals run over every mode, and 28 of C's, 2.3 MB of normals in
         # all, next to the 4.2 MB panel buffer.  They are drawn in chunks
         # of at most 2^12 amplitudes through one array, so sampling holds
-        # the buffer, one chunk and the mean and sums, 7 doubles a mode.
+        # the buffer, one chunk, the normal kernel's scratch for 2^12
+        # pairs and the mean and sums, 7 doubles a mode.
         network, layout = machine._network(CloningConfig(1, 0, 4000))
         k = network.mode_count
         assert k == 7999
@@ -374,9 +428,9 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         buffer = 16 * k * (montecarlo._PANEL + 1)
-        chunk = 16 * montecarlo._CHUNK
+        chunk = scratch = 16 * montecarlo._CHUNK
         assert chunk == 64 * 1024
-        assert peak <= buffer + chunk + 7 * 8 * k + 64 * 1024
+        assert peak <= buffer + chunk + scratch + 7 * 8 * k + 64 * 1024
 
     @pytest.mark.parametrize("counts, samples", [((2, 2, 6), 100), ((4, 4, 40), 60)])
     def test_stages_and_pair_sample_alike(self, counts, samples):
@@ -468,20 +522,19 @@ class TestSimulate:
         # did, then each panel of F in one standard_normal call over its
         # rows from mode c/2 down, x before p, zeroed above the diagonal:
         # stream version 5 with one block.  The draws are pinned exactly
-        # through _factor_panel; the moments, which also pass through BLAS
+        # through the oracle that assembles F from its panels, as modes of
+        # amplitudes x + ip; the moments, which also pass through BLAS
         # products, to 1e-12 through the oracle run of the same draws from
-        # PCG64 (simulate draws stream version 6).
+        # PCG64 (simulate draws stream version 7).
         assert montecarlo._PANEL == 32
         gen = np.random.default_rng(2**64 - 1)
         assert gen.standard_normal(4)[0] == 0.7213364570768727
-        chi = np.sqrt(gen.chisquare(5 - np.arange(4)))
+        f = oracles.stream_5_factor(gen, 4, 5)
         # The diagonal is stream version 3's.
-        assert chi.tolist() == [2.0641360507387065, 2.605615103482924,
-                                1.2639938612658754, 1.710015929726313]
+        assert np.diagonal(f).tolist() == [2.0641360507387065, 2.605615103482924,
+                                           1.2639938612658754, 1.710015929726313]
         # Modes 0 and 1 hold quadrature rows (0, 1) and (2, 3).
-        panel = np.empty((2, 4), dtype=complex)
-        one_block = montecarlo._factor_blocks((slice(0, 2),), 5)
-        assert montecarlo._factor_panel(gen, chi, one_block, 0, panel) == (0, 2)
+        panel = f[0::2] + 1j * f[1::2]
         assert panel.tolist() == [
             [2.0641360507387065 + 1.2536647840795245j, 2.605615103482924j, 0j, 0j],
             [-1.3596516040885636 - 0.6924759508929184j,
@@ -489,10 +542,8 @@ class TestSimulate:
              1.2639938612658754 + 0.061965466718244044j, 1.710015929726313j],
         ]
         # dof = 3 < d = 4: a 4 x 3 trapezoid, one panel of odd width.
-        chi = np.sqrt(gen.chisquare(3 - np.arange(3)))
-        panel = np.empty((2, 3), dtype=complex)
-        one_block = montecarlo._factor_blocks((slice(0, 2),), 3)
-        montecarlo._factor_panel(gen, chi, one_block, 0, panel)
+        f = oracles.stream_5_factor(gen, 4, 3)
+        panel = f[0::2] + 1j * f[1::2]
         assert panel.tolist() == [
             [1.0858948548299283 + 0.06980663299334089j, 0.9895304803719931j, 0j],
             [-0.855437214694838 - 0.19027621016958876j,
@@ -519,9 +570,10 @@ class TestSimulate:
         # R's 4 columns, then C's 2 with 63 - 4 degrees of freedom.  A run
         # draws g, the chi^2 diagonal of every column in one call, then
         # each panel block by block: R's columns over every mode from 0,
-        # C's over mode 2 alone.  The draws are pinned exactly; the
-        # moments to 1e-12, through the oracle run of the same draws from
-        # PCG64 (simulate draws stream version 6).
+        # C's over mode 2 alone.  The draws are pinned exactly through the
+        # oracle that assembles F' from its panels; the moments to 1e-12,
+        # through the oracle run of the same draws from PCG64 (simulate
+        # draws stream version 7).
         network, layout = machine._network(CloningConfig(1, 0, 2))
         assert network.blocks == (slice(0, 2), slice(2, 3), slice(3, 3))
         factor = montecarlo._factor_blocks(network.blocks, 63)
@@ -529,12 +581,12 @@ class TestSimulate:
                           (slice(3, 3), 6, 0, 59, 3)]
         gen = np.random.default_rng(2**64 - 1)
         assert gen.standard_normal(6)[0] == 0.7213364570768727
-        chi = np.sqrt(gen.chisquare([63, 62, 61, 60, 59, 58]))
-        assert chi.tolist() == [8.639208810391008, 7.561381826484871,
-                                7.612432096077316, 8.60608007262899,
-                                6.964823897683522, 7.562136470895576]
-        panel = np.empty((3, 6), dtype=complex)
-        assert montecarlo._factor_panel(gen, chi, factor, 0, panel) == (0, 3)
+        f = oracles.stream_5_factor(gen, 6, 63, network.blocks)
+        # The chi values of R's 4 columns and C's 2, from one chisquare call.
+        assert np.diagonal(f).tolist() == [8.639208810391008, 7.561381826484871,
+                                           7.612432096077316, 8.60608007262899,
+                                           6.964823897683522, 7.562136470895576]
+        panel = f[0::2] + 1j * f[1::2]
         assert panel.tolist() == [
             [8.639208810391008 - 1.3596516040885636j, 7.561381826484871j, 0j, 0j,
              0j, 0j],
@@ -547,11 +599,6 @@ class TestSimulate:
              -1.150566230886884 + 0.6468239522273848j,
              6.964823897683522 + 1.0767999615952877j, 7.562136470895576j],
         ]
-        # The oracle draws the same F'.
-        gen = np.random.default_rng(2**64 - 1)
-        gen.standard_normal(6)
-        f = oracles.stream_5_factor(gen, 6, 63, network.blocks)
-        np.testing.assert_array_equal(f[0::2] + 1j * f[1::2], panel)
         transform, _ = build_machine(CloningConfig(1, 0, 2))
         emp = oracles.wishart_simulate(
             transform, layout, SampleConfig(64, 2**64 - 1, 0.5j),
@@ -576,19 +623,18 @@ class TestSimulate:
         # Stream version 6 is stream version 5's draw from numpy's SFC64
         # seeded by the seed, each panel's block parts from one
         # standard_normal call.  (1, 0, 2) as in the version 5 test: the
-        # draws are pinned exactly, and the moments of simulate to 1e-12.
-        assert montecarlo.STREAM_VERSION == 6
+        # draws are pinned exactly through the oracle, and the moments to
+        # 1e-12 through its run of the same draws (simulate draws stream
+        # version 7).
         network, layout = machine._network(CloningConfig(1, 0, 2))
-        factor = montecarlo._factor_blocks(network.blocks, 63)
         gen = montecarlo._generator(2**64 - 1)
         assert isinstance(gen.bit_generator, np.random.SFC64)
         assert gen.standard_normal(6)[0] == 0.21728240006079313
-        chi = np.sqrt(gen.chisquare([63, 62, 61, 60, 59, 58]))
-        assert chi.tolist() == [7.881454728158118, 7.985206208374803,
-                                7.845187043753923, 7.285339973135244,
-                                7.54997316899557, 6.6257430809540026]
-        panel = np.empty((3, 6), dtype=complex)
-        assert montecarlo._factor_panel(gen, chi, factor, 0, panel) == (0, 3)
+        f = oracles.stream_5_factor(gen, 6, 63, network.blocks)
+        assert np.diagonal(f).tolist() == [7.881454728158118, 7.985206208374803,
+                                           7.845187043753923, 7.285339973135244,
+                                           7.54997316899557, 6.6257430809540026]
+        panel = f[0::2] + 1j * f[1::2]
         assert panel.tolist() == [
             [7.881454728158118 + 3.3021115085599018j, 7.985206208374803j, 0j, 0j,
              0j, 0j],
@@ -602,7 +648,9 @@ class TestSimulate:
              7.54997316899557 + 1.188724806939439j, 6.6257430809540026j],
         ]
         transform, _ = build_machine(CloningConfig(1, 0, 2))
-        emp = simulate(transform, layout, SampleConfig(64, 2**64 - 1, 0.5j))
+        emp = oracles.wishart_simulate(
+            transform, layout, SampleConfig(64, 2**64 - 1, 0.5j),
+            functools.partial(oracles.stream_5_factor, blocks=network.blocks))
         np.testing.assert_allclose(
             emp.means.ravel(),
             [-0.04487890895693126, 0.8533926795037939, -0.008246884552782652,
@@ -617,6 +665,94 @@ class TestSimulate:
              0.27524565076445623, 0.27524565076445623, 0.9988603793151971],
             rtol=1e-12,
         )
+
+    def test_stream_version_7_definition(self):
+        # Stream version 7 is stream version 6 with every normal, g's and
+        # F''s, drawn by the Box-Muller kernel from SFC64's uniforms;
+        # the chi^2 diagonal is still one chisquare call.  (1, 0, 2) as in
+        # the version 5 and 6 tests.  The draws are pinned to 1e-15, since
+        # numpy's float64 log may round the last bit differently on its
+        # AVX2 and AVX-512 paths, and the oracle draws the same F' as
+        # _factor_panel; the moments of simulate are pinned to 1e-12.
+        assert montecarlo.STREAM_VERSION == 7
+        network, layout = machine._network(CloningConfig(1, 0, 2))
+        factor = montecarlo._factor_blocks(network.blocks, 63)
+        gen = montecarlo._generator(2**64 - 1)
+        g = np.empty(6)
+        montecarlo._normals(gen, g)
+        np.testing.assert_allclose(
+            g, [-0.1490325405393271, -0.27550577769977963, 0.6169933810815991,
+                -1.0241191069218503, -0.4254806973229294, 0.2209296790464515],
+            rtol=1e-15, atol=0)
+        chi = np.sqrt(gen.chisquare([63, 62, 61, 60, 59, 58]))
+        assert chi.tolist() == [7.881454728158118, 7.985206208374803,
+                                7.845187043753923, 7.285339973135244,
+                                7.54997316899557, 6.6257430809540026]
+        panel = np.empty((3, 6), dtype=complex)
+        assert montecarlo._factor_panel(gen, chi, factor, 0, panel) == (0, 3)
+        np.testing.assert_allclose(panel, [
+            [7.881454728158118 + 0.6324466456857031j, 7.985206208374803j, 0j, 0j,
+             0j, 0j],
+            [0.7620080672704982 - 1.172252094577825j,
+             0.679864897797567 - 0.11202667729908565j,
+             7.845187043753923 - 0.06891995253050963j, 7.285339973135244j, 0j, 0j],
+            [0.5417052306070026 - 0.31020248925538735j,
+             -0.8768434330229724 + 0.6965931695305206j,
+             -0.6785812345245208 + 0.39381987315049094j,
+             0.31145788979363787 + 0.2826380892871862j,
+             7.54997316899557 + 1.310140610203915j, 6.6257430809540026j],
+        ], rtol=1e-15, atol=0)
+        gen = montecarlo._generator(2**64 - 1)
+        oracles.stream_7_normals(gen, 6)
+        f = oracles.stream_5_factor(gen, 6, 63, network.blocks, oracles.stream_7_normals)
+        np.testing.assert_array_equal(f[0::2] + 1j * f[1::2], panel)
+        transform, _ = build_machine(CloningConfig(1, 0, 2))
+        emp = simulate(transform, layout, SampleConfig(64, 2**64 - 1, 0.5j))
+        np.testing.assert_allclose(
+            emp.means.ravel(),
+            [-0.0012031972691853173, 0.7605708298511179, 0.06395143263109773,
+             -0.8107701690933302, 0.05198188989618086, 0.7329546199703113],
+            rtol=1e-12,
+        )
+        np.testing.assert_allclose(
+            emp.covariances.ravel(),
+            [1.045615077715656, 0.12107388095393941, 0.12107388095393941,
+             0.9698337852986576, 1.6212997524995065, -0.2335710279442492,
+             -0.2335710279442492, 1.4105234876303914, 1.0371876004274843,
+             0.21097299789100643, 0.21097299789100643, 0.8861598556628056],
+            rtol=1e-12,
+        )
+
+    @pytest.mark.parametrize("counts, samples", [((2, 2, 12), 64), ((1, 1, 2), 9)])
+    def test_matches_stream_6_in_law(self, counts, samples):
+        # Each mode's x and p variance over 1000 runs of stream version 7
+        # and of stream version 6 (the same F' from SFC64's ziggurat
+        # normals, through the oracle), on disjoint seeds, must pass a
+        # two-sample KS test; modes are pooled by role, as in the stream
+        # version 3 test.
+        cfg = CloningConfig(*counts)
+        transform, layout = build_machine(cfg)
+        runs = 1000
+        stream_6 = functools.partial(
+            oracles.wishart_simulate,
+            factor=functools.partial(oracles.stream_5_factor,
+                                     blocks=transform._network.blocks))
+
+        def variances(route, seeds):
+            return np.array([
+                np.diagonal(route(transform, layout,
+                                  SampleConfig(samples, seed, 0.5 - 0.25j)).covariances,
+                            axis1=1, axis2=2)
+                for seed in seeds
+            ])
+
+        v7 = variances(simulate, range(runs))
+        v6 = variances(stream_6, range(runs, 2 * runs))
+        for slots in (layout.clone_slots, layout.anticlone_slots, layout.residual_slots):
+            for q in range(2):
+                if slots:
+                    got, want = v7[:, list(slots), q], v6[:, list(slots), q]
+                    assert stats.ks_2samp(got.ravel(), want.ravel()).pvalue > 1e-3
 
     def test_largest_sample_count_passes(self):
         cfg = CloningConfig(1, 1, 2)
