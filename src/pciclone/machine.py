@@ -543,8 +543,8 @@ def _working_set(config: CloningConfig, samples: int | None = None) -> int:
     which every panel is drawn and in which each DFT block's FFT writes,
     one draw chunk of a panel that straddles the blocks, at most 2^12
     amplitudes (64 KiB) and at most a panel's, the normal kernel's
-    scratch, the float64 radii and float32 angles and cosines of at most
-    2^12 normal pairs (64 KiB), and the sample mean and sums.  The
+    scratch, the float64 radii and float32 angles of at most 2^12 normal
+    pairs (48 KiB), and the sample mean and sums.  The
     formula bounds both with room: warmed ``verify`` runs
     traced 0.38 of it at K = 606 and at K = 4102 and 0.28 at
     K = 99,999.

@@ -70,7 +70,7 @@ j on, takes the normals of the complex amplitudes of its modes from the
 block's mode j/2 down, to the last mode for R and to the block's end for
 C and A, in row order, x before p, and keeps those on and below the
 block's diagonal, putting the chi values on it.  Every normal, g's and
-F''s, comes from Box-Muller's polar form (Box & Muller, Ann. Math.
+F''s, comes from the Box-Muller transform (Box & Muller, Ann. Math.
 Statist. 29, 610 (1958)): an amplitude's (x, p) is (r cos t, r sin t)
 for the next two ``random`` uniforms (u, v), with r = sqrt(-2 log(1 -
 u)) in float64 and the angle t = 2 pi v rounded to float32, its cosine
@@ -88,11 +88,11 @@ that draw it, since a generator's draws are sequential and each
 amplitude takes its own pair of uniforms: a part that covers a
 contiguous run of a panel's rows is drawn there by one call, the parts
 of any other panel, one that straddles the block boundaries or shares
-the buffer with the sample mean, by one call into one array when they
-hold at most _CHUNK amplitudes in all and otherwise in row chunks of at
-most _CHUNK amplitudes through one reused array, which draw the same
-normals.  _PANEL = 32 is part of that definition.  The same arguments
-give the same moments under one numpy version, platform and BLAS build:
+the buffer with the sample mean, in runs of rows through one reused
+array of at most _CHUNK amplitudes, each call filling it with the next
+runs that fit together, which draw the same normals.  _PANEL = 32 is
+part of that definition.  The same arguments give the same moments
+under one numpy version, platform and BLAS build:
 numpy does not promise that its samplers keep their output across
 versions, they call the platform's math library, and the FFTs and BLAS
 products may round in a build-dependent way.  numpy's float32 cosine
@@ -174,25 +174,23 @@ def _generator(seed: int) -> np.random.Generator:
 
 def _normals(gen: np.random.Generator, out: np.ndarray) -> None:
     """Fill the contiguous float64 array ``out``, of even size, with the
-    standard normals of stream version 7, by Box-Muller's polar form (Box
+    standard normals of stream version 7, by the Box-Muller transform (Box
     & Muller, Ann. Math. Statist. 29, 610 (1958)): each consecutive pair
     of ``gen.random`` uniforms (u, v) gives the pair (r cos t, r sin t),
     r = sqrt(-2 log(1 - u)) in float64 and t = 2 pi v rounded to float32,
     whose cosine and sine are float32.  The pairs are turned _CHUNK at a
-    time in place of their uniforms, through 16 bytes of scratch a pair
-    (r, t and the cosine), so two calls draw the same normals as one
-    over both arrays.
+    time in place of their uniforms, through 12 bytes of scratch a pair
+    (r and t; the cosine waits in the float32 half of v's slot), so two
+    calls draw the same normals as one over both arrays.
     """
     n = out.size // 2
     m = min(_CHUNK, n)
     r = np.empty(m)
     t = np.empty(m, np.float32)
-    cos = np.empty(m, np.float32)
     for start in range(0, 2 * n, 2 * m):
         uv = out[start : start + 2 * m]
         if uv.size < 2 * m:
-            w = uv.size // 2
-            r, t, cos = r[:w], t[:w], cos[:w]
+            r, t = r[: uv.size // 2], t[: uv.size // 2]
         gen.random(out=uv)
         u, v = uv[0::2], uv[1::2]
         np.subtract(1.0, u, out=r)
@@ -201,6 +199,7 @@ def _normals(gen: np.random.Generator, out: np.ndarray) -> None:
         np.sqrt(r, out=r)
         v *= _TWO_PI
         t[...] = v
+        cos = uv.view(np.float32)[2::4]
         np.cos(t, out=cos)
         np.sin(t, out=t)
         # Widened in place before the products, so that no ufunc call
@@ -338,13 +337,14 @@ def _factor_panel(
     amplitude's (x, p) from its own pair of uniforms.  A part that covers
     a contiguous run of ``out``'s rows is drawn there in one
     :func:`_normals` call.  The parts of any other panel, one that
-    straddles a block boundary or sits next to the sample mean, are drawn
-    together by one call into one array when they hold at most _CHUNK
-    amplitudes in all, and otherwise part by part in row chunks of at
-    most _CHUNK amplitudes through one reused array, its diagonal's
-    corner rows in the first chunk; each part or chunk is then copied to
-    its place.  Either way the normals are those of one call per panel,
-    or per part as stream version 5 drew them.
+    straddles a block boundary or sits next to the sample mean, are cut
+    into runs of rows of at most _CHUNK amplitudes, a part's diagonal
+    corner rows in its first run, and drawn through one reused array of
+    at most _CHUNK amplitudes: each call fills it with the next runs, in
+    stream order, that fit in it together, so a panel whose parts hold
+    at most _CHUNK amplitudes in all takes one call, and each run is then
+    copied to its place.  Either way the normals are those of one call
+    per panel, or per part as stream version 5 drew them.
     """
     k, w = out.shape
     # (first column, end column, first mode, stop mode, o) of each part,
@@ -357,32 +357,36 @@ def _factor_panel(
     lo, hi, top, bottom, _ = parts[0]
     whole = out[top:bottom, lo - c : hi - c]
     in_place = len(parts) == 1 and whole.flags.c_contiguous
-    sizes = [(bottom - top) * (hi - lo) for lo, hi, top, bottom, _ in parts]
-    # A panel drawn in place, or whose parts fit in one chunk together,
-    # takes all its normals in one call, and each part then reads its own.
-    at_once = in_place or sum(sizes) <= _CHUNK
     if in_place:
         chunk = whole.view(float).reshape(-1)
     else:
-        chunk = np.empty(2 * (sum(sizes) if at_once else min(_CHUNK, max(sizes))))
-    if at_once:
-        _normals(gen, chunk)
-    first, stop, drawn = k, 0, 0
-    for lo, hi, top, bottom, o in parts:
-        seg = out[:, lo - c : hi - c]
+        chunk = np.empty(2 * min(_CHUNK, sum(
+            (bottom - top) * (hi - lo) for lo, hi, top, bottom, _ in parts)))
+    # The kernel calls, each [normals, runs]: the runs of rows, (part,
+    # first row, rows) in stream order, that fit in the chunk together.
+    draws = []
+    first, stop = k, 0
+    for part in parts:
+        lo, hi, top, bottom, _ = part
         if top:
-            seg[:top] = 0.0
+            out[:top, lo - c : hi - c] = 0.0
         if bottom < k:
-            seg[bottom:] = 0.0
+            out[bottom:, lo - c : hi - c] = 0.0
         step = chunk.size // (2 * (hi - lo))
         for row in range(top, bottom, step):
-            shape = (min(step, bottom - row), hi - lo, 2)
-            size = math.prod(shape)
-            if not at_once:
-                drawn = 0
-                _normals(gen, chunk[:size])
-            z = chunk[drawn : drawn + size].reshape(shape)
-            drawn += size
+            rows = min(step, bottom - row)
+            size = 2 * rows * (hi - lo)
+            if not draws or draws[-1][0] + size > chunk.size:
+                draws.append([0, []])
+            draws[-1][0] += size
+            draws[-1][1].append((part, row, rows))
+        first, stop = min(first, top), max(stop, bottom)
+    for size, runs in draws:
+        _normals(gen, chunk[:size])
+        drawn = 0
+        for (lo, hi, top, _, o), row, rows in runs:
+            z = chunk[drawn : drawn + 2 * rows * (hi - lo)].reshape(rows, hi - lo, 2)
+            drawn += z.size
             if row == top:
                 # The diagonal runs through the block's first drawn modes:
                 # read as (mode, quadrature, column), block quadrature row
@@ -392,8 +396,7 @@ def _factor_panel(
                 corner[_ABOVE[o, :h, :, : hi - lo]] = 0.0
                 corner[_DIAGONAL[o, :h, :, : hi - lo]] = chi[lo:hi]
             if not in_place:
-                seg[row : row + shape[0]] = z.view(complex)[..., 0]
-        first, stop = min(first, top), max(stop, bottom)
+                out[row : row + rows, lo - c : hi - c] = z.view(complex)[..., 0]
     return first, stop
 
 

@@ -414,8 +414,7 @@ class TestSimulate:
         # normals run over every mode, and 28 of C's, 2.3 MB of normals in
         # all, next to the 4.2 MB panel buffer.  They are drawn in chunks
         # of at most 2^12 amplitudes through one array, so sampling holds
-        # the buffer, one chunk, the normal kernel's scratch for 2^12
-        # pairs and the mean and sums, 7 doubles a mode.
+        # the buffer, one chunk and the mean and sums, 7 doubles a mode.
         network, layout = machine._network(CloningConfig(1, 0, 4000))
         k = network.mode_count
         assert k == 7999
@@ -428,9 +427,9 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         buffer = 16 * k * (montecarlo._PANEL + 1)
-        chunk = scratch = 16 * montecarlo._CHUNK
+        chunk = 16 * montecarlo._CHUNK
         assert chunk == 64 * 1024
-        assert peak <= buffer + chunk + scratch + 7 * 8 * k + 64 * 1024
+        assert peak <= buffer + chunk + 7 * 8 * k + 64 * 1024
 
     @pytest.mark.parametrize("counts, samples", [((2, 2, 6), 100), ((4, 4, 40), 60)])
     def test_stages_and_pair_sample_alike(self, counts, samples):
@@ -674,6 +673,9 @@ class TestSimulate:
         # numpy's float64 log may round the last bit differently on its
         # AVX2 and AVX-512 paths, and the oracle draws the same F' as
         # _factor_panel; the moments of simulate are pinned to 1e-12.
+        # The pins hold on those two paths (X86_V3 and X86_V4) only:
+        # numpy's X86_V2 baseline and non-x86 platforms round the float32
+        # cosine and sine otherwise.
         assert montecarlo.STREAM_VERSION == 7
         network, layout = machine._network(CloningConfig(1, 0, 2))
         factor = montecarlo._factor_blocks(network.blocks, 63)
