@@ -45,7 +45,6 @@ from .machine import (
     noise_report,
 )
 from .montecarlo import (
-    BLOCK_SIZE,
     STREAM_VERSION,
     _Z_COLUMNS,
     SampleConfig,
@@ -57,6 +56,10 @@ from .optimize import minimize_asymmetry, solve_amplifier
 SWEEP_HEADER = "n,M,a,N,Nc,G,n_th,sqrt_n_th"
 SWEEP_COLUMNS = SWEEP_HEADER.split(",")
 DEFAULT_TOL = 1e-10
+# The layout of verify's JSON.  Version 2 summarizes the z table by role
+# (``ComparisonSummary.to_dict``); version 1 printed it whole, as the CSV
+# output still does.
+OUTPUT_VERSION = 2
 
 
 class OutputError(Exception):
@@ -183,7 +186,8 @@ def cmd_verify(args) -> int:
     structural_pass = residual <= tol
     t_certified = t_sampled = t_scored = time.perf_counter()
     # A machine that fails its certificate has failed verification and
-    # is not sampled: it has no z table.
+    # is not sampled: it has no z table.  The JSON summarizes the table,
+    # the CSV prints it one row per mode.
     summary = None
     if structural_pass:
         emp = simulate(network, layout, sampling)
@@ -211,8 +215,8 @@ def cmd_verify(args) -> int:
             "passed": passed,
             "meta": {
                 "version": __version__,
+                "output_version": OUTPUT_VERSION,
                 "stream_version": STREAM_VERSION,
-                "block_size": BLOCK_SIZE,
                 "seed": args.seed,
                 "certificate": _certificate(network.mode_count),
             },

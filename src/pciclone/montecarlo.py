@@ -126,9 +126,11 @@ that runs it live on in the tests.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -507,6 +509,27 @@ def simulate(
 
 
 _Z_COLUMNS = ("z_mean_x", "z_mean_p", "z_var_x", "z_var_p", "z_fidelity")
+# The output roles, in the order ``to_dict`` lists them.
+_ROLES = ("clone", "anticlone", "residual")
+_ROLE_CODES = {role: code for code, role in enumerate(_ROLES)}
+_COLUMN_INDEX = np.arange(len(_Z_COLUMNS))
+_TINY = np.finfo(float).tiny
+# Below this |z|, sums and squares of a role's z-scores stay far from
+# overflow for any mode count that fits in memory.
+_UNSCALED = 2.0**480
+
+
+def _json_floats(a: np.ndarray) -> list:
+    """``a`` as nested lists of floats, each non-finite entry None, which
+    JSON writes as null."""
+    finite = np.isfinite(a)
+    if finite.all():
+        return a.tolist()
+    return np.where(finite, a, None).tolist()
+
+
+def _json_float(x: float) -> float | None:
+    return x if math.isfinite(x) else None
 
 
 @dataclass(frozen=True)
@@ -514,9 +537,10 @@ class ComparisonSummary:
     """Per-mode z-scores against the analytic predictions, and the verdict.
 
     Row j of the read-only (K, 5) table ``z`` holds mode j's z_mean_x,
-    z_mean_p, z_var_x, z_var_p and z_fidelity, and ``roles[j]`` its role.
-    Any |z| above the finite, positive ``threshold``, or a NaN z, fails.
-    ``worst`` names the largest |z| (the first NaN, if any).
+    z_mean_p, z_var_x, z_var_p and z_fidelity, and ``roles[j]`` its role,
+    one of clone, anticlone and residual.  Any |z| above the finite,
+    positive ``threshold``, or a NaN z, fails.  ``worst`` names the
+    largest |z| (the first NaN, if any).
     """
 
     roles: tuple[str, ...]
@@ -525,14 +549,23 @@ class ComparisonSummary:
 
     def __post_init__(self):
         object.__setattr__(self, "z", frozen_array(self.z, float))
+        shape = (len(self.roles), len(_Z_COLUMNS))
+        if self.z.shape != shape:
+            raise DomainError(f"z must have shape {shape}, got {self.z.shape}")
+        if not _ROLE_CODES.keys() >= set(self.roles):
+            raise DomainError(f"roles must be among {_ROLES}")
         require_finite(threshold=self.threshold)
         if not self.threshold > 0:
             raise DomainError(f"threshold must be > 0, got {self.threshold}")
 
-    @property
+    @cached_property
+    def _abs_z(self) -> np.ndarray:
+        return np.abs(self.z)
+
+    @cached_property
     def max_abs_z(self) -> float:
         # np.max, unlike max, keeps a NaN wherever it stands, so a NaN fails.
-        return float(np.max(np.abs(self.z)))
+        return float(np.max(self._abs_z))
 
     @property
     def passed(self) -> bool:
@@ -543,13 +576,15 @@ class ComparisonSummary:
         """The mode, role, column and signed value of the largest |z|: the
         first in row order on a tie, and the first NaN if there is one,
         as :attr:`max_abs_z` reads it."""
-        mode, col = divmod(int(np.argmax(np.abs(self.z))), len(_Z_COLUMNS))
+        mode, col = divmod(int(np.argmax(self._abs_z)), len(_Z_COLUMNS))
         return {"mode": mode, "role": self.roles[mode], "column": _Z_COLUMNS[col],
                 "z": float(self.z[mode, col])}
 
     def flagged(self) -> list[int]:
         """Modes with a |z| above the threshold or a NaN z."""
-        row_max = np.max(np.abs(self.z), axis=1)
+        if self.passed:
+            return []
+        row_max = np.max(self._abs_z, axis=1)
         return np.flatnonzero(~(row_max <= self.threshold)).tolist()
 
     @property
@@ -559,14 +594,84 @@ class ComparisonSummary:
             for mode, (role, z) in enumerate(zip(self.roles, self.z.tolist()))
         ]
 
+    def _by_role(self) -> dict:
+        """``to_dict``'s ``by_role``, from whole-array reductions over the
+        table's rows sorted by role (array methods, not numpy's slower
+        function wrappers, keep it cheap at small K)."""
+        k = len(self.roles)
+        codes = np.fromiter(map(_ROLE_CODES.__getitem__, self.roles), np.intp, k)
+        order = codes.argsort(kind="stable")
+        present = [(code, m) for code, m in
+                   enumerate(np.bincount(codes, minlength=len(_ROLES)).tolist()) if m]
+        n = [m for _, m in present]
+        starts = list(itertools.accumulate(n, initial=0))[:-1]
+        z = self.z[order]
+        abs_z = np.abs(z)
+        # Each role's first largest |z| in each column, its first NaN if
+        # it has one, as argmax finds them.
+        top = np.array([abs_z[s : s + m].argmax(0) + s for s, m in zip(starts, n)])
+        mean, spread, worst_z = stats = np.empty((3, len(n), len(_Z_COLUMNS)))
+        worst_z[...] = z[top, _COLUMN_INDEX]
+        sizes = np.array(n)[:, None]
+        scaled = not self.max_abs_z < _UNSCALED
+        if scaled:
+            # Scaled by that largest |z|, every z lies in [-1, 1], so no sum
+            # or square overflows.  A column that holds a non-finite z gets
+            # a NaN scale, or divides inf by inf, and so a NaN mean and
+            # spread.
+            scale = np.maximum(np.abs(worst_z), _TINY)
+            with np.errstate(invalid="ignore"):
+                z /= scale.repeat(n, axis=0)
+        np.add.reduceat(z, starts, out=mean)
+        mean /= sizes
+        z -= mean.repeat(n, axis=0)
+        z *= z
+        np.add.reduceat(z, starts, out=spread)
+        spread /= sizes
+        np.sqrt(spread, out=spread)
+        if scaled:
+            mean *= scale
+            spread *= scale
+        if self.passed:
+            above = [[0] * len(_Z_COLUMNS) for _ in n]
+        else:
+            within = np.add.reduceat(abs_z <= self.threshold, starts, dtype=np.intp)
+            above = (sizes - within).tolist()
+        return {
+            _ROLES[code]: {"modes": m, "above": a, "mean": mu, "spread": sd,
+                           "worst_mode": worst_mode, "worst_z": worst}
+            for (code, m), a, mu, sd, worst, worst_mode in zip(
+                present, above, *_json_floats(stats), order[top].tolist())
+        }
+
     def to_dict(self) -> dict:
-        """The table as ``columns`` (the z names), ``roles`` (one per mode,
-        the mode its index) and ``z`` (one list of floats per mode), then
-        the verdict."""
-        return {"columns": list(_Z_COLUMNS), "roles": list(self.roles),
-                "z": self.z.tolist(), "threshold": self.threshold,
-                "max_abs_z": self.max_abs_z, "worst": self.worst,
-                "passed": self.passed}
+        """A summary whose size does not grow with the mode count.
+        ``columns`` names the five z-scores.  ``by_role`` holds, for each
+        role with modes, in the order clone, anticlone, residual: its
+        mode count ``modes``, and lists aligned with ``columns`` of
+        ``above`` (the count of its |z| above the threshold, or NaN),
+        the ``mean`` and ``spread`` (population standard deviation) of
+        its z-scores, and ``worst_mode`` and ``worst_z``, its largest
+        |z| as :attr:`worst` picks it.  ``flagged`` holds the mode, role
+        and five z-scores of each :meth:`flagged` mode, in mode order.
+        Then the verdict: ``threshold``, ``max_abs_z``, ``worst`` and
+        ``passed``.  Every non-finite z-score, mean or spread is None,
+        which JSON writes as null; the per-mode table is :attr:`rows`.
+        """
+        modes = self.flagged()
+        rows = _json_floats(self.z[modes]) if modes else []
+        worst = self.worst
+        worst["z"] = _json_float(worst["z"])
+        return {
+            "columns": list(_Z_COLUMNS),
+            "by_role": self._by_role(),
+            "flagged": [{"mode": mode, "role": self.roles[mode], "z": z}
+                        for mode, z in zip(modes, rows)],
+            "threshold": self.threshold,
+            "max_abs_z": _json_float(self.max_abs_z),
+            "worst": worst,
+            "passed": self.passed,
+        }
 
 
 def _z(diff: np.ndarray, se: np.ndarray) -> np.ndarray:

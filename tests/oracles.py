@@ -596,6 +596,49 @@ def per_mode_compare(emp, report, layout, threshold=5.0):
     return ComparisonSummary(tuple(roles), np.array(z_rows), threshold)
 
 
+def comparison_summary(roles, z, threshold=5.0):
+    """``ComparisonSummary.to_dict``'s ``by_role`` and ``flagged`` from the
+    (K, 5) table ``z``, one mode and one column at a time: the mean and
+    spread (population standard deviation) by math.fsum over the
+    column's finite z-scores, None if any is not finite, and the worst
+    z the first largest |z|, a NaN beating every number, as None when
+    not finite."""
+
+    def json_float(x):
+        return x if math.isfinite(x) else None
+
+    rows = np.asarray(z, dtype=float).tolist()
+    by_role = {}
+    for role in ("clone", "anticlone", "residual"):
+        modes = [j for j, r in enumerate(roles) if r == role]
+        if not modes:
+            continue
+        entry = {"modes": len(modes), "above": [], "mean": [], "spread": [],
+                 "worst_mode": [], "worst_z": []}
+        for c in range(5):
+            column = [rows[j][c] for j in modes]
+            entry["above"].append(sum(not abs(x) <= threshold for x in column))
+            worst = modes[0]
+            for j in modes:
+                here, best = rows[j][c], rows[worst][c]
+                if not math.isnan(best) and (math.isnan(here) or abs(here) > abs(best)):
+                    worst = j
+            mean = spread = None
+            if all(math.isfinite(x) for x in column):
+                mean = math.fsum(column) / len(column)
+                square = math.fsum((x - mean) ** 2 for x in column)
+                spread = math.sqrt(square / len(column))
+            entry["mean"].append(mean)
+            entry["spread"].append(spread)
+            entry["worst_mode"].append(worst)
+            entry["worst_z"].append(json_float(rows[worst][c]))
+        by_role[role] = entry
+    flagged = [{"mode": j, "role": roles[j], "z": [json_float(x) for x in row]}
+               for j, row in enumerate(rows)
+               if not all(abs(x) <= threshold for x in row)]
+    return {"by_role": by_role, "flagged": flagged}
+
+
 def exact_added_noise(n, nc, m):
     """(n_th clone, n_th anticlone or None) of counts (N, N', M), from
     G - 1 in 60-digit decimal arithmetic."""

@@ -19,10 +19,39 @@ from pciclone import gain_from_amplitudes, machine, montecarlo
 from pciclone.cli import SWEEP_HEADER, build_parser, main
 from pciclone.errors import ConvergenceError
 
+import oracles
+
+Z_COLUMNS = ["z_mean_x", "z_mean_p", "z_var_x", "z_var_p", "z_fidelity"]
+
 
 def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
     return code, capsys.readouterr().out
+
+
+def csv_table(text):
+    """The roles and the (K, 5) z table of verify's CSV, whose rows are
+    modes 0 to K - 1 in order."""
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert [list(row) for row in rows] == [["mode", "role", *Z_COLUMNS]] * len(rows)
+    assert [int(row["mode"]) for row in rows] == list(range(len(rows)))
+    return [row["role"] for row in rows], np.array(
+        [[float(row[c]) for c in Z_COLUMNS] for row in rows]).reshape(-1, 5)
+
+
+def assert_summary_of(comparison, roles, z):
+    """The JSON summary ``comparison`` is that of the table (``roles``,
+    ``z``), mode by mode: counts, modes and flagged rows exactly, means
+    and spreads to 1e-12 relative."""
+    want = oracles.comparison_summary(roles, z, comparison["threshold"])
+    assert comparison["flagged"] == want["flagged"]
+    assert list(comparison["by_role"]) == list(want["by_role"])
+    for role, entry in comparison["by_role"].items():
+        expected = want["by_role"][role]
+        for key in ("modes", "above", "worst_mode", "worst_z"):
+            assert entry[key] == expected[key], (role, key)
+        for key in ("mean", "spread"):
+            np.testing.assert_allclose(entry[key], expected[key], rtol=1e-12, atol=0)
 
 
 class TestReport:
@@ -479,10 +508,12 @@ class TestVerify:
         assert list(doc)[-2:] == ["meta", "timings"]
         # (1, 0, 1) has K = 2 modes; the probe bound misses a mode's
         # residual with probability (eps sqrt(2/pi))^32, a run's K times that.
+        # Output version 2 summarizes the z table; stream version 1's
+        # block size is no longer printed.
         assert doc["meta"] == {
             "version": pciclone.__version__,
+            "output_version": 2,
             "stream_version": 7,
-            "block_size": montecarlo.BLOCK_SIZE,
             "seed": 5,
             "certificate": {
                 "method": "gaussian_probes",
@@ -523,26 +554,52 @@ class TestVerify:
         assert len(lines) == 5  # four modes
 
     def test_comparison_keys_and_csv_rows(self, capsys):
-        # JSON and CSV carry the same z table: JSON as columns, roles and
-        # one z list per mode, CSV as one row per mode under mode, role and
-        # the JSON columns, and its 17-digit floats round-trip exactly.
+        # The JSON summarizes the z table that the CSV prints one row per
+        # mode under mode, role and the JSON's columns.  The CSV's
+        # 17-digit floats round-trip exactly, so its table gives the
+        # JSON's summary mode by mode.
         argv = ("verify", 2, 1, 3, 5000, 4)
         _, out = run_cli(capsys, *argv)
         comparison = json.loads(out)["comparison"]
-        assert list(comparison) == ["columns", "roles", "z", "threshold", "max_abs_z",
-                                    "worst", "passed"]
-        z_columns = ["z_mean_x", "z_mean_p", "z_var_x", "z_var_p", "z_fidelity"]
-        assert comparison["columns"] == z_columns
-        assert len(comparison["roles"]) == len(comparison["z"]) == 6
-        assert all(len(row) == 5 for row in comparison["z"])
+        assert list(comparison) == ["columns", "by_role", "flagged", "threshold",
+                                    "max_abs_z", "worst", "passed"]
+        assert comparison["columns"] == Z_COLUMNS
         _, out = run_cli(capsys, *argv, "--format", "csv")
-        got = list(csv.DictReader(io.StringIO(out)))
-        assert [list(row) for row in got] == [["mode", "role", *z_columns]] * 6
-        for mode, (got_row, role, z) in enumerate(
-                zip(got, comparison["roles"], comparison["z"])):
-            assert int(got_row.pop("mode")) == mode
-            assert got_row.pop("role") == role
-            assert [float(got_row[c]) for c in z_columns] == z
+        roles, z = csv_table(out)
+        assert len(roles) == 6
+        assert_summary_of(comparison, roles, z)
+        assert comparison["max_abs_z"] == np.max(np.abs(z))
+        worst = comparison["worst"]
+        assert z[worst["mode"], Z_COLUMNS.index(worst["column"])] == worst["z"]
+        assert roles[worst["mode"]] == worst["role"]
+
+    def test_json_does_not_grow_with_k(self, capsys):
+        # K = 31 and K = 8191: apart from their flagged rows, the two
+        # documents hold the same keys and lists of the same lengths, one
+        # scalar a leaf, so their sizes differ by the flagged rows and
+        # the digits of their numbers.
+        docs = []
+        for m in (16, 4096):
+            _, out = run_cli(capsys, "verify", 1, 0, m, 200, 3)
+            doc = json.loads(out)
+            del doc["timings"]
+            docs.append(doc)
+
+        def skeleton(node):
+            if isinstance(node, dict):
+                return {key: skeleton(value) for key, value in node.items()}
+            if isinstance(node, list):
+                return [skeleton(value) for value in node]
+            return 0
+
+        flagged = [doc["comparison"].pop("flagged") for doc in docs]
+        assert skeleton(docs[0]) == skeleton(docs[1])
+        clones = [doc["comparison"]["by_role"]["clone"]["modes"] for doc in docs]
+        assert clones == [16, 4096]
+        for doc, rows in zip(docs, flagged):
+            assert len(json.dumps(doc)) < 4096
+            assert len(rows) <= sum(sum(entry["above"])
+                                    for entry in doc["comparison"]["by_role"].values())
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_golden.json").read_text())
@@ -550,39 +607,54 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_golden.json").read
 
 @pytest.mark.parametrize("golden", GOLDEN, ids=lambda g: " ".join(g["argv"][1:]))
 def test_verify_golden(capsys, golden):
-    # Every field but the timings, as stream version 7 prints it:
-    # counts, flags, verdicts, columns, roles and meta exactly, residuals
-    # to 1e-14 and z-scores to 1e-9.  The z-scores hold on numpy's AVX2
-    # and AVX-512 (X86_V3 and X86_V4) dispatch only: its X86_V2 baseline
-    # and non-x86 platforms round stream version 7's float32 cosine and
-    # sine otherwise and draw other samples.
+    # Every field but the timings, as stream version 7 prints it
+    # (tests/data/make_verify_golden.py writes the file): counts, flags,
+    # verdicts, meta and the summary's columns, roles, counts and modes
+    # exactly, residuals to 1e-14, and the z-scores, read from the CSV's
+    # per-mode table, and the summary's means, spreads and scores to
+    # 1e-9.  The z-scores hold on numpy's AVX2 and AVX-512 (X86_V3 and
+    # X86_V4) dispatch only: its X86_V2 baseline and non-x86 platforms
+    # round stream version 7's float32 cosine and sine otherwise and draw
+    # other samples.
     code, out = run_cli(capsys, *golden["argv"])
     assert code == golden["exit_code"]
     doc = json.loads(out)
     assert list(doc.pop("timings")) == ["build_s", "certificates_s", "sampling_s",
                                         "scoring_s"]
-    want = golden["doc"]
+    want = dict(golden["doc"])
     comparison, want_comparison = doc.pop("comparison"), want.pop("comparison")
     for key in ("commutation_residual", "symplectic_residual"):
         assert doc.pop(key) == pytest.approx(want.pop(key), rel=0, abs=1e-14)
     assert doc == want
     assert list(comparison) == list(want_comparison)
-    for key in ("columns", "roles", "threshold"):
+    for key in ("columns", "threshold", "passed"):
         assert comparison[key] == want_comparison[key]
-    z = comparison["z"]
-    np.testing.assert_allclose(z, want_comparison["z"], rtol=0, atol=1e-9)
-    assert comparison["passed"] is want_comparison["passed"]
+    assert list(comparison["by_role"]) == list(want_comparison["by_role"])
+    for role, entry in comparison["by_role"].items():
+        want_entry = want_comparison["by_role"][role]
+        assert list(entry) == list(want_entry)
+        for key in ("modes", "above", "worst_mode"):
+            assert entry[key] == want_entry[key], (role, key)
+        for key in ("mean", "spread", "worst_z"):
+            np.testing.assert_allclose(entry[key], want_entry[key], rtol=0, atol=1e-9)
+    assert [(row["mode"], row["role"]) for row in comparison["flagged"]] == [
+        (row["mode"], row["role"]) for row in want_comparison["flagged"]]
     assert comparison["max_abs_z"] == pytest.approx(want_comparison["max_abs_z"],
                                                     rel=0, abs=1e-9)
-    threshold = want_comparison["threshold"]
-    flagged = [j for j, zs in enumerate(want_comparison["z"])
-               if max(map(abs, zs)) > threshold]
-    assert [j for j, zs in enumerate(z) if max(map(abs, zs)) > threshold] == flagged
     worst = comparison["worst"]
     assert {k: worst[k] for k in ("mode", "role", "column")} == {
         k: want_comparison["worst"][k] for k in ("mode", "role", "column")}
     assert abs(worst["z"]) == comparison["max_abs_z"]
-    assert z[worst["mode"]][comparison["columns"].index(worst["column"])] == worst["z"]
+    # The per-mode route: the CSV's modes and roles exactly, its z table
+    # to 1e-9, and the JSON summary is that table's, mode by mode.
+    code, out = run_cli(capsys, *golden["argv"], "--format", "csv")
+    assert code == golden["exit_code"]
+    roles, z = csv_table(out)
+    want_roles, want_z = csv_table("\n".join(golden["csv"]))
+    assert roles == want_roles
+    np.testing.assert_allclose(z, want_z, rtol=0, atol=1e-9)
+    assert_summary_of(comparison, roles, z)
+    assert z[worst["mode"], Z_COLUMNS.index(worst["column"])] == worst["z"]
 
 
 @pytest.mark.parametrize("env", ["abc", "nan", "inf", "-1"])
@@ -650,31 +722,35 @@ def test_exit_code_survives_an_unwritable_stream(argv, stdout, stderr, want):
 
 def test_verify_bytes_do_not_depend_on_blas_threads():
     # The verify path's one BLAS product is the 2 x 2 amplifier: the
-    # DFTs are FFTs and the reductions numpy loops.  Only 1 and 2
+    # DFTs are FFTs and the reductions numpy loops.  The JSON summary and
+    # the CSV's per-mode table, every z bit, are compared.  Only 1 and 2
     # threads were tried, on a 2-CPU machine.
     src = str(Path(pciclone.__file__).resolve().parents[1])
-    docs = []
+    outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
-        proc = subprocess.run(
-            [sys.executable, "-m", "pciclone", "verify", "4", "4", "64", "4096", "3"],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
-        doc = json.loads(proc.stdout)
+        argv = [sys.executable, "-m", "pciclone", "verify", "4", "4", "64", "4096", "3"]
+        doc = json.loads(subprocess.run(
+            argv, env=env, capture_output=True, text=True, timeout=120, check=True,
+        ).stdout)
         del doc["timings"]
-        docs.append(json.dumps(doc))
-    assert docs[0] == docs[1]
+        table = subprocess.run(
+            [*argv, "--format", "csv"], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        ).stdout
+        outputs.append((json.dumps(doc), table))
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_z_table_does_not_depend_on_avx512():
     # Stream version 7's normals take numpy's SIMD float64 log and float32
     # cosine and sine.  Their AVX2 (X86_V3) and AVX-512 (X86_V4) paths
     # give the same cosines and sines and logs that differ at most in the
-    # last bit, so the z table agrees to 1e-9 with the AVX-512 paths
-    # switched off.  On a machine without X86_V4 both runs take the same
-    # path.  numpy's X86_V2 baseline and non-x86 platforms round the
-    # float32 cosine and sine differently and do not repeat stream
-    # version 7's bits.
+    # last bit, so the z table, read from the CSV, agrees to 1e-9 with
+    # the AVX-512 paths switched off.  On a machine without X86_V4 both
+    # runs take the same path.  numpy's X86_V2 baseline and non-x86
+    # platforms round the float32 cosine and sine differently and do not
+    # repeat stream version 7's bits.
     src = str(Path(pciclone.__file__).resolve().parents[1])
     tables = []
     for disabled in (None, "X86_V4 AVX512_ICL AVX512_SPR"):
@@ -684,12 +760,14 @@ def test_verify_z_table_does_not_depend_on_avx512():
         if disabled:
             env["NPY_DISABLE_CPU_FEATURES"] = disabled
         proc = subprocess.run(
-            [sys.executable, "-m", "pciclone", "verify", "2", "2", "6", "4096", "3"],
+            [sys.executable, "-m", "pciclone", "verify", "2", "2", "6", "4096", "3",
+             "--format", "csv"],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        tables.append(json.loads(proc.stdout)["comparison"]["z"])
-    np.testing.assert_allclose(tables[1], tables[0], rtol=0, atol=1e-9)
+        tables.append(csv_table(proc.stdout))
+    assert tables[1][0] == tables[0][0]
+    np.testing.assert_allclose(tables[1][1], tables[0][1], rtol=0, atol=1e-9)
 
 
 def test_fresh_verify_samples_within_its_certificate_peak():

@@ -993,6 +993,13 @@ class TestCompareToAnalytic:
         assert (worst["mode"], worst["column"]) == (2, "z_mean_p")
         assert np.isnan(worst["z"])
 
+    @pytest.mark.parametrize("roles, shape", [(("clone",) * 3, (4, 5)),
+                                              (("clone",) * 4, (4, 4)),
+                                              (("clone", "vacuum"), (2, 5))])
+    def test_table_and_roles_validated(self, roles, shape):
+        with pytest.raises(DomainError):
+            ComparisonSummary(roles, np.zeros(shape))
+
     def test_worst_is_the_first_largest(self):
         z = np.zeros((3, 5))
         z[1, 3], z[2, 0] = -4.5, 4.5
@@ -1078,27 +1085,115 @@ class TestCompareToAnalytic:
         transform, layout, emp = run(cfg, 10**4, 12, 0j)
         summary = compare_to_analytic(emp, noise_report(cfg), layout)
         doc = summary.to_dict()
-        assert list(doc) == ["columns", "roles", "z", "threshold", "max_abs_z",
+        assert list(doc) == ["columns", "by_role", "flagged", "threshold", "max_abs_z",
                              "worst", "passed"]
         columns = ["z_mean_x", "z_mean_p", "z_var_x", "z_var_p", "z_fidelity"]
         assert doc["columns"] == columns
-        assert doc["roles"] == list(summary.roles) == [
-            "clone", "anticlone", "clone", "anticlone"]
-        assert doc["z"] == summary.z.tolist()
+        assert summary.roles == ("clone", "anticlone", "clone", "anticlone")
+        # One entry a role, its lists aligned with the columns: the
+        # crossings, the mean and spread over the role's modes, and its
+        # worst mode and score.
+        assert list(doc["by_role"]) == ["clone", "anticlone"]
+        for role, entry in doc["by_role"].items():
+            assert list(entry) == ["modes", "above", "mean", "spread", "worst_mode",
+                                   "worst_z"]
+            modes = [j for j, r in enumerate(summary.roles) if r == role]
+            z = summary.z[modes]
+            assert entry["modes"] == len(modes) == 2
+            assert entry["above"] == [0] * 5
+            np.testing.assert_allclose(entry["mean"], z.mean(axis=0), rtol=1e-12)
+            np.testing.assert_allclose(entry["spread"], z.std(axis=0), rtol=1e-12)
+            assert {summary.roles[j] for j in entry["worst_mode"]} == {role}
+            assert entry["worst_z"] == [summary.z[j, c]
+                                        for c, j in enumerate(entry["worst_mode"])]
+            assert np.abs(entry["worst_z"]).tolist() == np.abs(z).max(axis=0).tolist()
+        assert doc["flagged"] == []
         assert doc["max_abs_z"] == np.max(np.abs(summary.z))
         worst = doc["worst"]
         assert list(worst) == ["mode", "role", "column", "z"]
         assert abs(worst["z"]) == doc["max_abs_z"]
-        assert doc["z"][worst["mode"]][columns.index(worst["column"])] == worst["z"]
-        assert worst["role"] == doc["roles"][worst["mode"]]
-        # The rows CSV writes carry the same table, one dict per mode.
+        assert summary.z[worst["mode"], columns.index(worst["column"])] == worst["z"]
+        assert worst["role"] == summary.roles[worst["mode"]]
+        # The rows CSV writes carry the whole table, one dict per mode.
         assert [list(row) for row in summary.rows] == [["mode", "role", *columns]] * 4
         assert [[row["mode"], row["role"], *(row[c] for c in columns)]
                 for row in summary.rows] == [
-            [mode, role, *z] for mode, (role, z) in enumerate(zip(doc["roles"], doc["z"]))]
+            [mode, role, *z]
+            for mode, (role, z) in enumerate(zip(summary.roles, summary.z.tolist()))]
         assert doc["passed"] is summary.passed is True
         with pytest.raises(ValueError):
             summary.z[0, 0] = 0.0
+
+    @pytest.mark.parametrize("threshold", [5.0, 1.0])
+    @pytest.mark.parametrize("counts", [(1, 0, 1), (2, 0, 2), (2, 0, 3), (2, 1, 2),
+                                        (2, 2, 6), (3, 0, 64), (1, 3, 40)])
+    def test_summary_matches_per_mode_oracle(self, counts, threshold):
+        # N' = 0 with M' = 0 or 1, M' = 1 with N' = 1, and layouts with
+        # residual modes; at threshold 1 many scores cross, so the counts
+        # and the flagged rows are not empty.
+        cfg = CloningConfig(*counts)
+        _, layout, emp = run(cfg, 500, 17, 0.4 - 0.9j)
+        summary = compare_to_analytic(emp, noise_report(cfg), layout, threshold)
+        doc = summary.to_dict()
+        want = oracles.comparison_summary(summary.roles, summary.z, threshold)
+        assert doc["flagged"] == want["flagged"]
+        assert [row["mode"] for row in doc["flagged"]] == summary.flagged()
+        assert list(doc["by_role"]) == list(want["by_role"])
+        for role, entry in doc["by_role"].items():
+            expected = want["by_role"][role]
+            for key in ("modes", "above", "worst_mode", "worst_z"):
+                assert entry[key] == expected[key], (role, key)
+            for key in ("mean", "spread"):
+                np.testing.assert_allclose(entry[key], expected[key], rtol=1e-12, atol=0)
+
+    def test_non_finite_scores_serialize_as_null(self):
+        # A row with NaN z-scores and a row with an infinite one: every
+        # non-finite z, and the mean and spread of every column that holds
+        # one, is None, so json.dumps takes the summary with
+        # allow_nan=False; the other columns keep their numbers.
+        z = np.arange(25.0).reshape(5, 5) / 10
+        z[1, :2] = np.nan
+        z[2, 3] = -np.inf
+        roles = ("clone", "clone", "clone", "anticlone", "clone")
+        summary = ComparisonSummary(roles, z)
+        doc = summary.to_dict()
+        text = json.dumps(doc, allow_nan=False)
+        assert json.loads(text) == doc
+        assert doc["max_abs_z"] is None and doc["passed"] is False
+        assert doc["worst"] == {"mode": 1, "role": "clone", "column": "z_mean_x",
+                                "z": None}
+        assert doc["flagged"] == [
+            {"mode": 1, "role": "clone", "z": [None, None, 0.7, 0.8, 0.9]},
+            {"mode": 2, "role": "clone", "z": [1.0, 1.1, 1.2, None, 1.4]},
+        ]
+        clone = doc["by_role"]["clone"]
+        assert clone["above"] == [1, 1, 0, 1, 0]
+        assert clone["mean"][:2] == clone["spread"][:2] == [None, None]
+        assert clone["mean"][3] is clone["spread"][3] is None
+        assert clone["worst_mode"] == [1, 1, 4, 2, 4]
+        assert clone["worst_z"] == [None, None, 2.2, None, 2.4]
+        np.testing.assert_allclose([clone["mean"][c] for c in (2, 4)],
+                                   z[[0, 1, 2, 4]][:, [2, 4]].mean(axis=0), rtol=1e-12)
+        assert doc["by_role"]["anticlone"]["spread"] == [0.0] * 5
+        want = oracles.comparison_summary(roles, z)
+        assert doc["flagged"] == want["flagged"]
+        for key in ("modes", "above", "worst_mode", "worst_z"):
+            assert clone[key] == want["by_role"]["clone"][key]
+
+    def test_huge_scores_keep_a_finite_spread(self):
+        # 1e300 squared overflows; each role's column is scaled by its
+        # largest |z| first, so its mean and spread stay finite and exact
+        # to rounding, and no RuntimeWarning (an error here) is raised.
+        z = np.zeros((4, 5))
+        z[:2, 2] = 1e300
+        summary = ComparisonSummary(("clone",) * 3 + ("residual",), z)
+        doc = summary.to_dict()
+        json.dumps(doc, allow_nan=False)
+        clone = doc["by_role"]["clone"]
+        assert clone["mean"][2] == pytest.approx(2e300 / 3, rel=1e-12)
+        assert clone["spread"][2] == pytest.approx(math.sqrt(2.0) / 3 * 1e300, rel=1e-12)
+        assert clone["mean"][0] == clone["spread"][0] == 0.0
+        assert doc["by_role"]["residual"]["spread"] == [0.0] * 5
 
 
 def test_exhaustive_grid_statistics():
