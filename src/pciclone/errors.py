@@ -20,9 +20,15 @@ class ConvergenceError(RuntimeError):
 
 def require_finite(**values: complex) -> None:
     """Raise :class:`DomainError` naming the first value with a NaN or
-    infinite (real or imaginary) part."""
+    infinite (real or imaginary) part, or an int beyond the float range."""
     for name, value in values.items():
-        if not cmath.isfinite(value):
+        try:
+            finite = cmath.isfinite(value)
+        except OverflowError:
+            raise DomainError(
+                f"{name} must be finite, got an integer beyond the float range"
+            ) from None
+        if not finite:
             raise DomainError(f"{name} must be finite, got {value}")
 
 

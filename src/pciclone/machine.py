@@ -539,15 +539,12 @@ def _working_set(config: CloningConfig, samples: int | None = None) -> int:
     16 K _PROBES bytes, and two arrays of one batch: the batch pushed in
     place and its moduli, _PROBE_BATCH columns each, or all _PROBES
     while they hold at most 2^13 amplitudes (K <= 256).  Sampling, run
-    after it, holds one panel buffer of 16 K (_PANEL + 1) bytes, into
-    which every panel is drawn and in which each DFT block's FFT writes,
-    one draw chunk of a panel that straddles the blocks, at most 2^12
-    amplitudes (64 KiB) and at most a panel's, the normal kernel's
-    scratch, the float64 radii and float32 angles of at most 2^12 normal
-    pairs (48 KiB), and the sample mean and sums.  The
-    formula bounds both with room: warmed ``verify`` runs
-    traced 0.38 of it at K = 606 and at K = 4102 and 0.28 at
-    K = 99,999.
+    after it, holds one panel buffer of 16 K (_PANEL + 1) bytes, in
+    which every panel is drawn and each DFT block's FFT writes, the
+    normal kernel's scratch, the float64 radii and float32 angles of at
+    most 2^12 normal pairs (48 KiB), and the sample mean and sums.  The
+    formula bounds both with room: warmed ``verify`` runs traced 0.38
+    of it at K = 606 and at K = 4102 and 0.28 at K = 99,999.
     """
     # montecarlo, which defines the panel width, imports this module.
     from .montecarlo import _PANEL
@@ -573,10 +570,14 @@ def _require_memory(config: CloningConfig, samples: int | None = None) -> None:
     :class:`DomainError`, in numpy's words for a failed allocation."""
     need, have = _working_set(config, samples), _physical_memory()
     if need > have:
+        # Decimal, since the byte count may lie beyond the float range;
+        # imported only here, since loading it costs a process 0.3 MB.
+        from decimal import Decimal
+
         raise DomainError(
-            f"Unable to allocate {need / 2**30:.3g} GiB for a machine of "
-            f"{_block_starts(config)[3]} modes: physical memory is "
-            f"{have / 2**30:.3g} GiB"
+            f"Unable to allocate {Decimal(need) / 2**30:.3g} GiB for a machine "
+            f"of {_block_starts(config)[3]} modes: physical memory is "
+            f"{Decimal(have) / 2**30:.3g} GiB"
         )
 
 

@@ -6,7 +6,7 @@ sigma^2 I, sigma^2 = 1/2, pushed through the machine's symplectic matrix
 S and reduced to each output mode's sample means, variances and x-p
 covariance.  The map is linear and the inputs Gaussian, so the joint law
 of those statistics is known exactly, and :func:`simulate` draws them
-from it (stream version 7) instead of drawing the samples.  With d = 2K
+from it (stream version 8) instead of drawing the samples.  With d = 2K
 quadratures, the input sample mean is mu_in + sigma g / sqrt(n) with
 g ~ N(0, I_d), and (n - 1) / sigma^2 times the input sample covariance
 is W ~ Wishart(I_d, nu), nu = n - 1, independent of the mean.  The output
@@ -62,60 +62,64 @@ mode; it pushes its panels through (M, L) in the same loop, at O(K^2) a
 column, and skips nothing.
 
 One generator, numpy's SFC64 seeded by ``seed`` (Small Fast Chaotic,
-Doty-Humphrey's PractRand), draws g, then the chi^2 diagonal of every
-column of F' in one ``chisquare`` call (numpy's gamma sampler; nu - i in
-R's column i, nu - r_R - i in C's or A's), then each panel block by
-block: the part of the panel in a block's columns, from its block column
-j on, takes the normals of the complex amplitudes of its modes from the
-block's mode j/2 down, to the last mode for R and to the block's end for
-C and A, in row order, x before p, and keeps those on and below the
-block's diagonal, putting the chi values on it.  Every normal, g's and
-F''s, comes from the Box-Muller transform (Box & Muller, Ann. Math.
-Statist. 29, 610 (1958)): an amplitude's (x, p) is (r cos t, r sin t)
-for the next two ``random`` uniforms (u, v), with r = sqrt(-2 log(1 -
-u)) in float64 and the angle t = 2 pi v rounded to float32, its cosine
-and sine taken by numpy's float32 SIMD loops (:func:`_normals`).  The
-float32 angle is the one place where precision is traded for speed:
-each normal lies within 1e-6 r of float64 Box-Muller on the same
-uniforms (2.6e-7 r at most over 2^22 draws), and the tails stop at
-r = sqrt(106 log 2) = 8.57, where u's 53 bits end, a radius a pair
-of independent normals passes with probability 2^-53.  The kernel
-draws a normal in about 6.5 ns against SFC64's ziggurat
-``standard_normal``'s 9.7 ns (numpy 2.4, a 2-vCPU Xeon with AVX-512),
-a third of it the uniforms.
-The stream is defined by that sequence of normals, not by the calls
-that draw it, since a generator's draws are sequential and each
-amplitude takes its own pair of uniforms: a part that covers a
-contiguous run of a panel's rows is drawn there by one call, the parts
-of any other panel, one that straddles the block boundaries or shares
-the buffer with the sample mean, in runs of rows through one reused
-array of at most _CHUNK amplitudes, each call filling it with the next
-runs that fit together, which draw the same normals.  _PANEL = 32 is
-part of that definition.  The same arguments give the same moments
-under one numpy version, platform and BLAS build:
-numpy does not promise that its samplers keep their output across
-versions, they call the platform's math library, and the FFTs and BLAS
-products may round in a build-dependent way.  numpy's float32 cosine
-and sine gave the same bits on its AVX2 (X86_V3) and AVX-512 (X86_V4)
-paths, and its float64 log differed between them in the last bit only,
-up to 3e-14 on a z-score; its X86_V2 baseline and non-x86 platforms
-round the cosine and sine otherwise and do not repeat the bits.
-Through the machine's stages the one BLAS product is the 2 x 2
-amplifier, and ``verify`` printed the same bytes under 1 and 2 OpenBLAS
-threads (more were not tried); a bare transform's (M, L) products may
-also round by thread count.  This is stream version 7.
+Doty-Humphrey's PractRand), draws the chi^2 diagonal of every column of
+F' in one ``chisquare`` call (numpy's gamma sampler; nu - i in R's
+column i, nu - r_R - i in C's or A's), then each panel in one call,
+into the panel buffer in place: the normals of the complex amplitudes
+of every column of the panel, the first panel's lead column g first, in
+row order, x before p, over the rows from the first mode its columns can
+reach to the last.  The first panel reaches every mode, so g is drawn
+whole.  Then the part of the panel in a block's columns, from its block
+column j on, keeps the normals of its modes from the block's mode j/2
+down, to the last mode for R and to the block's end for C and A, on and
+below the block's diagonal, puts the chi values on it and is zero
+elsewhere.  A panel that straddles a block boundary draws, and drops,
+the normals in rows that only its other block's columns reach: at
+K = 1030 and n = 4096 a run draws 2.8% more normals than version 7 did,
+30% more at K = 99,999 and n = 100.  Every normal, g's and F''s,
+comes from the Box-Muller transform (Box & Muller, Ann. Math. Statist.
+29, 610 (1958)): an amplitude's (x, p) is (r cos t, r sin t) for the
+next two ``random`` uniforms (u, v), with r = sqrt(-2 log(1 - u)) in
+float64 and the angle t = 2 pi v rounded to float32, its cosine and sine
+taken by numpy's float32 SIMD loops (:func:`_normals`).  The float32
+angle is the one place where precision is traded for speed: each normal
+lies within 1e-6 r of float64 Box-Muller on the same uniforms (2.6e-7 r
+at most over 2^22 draws), and the tails stop at r = sqrt(106 log 2) =
+8.57, where u's 53 bits end, a radius a pair of independent normals
+passes with probability 2^-53.  The kernel draws a normal in about
+6.5 ns against SFC64's ziggurat ``standard_normal``'s 9.7 ns (numpy 2.4,
+a 2-vCPU Xeon with AVX-512), a third of it the uniforms.  _PANEL = 32 is
+part of the stream's definition.  The same arguments give the same
+moments under one numpy version, platform and BLAS build: numpy does not
+promise that its samplers keep their output across versions, they call
+the platform's math library, and the FFTs and BLAS products may round in
+a build-dependent way.  numpy's float32 cosine and sine gave the same
+bits on its AVX2 (X86_V3) and AVX-512 (X86_V4) paths, and its float64
+log differed between them in the last bit only, up to 3e-14 on a
+z-score; its X86_V2 baseline and non-x86 platforms round the cosine and
+sine otherwise and do not repeat the bits.  Through the machine's stages
+the one BLAS product is the 2 x 2 amplifier, and ``verify`` printed the
+same bytes under 1 and 2 OpenBLAS threads (more were not tried); a bare
+transform's (M, L) products may also round by thread count.  This is
+stream version 8.
 
-Stream version 6 is the same draw with numpy's ziggurat
-``standard_normal`` for every normal, and stream version 5 that draw
-from ``np.random.default_rng(seed)``, numpy's PCG64; its panels took one
-``standard_normal`` call per block part, which a generator's sequential
-draws make the same normals.  Stream version 4 drew W's whole
-d x min(d, nu) factor F this way as one block, from PCG64, through the
-machine's stages too.  ``tests/oracles.py::stream_5_factor`` assembles
-F', and so F, whole, from any generator and either normal source.
-Stream version 3 drew F whole before the first push, its normals row by
-row; it agrees with versions 4 to 7 in law, not in bits, and its draws
-live on as the test oracle ``tests/oracles.py::stream_3_factor``.
+Stream version 7 drew g and the same F', normals in the same places
+and from the same kernel, in another order: g first in a call of its
+own, then the chi^2 diagonal, then each panel block by block, each
+block part over its own rows only.  Stream version 6 is version 7's
+draw with numpy's ziggurat ``standard_normal`` for every normal, and
+stream version 5 that draw from ``np.random.default_rng(seed)``, numpy's
+PCG64; its panels took one ``standard_normal`` call per block part,
+which a generator's sequential draws make the same normals.  Stream
+version 4 drew W's whole d x min(d, nu) factor F this way as one block,
+from PCG64, through the machine's stages too.
+``tests/oracles.py::stream_5_factor`` assembles
+the F' of versions 4 to 7, and so F, whole, from any generator and
+either normal source, and ``tests/oracles.py::stream_8_draws`` version
+8's g and F'.  Stream version 3 drew F whole before the first push, its
+normals row by row; it agrees with versions 4 to 8 in law, not in bits,
+and its draws live on as the test oracle
+``tests/oracles.py::stream_3_factor``.
 
 Stream version 1 drew every sample: block b of BLOCK_SIZE samples took
 its standard normals from a Philox generator keyed (seed, b), one (rows,
@@ -147,13 +151,12 @@ from .machine import MachineLayout, NoiseReport, _Network
 # Samples per block of stream version 1.
 BLOCK_SIZE = 1 << 17
 # Columns of F' drawn and pushed through the machine at once, part of
-# the definition of stream versions 4 to 7.  16 to 128 ran within noise
+# the definition of stream versions 4 to 8.  16 to 128 ran within noise
 # of each other for K = 1030 modes on a 2-CPU Xeon.
 _PANEL = 32
-# Amplitudes of a panel drawn at once where it cannot be drawn in place,
-# and normal pairs :func:`_normals` turns at once.
+# Normal pairs :func:`_normals` turns at once.
 _CHUNK = 1 << 12
-STREAM_VERSION = 7
+STREAM_VERSION = 8
 _TWO_PI = 2.0 * math.pi
 # Quadrature row i = 2r + q - o of a block's part of a panel, indexed
 # (o, r, q, j) against its column j, o = 1 if the part starts on a p row:
@@ -169,18 +172,19 @@ _log = logging.getLogger(__name__)
 
 
 def _generator(seed: int) -> np.random.Generator:
-    """The generator of stream versions 6 and 7: numpy's SFC64 seeded by
+    """The generator of stream versions 6 to 8: numpy's SFC64 seeded by
     ``seed``."""
     return np.random.Generator(np.random.SFC64(seed))
 
 
 def _normals(gen: np.random.Generator, out: np.ndarray) -> None:
     """Fill the contiguous float64 array ``out``, of even size, with the
-    standard normals of stream version 7, by the Box-Muller transform (Box
-    & Muller, Ann. Math. Statist. 29, 610 (1958)): each consecutive pair
-    of ``gen.random`` uniforms (u, v) gives the pair (r cos t, r sin t),
-    r = sqrt(-2 log(1 - u)) in float64 and t = 2 pi v rounded to float32,
-    whose cosine and sine are float32.  The pairs are turned _CHUNK at a
+    standard normals of stream versions 7 and 8, by the Box-Muller
+    transform (Box & Muller, Ann. Math. Statist. 29, 610 (1958)): each
+    consecutive pair of ``gen.random`` uniforms (u, v) gives the pair
+    (r cos t, r sin t), r = sqrt(-2 log(1 - u)) in float64 and t = 2 pi v
+    rounded to float32, whose cosine and sine are float32.  The pairs are
+    turned _CHUNK at a
     time in place of their uniforms, through 12 bytes of scratch a pair
     (r and t; the cosine waits in the float32 half of v's slot), so two
     calls draw the same normals as one over both arrays.
@@ -285,7 +289,7 @@ class EmpiricalMoments:
 def _factor_blocks(
     blocks: tuple[slice, ...], dof: int
 ) -> list[tuple[slice, int, int, int, int]]:
-    """The layout of the block factor F' of stream versions 5 to 7 over
+    """The layout of the block factor F' of stream versions 5 to 8 over
     ``blocks``, runs of modes that tile range(K), the first of them
     shared: one (rows, col, width, dof_b, stop) per block, its modes
     ``rows``, its first column of F', its r_b = min(2 len(rows), dof_b)
@@ -314,119 +318,83 @@ def _factor_panel(
     c: int,
     out: np.ndarray,
 ) -> tuple[int, int]:
-    """Write columns c to c + w - 1 of the block factor F' of
-    :func:`_factor_blocks` into the (K, w) complex array ``out`` as
-    amplitudes x + ip, zero wherever F' is, and return (first, stop): the
-    modes they can be nonzero in lie in range(first, stop).
+    """Draw the panel of the block factor F' of :func:`_factor_blocks`
+    from column c into the C-contiguous (K, lead + w) complex array
+    ``out``, as amplitudes x + ip after a lead column that the first
+    panel (c = 0, lead = 1) has and the others do not, and return
+    (first, stop): the modes its columns can be nonzero in lie in
+    range(first, stop).
 
     Each block's columns hold its Bartlett factor, sqrt(chi^2(dof_b - i))
     on the diagonal of its column i (``chi`` holds these for every column
-    of F'), normals below it, zeros above (Bartlett, Proc. R. Soc. Edinburgh 53, 260 (1933); Odell & Feiveson,
-    JASA 61, 199 (1966)), and the shared block's columns hold normals in
-    every row below it.  One law serves every dof (Uhlig, Ann. Statist.
-    22, 395 (1994)): LQ-factor the first r rows of G ~ N(0, 1)^{d x dof}
-    as T Q.  T is the Bartlett factor, and for dof < d the other rows
-    G_2 Q^T are normals, Q being orthogonal and independent of G_2, so
-    F F^T has the law of G G^T.
+    of F'), normals below it, zeros above (Bartlett, Proc. R. Soc.
+    Edinburgh 53, 260 (1933); Odell & Feiveson, JASA 61, 199 (1966)), and
+    the shared block's columns hold normals in every row below it.  One
+    law serves every dof (Uhlig, Ann. Statist. 22, 395 (1994)): LQ-factor
+    the first r rows of G ~ N(0, 1)^{d x dof} as T Q.  T is the Bartlett
+    factor, and for dof < d the other rows G_2 Q^T are normals, Q being
+    orthogonal and independent of G_2, so F F^T has the law of G G^T.
 
-    The panel is filled block by block: the part of the panel in a
-    block's columns, from its block-local column j on, takes its normals
-    over its rows from mode rows.start + j/2 down to the block's stop, in
-    row order, x before p; then zeros above the diagonal and chi on it.
-    With one block that is stream version 4's panel.  The stream is
-    defined by that sequence of normals, not by the calls that draw it:
-    a generator's draws are sequential, and :func:`_normals` turns each
-    amplitude's (x, p) from its own pair of uniforms.  A part that covers
-    a contiguous run of ``out``'s rows is drawn there in one
-    :func:`_normals` call.  The parts of any other panel, one that
-    straddles a block boundary or sits next to the sample mean, are cut
-    into runs of rows of at most _CHUNK amplitudes, a part's diagonal
-    corner rows in its first run, and drawn through one reused array of
-    at most _CHUNK amplitudes: each call fills it with the next runs, in
-    stream order, that fit in it together, so a panel whose parts hold
-    at most _CHUNK amplitudes in all takes one call, and each run is then
-    copied to its place.  Either way the normals are those of one call
-    per panel, or per part as stream version 5 drew them.
+    One :func:`_normals` call fills ``out``'s rows first to stop, every
+    column, in place; the first panel's lead column, which spans every
+    mode, holds g.  Then the part of the panel in a block's columns, from
+    its block-local column j on, keeps the normals in its rows, mode
+    rows.start + j/2 down to the block's stop, puts zeros above the
+    block's diagonal and chi on it, and is zero in every other row.
     """
-    k, w = out.shape
+    k, cols = out.shape
+    lead = 1 if c == 0 else 0
     # (first column, end column, first mode, stop mode, o) of each part,
     # o = 1 if the part starts on a p row.
     parts = []
     for rows, col, width, _, bottom in factor:
-        lo, hi = max(c, col), min(c + w, col + width)
+        lo, hi = max(c, col), min(c + cols - lead, col + width)
         if lo < hi:
             parts.append((lo, hi, rows.start + (lo - col) // 2, bottom, (lo - col) % 2))
-    lo, hi, top, bottom, _ = parts[0]
-    whole = out[top:bottom, lo - c : hi - c]
-    in_place = len(parts) == 1 and whole.flags.c_contiguous
-    if in_place:
-        chunk = whole.view(float).reshape(-1)
-    else:
-        chunk = np.empty(2 * min(_CHUNK, sum(
-            (bottom - top) * (hi - lo) for lo, hi, top, bottom, _ in parts)))
-    # The kernel calls, each [normals, runs]: the runs of rows, (part,
-    # first row, rows) in stream order, that fit in the chunk together.
-    draws = []
-    first, stop = k, 0
-    for part in parts:
-        lo, hi, top, bottom, _ = part
-        if top:
-            out[:top, lo - c : hi - c] = 0.0
-        if bottom < k:
-            out[bottom:, lo - c : hi - c] = 0.0
-        step = chunk.size // (2 * (hi - lo))
-        for row in range(top, bottom, step):
-            rows = min(step, bottom - row)
-            size = 2 * rows * (hi - lo)
-            if not draws or draws[-1][0] + size > chunk.size:
-                draws.append([0, []])
-            draws[-1][0] += size
-            draws[-1][1].append((part, row, rows))
-        first, stop = min(first, top), max(stop, bottom)
-    for size, runs in draws:
-        _normals(gen, chunk[:size])
-        drawn = 0
-        for (lo, hi, top, _, o), row, rows in runs:
-            z = chunk[drawn : drawn + 2 * rows * (hi - lo)].reshape(rows, hi - lo, 2)
-            drawn += z.size
-            if row == top:
-                # The diagonal runs through the block's first drawn modes:
-                # read as (mode, quadrature, column), block quadrature row
-                # 2 (top - rows.start) + i meets block column j + i - j % 2.
-                h = (hi - lo + o + 1) // 2
-                corner = z[:h].transpose(0, 2, 1)
-                corner[_ABOVE[o, :h, :, : hi - lo]] = 0.0
-                corner[_DIAGONAL[o, :h, :, : hi - lo]] = chi[lo:hi]
-            if not in_place:
-                out[row : row + rows, lo - c : hi - c] = z.view(complex)[..., 0]
+    first = min(top for _, _, top, _, _ in parts)
+    stop = max(bottom for _, _, _, bottom, _ in parts)
+    out[:first] = 0.0
+    out[stop:] = 0.0
+    _normals(gen, out[first:stop].view(float).reshape(-1))
+    # Read as (mode, quadrature, column): block quadrature row
+    # 2 (top - rows.start) + i meets block column j + i - j % 2.
+    quadratures = out.view(float).reshape(k, cols, 2).transpose(0, 2, 1)
+    for lo, hi, top, bottom, o in parts:
+        part = slice(lead + lo - c, lead + hi - c)
+        out[first:top, part] = 0.0
+        out[bottom:stop, part] = 0.0
+        h = (hi - lo + o + 1) // 2
+        corner = quadratures[top : top + h, :, part]
+        corner[_ABOVE[o, :h, :, : hi - lo]] = 0.0
+        corner[_DIAGONAL[o, :h, :, : hi - lo]] = chi[lo:hi]
     return first, stop
 
 
-def _panel_sums(stages, gen, chi, factor, means) -> np.ndarray:
+def _panel_sums(stages, gen, chi, factor, means, scale) -> np.ndarray:
     """The modes' x x, x p and p p sums, a (3, K) array, over the columns
     of ``stages``'s image of the block factor F' of ``factor``, whose
-    diagonal ``chi`` holds, each _PANEL-column panel drawn from ``gen``
-    by :func:`_factor_panel`.  The complex sample mean ``means`` rides
-    in the first panel and is pushed in place.
+    diagonal ``chi`` holds, g and each _PANEL-column panel of F' drawn
+    from ``gen`` by :func:`_factor_panel`.  The complex input means
+    ``means`` are replaced by the image of the sample mean
+    means + scale g.
 
     Mode m's quadratures (x, p) are the amplitude x + ip of a complex
-    view.  A panel's columns are F''s columns c, c + 1, ... as
-    amplitudes, after the mean in the first panel.  Pushed, they are S's
-    image of the mean and those columns of S F', whose parts add to the
-    sums.  Every panel is drawn into one buffer, and only the rows its
-    push reaches are read back; the buffer goes when the sums are done.
+    view.  The first panel carries g in its lead column, turned into the
+    sample mean in place, and every panel is drawn into one buffer and
+    pushed through ``stages`` there, so a panel's columns become columns
+    of S F'.  Only the rows a push reaches are read back; the buffer
+    goes when the sums are done.
     """
     k, r = means.size, chi.size
     sums = np.zeros((3, k))
     buffer = np.empty(k * (_PANEL + 1), dtype=complex)
     for c in range(0, r, _PANEL):
         lead = 1 if c == 0 else 0
-        w = min(_PANEL, r - c)
-        panel = buffer[: k * (lead + w)].reshape(k, lead + w)
-        first, stop = _factor_panel(gen, chi, factor, c, panel[:, lead:])
+        panel = buffer[: k * (lead + min(_PANEL, r - c))].reshape(k, -1)
+        first, stop = _factor_panel(gen, chi, factor, c, panel)
         if lead:
-            panel[:, 0] = means
-            first, stop = 0, k
+            panel[:, 0] *= scale
+            panel[:, 0] += means
         reached = stages._push(panel, first=first, stop=stop)
         if lead:
             means[:] = panel[:, 0]
@@ -448,18 +416,18 @@ def simulate(
     ``config.sample_count`` phase-space samples, drawn from their exact
     joint law as the module docstring describes.  ``transform`` is a
     :class:`~pciclone.canonical.CanonicalTransform` or the stages of
-    ``pciclone.machine._network``: the sample mean and each _PANEL-column
-    panel of the block factor F', drawn when it is reached into one
-    reused buffer, are pushed through it as complex amplitudes x + ip,
-    each panel reduced into the modes' 2 x 2 sums over the rows its push
-    can reach, so F' is never held.  The machine's stages (also linked
-    from the transforms ``build_machine`` returns) push a column through
-    in-place FFTs at O(K log K), told the rows in which a panel can be
-    nonzero so that they skip the stages it leaves at zero; a bare
-    transform is one block and pushes through (M, L).  No K x K array is
-    formed.  The route the panels take is the one gated: a transform
-    whose commutation residual, the probe bound read through that route,
-    is above ``CANONICAL_TOL`` is refused, as
+    ``pciclone.machine._network``: each _PANEL-column panel of the block
+    factor F', the sample mean riding in the first, drawn when it is
+    reached into one reused buffer, is pushed through it as complex
+    amplitudes x + ip and reduced into the modes' 2 x 2 sums over the
+    rows its push can reach, so F' is never held.  The machine's stages
+    (also linked from the transforms ``build_machine`` returns) push a
+    column through in-place FFTs at O(K log K), told the rows in which a
+    panel can be nonzero so that they skip the stages it leaves at zero;
+    a bare transform is one block and pushes through (M, L).  No K x K
+    array is formed.  The route the panels take is the one gated: a
+    transform whose commutation residual, the probe bound read through
+    that route, is above ``CANONICAL_TOL`` is refused, as
     :func:`~pciclone.canonical.to_symplectic` refuses it, and
     so is an amplitude whose float spacing exceeds the vacuum noise's
     standard deviation, both by :class:`DomainError`.
@@ -472,11 +440,12 @@ def simulate(
     stages = getattr(transform, "_network", None) or transform
     _require_canonical(stages)
     k = layout.total_modes
-    mu_in = _quadratures(layout.input_amplitudes(config.psi)).reshape(-1)
+    # The input means, replaced by the sampled output means.
+    means = _quadratures(layout.input_amplitudes(config.psi)).reshape(-1)
     sigma = math.sqrt(VACUUM_VARIANCE)
     # Input samples spaced more coarsely than the vacuum noise could not
     # resolve it, so their moments are refused, not drawn.
-    if np.spacing(np.max(np.abs(mu_in))) > sigma:
+    if np.spacing(np.max(np.abs(means))) > sigma:
         raise DomainError(
             f"psi={config.psi} is too large for the samples to resolve the noise"
         )
@@ -485,16 +454,12 @@ def simulate(
     blocks = stages.blocks if isinstance(stages, _Network) else (slice(0, k),)
     factor = _factor_blocks(blocks, n - 1)
     gen = _generator(config.seed)
-    # The input sample mean mu_in + sigma g / sqrt(n), formed in g's array.
-    means = np.empty(2 * k)
-    _normals(gen, means)
-    means *= sigma / math.sqrt(n)
-    means += mu_in
     chi = np.sqrt(gen.chisquare(np.concatenate(
         [dof - np.arange(width) for _, _, width, dof, _ in factor])))
     _log.debug("sampling %d samples of %d modes from a %d x %d Wishart factor",
                n, k, 2 * k, chi.size)
-    sums = _panel_sums(stages, gen, chi, factor, means.view(complex))
+    sums = _panel_sums(stages, gen, chi, factor, means.view(complex),
+                       sigma / math.sqrt(n))
     xx, xp, pp = sums * (VACUUM_VARIANCE / (n - 1))
     covariances = np.stack((xx, xp, xp, pp), axis=-1).reshape(k, 2, 2)
     var_pairs = np.stack((xx, pp), axis=-1)

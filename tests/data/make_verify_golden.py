@@ -7,7 +7,7 @@ its JSON document and once with ``--format csv`` for its per-mode z
 table, and writes one entry per argv: the argv, the exit code, the JSON
 document without ``timings`` (wall-clock times) and the CSV lines.
 ``tests/test_cli.py::test_verify_golden`` reads the file.  The z-scores
-are stream version 7's on numpy's AVX2 or AVX-512 dispatch; see that
+are stream version 8's on numpy's AVX2 or AVX-512 dispatch; see that
 test for what else they depend on.
 """
 

@@ -51,18 +51,19 @@ where the library scores all modes as whole arrays.
 The sampling oracle is stream version 1: it draws every sample, block
 by block with :func:`block_normals`, pushes each block through S by one
 product and merges the block moments in order, where the library draws
-the moments themselves from their exact law (stream version 7).  The
+the moments themselves from their exact law (stream version 8).  The
 two agree in law, not in bits.  Stream version 3, which drew the same
 law's Wishart factor F whole and row by row, is an oracle too, and so
-is the block factor F' of stream versions 5 to 7 assembled whole from
-its panels (stream version 4's F where it has one block): both feed one
-product with the whole S, from the library's generator or from PCG64,
-where the library pushes one panel of F' at a time through the
-machine's stages.  The normals of stream versions 1 to 6 are numpy's
-``standard_normal``, those of stream version 7 the library's
-Box-Muller kernel; :func:`box_muller` is that kernel's float64
-reference, its angle and cosine and sine in float64 where the kernel
-takes them in float32.
+are the block factor F' of stream versions 5 to 7 assembled whole from
+its panels (stream version 4's F where it has one block) and stream
+version 8's g and F', drawn panel by panel over every column a panel's
+rows hold: all feed one product with the whole S, from the library's
+generator or from PCG64, where the library pushes one panel of F' at a
+time through the machine's stages.  The normals of stream versions 1 to
+6 are numpy's ``standard_normal``, those of stream versions 7 and 8 the
+library's Box-Muller kernel; :func:`box_muller` is that kernel's
+float64 reference, its angle and cosine and sine in float64 where the
+kernel takes them in float32.
 
 The Fock oracle works outside phase space, where every other check
 shares its conventions (a = (x + ip)/sqrt(2), vacuum variance 1/2, the
@@ -815,7 +816,7 @@ def standard_normals(gen, shape):
 
 
 def stream_7_normals(gen, shape):
-    """The normals of stream version 7, from the library's kernel."""
+    """The normals of stream versions 7 and 8, from the library's kernel."""
     z = np.empty(shape)
     _normals(gen, z.reshape(-1))
     return z
@@ -876,20 +877,14 @@ def stream_5_factor(gen, d, dof, blocks=None, normals=standard_normals):
     return f
 
 
-def wishart_simulate(transform, layout, config, factor,
-                     generator=_generator, normals=standard_normals):
-    """EmpiricalMoments of a run that draws g ~ N(0, I_2K) by
-    ``normals(gen, 2K)`` and then F = factor(gen, 2K, n - 1) from
-    ``gen = generator(seed)`` (by default stream versions 6 and 7's
-    SFC64; ``np.random.default_rng``, PCG64, for streams 3 to 5), through
-    the whole S: means S (mu_in + g / sqrt(2 n)) and covariances the
-    2 x 2 diagonal blocks of S F (S F)^T / (2 (n - 1))."""
+def _full_product_moments(transform, layout, config, g, f):
+    """EmpiricalMoments of input sample mean mu_in + g / sqrt(2 n) and
+    factor F through the whole S: means S (mu_in + g / sqrt(2 n)) and
+    covariances the 2 x 2 diagonal blocks of S F (S F)^T / (2 (n - 1))."""
     n = config.sample_count
     k = layout.total_modes
     s = to_symplectic(transform).matrix
-    gen = generator(config.seed)
-    g = normals(gen, 2 * k)
-    sf = s @ factor(gen, 2 * k, n - 1)
+    sf = s @ f
     amps = layout.input_amplitudes(config.psi)
     mu_in = np.sqrt(2.0) * np.column_stack((amps.real, amps.imag)).reshape(-1)
     means = s @ (mu_in + math.sqrt(0.5 / n) * g)
@@ -904,3 +899,70 @@ def wishart_simulate(transform, layout, config, factor,
         mean_se=np.sqrt(var_pairs / n),
         var_se=var_pairs * math.sqrt(2.0 / (n - 1)),
     )
+
+
+def wishart_simulate(transform, layout, config, factor,
+                     generator=_generator, normals=standard_normals):
+    """EmpiricalMoments of a run that draws g ~ N(0, I_2K) by
+    ``normals(gen, 2K)`` and then F = factor(gen, 2K, n - 1) from
+    ``gen = generator(seed)`` (by default stream versions 6 to 8's
+    SFC64; ``np.random.default_rng``, PCG64, for streams 3 to 5), through
+    the whole S: means S (mu_in + g / sqrt(2 n)) and covariances the
+    2 x 2 diagonal blocks of S F (S F)^T / (2 (n - 1))."""
+    gen = generator(config.seed)
+    g = normals(gen, 2 * layout.total_modes)
+    f = factor(gen, 2 * layout.total_modes, config.sample_count - 1)
+    return _full_product_moments(transform, layout, config, g, f)
+
+
+def stream_8_draws(gen, d, dof, blocks=None):
+    """Stream version 8's g and block factor F', assembled whole as a
+    length-d vector and a d x r array, from ``gen``; ``blocks`` as for
+    :func:`stream_5_factor`, whose F' has the same shape and support.
+    The chi^2 diagonal comes first, from one ``chisquare`` call.  Then
+    each _PANEL-column panel from column c takes one (rows, lead + w, 2)
+    draw of the library's normals, each mode's entries as (x, p), over
+    the modes from the first that a block part of the panel starts on
+    (mode start + j0/2 for a part from block column j0) to the last that
+    any part reaches (the end of every block for the shared one, else its
+    own); the first panel's lead column (lead = 1) is g, over every mode.
+    F' keeps the draws in each block's rows below its diagonal, puts chi
+    on it and is zero elsewhere."""
+    blocks = blocks or (slice(0, d // 2),)
+    r0 = min(2 * (blocks[0].stop - blocks[0].start), dof)
+    # (first quadrature row, last row + 1, first column, width, degrees of
+    # freedom of the first column) per block.
+    parts = [(2 * blocks[0].start, d, 0, r0, dof)]
+    col = r0
+    for rows in blocks[1:]:
+        width = min(2 * (rows.stop - rows.start), dof - r0)
+        parts.append((2 * rows.start, 2 * rows.stop, col, width, dof - r0))
+        col += width
+    chi = np.sqrt(gen.chisquare(np.concatenate(
+        [top_dof - np.arange(width) for _, _, _, width, top_dof in parts])))
+    f = np.zeros((d, col))
+    for c in range(0, col, _PANEL):
+        w = min(_PANEL, col - c)
+        spans = [(start + (max(c, first) - first) // 2 * 2, end)
+                 for start, end, first, width, _ in parts
+                 if max(c, first) < min(c + w, first + width)]
+        top, end = min(s for s, _ in spans), max(e for _, e in spans)
+        lead = 1 if c == 0 else 0
+        z = stream_7_normals(gen, ((end - top) // 2, lead + w, 2))
+        if lead:
+            g = z[:, 0].reshape(-1)
+        f[top:end, c : c + w] = z[:, lead:].transpose(0, 2, 1).reshape(end - top, w)
+    for start, end, first, width, _ in parts:
+        for j in range(width):
+            f[: start + j, first + j] = 0.0
+            f[end:, first + j] = 0.0
+            f[start + j, first + j] = chi[first + j]
+    return g, f
+
+
+def stream_8_simulate(transform, layout, config, blocks=None):
+    """EmpiricalMoments of stream version 8's draws, :func:`stream_8_draws`
+    from the library's generator, through the whole S."""
+    g, f = stream_8_draws(_generator(config.seed), 2 * layout.total_modes,
+                          config.sample_count - 1, blocks)
+    return _full_product_moments(transform, layout, config, g, f)

@@ -726,7 +726,7 @@ class TestPciaTransform:
         with pytest.raises(DomainError):
             pcia_transform(0.99)
 
-    @pytest.mark.parametrize("gain", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("gain", [float("nan"), float("inf"), 10**400])
     def test_non_finite_gain_rejected(self, gain):
         with pytest.raises(DomainError):
             pcia_transform(gain)

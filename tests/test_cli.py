@@ -513,7 +513,7 @@ class TestVerify:
         assert doc["meta"] == {
             "version": pciclone.__version__,
             "output_version": 2,
-            "stream_version": 7,
+            "stream_version": 8,
             "seed": 5,
             "certificate": {
                 "method": "gaussian_probes",
@@ -607,14 +607,14 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_golden.json").read
 
 @pytest.mark.parametrize("golden", GOLDEN, ids=lambda g: " ".join(g["argv"][1:]))
 def test_verify_golden(capsys, golden):
-    # Every field but the timings, as stream version 7 prints it
+    # Every field but the timings, as stream version 8 prints it
     # (tests/data/make_verify_golden.py writes the file): counts, flags,
     # verdicts, meta and the summary's columns, roles, counts and modes
     # exactly, residuals to 1e-14, and the z-scores, read from the CSV's
     # per-mode table, and the summary's means, spreads and scores to
     # 1e-9.  The z-scores hold on numpy's AVX2 and AVX-512 (X86_V3 and
     # X86_V4) dispatch only: its X86_V2 baseline and non-x86 platforms
-    # round stream version 7's float32 cosine and sine otherwise and draw
+    # round stream version 8's float32 cosine and sine otherwise and draw
     # other samples.
     code, out = run_cli(capsys, *golden["argv"])
     assert code == golden["exit_code"]
@@ -673,11 +673,14 @@ def assert_cli_import_leaves_unloaded(module):
 
 
 @pytest.mark.parametrize(
-    "argv", [("verify", 1, 1, 10**8), ("sweep", 8, 9, "--a-steps", 10**12)]
+    "argv",
+    [("verify", 1, 1, 10**8), ("verify", 1, 0, 10**399),
+     ("sweep", 8, 9, "--a-steps", 10**12)],
 )
 def test_out_of_memory_exit_code(argv):
-    # Each needs hundreds of GiB: verify plans about 800 GiB for its
-    # K = 2e8 modes and is refused before it allocates, and the sweep asks
+    # Each needs hundreds of GiB: verify plans about 500 GiB for its
+    # K = 2e8 modes, and 5e393 GiB, beyond the float range, for a
+    # 400-digit M, and is refused before it allocates, and the sweep asks
     # numpy for its grid; the child's address space is capped at 1.5 GB
     # so that allocation fails at once.
     import resource
@@ -743,14 +746,14 @@ def test_verify_bytes_do_not_depend_on_blas_threads():
 
 
 def test_verify_z_table_does_not_depend_on_avx512():
-    # Stream version 7's normals take numpy's SIMD float64 log and float32
+    # Stream version 8's normals take numpy's SIMD float64 log and float32
     # cosine and sine.  Their AVX2 (X86_V3) and AVX-512 (X86_V4) paths
     # give the same cosines and sines and logs that differ at most in the
     # last bit, so the z table, read from the CSV, agrees to 1e-9 with
     # the AVX-512 paths switched off.  On a machine without X86_V4 both
     # runs take the same path.  numpy's X86_V2 baseline and non-x86
     # platforms round the float32 cosine and sine differently and do not
-    # repeat stream version 7's bits.
+    # repeat stream version 8's bits.
     src = str(Path(pciclone.__file__).resolve().parents[1])
     tables = []
     for disabled in (None, "X86_V4 AVX512_ICL AVX512_SPR"):

@@ -2,8 +2,10 @@
 
 The tracer rebinds names of ``pciclone`` without a guard for its entry
 points, the worker's ``--corrupt-expected`` mode relies on a wrong
-closed form failing ``verify``, and the worker's check reads fields of
-``verify``'s JSON document.  A package change that broke any of them
+closed form failing ``verify``, the worker's check reads fields of
+``verify``'s JSON document, its design_scan op calls ``solve_amplifier``
+with a seed and counts the search's iterations, and its provenance reads
+``montecarlo``'s constants.  A package change that broke any of them
 would otherwise break every benchmark run without failing a test.
 """
 
@@ -71,3 +73,28 @@ def test_worker_check_reads_verify_json(monkeypatch, capsys):
     corrupt_noise_report(monkeypatch)
     ok, note = workload.check(args, workload.op(api, args), True)
     assert not ok and note["z5_flagged"] is True
+
+
+def test_design_scan_op_and_trace_counts(monkeypatch):
+    # The op passes solve_amplifier a seed and its trace counts read the
+    # search's iterations; its check passes the real results and fails
+    # them against the corrupted expectation.
+    worker = load_worker(monkeypatch)
+    workload = worker.WORKLOADS["design_scan"]
+    api = worker.plain_api(pciclone)
+    (point,) = workload.inputs(0, 1)
+    result = workload.op(api, point)
+    ok, note = workload.check(point, result, False)
+    assert ok and note["gain_rel_err"] < worker.GAIN_RTOL
+    assert not workload.check(point, result, True)[0]
+    counts = workload.trace_counts(result)
+    assert list(counts) == ["optimize.solve_amplifier.iterations"]
+    assert counts["optimize.solve_amplifier.iterations"] == result[1].iterations >= 0
+
+
+def test_worker_provenance(monkeypatch):
+    worker = load_worker(monkeypatch)
+    got = worker.provenance(0)
+    assert got["stream_version"] == pciclone.montecarlo.STREAM_VERSION == 8
+    assert got["block_size"] == pciclone.montecarlo.BLOCK_SIZE
+    assert got["seed"] == 0

@@ -120,7 +120,7 @@ class TestGainFromAmplitudes:
             gain_from_amplitudes(0, 0, 1)
 
     @pytest.mark.parametrize(
-        "args", [(math.nan, 1, 2), (0, math.inf, 1), (1, 1, math.nan)]
+        "args", [(math.nan, 1, 2), (0, math.inf, 1), (1, 1, math.nan), (1, 1, 10**400)]
     )
     def test_non_finite_rejected(self, args):
         with pytest.raises(DomainError, match="finite"):
@@ -251,7 +251,8 @@ class TestAsymmetryGain:
             asymmetry_gain(8, 8, 1.5)
 
     @pytest.mark.parametrize(
-        "args", [(math.nan, 8, 0.5), (8, math.inf, 0.5), (8, 8, math.nan)]
+        "args",
+        [(math.nan, 8, 0.5), (8, math.inf, 0.5), (8, 8, math.nan), (10**400, 8, 0.5)],
     )
     def test_non_finite_rejected(self, args):
         with pytest.raises(DomainError, match="finite"):
@@ -309,7 +310,9 @@ class TestMeasurementNoise:
         with pytest.raises(DomainError):
             measurement_noise(-1, 2)
 
-    @pytest.mark.parametrize("args", [(math.nan, 1), (math.inf, 0), (1.5, 1), (1, 2.0)])
+    @pytest.mark.parametrize(
+        "args", [(math.nan, 1), (math.inf, 0), (1.5, 1), (1, 2.0), (10**400, 1)]
+    )
     def test_non_finite_or_non_integer_rejected(self, args):
         with pytest.raises(DomainError):
             measurement_noise(*args)
@@ -370,6 +373,13 @@ class TestPFunctionDensity:
     def test_nonpositive_width_rejected(self):
         with pytest.raises(DomainError):
             p_function_density(0.0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "args", [(math.inf, 0, 0), (1.0, math.nan, 0), (10**400, 0, 0), (1.0, 0, 10**400)]
+    )
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(DomainError, match="finite"):
+            p_function_density(*args)
 
 
 class TestNoiseReport:

@@ -100,8 +100,8 @@ class TestBlockNormals:
 
 
 class TestNormals:
-    # Stream version 7's kernel: Box-Muller from SFC64's uniform pairs,
-    # its angle, cosine and sine in float32.
+    # Stream versions 7 and 8's kernel: Box-Muller from SFC64's uniform
+    # pairs, its angle, cosine and sine in float32.
     def test_within_a_millionth_of_r_of_float64_box_muller(self):
         z = np.empty(1 << 20)
         montecarlo._normals(montecarlo._generator(5), z)
@@ -146,6 +146,27 @@ class TestNormals:
                                (np.mean(z**3), 0.0, 15), (np.mean(z**4), 3.0, 96),
                                (np.mean(z[0::2] * z[1::2]), 0.0, 2)):
             assert abs(got - want) <= 5 * math.sqrt(var / n)
+
+
+def assert_same_variance_law(transform, layout, samples, route, oracle, runs=1000):
+    """Each mode's x and p variance over ``runs`` runs of ``route`` and of
+    ``oracle``, on disjoint seeds, pass a two-sample KS test, modes pooled
+    by role, since every clone (anticlone) has one law."""
+
+    def variances(run, seeds):
+        return np.array([
+            np.diagonal(run(transform, layout,
+                            SampleConfig(samples, seed, 0.5 - 0.25j)).covariances,
+                        axis1=1, axis2=2)
+            for seed in seeds
+        ])
+
+    got, want = variances(route, range(runs)), variances(oracle, range(runs, 2 * runs))
+    for slots in (layout.clone_slots, layout.anticlone_slots, layout.residual_slots):
+        for q in range(2):
+            if slots:
+                pair = got[:, list(slots), q].ravel(), want[:, list(slots), q].ravel()
+                assert stats.ks_2samp(*pair).pvalue > 1e-3
 
 
 class TestSimulate:
@@ -350,17 +371,14 @@ class TestSimulate:
         ],
     )
     def test_matches_the_full_product(self, counts, samples):
-        # The same draws, stream version 7's, F' assembled whole from its
-        # panels, through the whole S F' and the whole S, upper zeros
-        # included; the panels sum in another order, within 1e-14.
+        # The same draws, stream version 8's, g and F' assembled whole
+        # from its panels, through the whole S F' and the whole S, upper
+        # zeros included; the panels sum in another order, within 1e-14.
         transform, layout = build_machine(CloningConfig(*counts))
         config = SampleConfig(samples, 11, 0.5j)
         emp = simulate(transform, layout, config)
-        want = oracles.wishart_simulate(
-            transform, layout, config,
-            functools.partial(oracles.stream_5_factor, blocks=transform._network.blocks,
-                              normals=oracles.stream_7_normals),
-            normals=oracles.stream_7_normals)
+        want = oracles.stream_8_simulate(transform, layout, config,
+                                         transform._network.blocks)
         np.testing.assert_allclose(emp.covariances, want.covariances, rtol=0, atol=1e-14)
         np.testing.assert_allclose(emp.means, want.means, rtol=0, atol=1e-14)
 
@@ -409,12 +427,13 @@ class TestSimulate:
         assert residual_peak < 1.6 * s.nbytes
         assert sampling_peak < 0.25 * s.nbytes
 
-    def test_straddling_panels_drawn_in_row_chunks(self):
-        # K = 7999 at n = 100: the first panel holds R's 4 columns, whose
-        # normals run over every mode, and 28 of C's, 2.3 MB of normals in
-        # all, next to the 4.2 MB panel buffer.  They are drawn in chunks
-        # of at most 2^12 amplitudes through one array, so sampling holds
-        # the buffer, one chunk and the mean and sums, 7 doubles a mode.
+    def test_straddling_panels_drawn_in_place(self):
+        # K = 7999 at n = 100: the first panel holds g and R's 4 columns,
+        # whose normals run over every mode, and 28 of C's.  Every panel
+        # is drawn in the 4.2 MB panel buffer, so sampling holds the
+        # buffer, the normal kernel's 48 KiB of scratch, the means (the
+        # input's, then the sample's, in one array), the sums and a row of
+        # a panel's reduction: 6 doubles a mode, under the 7 allowed.
         network, layout = machine._network(CloningConfig(1, 0, 4000))
         k = network.mode_count
         assert k == 7999
@@ -427,9 +446,29 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         buffer = 16 * k * (montecarlo._PANEL + 1)
-        chunk = 16 * montecarlo._CHUNK
-        assert chunk == 64 * 1024
-        assert peak <= buffer + chunk + 7 * 8 * k + 64 * 1024
+        assert peak <= buffer + 7 * 8 * k + 64 * 1024
+
+    @pytest.mark.parametrize("counts, samples",
+                             [((2, 2, 6), 1 << 20), ((4, 4, 40), 200), ((1, 0, 400), 100)])
+    def test_one_normals_call_per_panel(self, counts, samples, monkeypatch):
+        # g rides in the first panel, so a run of r columns of F' makes
+        # ceil(r / _PANEL) kernel calls, each over one panel's rows; the
+        # verify_deep configuration (r = 28) makes one.
+        calls = []
+        real = montecarlo._normals
+
+        def spy(gen, out):
+            calls.append(out.size)
+            real(gen, out)
+
+        monkeypatch.setattr(montecarlo, "_normals", spy)
+        network, layout = machine._network(CloningConfig(*counts))
+        simulate(network, layout, SampleConfig(samples, 3))
+        factor = montecarlo._factor_blocks(network.blocks, samples - 1)
+        r = sum(width for _, _, width, _, _ in factor)
+        assert len(calls) == -(-r // montecarlo._PANEL)
+        if counts == (2, 2, 6):
+            assert calls == [2 * 14 * (1 + 28)]
 
     @pytest.mark.parametrize("counts, samples", [((2, 2, 6), 100), ((4, 4, 40), 60)])
     def test_stages_and_pair_sample_alike(self, counts, samples):
@@ -449,8 +488,10 @@ class TestSimulate:
             assert getattr(linked, name).tobytes() == getattr(alone, name).tobytes()
             np.testing.assert_allclose(getattr(dense, name), getattr(single, name),
                                        rtol=0, atol=1e-14)
-        # The sample mean is drawn first, whatever the blocks.
-        np.testing.assert_allclose(dense.means, linked.means, rtol=0, atol=1e-14)
+        # The blocks draw other factors.  The sample mean is drawn after
+        # the chi^2 diagonal, one variate per column of F', so the two
+        # factorings' means are not one draw either: at (4, 4, 40) F' has
+        # 102 columns in three blocks and 59 in one.
         assert np.max(np.abs(dense.covariances - linked.covariances)) > 1e-3
 
     def test_non_canonical_stages_rejected(self):
@@ -524,7 +565,7 @@ class TestSimulate:
         # through the oracle that assembles F from its panels, as modes of
         # amplitudes x + ip; the moments, which also pass through BLAS
         # products, to 1e-12 through the oracle run of the same draws from
-        # PCG64 (simulate draws stream version 7).
+        # PCG64 (simulate draws stream version 8).
         assert montecarlo._PANEL == 32
         gen = np.random.default_rng(2**64 - 1)
         assert gen.standard_normal(4)[0] == 0.7213364570768727
@@ -572,7 +613,7 @@ class TestSimulate:
         # C's over mode 2 alone.  The draws are pinned exactly through the
         # oracle that assembles F' from its panels; the moments to 1e-12,
         # through the oracle run of the same draws from PCG64 (simulate
-        # draws stream version 7).
+        # draws stream version 8).
         network, layout = machine._network(CloningConfig(1, 0, 2))
         assert network.blocks == (slice(0, 2), slice(2, 3), slice(3, 3))
         factor = montecarlo._factor_blocks(network.blocks, 63)
@@ -624,7 +665,7 @@ class TestSimulate:
         # standard_normal call.  (1, 0, 2) as in the version 5 test: the
         # draws are pinned exactly through the oracle, and the moments to
         # 1e-12 through its run of the same draws (simulate draws stream
-        # version 7).
+        # version 8).
         network, layout = machine._network(CloningConfig(1, 0, 2))
         gen = montecarlo._generator(2**64 - 1)
         assert isinstance(gen.bit_generator, np.random.SFC64)
@@ -671,28 +712,24 @@ class TestSimulate:
         # the chi^2 diagonal is still one chisquare call.  (1, 0, 2) as in
         # the version 5 and 6 tests.  The draws are pinned to 1e-15, since
         # numpy's float64 log may round the last bit differently on its
-        # AVX2 and AVX-512 paths, and the oracle draws the same F' as
-        # _factor_panel; the moments of simulate are pinned to 1e-12.
+        # AVX2 and AVX-512 paths, through the oracle that assembles F'
+        # from its panels; the moments to 1e-12, through the oracle run
+        # of the same draws (simulate draws stream version 8).
         # The pins hold on those two paths (X86_V3 and X86_V4) only:
         # numpy's X86_V2 baseline and non-x86 platforms round the float32
         # cosine and sine otherwise.
-        assert montecarlo.STREAM_VERSION == 7
         network, layout = machine._network(CloningConfig(1, 0, 2))
-        factor = montecarlo._factor_blocks(network.blocks, 63)
         gen = montecarlo._generator(2**64 - 1)
-        g = np.empty(6)
-        montecarlo._normals(gen, g)
+        g = oracles.stream_7_normals(gen, 6)
         np.testing.assert_allclose(
             g, [-0.1490325405393271, -0.27550577769977963, 0.6169933810815991,
                 -1.0241191069218503, -0.4254806973229294, 0.2209296790464515],
             rtol=1e-15, atol=0)
-        chi = np.sqrt(gen.chisquare([63, 62, 61, 60, 59, 58]))
-        assert chi.tolist() == [7.881454728158118, 7.985206208374803,
-                                7.845187043753923, 7.285339973135244,
-                                7.54997316899557, 6.6257430809540026]
-        panel = np.empty((3, 6), dtype=complex)
-        assert montecarlo._factor_panel(gen, chi, factor, 0, panel) == (0, 3)
-        np.testing.assert_allclose(panel, [
+        f = oracles.stream_5_factor(gen, 6, 63, network.blocks, oracles.stream_7_normals)
+        assert np.diagonal(f).tolist() == [7.881454728158118, 7.985206208374803,
+                                           7.845187043753923, 7.285339973135244,
+                                           7.54997316899557, 6.6257430809540026]
+        np.testing.assert_allclose(f[0::2] + 1j * f[1::2], [
             [7.881454728158118 + 0.6324466456857031j, 7.985206208374803j, 0j, 0j,
              0j, 0j],
             [0.7620080672704982 - 1.172252094577825j,
@@ -704,12 +741,12 @@ class TestSimulate:
              0.31145788979363787 + 0.2826380892871862j,
              7.54997316899557 + 1.310140610203915j, 6.6257430809540026j],
         ], rtol=1e-15, atol=0)
-        gen = montecarlo._generator(2**64 - 1)
-        oracles.stream_7_normals(gen, 6)
-        f = oracles.stream_5_factor(gen, 6, 63, network.blocks, oracles.stream_7_normals)
-        np.testing.assert_array_equal(f[0::2] + 1j * f[1::2], panel)
         transform, _ = build_machine(CloningConfig(1, 0, 2))
-        emp = simulate(transform, layout, SampleConfig(64, 2**64 - 1, 0.5j))
+        emp = oracles.wishart_simulate(
+            transform, layout, SampleConfig(64, 2**64 - 1, 0.5j),
+            functools.partial(oracles.stream_5_factor, blocks=network.blocks,
+                              normals=oracles.stream_7_normals),
+            normals=oracles.stream_7_normals)
         np.testing.assert_allclose(
             emp.means.ravel(),
             [-0.0012031972691853173, 0.7605708298511179, 0.06395143263109773,
@@ -725,36 +762,100 @@ class TestSimulate:
             rtol=1e-12,
         )
 
+    def test_stream_version_8_definition(self):
+        # Stream version 8 draws the chi^2 diagonal first, in one
+        # chisquare call, then each panel of F' in one kernel call over
+        # its rows, every column, g in the first panel's lead column.
+        # (1, 0, 2) as in the version 5 to 7 tests: one panel, g and F''s
+        # 6 columns, over all 3 modes.  The draws are pinned to 1e-15 and
+        # the moments of simulate to 1e-12, on numpy's X86_V3 and X86_V4
+        # dispatch only, as for version 7.
+        assert montecarlo.STREAM_VERSION == 8
+        network, layout = machine._network(CloningConfig(1, 0, 2))
+        factor = montecarlo._factor_blocks(network.blocks, 63)
+        gen = montecarlo._generator(2**64 - 1)
+        chi = np.sqrt(gen.chisquare([63, 62, 61, 60, 59, 58]))
+        assert chi.tolist() == [8.049285293713911, 7.676781813689778,
+                                7.204739583178269, 7.689121977704805,
+                                7.791284902439409, 7.649614703282343]
+        panel = np.empty((3, 7), dtype=complex)
+        assert montecarlo._factor_panel(gen, chi, factor, 0, panel) == (0, 3)
+        np.testing.assert_allclose(panel, [
+            [0.4650339527685802 + 2.3039881018181068j,
+             8.049285293713911 - 0.6292687433631428j, 7.676781813689778j,
+             0j, 0j, 0j, 0j],
+            [0.7620080672704982 - 1.172252094577825j,
+             0.679864897797567 - 0.11202667729908565j,
+             1.842151763287668 - 0.06891995253050963j,
+             7.204739583178269 - 0.1842372409667422j, 7.689121977704805j, 0j, 0j],
+            [0.31145788979363787 + 0.2826380892871862j,
+             -0.9067627698809306 + 1.310140610203915j,
+             -2.5434268019056296 - 0.23656063532250718j,
+             -0.2316192833575309 - 1.8156073260372039j,
+             1.3597558484736465 - 0.9202366555183821j,
+             7.791284902439409 + 1.6995070019964853j, 7.649614703282343j],
+        ], rtol=1e-15, atol=0)
+        # The kernel's draw, in the same place: g whole in the lead column,
+        # F' on and below each block's diagonal.
+        gen = montecarlo._generator(2**64 - 1)
+        gen.chisquare([63, 62, 61, 60, 59, 58])
+        z = oracles.stream_7_normals(gen, (3, 14))
+        drawn = panel.view(float)
+        normal = (drawn != 0) & ~np.isin(drawn, chi)
+        # g's 6 normals, R's 14 below its diagonal and C's 1.
+        assert normal.sum() == 6 + 14 + 1
+        assert normal[:, :2].all()
+        np.testing.assert_array_equal(drawn[normal], z[normal])
+        g, f = oracles.stream_8_draws(montecarlo._generator(2**64 - 1), 6, 63,
+                                      network.blocks)
+        np.testing.assert_array_equal(g.view(complex), panel[:, 0])
+        np.testing.assert_array_equal(f[0::2] + 1j * f[1::2], panel[:, 1:])
+        transform, _ = build_machine(CloningConfig(1, 0, 2))
+        emp = simulate(transform, layout, SampleConfig(64, 2**64 - 1, 0.5j))
+        np.testing.assert_allclose(
+            emp.means.ravel(),
+            [0.10819520500208946, 1.0016831189991988, 0.13635459109439324,
+             -1.0572839943298638, 0.06926296877788472, 0.9663533578383003],
+            rtol=1e-12,
+        )
+        np.testing.assert_allclose(
+            emp.covariances.ravel(),
+            [0.9370514984841553, -0.04523377335301815, -0.04523377335301815,
+             1.0028757265835295, 1.5222014053675736, -0.1481395888720133,
+             -0.1481395888720133, 1.4204263701249282, 1.2115381956794316,
+             0.23487014531332584, 0.23487014531332584, 0.9530724058971453],
+            rtol=1e-12,
+        )
+
     @pytest.mark.parametrize("counts, samples", [((2, 2, 12), 64), ((1, 1, 2), 9)])
     def test_matches_stream_6_in_law(self, counts, samples):
-        # Each mode's x and p variance over 1000 runs of stream version 7
-        # and of stream version 6 (the same F' from SFC64's ziggurat
-        # normals, through the oracle), on disjoint seeds, must pass a
-        # two-sample KS test; modes are pooled by role, as in the stream
-        # version 3 test.
+        # Each mode's x and p variance over 1000 runs of simulate (stream
+        # version 8) and of stream version 6 (the same F' from SFC64's
+        # ziggurat normals, through the oracle), on disjoint seeds, must
+        # pass a two-sample KS test; modes are pooled by role, as in the
+        # stream version 3 test.
         cfg = CloningConfig(*counts)
         transform, layout = build_machine(cfg)
-        runs = 1000
         stream_6 = functools.partial(
             oracles.wishart_simulate,
             factor=functools.partial(oracles.stream_5_factor,
                                      blocks=transform._network.blocks))
+        assert_same_variance_law(transform, layout, samples, simulate, stream_6)
 
-        def variances(route, seeds):
-            return np.array([
-                np.diagonal(route(transform, layout,
-                                  SampleConfig(samples, seed, 0.5 - 0.25j)).covariances,
-                            axis1=1, axis2=2)
-                for seed in seeds
-            ])
-
-        v7 = variances(simulate, range(runs))
-        v6 = variances(stream_6, range(runs, 2 * runs))
-        for slots in (layout.clone_slots, layout.anticlone_slots, layout.residual_slots):
-            for q in range(2):
-                if slots:
-                    got, want = v7[:, list(slots), q], v6[:, list(slots), q]
-                    assert stats.ks_2samp(got.ravel(), want.ravel()).pvalue > 1e-3
+    @pytest.mark.parametrize("counts, samples", [((2, 2, 12), 64), ((4, 4, 40), 100)])
+    def test_matches_stream_7_in_law(self, counts, samples):
+        # As above against stream version 7, the same F' from the same
+        # kernel drawn in another order, through the oracle.  At
+        # (4, 4, 40) and n = 100 the panels straddle the block boundaries.
+        cfg = CloningConfig(*counts)
+        transform, layout = build_machine(cfg)
+        stream_7 = functools.partial(
+            oracles.wishart_simulate,
+            factor=functools.partial(oracles.stream_5_factor,
+                                     blocks=transform._network.blocks,
+                                     normals=oracles.stream_7_normals),
+            normals=oracles.stream_7_normals)
+        assert_same_variance_law(transform, layout, samples, simulate, stream_7)
 
     def test_largest_sample_count_passes(self):
         cfg = CloningConfig(1, 1, 2)

@@ -201,7 +201,8 @@ class TestSolveAmplifier:
 
     @pytest.mark.parametrize(
         "args",
-        [(math.nan, 1.0, 2.0), (0.0, math.inf, 1.0), (0.0, 1.0, math.nan)],
+        [(math.nan, 1.0, 2.0), (0.0, math.inf, 1.0), (0.0, 1.0, math.nan),
+         (0.0, 1.0, 10**400)],
     )
     def test_non_finite_rejected(self, args):
         with pytest.raises(DomainError, match="finite"):
@@ -369,7 +370,9 @@ class TestMinimizeAsymmetry:
         with pytest.raises(DomainError):
             minimize_asymmetry(8, 0)
 
-    @pytest.mark.parametrize("n, m", [(8, math.nan), (math.inf, 4), (math.nan, 8)])
+    @pytest.mark.parametrize(
+        "n, m", [(8, math.nan), (math.inf, 4), (math.nan, 8), (10**400, 8)]
+    )
     def test_non_finite_rejected(self, n, m):
         with pytest.raises(DomainError, match="finite"):
             minimize_asymmetry(n, m)
