@@ -62,15 +62,13 @@ class CanonicalTransform:
         transpose: bool = False,
         first: int = 0,
         stop: int | None = None,
-    ) -> tuple[slice, ...]:
+    ) -> None:
         """Turn each column alpha of the (K, cols) complex array ``a`` into
         M alpha + L conj(alpha) in place: S acting on the quadratures
         (Re alpha, Im alpha), through (M, L).  With ``transpose`` S^T
         acts instead, as (M^H, L^T).  The rows ``first`` to ``stop`` in
-        which ``a`` can be nonzero are not used: every row is changed,
-        and the one run returned says so, as
-        :meth:`~pciclone.machine._Network._push` returns the rows it
-        changes."""
+        which ``a`` can be nonzero, which
+        :meth:`~pciclone.machine._Network._push` reads, are not used."""
         m, l = self.m_matrix, self.l_matrix
         if transpose:
             # M^H alpha = conj(M^T conj(alpha)), with no K x K copy.
@@ -78,7 +76,6 @@ class CanonicalTransform:
             a[...] = (m.T @ c).conj() + l.T @ c
         else:
             a[...] = m @ a + l @ a.conj()
-        return (slice(0, self.mode_count),)
 
     @cached_property
     def commutation_residual(self) -> float:

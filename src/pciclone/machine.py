@@ -460,16 +460,14 @@ class _Network:
         transpose: bool = False,
         first: int = 0,
         stop: int | None = None,
-    ) -> tuple[slice, ...]:
+    ) -> None:
         """Turn each column alpha of the (K, cols) complex array ``a`` into
         M alpha + L conj(alpha) in place, which is S acting on the
         quadratures (Re alpha, Im alpha).  With ``transpose`` S^T acts
         instead: the stages run in reverse order and each DFT in the
         other direction, since the DFT matrix and the amplifier's
         quadrature matrix are symmetric (a passive U's image transposes
-        to that of its conjugate transpose).  Returns the runs of rows the
-        push may have changed, which hold every row of ``first`` to
-        ``stop``.
+        to that of its conjugate transpose).
 
         Each block, for every (N, N'), is one in-place FFT call of
         :func:`~pciclone.canonical._apply_dft`, a distribution block
@@ -500,9 +498,6 @@ class _Network:
             a[ports] = self.amplifier.m_matrix @ x + self.amplifier.l_matrix @ x.conj()
         for rows, port, inverse in after:
             _apply_dft(a, rows, inverse, port)
-        if amplify:
-            return (slice(0, k),)
-        return tuple(r for port, run in dist for r in (slice(port, port + 1), run))
 
     @cached_property
     def commutation_residual(self) -> float:

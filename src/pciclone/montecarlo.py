@@ -6,7 +6,7 @@ sigma^2 I, sigma^2 = 1/2, pushed through the machine's symplectic matrix
 S and reduced to each output mode's sample means, variances and x-p
 covariance.  The map is linear and the inputs Gaussian, so the joint law
 of those statistics is known exactly, and :func:`simulate` draws them
-from it (stream version 8) instead of drawing the samples.  With d = 2K
+from it (stream version 9) instead of drawing the samples.  With d = 2K
 quadratures, the input sample mean is mu_in + sigma g / sqrt(n) with
 g ~ N(0, I_d), and (n - 1) / sigma^2 times the input sample covariance
 is W ~ Wishart(I_d, nu), nu = n - 1, independent of the mean.  The output
@@ -25,13 +25,15 @@ T_R Q, Q completed to an orthogonal nu x nu matrix.  Given G's R rows,
 its C rows and A rows times Q^T are independent normals, so the two
 blocks have, jointly, the law of those of F' F'^T for
 
-    F' = [[T_R, 0, 0], [N_C, T_C, 0], [N_A, 0, T_A]],
+    F' = [[T_R, 0], [N_C, T_C], [N_A, P T_A]],
 
 where T_R is R's Bartlett factor (r_R = min(d_R, nu) columns, chi^2(nu -
-i) on the diagonal), N_C and N_A are normals, and T_C and T_A are the
+i) on the diagonal), N_C and N_A are normals, T_C and T_A are the
 Bartlett factors of C and A with nu - r_R degrees of freedom (Bartlett,
 Proc. R. Soc. Edinburgh 53, 260 (1933); Uhlig, Ann. Statist. 22, 395
-(1994), where nu is below a block's rows; see :func:`_factor_panel`).
+(1994), where nu is below a block's rows; see :func:`_factor_panel`),
+side by side in the same r - r_R = max(r_C, r_A) columns, and P reverses
+A's modes, keeping x before p, which Wishart(I)'s law does not see.
 Every sampled statistic, and so every z-score, has exactly the law it
 has under per-sample draws, jointly across modes too: the sampler tests
 the same S against the same closed forms, but no per-sample arithmetic
@@ -39,9 +41,8 @@ runs.  F' F'^T's [C, A] block does not have W's law, and nothing
 sampled reads it; a sampled clone-anticlone cross-covariance would read
 it and need the whole factor of W, so cross-covariances are a matter for
 a probe certificate of the whole output covariance, not for the
-sampler.  C's and A's columns hold normals only in their own rows, so
-F' holds about half the normals of W's whole factor when C and A make
-up most of the modes.
+sampler.  F' holds about half the normals of W's whole factor, and
+about half the columns, when C and A make up most of the modes.
 
 S is never built.  The mean and F''s columns, read as complex
 amplitudes x + ip, are pushed through the machine's stages (two
@@ -50,33 +51,27 @@ distribution DFTs), which turn alpha into M alpha + L conj(alpha), S's
 action, at O(K log K) a column; a run costs O(K log K min(n, d)) whatever
 n.  Each DFT block is transformed in place on one contiguous run of rows.
 F' is drawn one _PANEL-column panel at a time into one reused buffer,
-its columns packed R, C, A across block boundaries, and each panel's
-push skips the stages whose rows its columns leave at zero: the
-concentration DFTs and the amplifier once it lies below R, and a
-distribution whose vacua and port it does not reach, so that a panel of
-C's columns runs the clone distribution alone and one of A's the
-anticlone distribution alone.  A skipped stage would map zeros to zeros,
-and each panel is reduced over the rows its push can reach, so the
-moments keep their bits.  A bare transform is one block, R being every
-mode; it pushes its panels through (M, L) in the same loop, at O(K^2) a
-column, and skips nothing.
+and each panel's push skips the stages whose rows its columns leave at
+zero: a panel of C's and A's shared columns is zero in R's rows, so it
+skips the concentration DFTs and the amplifier and runs the two
+distributions, each of which reads only its own block's rows.  A
+skipped stage would map zeros to zeros, and a row no push reaches holds
+zeros, so the moments keep their bits.  A bare transform is one block,
+R being every mode; it pushes its panels through (M, L) in the same
+loop, at O(K^2) a column, and skips nothing.
 
 One generator, numpy's SFC64 seeded by ``seed`` (Small Fast Chaotic,
 Doty-Humphrey's PractRand), draws the chi^2 diagonal of every column of
 F' in one ``chisquare`` call (numpy's gamma sampler; nu - i in R's
-column i, nu - r_R - i in C's or A's), then each panel in one call,
-into the panel buffer in place: the normals of the complex amplitudes
-of every column of the panel, the first panel's lead column g first, in
-row order, x before p, over the rows from the first mode its columns can
-reach to the last.  The first panel reaches every mode, so g is drawn
-whole.  Then the part of the panel in a block's columns, from its block
-column j on, keeps the normals of its modes from the block's mode j/2
-down, to the last mode for R and to the block's end for C and A, on and
-below the block's diagonal, puts the chi values on it and is zero
-elsewhere.  A panel that straddles a block boundary draws, and drops,
-the normals in rows that only its other block's columns reach: at
-K = 1030 and n = 4096 a run draws 2.8% more normals than version 7 did,
-30% more at K = 99,999 and n = 100.  Every normal, g's and F''s,
+column i, nu - r_R - i in C's, then in A's), then each panel in one
+call, into the panel buffer in place: the normals of the complex
+amplitudes of every column of the panel, the first panel's lead column
+g first, in row order, x before p, over the modes its columns can
+reach.  The first panel reaches every mode, so g is drawn whole; a
+panel of shared columns from column j of C and A reaches modes
+C.start + j/2 to A.stop - j/2, one band.  Then each block's part keeps
+the normals in its block's rows on and below its diagonal, puts the chi
+values on it and is zero elsewhere.  Every normal, g's and F''s,
 comes from the Box-Muller transform (Box & Muller, Ann. Math. Statist.
 29, 610 (1958)): an amplitude's (x, p) is (r cos t, r sin t) for the
 next two ``random`` uniforms (u, v), with r = sqrt(-2 log(1 - u)) in
@@ -101,25 +96,20 @@ sine otherwise and do not repeat the bits.  Through the machine's stages
 the one BLAS product is the 2 x 2 amplifier, and ``verify`` printed the
 same bytes under 1 and 2 OpenBLAS threads (more were not tried); a bare
 transform's (M, L) products may also round by thread count.  This is
-stream version 8.
+stream version 9.
 
-Stream version 7 drew g and the same F', normals in the same places
-and from the same kernel, in another order: g first in a call of its
-own, then the chi^2 diagonal, then each panel block by block, each
-block part over its own rows only.  Stream version 6 is version 7's
-draw with numpy's ziggurat ``standard_normal`` for every normal, and
-stream version 5 that draw from ``np.random.default_rng(seed)``, numpy's
-PCG64; its panels took one ``standard_normal`` call per block part,
-which a generator's sequential draws make the same normals.  Stream
-version 4 drew W's whole d x min(d, nu) factor F this way as one block,
-from PCG64, through the machine's stages too.
-``tests/oracles.py::stream_5_factor`` assembles
-the F' of versions 4 to 7, and so F, whole, from any generator and
-either normal source, and ``tests/oracles.py::stream_8_draws`` version
-8's g and F'.  Stream version 3 drew F whole before the first push, its
-normals row by row; it agrees with versions 4 to 8 in law, not in bits,
-and its draws live on as the test oracle
-``tests/oracles.py::stream_3_factor``.
+Stream version 8 drew the same way but packed F''s columns R, C, A,
+each block's own, with A's factor in mode order; its g and F' live on
+as the test oracle ``tests/oracles.py::stream_8_draws``, and version
+9's as ``stream_9_draws``.  Stream version 7 drew version 8's g and F'
+in another order: g in a call of its own, then each panel block by
+block.  Stream version 6 is version 7's draw with numpy's ziggurat
+``standard_normal``, stream version 5 that draw from numpy's PCG64
+(``np.random.default_rng(seed)``), and stream version 4 W's whole
+d x min(d, nu) factor F as one block; ``tests/oracles.py::stream_5_factor``
+assembles the F' of versions 4 to 7 whole.  Stream version 3 drew F
+whole before the first push, its normals row by row; it agrees with
+versions 4 to 9 in law, not in bits (``tests/oracles.py::stream_3_factor``).
 
 Stream version 1 drew every sample: block b of BLOCK_SIZE samples took
 its standard normals from a Philox generator keyed (seed, b), one (rows,
@@ -151,12 +141,12 @@ from .machine import MachineLayout, NoiseReport, _Network
 # Samples per block of stream version 1.
 BLOCK_SIZE = 1 << 17
 # Columns of F' drawn and pushed through the machine at once, part of
-# the definition of stream versions 4 to 8.  16 to 128 ran within noise
+# the definition of stream versions 4 to 9.  16 to 128 ran within noise
 # of each other for K = 1030 modes on a 2-CPU Xeon.
 _PANEL = 32
 # Normal pairs :func:`_normals` turns at once.
 _CHUNK = 1 << 12
-STREAM_VERSION = 8
+STREAM_VERSION = 9
 _TWO_PI = 2.0 * math.pi
 # Quadrature row i = 2r + q - o of a block's part of a panel, indexed
 # (o, r, q, j) against its column j, o = 1 if the part starts on a p row:
@@ -172,14 +162,14 @@ _log = logging.getLogger(__name__)
 
 
 def _generator(seed: int) -> np.random.Generator:
-    """The generator of stream versions 6 to 8: numpy's SFC64 seeded by
+    """The generator of stream versions 6 to 9: numpy's SFC64 seeded by
     ``seed``."""
     return np.random.Generator(np.random.SFC64(seed))
 
 
 def _normals(gen: np.random.Generator, out: np.ndarray) -> None:
     """Fill the contiguous float64 array ``out``, of even size, with the
-    standard normals of stream versions 7 and 8, by the Box-Muller
+    standard normals of stream versions 7 to 9, by the Box-Muller
     transform (Box & Muller, Ann. Math. Statist. 29, 610 (1958)): each
     consecutive pair of ``gen.random`` uniforms (u, v) gives the pair
     (r cos t, r sin t), r = sqrt(-2 log(1 - u)) in float64 and t = 2 pi v
@@ -288,33 +278,35 @@ class EmpiricalMoments:
 
 def _factor_blocks(
     blocks: tuple[slice, ...], dof: int
-) -> list[tuple[slice, int, int, int, int]]:
-    """The layout of the block factor F' of stream versions 5 to 8 over
-    ``blocks``, runs of modes that tile range(K), the first of them
-    shared: one (rows, col, width, dof_b, stop) per block, its modes
-    ``rows``, its first column of F', its r_b = min(2 len(rows), dof_b)
-    columns and their degrees of freedom dof_b, and the mode below the
-    last row those columns can be nonzero in.  The shared block has
-    dof_b = dof and its columns reach every mode below it; each other
-    block has dof - r_0 and its columns reach its own modes only.  The
-    columns run block by block; with one block F' is the 2K x min(2K, dof)
-    factor F of Wishart(I_2K, dof).
+) -> list[tuple[int, int, int, int, int, int, bool]]:
+    """The layout of stream version 9's block factor F' over ``blocks``,
+    runs of modes that tile range(K), the first shared: one (col, key,
+    width, dof_b, top, bottom, flip) per block, its first column of F' and
+    that column's index in the chi^2 diagonal, which runs block by block,
+    its r_b = min(2 len(rows), dof_b) columns and their degrees of freedom
+    dof_b, and the modes [top, bottom) its first column can be nonzero in.
+    The shared block has dof_b = dof and reaches every mode below it; the
+    other two have dof - r_0, reach their own modes only and share F''s
+    columns from r_0 on, the third mode-reversed (``flip``): column j
+    reaches modes top to bottom - j/2, the others' top + j/2 to bottom.
+    With one block F' is the 2K x min(2K, dof) factor F of Wishart(I_2K,
+    dof).
     """
     shared, *private = blocks
     width = min(2 * (shared.stop - shared.start), dof)
-    out = [(shared, 0, width, dof, blocks[-1].stop)]
-    col = width
-    for rows in private:
+    out = [(0, 0, width, dof, shared.start, blocks[-1].stop, False)]
+    key = width
+    for rows, flip in zip(private, (False, True)):
         w = min(2 * (rows.stop - rows.start), dof - width)
-        out.append((rows, col, w, dof - width, rows.stop))
-        col += w
+        out.append((width, key, w, dof - width, rows.start, rows.stop, flip))
+        key += w
     return out
 
 
 def _factor_panel(
     gen: np.random.Generator,
     chi: np.ndarray,
-    factor: list[tuple[slice, int, int, int, int]],
+    factor: list[tuple[int, int, int, int, int, int, bool]],
     c: int,
     out: np.ndarray,
 ) -> tuple[int, int]:
@@ -325,48 +317,49 @@ def _factor_panel(
     (first, stop): the modes its columns can be nonzero in lie in
     range(first, stop).
 
-    Each block's columns hold its Bartlett factor, sqrt(chi^2(dof_b - i))
-    on the diagonal of its column i (``chi`` holds these for every column
-    of F'), normals below it, zeros above (Bartlett, Proc. R. Soc.
-    Edinburgh 53, 260 (1933); Odell & Feiveson, JASA 61, 199 (1966)), and
-    the shared block's columns hold normals in every row below it.  One
-    law serves every dof (Uhlig, Ann. Statist. 22, 395 (1994)): LQ-factor
-    the first r rows of G ~ N(0, 1)^{d x dof} as T Q.  T is the Bartlett
-    factor, and for dof < d the other rows G_2 Q^T are normals, Q being
-    orthogonal and independent of G_2, so F F^T has the law of G G^T.
-
-    One :func:`_normals` call fills ``out``'s rows first to stop, every
-    column, in place; the first panel's lead column, which spans every
-    mode, holds g.  Then the part of the panel in a block's columns, from
-    its block-local column j on, keeps the normals in its rows, mode
-    rows.start + j/2 down to the block's stop, puts zeros above the
-    block's diagonal and chi on it, and is zero in every other row.
+    Each block's columns hold its Bartlett factor (Odell & Feiveson, JASA
+    61, 199 (1966); the module docstring gives the law for every dof),
+    sqrt(chi^2(dof_b - i)) on the diagonal of its column i (``chi`` holds
+    these for every column of F'), normals below it in its rows (every
+    row below, for the shared block), zeros above; a flipped block's
+    quadratures run from its last mode up, x before p.  One
+    :func:`_normals` call fills ``out``'s rows first to stop, every
+    column, in place, the first panel's lead column holding g.  Then each
+    run of columns is zero in the rows no block part over it reaches, and
+    each part is zero above its diagonal and puts chi on it.
     """
     k, cols = out.shape
     lead = 1 if c == 0 else 0
-    # (first column, end column, first mode, stop mode, o) of each part,
-    # o = 1 if the part starts on a p row.
+    # (first and end column of out, first and stop mode, o = 1 if it
+    # starts on a p row, flip, chi) of each block part.
     parts = []
-    for rows, col, width, _, bottom in factor:
+    for col, key, width, _, top, bottom, flip in factor:
         lo, hi = max(c, col), min(c + cols - lead, col + width)
         if lo < hi:
-            parts.append((lo, hi, rows.start + (lo - col) // 2, bottom, (lo - col) % 2))
-    first = min(top for _, _, top, _, _ in parts)
-    stop = max(bottom for _, _, _, bottom, _ in parts)
+            j = lo - col
+            top, bottom = (top, bottom - j // 2) if flip else (top + j // 2, bottom)
+            parts.append((lead + lo - c, lead + hi - c, top, bottom, j % 2, flip,
+                          chi[key + j : key + hi - col]))
+    first, stop = min(part[2] for part in parts), max(part[3] for part in parts)
     out[:first] = 0.0
     out[stop:] = 0.0
     _normals(gen, out[first:stop].view(float).reshape(-1))
+    # The parts over a run of columns reach adjacent runs of modes.
+    cuts = sorted({edge for part in parts for edge in part[:2]})
+    for lo, hi in zip(cuts, cuts[1:]):
+        over = [part for part in parts if part[0] <= lo < part[1]]
+        out[first : min(part[2] for part in over), lo:hi] = 0.0
+        out[max(part[3] for part in over) : stop, lo:hi] = 0.0
     # Read as (mode, quadrature, column): block quadrature row
-    # 2 (top - rows.start) + i meets block column j + i - j % 2.
+    # 2 (mode - top) + i, or 2 (bottom - 1 - mode) + i flipped, meets
+    # block column j + i - j % 2.
     quadratures = out.view(float).reshape(k, cols, 2).transpose(0, 2, 1)
-    for lo, hi, top, bottom, o in parts:
-        part = slice(lead + lo - c, lead + hi - c)
-        out[first:top, part] = 0.0
-        out[bottom:stop, part] = 0.0
+    for lo, hi, top, bottom, o, flip, diagonal in parts:
         h = (hi - lo + o + 1) // 2
-        corner = quadratures[top : top + h, :, part]
+        corner = (quadratures[bottom - h : bottom, :, lo:hi][::-1] if flip
+                  else quadratures[top : top + h, :, lo:hi])
         corner[_ABOVE[o, :h, :, : hi - lo]] = 0.0
-        corner[_DIAGONAL[o, :h, :, : hi - lo]] = chi[lo:hi]
+        corner[_DIAGONAL[o, :h, :, : hi - lo]] = diagonal
     return first, stop
 
 
@@ -382,10 +375,10 @@ def _panel_sums(stages, gen, chi, factor, means, scale) -> np.ndarray:
     view.  The first panel carries g in its lead column, turned into the
     sample mean in place, and every panel is drawn into one buffer and
     pushed through ``stages`` there, so a panel's columns become columns
-    of S F'.  Only the rows a push reaches are read back; the buffer
-    goes when the sums are done.
+    of S F'.  Every row is summed: one no push reaches holds zeros.
     """
-    k, r = means.size, chi.size
+    k = means.size
+    r = max(col + width for col, _, width, *_ in factor)
     sums = np.zeros((3, k))
     buffer = np.empty(k * (_PANEL + 1), dtype=complex)
     for c in range(0, r, _PANEL):
@@ -395,13 +388,12 @@ def _panel_sums(stages, gen, chi, factor, means, scale) -> np.ndarray:
         if lead:
             panel[:, 0] *= scale
             panel[:, 0] += means
-        reached = stages._push(panel, first=first, stop=stop)
+        stages._push(panel, first=first, stop=stop)
         if lead:
             means[:] = panel[:, 0]
-        for rows in reached:
-            x, p = panel.real[rows, lead:], panel.imag[rows, lead:]
-            for row, (u, v) in zip(sums[:, rows], ((x, x), (x, p), (p, p))):
-                row += np.einsum("ij,ij->i", u, v)
+        x, p = panel.real[:, lead:], panel.imag[:, lead:]
+        for row, (u, v) in zip(sums, ((x, x), (x, p), (p, p))):
+            row += np.einsum("ij,ij->i", u, v)
     return sums
 
 
@@ -419,8 +411,8 @@ def simulate(
     ``pciclone.machine._network``: each _PANEL-column panel of the block
     factor F', the sample mean riding in the first, drawn when it is
     reached into one reused buffer, is pushed through it as complex
-    amplitudes x + ip and reduced into the modes' 2 x 2 sums over the
-    rows its push can reach, so F' is never held.  The machine's stages
+    amplitudes x + ip and reduced into the modes' 2 x 2 sums, so F' is
+    never held.  The machine's stages
     (also linked from the transforms ``build_machine`` returns) push a
     column through in-place FFTs at O(K log K), told the rows in which a
     panel can be nonzero so that they skip the stages it leaves at zero;
@@ -455,9 +447,9 @@ def simulate(
     factor = _factor_blocks(blocks, n - 1)
     gen = _generator(config.seed)
     chi = np.sqrt(gen.chisquare(np.concatenate(
-        [dof - np.arange(width) for _, _, width, dof, _ in factor])))
+        [dof - np.arange(width) for _, _, width, dof, *_ in factor])))
     _log.debug("sampling %d samples of %d modes from a %d x %d Wishart factor",
-               n, k, 2 * k, chi.size)
+               n, k, 2 * k, max(col + width for col, _, width, *_ in factor))
     sums = _panel_sums(stages, gen, chi, factor, means.view(complex),
                        sigma / math.sqrt(n))
     xx, xp, pp = sums * (VACUUM_VARIANCE / (n - 1))
@@ -477,6 +469,7 @@ _Z_COLUMNS = ("z_mean_x", "z_mean_p", "z_var_x", "z_var_p", "z_fidelity")
 # The output roles, in the order ``to_dict`` lists them.
 _ROLES = ("clone", "anticlone", "residual")
 _ROLE_CODES = {role: code for code, role in enumerate(_ROLES)}
+_ROLE_NAMES = np.array(_ROLES, dtype=object)
 _COLUMN_INDEX = np.arange(len(_Z_COLUMNS))
 _TINY = np.finfo(float).tiny
 # Below this |z|, sums and squares of a role's z-scores stay far from
@@ -524,6 +517,12 @@ class ComparisonSummary:
             raise DomainError(f"threshold must be > 0, got {self.threshold}")
 
     @cached_property
+    def _codes(self) -> np.ndarray:
+        """Each mode's role's index in _ROLES (:func:`compare_to_analytic`
+        sets it as it assigns the roles)."""
+        return np.fromiter(map(_ROLE_CODES.__getitem__, self.roles), np.intp)
+
+    @cached_property
     def _abs_z(self) -> np.ndarray:
         return np.abs(self.z)
 
@@ -563,18 +562,17 @@ class ComparisonSummary:
         """``to_dict``'s ``by_role``, from whole-array reductions over the
         table's rows sorted by role (array methods, not numpy's slower
         function wrappers, keep it cheap at small K)."""
-        k = len(self.roles)
-        codes = np.fromiter(map(_ROLE_CODES.__getitem__, self.roles), np.intp, k)
-        order = codes.argsort(kind="stable")
-        present = [(code, m) for code, m in
-                   enumerate(np.bincount(codes, minlength=len(_ROLES)).tolist()) if m]
-        n = [m for _, m in present]
+        order = self._codes.argsort(kind="stable")
+        counts = np.bincount(self._codes, minlength=len(_ROLES)).tolist()
+        present = [code for code, m in enumerate(counts) if m]
+        n = [counts[code] for code in present]
         starts = list(itertools.accumulate(n, initial=0))[:-1]
         z = self.z[order]
         abs_z = np.abs(z)
         # Each role's first largest |z| in each column, its first NaN if
         # it has one, as argmax finds them.
-        top = np.array([abs_z[s : s + m].argmax(0) + s for s, m in zip(starts, n)])
+        top = np.array([abs_z[s : s + m].argmax(0) for s, m in zip(starts, n)])
+        top += np.array(starts)[:, None]
         mean, spread, worst_z = stats = np.empty((3, len(n), len(_Z_COLUMNS)))
         worst_z[...] = z[top, _COLUMN_INDEX]
         sizes = np.array(n)[:, None]
@@ -605,8 +603,8 @@ class ComparisonSummary:
         return {
             _ROLES[code]: {"modes": m, "above": a, "mean": mu, "spread": sd,
                            "worst_mode": worst_mode, "worst_z": worst}
-            for (code, m), a, mu, sd, worst, worst_mode in zip(
-                present, above, *_json_floats(stats), order[top].tolist())
+            for code, m, a, mu, sd, worst, worst_mode in zip(
+                present, n, above, *_json_floats(stats), order[top].tolist())
         }
 
     def to_dict(self) -> dict:
@@ -679,7 +677,7 @@ def compare_to_analytic(
     # The layout's output roles partition the modes: what is neither a
     # clone nor an anticlone is a residual mode, predicted to be vacuum.
     k = layout.total_modes
-    roles = np.full(k, "residual", dtype=object)
+    codes = np.full(k, _ROLE_CODES["residual"])
     amp = np.zeros(k, dtype=complex)
     var_pred = np.full(k, VACUUM_VARIANCE)
     f_pred = np.ones(k)
@@ -689,7 +687,7 @@ def compare_to_analytic(
          report.var_anticlone, report.f_anticlone),
     ):
         idx = list(slots)
-        roles[idx], amp[idx], var_pred[idx], f_pred[idx] = role, a, v, f
+        codes[idx], amp[idx], var_pred[idx], f_pred[idx] = _ROLE_CODES[role], a, v, f
 
     var = np.diagonal(emp.covariances, axis1=1, axis2=2)
     mean_pred = _quadratures(amp)
@@ -710,7 +708,9 @@ def compare_to_analytic(
         _z(var - var_pred[:, None], emp.var_se),
         _z(f_emp - f_pred, se_f),
     ))
-    return ComparisonSummary(tuple(roles.tolist()), table, threshold)
+    summary = ComparisonSummary(tuple(_ROLE_NAMES[codes].tolist()), table, threshold)
+    object.__setattr__(summary, "_codes", codes)
+    return summary
 
 
 __all__ = [

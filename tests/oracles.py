@@ -51,17 +51,18 @@ where the library scores all modes as whole arrays.
 The sampling oracle is stream version 1: it draws every sample, block
 by block with :func:`block_normals`, pushes each block through S by one
 product and merges the block moments in order, where the library draws
-the moments themselves from their exact law (stream version 8).  The
+the moments themselves from their exact law (stream version 9).  The
 two agree in law, not in bits.  Stream version 3, which drew the same
 law's Wishart factor F whole and row by row, is an oracle too, and so
 are the block factor F' of stream versions 5 to 7 assembled whole from
 its panels (stream version 4's F where it has one block) and stream
-version 8's g and F', drawn panel by panel over every column a panel's
-rows hold: all feed one product with the whole S, from the library's
-generator or from PCG64, where the library pushes one panel of F' at a
-time through the machine's stages.  The normals of stream versions 1 to
-6 are numpy's ``standard_normal``, those of stream versions 7 and 8 the
-library's Box-Muller kernel; :func:`box_muller` is that kernel's
+versions 8's and 9's g and F', drawn panel by panel over every column a
+panel's rows hold, version 9's placed through an explicit support mask
+and a permutation of the anticlone block's rows: all feed one product
+with the whole S, from the library's generator or from PCG64, where the
+library pushes one panel of F' at a time through the machine's stages.
+The normals of stream versions 1 to 6 are numpy's ``standard_normal``,
+those of stream versions 7 to 9 the library's Box-Muller kernel; :func:`box_muller` is that kernel's
 float64 reference, its angle and cosine and sine in float64 where the
 kernel takes them in float32.
 
@@ -816,7 +817,7 @@ def standard_normals(gen, shape):
 
 
 def stream_7_normals(gen, shape):
-    """The normals of stream versions 7 and 8, from the library's kernel."""
+    """The normals of stream versions 7 to 9, from the library's kernel."""
     z = np.empty(shape)
     _normals(gen, z.reshape(-1))
     return z
@@ -905,7 +906,7 @@ def wishart_simulate(transform, layout, config, factor,
                      generator=_generator, normals=standard_normals):
     """EmpiricalMoments of a run that draws g ~ N(0, I_2K) by
     ``normals(gen, 2K)`` and then F = factor(gen, 2K, n - 1) from
-    ``gen = generator(seed)`` (by default stream versions 6 to 8's
+    ``gen = generator(seed)`` (by default stream versions 6 to 9's
     SFC64; ``np.random.default_rng``, PCG64, for streams 3 to 5), through
     the whole S: means S (mu_in + g / sqrt(2 n)) and covariances the
     2 x 2 diagonal blocks of S F (S F)^T / (2 (n - 1))."""
@@ -964,5 +965,65 @@ def stream_8_simulate(transform, layout, config, blocks=None):
     """EmpiricalMoments of stream version 8's draws, :func:`stream_8_draws`
     from the library's generator, through the whole S."""
     g, f = stream_8_draws(_generator(config.seed), 2 * layout.total_modes,
+                          config.sample_count - 1, blocks)
+    return _full_product_moments(transform, layout, config, g, f)
+
+
+def stream_9_draws(gen, d, dof, blocks=None):
+    """Stream version 9's g and block factor F', assembled whole as a
+    length-d vector and a d x r array, from ``gen``; ``blocks`` as for
+    :func:`stream_5_factor`.  The shared block takes r_0 = min(d_0, dof)
+    columns, and the next two blocks r_1 and r_2 (min(d_b, dof - r_0))
+    of the same r - r_0 = max(r_1, r_2) columns after them, the third
+    block's quadratures permuted into reverse mode order, x before p
+    within a mode.  The chi^2 diagonal comes first, from one
+    ``chisquare`` call over every block's columns in block order.  Then
+    each _PANEL-column panel takes one (rows, lead + w, 2) draw of the
+    library's normals, each mode's entries as (x, p), over the modes that
+    its columns' (permuted) lower trapezoids cover; the first panel's
+    lead column (lead = 1) is g, over every mode.  F' keeps the draws on
+    and below each block's diagonal in its (permuted) rows, puts chi on
+    it and is zero elsewhere."""
+    blocks = blocks or (slice(0, d // 2),)
+    r0 = min(2 * (blocks[0].stop - blocks[0].start), dof)
+    # Per block: its quadrature rows in factor order (the shared block's
+    # rows run on to d), its first column and its width.
+    parts = [(np.arange(2 * blocks[0].start, d), 0, r0)]
+    for rows, flip in zip(blocks[1:], (False, True)):
+        quads = np.arange(2 * rows.start, 2 * rows.stop).reshape(-1, 2)
+        parts.append(((quads[::-1] if flip else quads).reshape(-1), r0,
+                      min(2 * (rows.stop - rows.start), dof - r0)))
+    chi = np.sqrt(gen.chisquare(np.concatenate(
+        [dof - (0 if b == 0 else r0) - np.arange(width)
+         for b, (_, _, width) in enumerate(parts)])))
+    r = max(col + width for _, col, width in parts)
+    # F' may be nonzero where keep is true.
+    keep = np.zeros((d, r), dtype=bool)
+    for quads, col, width in parts:
+        for j in range(width):
+            keep[quads[j:], col + j] = True
+    f = np.zeros((d, r))
+    for c in range(0, r, _PANEL):
+        w = min(_PANEL, r - c)
+        lead = 1 if c == 0 else 0
+        modes = np.flatnonzero(keep[:, c : c + w].any(axis=1)) // 2
+        top, end = (0, d // 2) if lead else (modes.min(), modes.max() + 1)
+        z = stream_7_normals(gen, (end - top, lead + w, 2))
+        if lead:
+            g = z[:, 0].reshape(-1)
+        f[2 * top : 2 * end, c : c + w] = (
+            z[:, lead:].transpose(0, 2, 1).reshape(2 * (end - top), w))
+    f[~keep] = 0.0
+    values = iter(chi)
+    for quads, col, width in parts:
+        for j in range(width):
+            f[quads[j], col + j] = next(values)
+    return g, f
+
+
+def stream_9_simulate(transform, layout, config, blocks=None):
+    """EmpiricalMoments of stream version 9's draws, :func:`stream_9_draws`
+    from the library's generator, through the whole S."""
+    g, f = stream_9_draws(_generator(config.seed), 2 * layout.total_modes,
                           config.sample_count - 1, blocks)
     return _full_product_moments(transform, layout, config, g, f)

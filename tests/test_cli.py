@@ -351,7 +351,7 @@ class TestVerify:
 
         def push_spy(self, a, transpose=False, first=0, stop=None):
             pushes.append((a.shape, transpose))
-            return real(self, a, transpose, first, stop)
+            real(self, a, transpose, first, stop)
 
         monkeypatch.setattr(pciclone.canonical, "_probe_bound", spy)
         monkeypatch.setattr(pciclone.gaussian, "_probe_bound", spy)
@@ -361,10 +361,11 @@ class TestVerify:
         assert code == 0
         assert calls == [10]
         probes = machine._PROBES
-        # K = 10: the probes back and forth, then one panel of F's 20
-        # columns after the sample mean.
+        # K = 10: the probes back and forth, then one panel of F''s 14
+        # columns (R's 6, then C's 8 and A's 6 on the same columns) after
+        # the sample mean.
         assert pushes == [((10, probes), True), ((10, probes), False),
-                          ((10, 21), False)]
+                          ((10, 15), False)]
         doc = json.loads(out)
         assert doc["commutation_residual"] == doc["symplectic_residual"]
         assert 0.0 < doc["commutation_residual"] <= 1e-13
@@ -513,7 +514,7 @@ class TestVerify:
         assert doc["meta"] == {
             "version": pciclone.__version__,
             "output_version": 2,
-            "stream_version": 8,
+            "stream_version": 9,
             "seed": 5,
             "certificate": {
                 "method": "gaussian_probes",
@@ -607,14 +608,14 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_golden.json").read
 
 @pytest.mark.parametrize("golden", GOLDEN, ids=lambda g: " ".join(g["argv"][1:]))
 def test_verify_golden(capsys, golden):
-    # Every field but the timings, as stream version 8 prints it
+    # Every field but the timings, as stream version 9 prints it
     # (tests/data/make_verify_golden.py writes the file): counts, flags,
     # verdicts, meta and the summary's columns, roles, counts and modes
     # exactly, residuals to 1e-14, and the z-scores, read from the CSV's
     # per-mode table, and the summary's means, spreads and scores to
     # 1e-9.  The z-scores hold on numpy's AVX2 and AVX-512 (X86_V3 and
     # X86_V4) dispatch only: its X86_V2 baseline and non-x86 platforms
-    # round stream version 8's float32 cosine and sine otherwise and draw
+    # round stream version 9's float32 cosine and sine otherwise and draw
     # other samples.
     code, out = run_cli(capsys, *golden["argv"])
     assert code == golden["exit_code"]
@@ -655,6 +656,25 @@ def test_verify_golden(capsys, golden):
     np.testing.assert_allclose(z, want_z, rtol=0, atol=1e-9)
     assert_summary_of(comparison, roles, z)
     assert z[worst["mode"], Z_COLUMNS.index(worst["column"])] == worst["z"]
+
+
+def test_golden_writer_refuses_the_baseline_dispatch(tmp_path):
+    # Under numpy's X86_V2 baseline the stream's cosine and sine round
+    # otherwise, so tests/data/make_verify_golden.py exits non-zero and
+    # writes nothing.  It runs as a copy in a temporary directory, whose
+    # verify_golden.json is the only file it could write.
+    script = tmp_path / "make_verify_golden.py"
+    script.write_text((Path(__file__).parent / "data" / script.name).read_text())
+    src = str(Path(pciclone.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src,
+           "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+    env.pop("NPY_ENABLE_CPU_FEATURES", None)
+    proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                          text=True, timeout=120, cwd=tmp_path)
+    assert proc.returncode != 0
+    assert "lacks X86_V3" in proc.stderr and "nothing written" in proc.stderr
+    assert proc.stdout == ""
+    assert [path.name for path in tmp_path.iterdir()] == [script.name]
 
 
 @pytest.mark.parametrize("env", ["abc", "nan", "inf", "-1"])
@@ -746,14 +766,14 @@ def test_verify_bytes_do_not_depend_on_blas_threads():
 
 
 def test_verify_z_table_does_not_depend_on_avx512():
-    # Stream version 8's normals take numpy's SIMD float64 log and float32
+    # Stream version 9's normals take numpy's SIMD float64 log and float32
     # cosine and sine.  Their AVX2 (X86_V3) and AVX-512 (X86_V4) paths
     # give the same cosines and sines and logs that differ at most in the
     # last bit, so the z table, read from the CSV, agrees to 1e-9 with
     # the AVX-512 paths switched off.  On a machine without X86_V4 both
     # runs take the same path.  numpy's X86_V2 baseline and non-x86
     # platforms round the float32 cosine and sine differently and do not
-    # repeat stream version 8's bits.
+    # repeat stream version 9's bits.
     src = str(Path(pciclone.__file__).resolve().parents[1])
     tables = []
     for disabled in (None, "X86_V4 AVX512_ICL AVX512_SPR"):
@@ -777,10 +797,10 @@ def test_fresh_verify_samples_within_its_certificate_peak():
     # K = 99,999 at n = 100: the certificate's probe pass sets a fresh
     # verify's peak, about 119.3 MB on a 2-CPU Xeon with numpy 2.4, and
     # the whole run's 119.7 MB.  Sampling, run after it as verify runs
-    # it, holds one panel buffer, one draw chunk and the normal kernel's
-    # scratch of at most 2^12 pairs, and must not raise the process's
-    # peak by more than 1 MB; a kernel whose scratch grew with the panel
-    # part it turned fails this.
+    # it, holds one panel buffer, in which each panel is drawn, and the
+    # normal kernel's scratch of at most 2^12 pairs, and must not raise
+    # the process's peak by more than 1 MB; a kernel whose scratch grew
+    # with the panel part it turned fails this.
     src = str(Path(pciclone.__file__).resolve().parents[1])
     code = (
         "import resource\n"

@@ -95,6 +95,6 @@ def test_design_scan_op_and_trace_counts(monkeypatch):
 def test_worker_provenance(monkeypatch):
     worker = load_worker(monkeypatch)
     got = worker.provenance(0)
-    assert got["stream_version"] == pciclone.montecarlo.STREAM_VERSION == 8
+    assert got["stream_version"] == pciclone.montecarlo.STREAM_VERSION == 9
     assert got["block_size"] == pciclone.montecarlo.BLOCK_SIZE
     assert got["seed"] == 0

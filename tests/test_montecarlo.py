@@ -100,7 +100,7 @@ class TestBlockNormals:
 
 
 class TestNormals:
-    # Stream versions 7 and 8's kernel: Box-Muller from SFC64's uniform
+    # Stream versions 7 to 9's kernel: Box-Muller from SFC64's uniform
     # pairs, its angle, cosine and sine in float32.
     def test_within_a_millionth_of_r_of_float64_box_muller(self):
         z = np.empty(1 << 20)
@@ -368,16 +368,20 @@ class TestSimulate:
             # the anticlone block's columns start at 299).
             ((4, 4, 200), 10),
             ((4, 4, 200), 300),
+            # |C| != |A|: C's 8 columns and A's 10 at d = 28, and C's 78
+            # and A's 80 at n - 1 = 29 < d = 164, each trapezoidal.
+            ((2, 3, 5), 30),
+            ((1, 2, 40), 30),
         ],
     )
     def test_matches_the_full_product(self, counts, samples):
-        # The same draws, stream version 8's, g and F' assembled whole
+        # The same draws, stream version 9's, g and F' assembled whole
         # from its panels, through the whole S F' and the whole S, upper
         # zeros included; the panels sum in another order, within 1e-14.
         transform, layout = build_machine(CloningConfig(*counts))
         config = SampleConfig(samples, 11, 0.5j)
         emp = simulate(transform, layout, config)
-        want = oracles.stream_8_simulate(transform, layout, config,
+        want = oracles.stream_9_simulate(transform, layout, config,
                                          transform._network.blocks)
         np.testing.assert_allclose(emp.covariances, want.covariances, rtol=0, atol=1e-14)
         np.testing.assert_allclose(emp.means, want.means, rtol=0, atol=1e-14)
@@ -429,7 +433,8 @@ class TestSimulate:
 
     def test_straddling_panels_drawn_in_place(self):
         # K = 7999 at n = 100: the first panel holds g and R's 4 columns,
-        # whose normals run over every mode, and 28 of C's.  Every panel
+        # whose normals run over every mode, and 28 that C and A share;
+        # the other three reach a band of C's and A's modes.  Every panel
         # is drawn in the 4.2 MB panel buffer, so sampling holds the
         # buffer, the normal kernel's 48 KiB of scratch, the means (the
         # input's, then the sample's, in one array), the sums and a row of
@@ -451,9 +456,11 @@ class TestSimulate:
     @pytest.mark.parametrize("counts, samples",
                              [((2, 2, 6), 1 << 20), ((4, 4, 40), 200), ((1, 0, 400), 100)])
     def test_one_normals_call_per_panel(self, counts, samples, monkeypatch):
-        # g rides in the first panel, so a run of r columns of F' makes
+        # g rides in the first panel and C's and A's columns share F''s
+        # columns, so a run of r = r_R + max(r_C, r_A) columns makes
         # ceil(r / _PANEL) kernel calls, each over one panel's rows; the
-        # verify_deep configuration (r = 28) makes one.
+        # verify_deep configuration (r = 8 + 10) makes one, over all 14
+        # modes and 19 columns.
         calls = []
         real = montecarlo._normals
 
@@ -464,11 +471,133 @@ class TestSimulate:
         monkeypatch.setattr(montecarlo, "_normals", spy)
         network, layout = machine._network(CloningConfig(*counts))
         simulate(network, layout, SampleConfig(samples, 3))
-        factor = montecarlo._factor_blocks(network.blocks, samples - 1)
-        r = sum(width for _, _, width, _, _ in factor)
-        assert len(calls) == -(-r // montecarlo._PANEL)
+        (_, _, r_r, *_), (_, _, r_c, *_), (_, _, r_a, *_) = montecarlo._factor_blocks(
+            network.blocks, samples - 1)
+        assert len(calls) == -(-(r_r + max(r_c, r_a)) // montecarlo._PANEL)
         if counts == (2, 2, 6):
-            assert calls == [2 * 14 * (1 + 28)]
+            assert calls == [2 * 14 * 19]
+
+    @pytest.mark.parametrize(
+        "counts, samples",
+        [
+            # No C and no A; A empty; |C| = 4 != |A| = 5.
+            ((1, 0, 1), 5),
+            ((3, 1, 3), 64),
+            ((2, 3, 5), 64),
+            # n - 1 = 29 below C's 78 and A's 80 rows: trapezoidal C and A
+            # factors, 23 columns each.  At n = 200 A's 80 columns outlast
+            # C's 78, in the third of three panels.
+            ((1, 2, 40), 30),
+            ((1, 2, 40), 200),
+        ],
+    )
+    def test_stream_version_9_support(self, counts, samples, monkeypatch):
+        # simulate's panels, as drawn before each push, assembled whole,
+        # are the oracle's g and F' bit for bit.  F' holds R's and C's
+        # Bartlett factors, their diagonals running from the block's first
+        # mode down, and A's, its diagonal running from A's last mode up
+        # (x before p): chi on each diagonal, normals below it in the
+        # factor's order (R's down to the last mode), zeros everywhere
+        # else.  Each panel's one kernel call covers exactly the modes its
+        # columns reach (every mode for the first panel, which holds g).
+        network, layout = machine._network(CloningConfig(*counts))
+        r_block, c_block, a_block = network.blocks
+        k, d, dof = network.mode_count, 2 * network.mode_count, samples - 1
+        panels, calls = [], []
+        real_panel, real_normals = montecarlo._factor_panel, montecarlo._normals
+
+        def panel_spy(gen, chi, factor, c, out):
+            panels.append((c, out))
+            band = real_panel(gen, chi, factor, c, out)
+            panels[-1] = (c, out.copy())
+            return band
+
+        def normals_spy(gen, out):
+            row_bytes = panels[-1][1].strides[0]
+            offset = out.ctypes.data - panels[-1][1].ctypes.data
+            assert offset % row_bytes == 0 and out.nbytes % row_bytes == 0
+            calls.append((offset // row_bytes, (offset + out.nbytes) // row_bytes))
+            real_normals(gen, out)
+
+        monkeypatch.setattr(montecarlo, "_factor_panel", panel_spy)
+        monkeypatch.setattr(montecarlo, "_normals", normals_spy)
+        simulate(network, layout, SampleConfig(samples, 6))
+        g = panels[0][1][:, 0]
+        f = np.concatenate([panel[:, 1 if c == 0 else 0 :] for c, panel in panels], axis=1)
+        f = np.stack((f.real, f.imag), axis=1).reshape(d, -1)
+        want_g, want_f = oracles.stream_9_draws(montecarlo._generator(6), d, dof,
+                                                network.blocks)
+        np.testing.assert_array_equal(g, want_g.view(complex))
+        np.testing.assert_array_equal(f, want_f)
+        # Where F' holds chi, normals and zeros.
+        r_r = min(2 * r_block.stop, dof)
+        r_c, r_a = (min(2 * (b.stop - b.start), dof - r_r) for b in (c_block, a_block))
+        assert f.shape == (d, r_r + max(r_c, r_a))
+        chi = np.sqrt(montecarlo._generator(6).chisquare(np.concatenate(
+            [dof - np.arange(r_r), dof - r_r - np.arange(r_c),
+             dof - r_r - np.arange(r_a)])))
+        chi_at = np.zeros(f.shape)
+        keep = np.zeros(f.shape, dtype=bool)
+        a_rows = np.arange(2 * a_block.start, 2 * a_block.stop).reshape(-1, 2)[::-1].ravel()
+        for j in range(r_r):
+            chi_at[j, j] = chi[j]
+            keep[j:, j] = True
+        for j in range(r_c):
+            chi_at[2 * c_block.start + j, r_r + j] = chi[r_r + j]
+            keep[2 * c_block.start + j : 2 * c_block.stop, r_r + j] = True
+        for j in range(r_a):
+            chi_at[a_rows[j], r_r + j] = chi[r_r + r_c + j]
+            keep[a_rows[j:], r_r + j] = True
+        diagonal = chi_at != 0
+        assert diagonal.sum() == chi.size
+        np.testing.assert_array_equal(f[diagonal], chi_at[diagonal])
+        assert np.all(f[keep & ~diagonal] != 0) and not np.any(f[~keep])
+        reached = [np.flatnonzero(keep[:, c : c + montecarlo._PANEL].any(axis=1)) // 2
+                   for c, _ in panels[1:]]
+        assert calls == [(0, k)] + [(modes[0], modes[-1] + 1) for modes in reached]
+
+    def test_shared_panels_run_the_two_distributions_alone(self, monkeypatch):
+        # verify_wide's machine, K = 1030, at n = 4096: F' has R's 16
+        # columns and the 1022 that C and A share, 33 panels.  The first
+        # holds g and reaches every stage; each of the other 32 is zero in
+        # R's rows and runs the clone and the anticlone distribution FFTs,
+        # one call each, and no amplifier product.
+        network, layout = machine._network(CloningConfig(4, 4, 512))
+        products = []
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                products.append(other.shape)
+                return np.asarray(self) @ other
+
+        amplifier = dataclasses.replace(network.amplifier)
+        object.__setattr__(amplifier, "m_matrix",
+                           network.amplifier.m_matrix.view(Counted))
+        network = dataclasses.replace(network, amplifier=amplifier)
+        assert network.commutation_residual < 1e-12
+        pushes = []
+        real_push, real_dft = machine._Network._push, machine._apply_dft
+
+        def push_spy(self, a, transpose=False, first=0, stop=None):
+            pushes.append([])
+            before = len(products)
+            real_push(self, a, transpose, first, stop)
+            pushes[-1].append(len(products) - before)
+
+        def dft_spy(a, rows, inverse=False, port=None):
+            pushes[-1].append((rows, inverse, port))
+            real_dft(a, rows, inverse, port)
+
+        monkeypatch.setattr(machine._Network, "_push", push_spy)
+        monkeypatch.setattr(machine, "_apply_dft", dft_spy)
+        simulate(network, layout, SampleConfig(4096, 2))
+        (clone_port, clone_run), (anti_port, anti_run) = network.distribution
+        assert len(pushes) == 33
+        assert pushes[0] == [(network.concentration[0], False, None),
+                             (network.concentration[1], False, None),
+                             (clone_run, True, clone_port), (anti_run, True, anti_port), 1]
+        assert pushes[1:] == [[(clone_run, True, clone_port),
+                               (anti_run, True, anti_port), 0]] * 32
 
     @pytest.mark.parametrize("counts, samples", [((2, 2, 6), 100), ((4, 4, 40), 60)])
     def test_stages_and_pair_sample_alike(self, counts, samples):
@@ -489,9 +618,9 @@ class TestSimulate:
             np.testing.assert_allclose(getattr(dense, name), getattr(single, name),
                                        rtol=0, atol=1e-14)
         # The blocks draw other factors.  The sample mean is drawn after
-        # the chi^2 diagonal, one variate per column of F', so the two
-        # factorings' means are not one draw either: at (4, 4, 40) F' has
-        # 102 columns in three blocks and 59 in one.
+        # the chi^2 diagonal, one variate per column of each block's
+        # factor, so the two factorings' means are not one draw either: at
+        # (4, 4, 40) the three blocks have 102 such columns and one 59.
         assert np.max(np.abs(dense.covariances - linked.covariances)) > 1e-3
 
     def test_non_canonical_stages_rejected(self):
@@ -565,7 +694,7 @@ class TestSimulate:
         # through the oracle that assembles F from its panels, as modes of
         # amplitudes x + ip; the moments, which also pass through BLAS
         # products, to 1e-12 through the oracle run of the same draws from
-        # PCG64 (simulate draws stream version 8).
+        # PCG64 (simulate draws stream version 9).
         assert montecarlo._PANEL == 32
         gen = np.random.default_rng(2**64 - 1)
         assert gen.standard_normal(4)[0] == 0.7213364570768727
@@ -613,12 +742,9 @@ class TestSimulate:
         # C's over mode 2 alone.  The draws are pinned exactly through the
         # oracle that assembles F' from its panels; the moments to 1e-12,
         # through the oracle run of the same draws from PCG64 (simulate
-        # draws stream version 8).
+        # draws stream version 9).
         network, layout = machine._network(CloningConfig(1, 0, 2))
         assert network.blocks == (slice(0, 2), slice(2, 3), slice(3, 3))
-        factor = montecarlo._factor_blocks(network.blocks, 63)
-        assert factor == [(slice(0, 2), 0, 4, 63, 3), (slice(2, 3), 4, 2, 59, 3),
-                          (slice(3, 3), 6, 0, 59, 3)]
         gen = np.random.default_rng(2**64 - 1)
         assert gen.standard_normal(6)[0] == 0.7213364570768727
         f = oracles.stream_5_factor(gen, 6, 63, network.blocks)
@@ -665,7 +791,7 @@ class TestSimulate:
         # standard_normal call.  (1, 0, 2) as in the version 5 test: the
         # draws are pinned exactly through the oracle, and the moments to
         # 1e-12 through its run of the same draws (simulate draws stream
-        # version 8).
+        # version 9).
         network, layout = machine._network(CloningConfig(1, 0, 2))
         gen = montecarlo._generator(2**64 - 1)
         assert isinstance(gen.bit_generator, np.random.SFC64)
@@ -714,7 +840,7 @@ class TestSimulate:
         # numpy's float64 log may round the last bit differently on its
         # AVX2 and AVX-512 paths, through the oracle that assembles F'
         # from its panels; the moments to 1e-12, through the oracle run
-        # of the same draws (simulate draws stream version 8).
+        # of the same draws (simulate draws stream version 9).
         # The pins hold on those two paths (X86_V3 and X86_V4) only:
         # numpy's X86_V2 baseline and non-x86 platforms round the float32
         # cosine and sine otherwise.
@@ -767,19 +893,19 @@ class TestSimulate:
         # chisquare call, then each panel of F' in one kernel call over
         # its rows, every column, g in the first panel's lead column.
         # (1, 0, 2) as in the version 5 to 7 tests: one panel, g and F''s
-        # 6 columns, over all 3 modes.  The draws are pinned to 1e-15 and
-        # the moments of simulate to 1e-12, on numpy's X86_V3 and X86_V4
-        # dispatch only, as for version 7.
-        assert montecarlo.STREAM_VERSION == 8
+        # 6 columns, over all 3 modes.  The draws are pinned to 1e-15
+        # through the oracle that assembles them whole, and the moments
+        # to 1e-12 through the oracle run of the same draws, on numpy's
+        # X86_V3 and X86_V4 dispatch only, as for version 7.
         network, layout = machine._network(CloningConfig(1, 0, 2))
-        factor = montecarlo._factor_blocks(network.blocks, 63)
         gen = montecarlo._generator(2**64 - 1)
         chi = np.sqrt(gen.chisquare([63, 62, 61, 60, 59, 58]))
         assert chi.tolist() == [8.049285293713911, 7.676781813689778,
                                 7.204739583178269, 7.689121977704805,
                                 7.791284902439409, 7.649614703282343]
-        panel = np.empty((3, 7), dtype=complex)
-        assert montecarlo._factor_panel(gen, chi, factor, 0, panel) == (0, 3)
+        g, f = oracles.stream_8_draws(montecarlo._generator(2**64 - 1), 6, 63,
+                                      network.blocks)
+        panel = np.column_stack((g.view(complex), f[0::2] + 1j * f[1::2]))
         np.testing.assert_allclose(panel, [
             [0.4650339527685802 + 2.3039881018181068j,
              8.049285293713911 - 0.6292687433631428j, 7.676781813689778j,
@@ -806,12 +932,9 @@ class TestSimulate:
         assert normal.sum() == 6 + 14 + 1
         assert normal[:, :2].all()
         np.testing.assert_array_equal(drawn[normal], z[normal])
-        g, f = oracles.stream_8_draws(montecarlo._generator(2**64 - 1), 6, 63,
-                                      network.blocks)
-        np.testing.assert_array_equal(g.view(complex), panel[:, 0])
-        np.testing.assert_array_equal(f[0::2] + 1j * f[1::2], panel[:, 1:])
         transform, _ = build_machine(CloningConfig(1, 0, 2))
-        emp = simulate(transform, layout, SampleConfig(64, 2**64 - 1, 0.5j))
+        emp = oracles.stream_8_simulate(transform, layout,
+                                        SampleConfig(64, 2**64 - 1, 0.5j), network.blocks)
         np.testing.assert_allclose(
             emp.means.ravel(),
             [0.10819520500208946, 1.0016831189991988, 0.13635459109439324,
@@ -827,10 +950,95 @@ class TestSimulate:
             rtol=1e-12,
         )
 
+    def test_stream_version_9_definition(self):
+        # Stream version 9 draws as version 8 but lays A's Bartlett factor,
+        # mode-reversed, over C's columns.  (1, 1, 3) at n = 7 has K = 6
+        # modes, R = 0:2, C = 2:4 and A = 4:6: F' has R's 4 columns, then
+        # 2 that C and A share, with 6 - 4 degrees of freedom, C's
+        # diagonal from mode 2 down and A's from mode 5 up.  One panel: g
+        # and F''s 6 columns over all 6 modes.  The draws are pinned to
+        # 1e-15 and the moments of simulate to 1e-12, on numpy's X86_V3
+        # and X86_V4 dispatch only, as for version 7.
+        assert montecarlo.STREAM_VERSION == 9
+        network, layout = machine._network(CloningConfig(1, 1, 3))
+        factor = montecarlo._factor_blocks(network.blocks, 6)
+        assert factor == [(0, 0, 4, 6, 0, 6, False), (4, 4, 2, 2, 2, 4, False),
+                          (4, 6, 2, 2, 4, 6, True)]
+        gen = montecarlo._generator(2**64 - 1)
+        chi = np.sqrt(gen.chisquare([6, 5, 4, 3, 2, 1, 2, 1]))
+        assert chi.tolist() == [2.4647341503629683, 1.928320495121848,
+                                1.2867540534506587, 1.5138502967398555,
+                                1.8197128180634028, 0.14659939275990977,
+                                1.0015552626168769, 2.1702250543408237]
+        panel = np.empty((6, 7), dtype=complex)
+        assert montecarlo._factor_panel(gen, chi, factor, 0, panel) == (0, 6)
+        np.testing.assert_allclose(panel, [
+            [-0.7625136089514966 - 0.6292687433631428j,
+             2.4647341503629683 + 0.04156220714922898j, 1.928320495121848j,
+             0j, 0j, 0j, 0j],
+            [0.679864897797567 - 0.11202667729908565j,
+             1.842151763287668 - 0.06891995253050963j,
+             -0.6132400868932025 - 0.1842372409667422j,
+             1.2867540534506587 - 0.31020248925538735j, 1.5138502967398555j,
+             0j, 0j],
+            [-0.9067627698809306 + 1.310140610203915j,
+             -2.5434268019056296 - 0.23656063532250718j,
+             -0.2316192833575309 - 1.8156073260372039j,
+             1.3597558484736465 - 0.9202366555183821j,
+             -0.18808130745583349 + 1.6995070019964853j,
+             1.8197128180634028 - 1.2722078979666687j, 0.14659939275990977j],
+            [0.23477113893907772 - 0.3330623584845805j,
+             1.4781596821768668 - 1.664226079335721j,
+             1.6389016639980314 - 0.8751639269439871j,
+             -0.526694538628629 + 0.523754085032823j,
+             1.013615963850363 + 0.5461272160690008j,
+             -2.913705868451118 - 0.911676387649003j,
+             0.71325704349685 + 0.2295713524449295j],
+            [0.07158465916906523 + 1.194986624869736j,
+             0.5710220859043689 + 0.34737150366639863j,
+             -1.4368478702583236 + 0.5043488809357671j,
+             0.2410391425138042 + 0.8536032133350323j,
+             -0.22086106985365442 + 1.2717947892848047j,
+             -0.2746485469874166 + 1.561323631261681j,
+             -0.65727183421804 + 0.7070276630053726j],
+            [-0.12178703030823722 - 0.9043155175767583j,
+             -0.9135746982853548 + 1.6412388127899629j,
+             0.08344343918475612 - 0.266615080311718j,
+             -0.5831547426755794 - 0.8502001739072587j,
+             0.5985315390052924 + 0.2666134596797283j,
+             1.0015552626168769 + 0.6792583713474454j, 2.1702250543408237j],
+        ], rtol=1e-15, atol=0)
+        g, f = oracles.stream_9_draws(montecarlo._generator(2**64 - 1), 12, 6,
+                                      network.blocks)
+        np.testing.assert_array_equal(g.view(complex), panel[:, 0])
+        np.testing.assert_array_equal(f[0::2] + 1j * f[1::2], panel[:, 1:])
+        transform, _ = build_machine(CloningConfig(1, 1, 3))
+        emp = simulate(transform, layout, SampleConfig(7, 2**64 - 1, 0.5j))
+        np.testing.assert_allclose(
+            emp.means.ravel(),
+            [-0.17898360356380505, 0.7557339276707677, 0.045457852534712434,
+             -0.6261557995796, 0.19613446920035643, 0.6821281416258616,
+             -0.24302999692551358, 0.37704037146948177, 0.3376084924687658,
+             -0.7192734669085494, -0.2234536052708975, -0.6675927090281418],
+            rtol=1e-12,
+        )
+        np.testing.assert_allclose(
+            emp.covariances.ravel(),
+            [0.39084006684481803, -0.05795594582270414, -0.05795594582270414,
+             0.28484484150408085, 0.4708220076469561, 0.24619425314364307,
+             0.24619425314364307, 0.8045339718761015, 1.0329993933095938,
+             0.4295644292935856, 0.4295644292935856, 1.6731238666451773,
+             0.43431228123036153, 0.10586727941692915, 0.10586727941692915,
+             1.4189529969669936, 0.5135389157555699, -0.21342631189014272,
+             -0.21342631189014272, 0.2904906965947441, 0.8029375810696849,
+             0.05343619168067139, 0.05343619168067139, 0.46787213562095953],
+            rtol=1e-12,
+        )
+
     @pytest.mark.parametrize("counts, samples", [((2, 2, 12), 64), ((1, 1, 2), 9)])
     def test_matches_stream_6_in_law(self, counts, samples):
         # Each mode's x and p variance over 1000 runs of simulate (stream
-        # version 8) and of stream version 6 (the same F' from SFC64's
+        # version 9) and of stream version 6 (the same F' from SFC64's
         # ziggurat normals, through the oracle), on disjoint seeds, must
         # pass a two-sample KS test; modes are pooled by role, as in the
         # stream version 3 test.
@@ -856,6 +1064,18 @@ class TestSimulate:
                                      normals=oracles.stream_7_normals),
             normals=oracles.stream_7_normals)
         assert_same_variance_law(transform, layout, samples, simulate, stream_7)
+
+    @pytest.mark.parametrize("counts, samples", [((2, 2, 12), 64), ((2, 3, 5), 20)])
+    def test_matches_stream_8_in_law(self, counts, samples):
+        # As above against stream version 8, whose C and A columns do not
+        # share F''s columns and whose A factor runs in mode order, through
+        # the oracle.  At (2, 3, 5) and n = 20, N != N': C's factor has 8
+        # columns and A's trapezoid 9, with 19 - 10 degrees of freedom.
+        cfg = CloningConfig(*counts)
+        transform, layout = build_machine(cfg)
+        stream_8 = functools.partial(oracles.stream_8_simulate,
+                                     blocks=transform._network.blocks)
+        assert_same_variance_law(transform, layout, samples, simulate, stream_8)
 
     def test_largest_sample_count_passes(self):
         cfg = CloningConfig(1, 1, 2)
@@ -1237,6 +1457,11 @@ class TestCompareToAnalytic:
         summary = compare_to_analytic(emp, noise_report(cfg), layout, threshold)
         doc = summary.to_dict()
         want = oracles.comparison_summary(summary.roles, summary.z, threshold)
+        # The role codes compare_to_analytic hands over are the roles',
+        # and a summary built from the names alone prints the same.
+        rebuilt = ComparisonSummary(summary.roles, summary.z, threshold)
+        assert summary._codes.tolist() == rebuilt._codes.tolist()
+        assert json.dumps(rebuilt.to_dict()) == json.dumps(doc)
         assert doc["flagged"] == want["flagged"]
         assert [row["mode"] for row in doc["flagged"]] == summary.flagged()
         assert list(doc["by_role"]) == list(want["by_role"])
